@@ -2,34 +2,35 @@
 
 Against real CAD tools a Nautilus run is hours-to-days of synthesis jobs;
 losing the evaluation cache to a crash wastes all of it. A
-:class:`SearchCheckpoint` snapshots everything a generational search needs
-to continue — the current population, the state of every named RNG stream,
-the per-generation records (replayed into the kernel's trace on resume),
-the stall counter, and (crucially) the evaluation cache, so resumed runs
-never re-pay for a synthesized design.
+:class:`SearchCheckpoint` holds everything a generational search needs to
+continue — the current population, the state of every named RNG stream,
+the guidance provider's state, the stall counter, the evaluation
+counters, the per-generation records (replayed into the kernel's history
+on resume) and (crucially) the evaluation cache, so resumed runs never
+re-pay for a design the snapshot recorded.
 
-Snapshots are plain JSON: portable, inspectable, and independent of Python
-pickling across versions. Format 4 (current) stores the population as
-*code vectors* (ordinal domain indices, one per parameter in declaration
-order) and cache rows as ordered value lists, alongside the parameter-name
-order as a corruption guard — matching the encoded genome core, smaller on
-disk, and restored through the range-checked
-:meth:`~repro.core.space.DesignSpace.genome_from_indices` boundary. All
-earlier formats still load:
+Format 5 is an append-only journal of JSON lines, so a snapshot costs
+O(population) bytes rather than O(everything ever evaluated). Every line
+carries:
 
-====== ======================================================================
-Format Contents / migration
-====== ======================================================================
-4      Population as code vectors; cache rows as ``{"values": [...]}``;
-       ``params`` order guard. Current.
-3      Population as config dicts; cache rows as ``{"config": {...}}``;
-       guidance provider state. Loadable — configs re-encode through the
-       validating path.
-2      Format 3 without guidance state (provider stays at its constructed
-       state on resume).
-1      Single shared RNG state, no stall counter (counter replayed from the
-       recorded best-score curve).
-====== ======================================================================
+* the O(population) state — ``population`` (code vectors in parameter
+  declaration order, guarded by ``params``), ``rng_streams``,
+  ``guidance``, ``stalled`` and ``eval_stats`` (the stack's integer
+  counters);
+* only the ``cache`` rows (``{"values": [...], "metrics": {...} | null}``,
+  the :class:`~repro.core.evalstack.PersistentCache` row shape) and the
+  ``records`` produced since the previous line. The writer finds them
+  with two watermarks: the memo's insertion order and the record count.
+
+:meth:`SearchCheckpoint.load` folds the lines: rows and records
+accumulate, the state comes from the last complete line, and a torn final
+line (a writer killed mid-line) is ignored — the resumed
+:class:`CheckpointJournal` truncates it before its first append. When the
+search finishes, the journal is compacted into one full line through
+:meth:`SearchCheckpoint.save` (tmp + replace). A format-4 file is one line
+with the same keys, so it loads as a one-line journal; it carries no
+counters, so its rows count as distinct evaluations, as they did in
+format 4.
 
 Both the single-objective GA (:class:`CheckpointedSearch`) and the NSGA-II
 engine (:class:`CheckpointedParetoSearch`) checkpoint through the same
@@ -42,34 +43,33 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .engine import GAConfig, GenerationRecord, GeneticSearch
+from .engine import GAConfig, GeneticSearch
 from .errors import NautilusError
 from .evaluator import Evaluator
 from .fitness import Objective
 from .genome import Genome
 from .guidance import GuidanceProvider, GuidanceState
 from .hints import HintSet
-from .kernel import RngStreams
+from .kernel import _RECORD_FIELDS, RngStreams
 from .pareto import ParetoSearch
 from .population import Population
 from .space import DesignSpace
 
-__all__ = ["SearchCheckpoint", "CheckpointedSearch", "CheckpointedParetoSearch"]
+__all__ = [
+    "SearchCheckpoint",
+    "CheckpointJournal",
+    "CheckpointedSearch",
+    "CheckpointedParetoSearch",
+]
 
-_FORMAT_VERSION = 4
-
-_RECORD_KEYS = (
-    "generation",
-    "best_raw",
-    "best_score",
-    "mean_score",
-    "distinct_evaluations",
-    "best_config",
-)
+_FORMAT_VERSION = 5
+#: Formats a journal line may carry (a format-4 file is a one-line journal).
+_READABLE_FORMATS = (4, _FORMAT_VERSION)
 
 
 class SearchCheckpoint:
-    """Serializable snapshot of an in-flight generational search."""
+    """The state of an in-flight generational search, as one journal line
+    or as the fold of a whole journal."""
 
     def __init__(
         self,
@@ -82,28 +82,32 @@ class SearchCheckpoint:
         stalled: int | None = None,
         guidance: dict[str, Any] | None = None,
         params: list[str] | None = None,
+        eval_stats: dict[str, int] | None = None,
     ):
         self.space_name = space_name
         self.generation = generation
-        #: Format 4: code vectors (``list[list[int]]``); formats 1-3:
-        #: config dicts. Use :meth:`population_genomes` to materialize.
+        #: Code vectors (``list[list[int]]``); use :meth:`population_genomes`.
         self.population = population
         #: Parameter names in the order the code vectors index — a guard
         #: against resuming into a space whose declaration order changed.
-        #: ``None`` for pre-format-4 snapshots (configs carry names).
         self.params = params
         #: :meth:`RngStreams.getstate` payload — every named stream.
         self.rng_streams = rng_streams
         self.records = records
         self.cache = cache
-        #: Consecutive no-improvement generations at snapshot time;
-        #: ``None`` for format-1 snapshots (replayed from the records).
+        #: Consecutive no-improvement generations at snapshot time.
         self.stalled = stalled
         #: :meth:`GuidanceProvider.state_dict` payload at snapshot time;
-        #: ``None`` for unguided runs and pre-format-3 snapshots.
+        #: ``None`` for unguided runs.
         self.guidance = guidance
+        #: :meth:`EvalStats.counts` at snapshot time; ``None`` for format 4.
+        self.eval_stats = eval_stats
+        #: Byte length of the journal prefix this checkpoint was folded
+        #: from — where a resumed :class:`CheckpointJournal` continues.
+        self.end = 0
 
-    def save(self, path: str | Path) -> None:
+    def line(self) -> bytes:
+        """This checkpoint as one newline-terminated journal line."""
         payload = {
             "format": _FORMAT_VERSION,
             "space": self.space_name,
@@ -115,85 +119,150 @@ class SearchCheckpoint:
             "cache": self.cache,
             "stalled": self.stalled,
             "guidance": self.guidance,
+            "eval_stats": self.eval_stats,
         }
+        return (json.dumps(payload) + "\n").encode("utf-8")
+
+    def save(self, path: str | Path) -> None:
+        """Replace ``path`` with a one-line journal holding this checkpoint.
+
+        Atomic (tmp + replace): a crash never leaves a torn file.
+        """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload))
-        tmp.replace(path)  # atomic: a crash never leaves a torn checkpoint
+        tmp.write_bytes(self.line())
+        tmp.replace(path)
 
     @classmethod
     def load(cls, path: str | Path) -> "SearchCheckpoint":
-        payload = json.loads(Path(path).read_text())
-        version = payload.get("format")
-        if version == 1:
-            # Format 1 stored one shared RNG state and no stall counter.
-            rng_streams = {
-                "mode": "shared",
-                "streams": {"shared": payload["rng_state"]},
-            }
-            stalled = None
-        elif version in (2, 3, _FORMAT_VERSION):
-            rng_streams = payload["rng_streams"]
-            stalled = payload.get("stalled")
-        else:
-            raise NautilusError(f"unsupported checkpoint format {version!r}")
-        return cls(
-            space_name=payload["space"],
-            generation=payload["generation"],
-            population=payload["population"],
-            rng_streams=rng_streams,
-            records=payload["records"],
-            cache=payload["cache"],
-            stalled=stalled,
-            # Pre-format-3 snapshots carry no provider state.
-            guidance=payload.get("guidance"),
-            # Pre-format-4 snapshots carry no code vectors, hence no guard.
-            params=payload.get("params"),
-        )
+        """Fold a journal (see the module docstring).
+
+        Raises:
+            NautilusError: No line is complete, a line other than the last
+                is corrupt, or a line has an unsupported format.
+        """
+        checkpoint = cls.read(path)
+        if checkpoint is None:
+            raise NautilusError(f"checkpoint {path} holds no complete snapshot")
+        return checkpoint
+
+    @classmethod
+    def read(cls, path: str | Path) -> "SearchCheckpoint | None":
+        """Like :meth:`load`, but ``None`` when no line is complete yet."""
+        data = Path(path).read_bytes()
+        records: list[dict[str, Any]] = []
+        cache: list[dict[str, Any]] = []
+        checkpoint = None
+        offset = 0
+        while offset < len(data):
+            newline = data.find(b"\n", offset)
+            end = len(data) if newline < 0 else newline + 1
+            text = data[offset:end]
+            offset = end
+            try:
+                payload = json.loads(text)
+            except ValueError:
+                if newline < 0:
+                    break  # torn final line: the writer died mid-append
+                raise NautilusError(
+                    f"corrupt checkpoint journal line in {path}"
+                ) from None
+            version = payload.get("format") if isinstance(payload, dict) else None
+            if version not in _READABLE_FORMATS:
+                raise NautilusError(f"unsupported checkpoint format {version!r}")
+            try:
+                records.extend(payload["records"])
+                cache.extend(payload["cache"])
+                checkpoint = cls(
+                    space_name=payload["space"],
+                    generation=payload["generation"],
+                    population=payload["population"],
+                    rng_streams=payload["rng_streams"],
+                    records=records,
+                    cache=cache,
+                    stalled=payload["stalled"],
+                    guidance=payload["guidance"],
+                    params=payload["params"],
+                    eval_stats=payload.get("eval_stats"),
+                )
+            except KeyError as exc:
+                raise NautilusError(
+                    f"checkpoint journal line in {path} lacks {exc}"
+                ) from None
+            checkpoint.end = end
+        return checkpoint
 
     # -- materialization ---------------------------------------------------------
 
     def population_genomes(self, space: DesignSpace) -> list[Genome]:
-        """Rebuild the checkpointed population against a live space.
-
-        Format-4 entries (code vectors) go through the range-checked
-        :meth:`~repro.core.space.DesignSpace.genome_from_indices` boundary;
-        pre-format-4 entries (config dicts) go through the validating
-        ``space.genome`` path.
-        """
-        genomes = []
-        for entry in self.population:
-            if isinstance(entry, dict):
-                genomes.append(space.genome(entry))
-            else:
-                genomes.append(space.genome_from_indices(entry))
-        return genomes
+        """Rebuild the checkpointed population against a live space,
+        through the range-checked
+        :meth:`~repro.core.space.DesignSpace.genome_from_indices` boundary."""
+        return [space.genome_from_indices(codes) for codes in self.population]
 
     def cache_configs(self, space: DesignSpace):
-        """Yield ``(config dict, metrics)`` for every cached evaluation.
-
-        Handles both format-4 rows (``{"values": [...]}`` in parameter
-        declaration order) and earlier ``{"config": {...}}`` rows.
-        """
+        """Yield ``(config dict, metrics)`` for every cached evaluation."""
         names = tuple(self.params) if self.params else space.param_names
         for row in self.cache:
-            values = row.get("values")
-            if values is not None:
-                yield dict(zip(names, values)), row["metrics"]
-            else:
-                yield row["config"], row["metrics"]
+            yield dict(zip(names, row["values"])), row["metrics"]
+
+
+class CheckpointJournal:
+    """Appends :class:`SearchCheckpoint` lines to a journal file through
+    one open handle, flushed once per line.
+
+    ``keep`` is the byte length of the journal prefix to continue after
+    (a loaded checkpoint's :attr:`~SearchCheckpoint.end`); 0 starts a new
+    journal, replacing whatever the path held. Before the first append the
+    file is truncated to ``keep`` — dropping a torn tail — and a final line
+    that lost only its newline gets one, so an appended line is never
+    glued onto a partial one.
+    """
+
+    def __init__(self, path: str | Path, keep: int = 0):
+        self.path = Path(path)
+        self._keep = keep
+        self._handle = None
+
+    def append(self, checkpoint: SearchCheckpoint) -> None:
+        if self._handle is None:
+            self._handle = self._open()
+        self._handle.write(checkpoint.line())
+        self._handle.flush()
+
+    def _open(self):
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if not self._keep:
+            return open(self.path, "wb")
+        handle = open(self.path, "r+b")
+        handle.truncate(self._keep)
+        handle.seek(self._keep - 1)
+        last = handle.read(1)
+        handle.seek(self._keep)
+        if last != b"\n":
+            handle.write(b"\n")
+        return handle
+
+    def close(self) -> None:
+        """Close the handle; a later append reopens after what was written."""
+        if self._handle is not None:
+            self._keep = self._handle.tell()
+            self._handle.close()
+            self._handle = None
 
 
 class _CheckpointMixin:
     """Snapshot/resume plumbing shared by every checkpointed engine.
 
     Composes with any :class:`~repro.core.kernel.SearchKernel` subclass
-    whose population members expose ``.genome``: the mixin serializes the
-    population as config dicts, captures all RNG streams and the memoized
-    evaluation cache, and on resume replays the recorded generations into
-    the kernel's trace (without notifying sinks — the events were already
-    delivered before the interruption).
+    whose population members expose ``.genome``: every
+    ``checkpoint_every`` generations the mixin appends one journal line,
+    compacts the journal when the search finishes, and on resume restores
+    the memo, the evaluation counters, the population and RNG streams, and
+    replays the recorded generations into the kernel's history (without
+    notifying sinks — the events were already delivered before the
+    interruption).
     """
 
     def _init_checkpointing(
@@ -204,42 +273,72 @@ class _CheckpointMixin:
         self.checkpoint_path = Path(checkpoint_path)
         self.checkpoint_every = checkpoint_every
         self._resume_from: SearchCheckpoint | None = None
+        self._journal = CheckpointJournal(self.checkpoint_path)
+        #: Watermarks: memo rows and records already in the journal.
+        self._rows_journaled = 0
+        self._records_journaled = 0
 
     # -- snapshotting -----------------------------------------------------------
 
-    def _snapshot(self) -> None:
-        cache_rows = []
-        for key, value in self._counter.memo_items():
-            __, values = key
-            if isinstance(value, Exception):
-                cache_rows.append({"values": list(values), "metrics": None})
-            else:
-                cache_rows.append({"values": list(values), "metrics": dict(value)})
-        SearchCheckpoint(
+    def _cache_rows(self, start: int = 0) -> list[dict[str, Any]]:
+        rows = []
+        for (__, values), outcome in self._counter.memo_items(start):
+            metrics = None if isinstance(outcome, Exception) else dict(outcome)
+            rows.append({"values": list(values), "metrics": metrics})
+        return rows
+
+    def _checkpoint(self, cache, records) -> SearchCheckpoint:
+        return SearchCheckpoint(
             space_name=self.space.name,
             generation=self._generation,
             population=[list(ind.genome.codes) for ind in self._population],
             params=list(self.space.param_names),
             rng_streams=self.rngs.getstate(),
-            records=[
-                {key: getattr(r, key) for key in _RECORD_KEYS}
-                for r in self.records
-            ],
-            cache=cache_rows,
+            records=[{f: getattr(r, f) for f in _RECORD_FIELDS} for r in records],
+            cache=cache,
             stalled=self._stalled_generations,
             guidance=(
                 self._guidance.state_dict() if self._guidance is not None else None
             ),
-        ).save(self.checkpoint_path)
+            eval_stats=self._counter.stats().counts(),
+        )
+
+    def _snapshot(self) -> None:
+        """Append one journal line: the state plus what is new since the
+        previous line."""
+        rows = self._cache_rows(self._rows_journaled)
+        records = self._records[self._records_journaled:]
+        self._journal.append(self._checkpoint(rows, records))
+        self._rows_journaled += len(rows)
+        self._records_journaled += len(records)
+
+    def _compact(self) -> None:
+        """Replace the journal with one full line (tmp + replace)."""
+        self._journal.close()
+        checkpoint = self._checkpoint(self._cache_rows(), self._records)
+        checkpoint.save(self.checkpoint_path)
+        self._rows_journaled = len(checkpoint.cache)
+        self._records_journaled = len(checkpoint.records)
+        self._journal = CheckpointJournal(
+            self.checkpoint_path, keep=self.checkpoint_path.stat().st_size
+        )
+
+    def close(self) -> None:
+        self._journal.close()
 
     def resume(self, path: str | Path | None = None):
-        """Load a snapshot; the next :meth:`run` continues from it.
+        """Load a journal; the next :meth:`run` continues from it.
 
-        The evaluation cache is restored immediately (so even pre-run
-        lookups are free); population, RNG streams and history are restored
-        when the search starts.
+        The evaluation cache and counters are restored immediately (so even
+        pre-run lookups are free); population, RNG streams and history are
+        restored when the search starts. A journal with no complete line
+        (killed during its first append) resumes nothing: the search starts
+        fresh and overwrites it.
         """
-        checkpoint = SearchCheckpoint.load(path or self.checkpoint_path)
+        path = Path(path or self.checkpoint_path)
+        checkpoint = SearchCheckpoint.read(path)
+        if checkpoint is None:
+            return self
         if checkpoint.space_name != self.space.name:
             raise NautilusError(
                 f"checkpoint is for space {checkpoint.space_name!r}, "
@@ -251,11 +350,18 @@ class _CheckpointMixin:
                 f"not match space {self.space.name!r} parameters "
                 f"{self.space.param_names!r}"
             )
-        # Restored entries are charged as distinct evaluations — they were
-        # paid for before the interruption.
         for config, metrics in checkpoint.cache_configs(self.space):
-            genome = self.space.genome(config)
-            self._counter.preload(genome, metrics, charge=True)
+            self._counter.preload(self.space.genome(config), metrics)
+        self._counter.restore_counts(
+            checkpoint.eval_stats
+            if checkpoint.eval_stats is not None
+            else {"distinct": len(checkpoint.cache)}
+        )
+        if path.resolve() == self.checkpoint_path.resolve():
+            # Continue this journal; everything restored is already in it.
+            self._journal = CheckpointJournal(path, keep=checkpoint.end)
+            self._rows_journaled = len(checkpoint.cache)
+            self._records_journaled = len(checkpoint.records)
         self._resume_from = checkpoint
         return self
 
@@ -265,11 +371,12 @@ class _CheckpointMixin:
         """Start fresh, or restore the full state of a loaded snapshot.
 
         On resume the population, RNG streams, history (replayed into the
-        trace), best-so-far and the stall counter are all reconstituted
-        from the checkpoint, so the continued step sequence is exactly the
-        run that would have happened without the interruption — including
-        ``stall_generations`` cutoffs. Returns the record of the last
-        completed generation.
+        trace), best-so-far, the stall counter and the evaluation counters
+        are all reconstituted from the checkpoint, so the continued step
+        sequence is exactly the run that would have happened without the
+        interruption — including ``stall_generations`` cutoffs and
+        :class:`~repro.core.evalstack.EvalStats`. Returns the record of the
+        last completed generation.
         """
         if self._resume_from is None:
             return super().start()
@@ -279,24 +386,15 @@ class _CheckpointMixin:
         self._resume_from = None
         self._rngs = RngStreams(self.seed, split=self.split_rngs)
         self._rngs.setstate(checkpoint.rng_streams)
+        # Re-assessing the restored population only hits the memo; keep
+        # those lookups out of the restored counters.
+        counts = self._counter.stats().counts()
         self._restore_population(checkpoint)
+        self._counter.restore_counts(counts)
         for payload in checkpoint.records:
             self._replay_record(payload)
         self._generation = checkpoint.generation
-        if checkpoint.stalled is not None:
-            self._stalled_generations = checkpoint.stalled
-        else:
-            # Format-1 snapshots: replay the stall counter from the
-            # recorded best-so-far curve — a trailing record whose
-            # best_score did not improve on its predecessor was a stalled
-            # generation.
-            records = self.records
-            stalled = 0
-            for previous, current in zip(records, records[1:]):
-                stalled = (
-                    0 if current.best_score > previous.best_score else stalled + 1
-                )
-            self._stalled_generations = stalled
+        self._stalled_generations = checkpoint.stalled or 0
         if self._guidance is not None:
             if checkpoint.guidance is not None:
                 self._guidance.load_state_dict(checkpoint.guidance)
@@ -305,15 +403,15 @@ class _CheckpointMixin:
             self._guidance_state = self._guidance.peek(checkpoint.generation)
         else:
             self._guidance_state = GuidanceState.neutral(checkpoint.generation)
-        records = self.records
+        records = self._records
         return records[-1] if records else self._make_record(self._generation)
 
-    def _after_generation(self, record: GenerationRecord) -> None:
+    def _after_generation(self, record) -> None:
         if record.generation % self.checkpoint_every == 0:
             self._snapshot()
 
     def _on_finish(self, reason: str) -> None:
-        self._snapshot()
+        self._compact()
 
     # -- engine-specific restoration ---------------------------------------------
 
@@ -322,16 +420,16 @@ class _CheckpointMixin:
 
 
 class CheckpointedSearch(_CheckpointMixin, GeneticSearch):
-    """A :class:`GeneticSearch` that snapshots every N generations.
+    """A :class:`GeneticSearch` that journals a snapshot every N generations.
 
     Args:
-        checkpoint_path: Where snapshots are written (atomically).
-        checkpoint_every: Generations between snapshots.
+        checkpoint_path: The journal file (see the module docstring).
+        checkpoint_every: Generations between journal lines.
 
-    Use :meth:`resume` to continue from a snapshot: the population, RNG
-    streams, history and — most importantly — the cache of already-paid-for
-    evaluations are all restored, so the continued run is exactly the run
-    that would have happened without the interruption.
+    Use :meth:`resume` to continue from a journal: the population, RNG
+    streams, history, counters and — most importantly — the cache of
+    already-paid-for evaluations are all restored, so the continued run is
+    exactly the run that would have happened without the interruption.
     """
 
     def __init__(
@@ -364,7 +462,7 @@ class CheckpointedSearch(_CheckpointMixin, GeneticSearch):
 
 
 class CheckpointedParetoSearch(_CheckpointMixin, ParetoSearch):
-    """A :class:`ParetoSearch` that snapshots every N generations.
+    """A :class:`ParetoSearch` that journals a snapshot every N generations.
 
     Multi-objective runs checkpoint exactly like single-objective ones:
     scores are *not* serialized — the population is re-assessed from the

@@ -50,6 +50,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, fields
+from itertools import islice
 from pathlib import Path
 from typing import Any, Iterator, Sequence, TYPE_CHECKING
 
@@ -132,6 +133,14 @@ class EvalStats:
         }
         values["max_batch"] = self.max_batch
         return EvalStats(**values)
+
+    def counts(self) -> dict[str, int]:
+        """The integer counters only (no timers) — what a checkpoint keeps."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if not f.name.endswith("_s")
+        }
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready view including the derived rates."""
@@ -896,27 +905,40 @@ class EvaluationStack:
 
     # -- memo import/export (checkpointing) -------------------------------------
 
-    def memo_items(self) -> Iterator[tuple[tuple, Outcome]]:
-        """Iterate ``(genome key, outcome)`` over the in-memory cache."""
-        return iter(self._memo.entries.items())
+    def memo_items(self, start: int = 0) -> Iterator[tuple[tuple, Outcome]]:
+        """Iterate ``(genome key, outcome)`` over the in-memory cache.
 
-    def preload(
-        self, genome: Genome, metrics: Metrics | None, charge: bool = True
-    ) -> None:
+        Entries come in insertion order and are never removed, so
+        ``start`` skips the first ``start`` of them — a checkpoint journal
+        uses it as a watermark to export only the rows added since its
+        previous line.
+        """
+        return islice(self._memo.entries.items(), start, None)
+
+    def preload(self, genome: Genome, metrics: Metrics | None) -> None:
         """Seed the memo with an already-paid-for outcome (checkpoint resume).
 
-        ``metrics=None`` restores an infeasible result. ``charge`` counts
-        the entry as a distinct evaluation — the job *was* paid for by this
-        campaign, just before the snapshot.
+        ``metrics=None`` restores an infeasible result. Counters are left
+        alone: a resumed search restores them with :meth:`restore_counts`
+        from the same checkpoint, so a row served by the persistent cache
+        before the interruption stays a persistent hit.
         """
         outcome: Outcome = (
             metrics
             if metrics is not None
             else InfeasibleDesignError("restored from checkpoint")
         )
-        if genome.key not in self._memo.entries and charge:
-            self._counters.distinct += 1
         self._memo.entries[genome.key] = outcome
+
+    def restore_counts(self, counts: dict[str, int]) -> None:
+        """Overwrite the integer counters (see :meth:`EvalStats.counts`).
+
+        Timers are not restored: they measure this process. Missing names
+        keep their current value.
+        """
+        for name, value in counts.items():
+            if name in _Counters.__slots__ and not name.endswith("_s"):
+                setattr(self._counters, name, int(value))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         s = self._counters

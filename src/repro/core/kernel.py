@@ -24,10 +24,9 @@ re-implement independently:
 * **Structured trace** — every run emits :class:`RunEvent` records
   (``generation-start`` / ``eval-batch`` / ``operator-applied`` /
   ``best-improved`` / ``generation-end`` / ``stop``) through pluggable
-  :class:`TraceSink`\\ s. The trace is the source of truth for run history:
-  the per-generation :class:`GenerationRecord` list is a *derived view*
-  over the ``generation-end`` events, and the service persists the same
-  events per campaign as a JSONL log.
+  :class:`TraceSink`\\ s. Every :class:`GenerationRecord` is emitted as a
+  ``generation-end`` event when the kernel appends it to its record list,
+  and the service persists the same events per campaign as a JSONL log.
 
 :class:`GenerationalEngine` specializes the kernel for population-based
 searches (propose → evaluate → select survivors → record); concrete
@@ -423,7 +422,7 @@ class RngStreams:
 
 
 # ---------------------------------------------------------------------------
-# run history: records derived from the trace
+# run history: one record per generation
 # ---------------------------------------------------------------------------
 
 
@@ -431,9 +430,8 @@ class RngStreams:
 class GenerationRecord:
     """Snapshot of the search state after one generation.
 
-    Records are a derived view: the kernel emits a ``generation-end`` trace
-    event per generation and :attr:`SearchKernel.records` projects these
-    fields back out of the event payloads.
+    The kernel keeps its records in an append-only list and emits each one
+    as the payload of a ``generation-end`` trace event.
     """
 
     generation: int
@@ -637,6 +635,8 @@ class SearchKernel:
         self._generation = 0
         self._stalled_generations = 0
         self._stop_reason: str | None = None
+        #: Append-only history, one record per completed generation.
+        self._records: list[GenerationRecord] = []
         self._best_window: deque[float] = deque(maxlen=_HEALTH_WINDOW)
         self._last_batch: tuple[int, int] = (0, 0)
 
@@ -702,12 +702,8 @@ class SearchKernel:
 
     @property
     def records(self) -> list[GenerationRecord]:
-        """Per-generation records, derived from ``generation-end`` events."""
-        return [
-            GenerationRecord(**{f: e.payload[f] for f in _RECORD_FIELDS})
-            for e in self._trace.events
-            if e.kind == "generation-end"
-        ]
+        """Per-generation records, oldest first (copy)."""
+        return list(self._records)
 
     @property
     def trace_events(self) -> list[RunEvent]:
@@ -830,7 +826,8 @@ class SearchKernel:
         self._on_finish(reason)
 
     def _push_record(self, record: GenerationRecord) -> GenerationRecord:
-        """Emit the generation-end event the record is derived from."""
+        """Append a record and emit its generation-end event."""
+        self._records.append(record)
         self._trace.emit(
             "generation-end",
             record.generation,
@@ -839,12 +836,11 @@ class SearchKernel:
         return record
 
     def _replay_record(self, payload: dict[str, Any]) -> None:
-        """Re-seed the trace with a checkpointed generation (sinks skipped)."""
+        """Re-seed the history with a checkpointed generation (sinks skipped)."""
+        row = {f: payload[f] for f in _RECORD_FIELDS}
+        self._records.append(GenerationRecord(**row))
         self._trace.emit(
-            "generation-end",
-            int(payload["generation"]),
-            {f: payload[f] for f in _RECORD_FIELDS},
-            notify=False,
+            "generation-end", int(payload["generation"]), row, notify=False
         )
 
     # -- engine hooks ------------------------------------------------------------
@@ -860,6 +856,10 @@ class SearchKernel:
 
     def _on_finish(self, reason: str) -> None:
         """Hook invoked exactly once when a stopping cutoff fires."""
+
+    def close(self) -> None:
+        """Release files the search holds open (a no-op unless it
+        checkpoints); a later snapshot reopens them."""
 
 
 class GenerationalEngine(SearchKernel):

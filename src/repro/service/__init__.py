@@ -9,10 +9,10 @@ exactly that, on the standard library alone:
 
 * :mod:`~repro.service.campaign` — campaign specs, states, and runtime
   objects built on the engines' incremental ``start()``/``step()`` API;
-* :mod:`~repro.service.store` — a crash-safe JSON campaign store reusing
-  the :class:`~repro.core.checkpoint.SearchCheckpoint` format, so a killed
-  daemon resumes every in-flight campaign without re-paying for
-  already-evaluated designs;
+* :mod:`~repro.service.store` — a crash-safe JSON campaign store holding
+  each campaign's :class:`~repro.core.checkpoint.SearchCheckpoint`
+  journal, so a killed daemon resumes every in-flight campaign without
+  re-paying for the designs of its completed generations;
 * :mod:`~repro.service.scheduler` — a priority-aware round-robin scheduler
   stepping one generation per tick on a shared worker pool;
 * :mod:`~repro.service.metrics` — live service counters (evaluation

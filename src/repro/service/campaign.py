@@ -7,9 +7,11 @@ over the REST API and into the on-disk store unchanged.
 
 :func:`build_search` turns a spec into a concrete engine instance. GA
 campaigns are built as :class:`~repro.core.checkpoint.CheckpointedSearch`
-with per-generation snapshots into the campaign directory, which is what
-makes daemon restarts lossless: the snapshot carries population, RNG
-stream, history *and* the evaluation cache.
+(or its Pareto twin) appending one checkpoint-journal line per generation
+to the campaign directory, which is what lets a restarted daemon resume
+them: each line carries the population, RNG streams, guidance state and
+evaluation counters, plus the generation's new records and evaluation-cache
+rows. A kill loses only the generation being stepped.
 """
 
 from __future__ import annotations
@@ -214,10 +216,10 @@ def build_search(
 ):
     """Instantiate the engine a spec describes, against a shared dataset.
 
-    GA engines checkpoint every generation under ``campaign_dir`` so the
-    scheduler can resume them after a daemon restart; the random baseline
-    is cheap and deterministic, so on restart it simply replays from its
-    seed. The evaluator is a full
+    GA engines journal a checkpoint line every generation under
+    ``campaign_dir`` so the scheduler can resume them after a daemon
+    restart; the random baseline is cheap and deterministic, so on restart
+    it simply replays from its seed. The evaluator is a full
     :class:`~repro.core.EvaluationStack` per campaign — its own memo cache
     and counters, a thread-pool backend when ``workers > 1``
     (population-sized parallelism), and optionally a shared ``persistent``

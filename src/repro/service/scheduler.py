@@ -13,10 +13,14 @@ The scheduler can run threaded (:meth:`Scheduler.start` /
 tests use manual ticking to stop a daemon deterministically mid-campaign.
 
 Fault model: an engine exception fails only its campaign; a daemon kill
-loses at most the generation being stepped (GA campaigns checkpoint every
-generation through :class:`~repro.core.checkpoint.CheckpointedSearch`,
-evaluation cache included). :meth:`recover` re-queues every in-flight
-campaign found in the store.
+loses at most the generation being stepped. GA campaigns append one line
+per generation to their checkpoint journal through
+:class:`~repro.core.checkpoint.CheckpointedSearch` (the generation's new
+evaluation-cache rows included), so the resumed campaign pays again only
+for the evaluations of the lost generation — and not even those when the
+daemon's ``--eval-cache`` holds them. :meth:`recover` re-queues every
+in-flight campaign found in the store. ``status.json`` is rewritten only
+when a campaign changes state, never per step.
 """
 
 from __future__ import annotations
@@ -203,11 +207,11 @@ class Scheduler:
     def recover(self) -> list[Campaign]:
         """Reload the store; re-queue every in-flight campaign.
 
-        GA campaigns resume from their last per-generation checkpoint
-        (population, RNG stream, history and evaluation cache); random
-        campaigns deterministically replay from their seed. Terminal
-        campaigns are loaded for status/curve queries only. Returns the
-        re-queued campaigns.
+        GA campaigns resume from the last complete line of their
+        checkpoint journal (population, RNG streams, history, counters and
+        evaluation cache); random campaigns deterministically replay from
+        their seed. Terminal campaigns are loaded for status/curve queries
+        only. Returns the re-queued campaigns.
         """
         requeued = []
         with self._lock:
@@ -318,13 +322,16 @@ class Scheduler:
             seeds = getattr(search, "warm_start_seeds", 0)
             if seeds and self._prom_warm_seeds is not None:
                 self._prom_warm_seeds.inc(seeds)
-            if campaign.state != CampaignState.RUNNING:
-                campaign.state = CampaignState.RUNNING
-                self.metrics.record_state(campaign.id, campaign.state)
             record: Any = True  # starting is progress, never terminal
         else:
             record = search.step()
         campaign.generations_done = search.generation
+        if record is not None and campaign.state != CampaignState.RUNNING:
+            # The first step. status.json follows the state only (create,
+            # first step, finalize); progress lives in the checkpoint.
+            campaign.state = CampaignState.RUNNING
+            self.metrics.record_state(campaign.id, campaign.state)
+            self.store.save_status(campaign)
         self._drain_spans(campaign)
         self.metrics.record_step(
             campaign.id,
@@ -337,8 +344,6 @@ class Scheduler:
         if record is None:
             campaign.result = search.result()
             self._finalize(campaign, CampaignState.DONE)
-        else:
-            self.store.save_status(campaign)
 
     def _drain_spans(self, campaign: Campaign) -> None:
         """Persist the campaign's newly finished spans (tracing campaigns).
@@ -403,6 +408,8 @@ class Scheduler:
         sink = self._sinks.pop(campaign.id, None)
         if sink is not None:
             sink.close()
+        if campaign.search is not None:
+            campaign.search.close()
 
     # -- structured trace ---------------------------------------------------------
 
@@ -516,10 +523,11 @@ class Scheduler:
         Finishes the in-flight generation, joins the scheduler thread (a
         thread that refuses to die raises — leaking it silently would turn
         every later shutdown into a slow drift of zombie threads), drains
-        the run queues, closes every live trace sink, and detaches engine
-        objects of unfinished campaigns. Checkpoints/statuses are already
-        written per generation, so the store stays consistent and
-        :meth:`start` / :meth:`recover` resume everything losslessly.
+        the run queues, closes every live trace sink and checkpoint
+        journal, and detaches engine objects of unfinished campaigns.
+        Checkpoint journals are already appended per generation, so the
+        store stays consistent and :meth:`start` / :meth:`recover` resume
+        everything losslessly.
 
         Raises:
             NautilusError: The scheduler thread did not terminate within
@@ -547,6 +555,8 @@ class Scheduler:
                 sink.close()
                 campaign = self._campaigns.get(cid)
                 if campaign is not None and not campaign.terminal:
+                    if campaign.search is not None:
+                        campaign.search.close()
                     campaign.search = None
                     campaign.result = None
             self._sinks.clear()

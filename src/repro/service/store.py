@@ -5,16 +5,23 @@ Layout, one directory per campaign under the store root::
     <root>/
       c000001/
         spec.json        # the submitted CampaignSpec, verbatim
-        status.json      # state machine + progress records (atomic rewrites)
-        checkpoint.json  # SearchCheckpoint (GA engines; written by the engine)
+        status.json      # state, error, generations_done (atomic rewrites)
+        checkpoint.json  # SearchCheckpoint journal (GA engines; appended by
+                         # the engine each generation, compacted at finish)
         events.jsonl     # structured RunEvent trace, one JSON line per event
         spans.jsonl      # span tree (tracing campaigns), one span per line
         result.json      # final curve + best design, once terminal
 
-Every write goes through a temp-file + ``rename`` so a killed daemon never
-leaves a torn file; the checkpoint reuses the exact
-:class:`~repro.core.checkpoint.SearchCheckpoint` format, which carries the
-evaluation cache — the expensive part of a half-finished campaign.
+``spec.json``, ``status.json`` and ``result.json`` are written through a
+temp-file + ``rename``, so a killed daemon never leaves them torn.
+``status.json`` changes only with the campaign's state — at create, at the
+first step and at finalize — so it costs nothing per generation. The
+append-only files (the checkpoint journal, events, spans) are flushed as
+they are appended; a kill can tear only their last line, which every
+reader skips.
+The checkpoint is the :class:`~repro.core.checkpoint.SearchCheckpoint`
+journal, which carries the evaluation cache — the expensive part of a
+half-finished campaign.
 """
 
 from __future__ import annotations
@@ -74,12 +81,11 @@ class CampaignStore:
         return campaign
 
     def save_status(self, campaign: Campaign) -> None:
-        """Persist the campaign's state machine + progress curve."""
+        """Persist the campaign's state, error and progress counter."""
         payload = {
             "state": campaign.state,
             "error": campaign.error,
             "generations_done": campaign.generations_done,
-            "records": campaign.curve_payload(),
         }
         _write_atomic(self.campaign_dir(campaign.id) / "status.json", payload)
 

@@ -39,16 +39,32 @@ class TestCheckpointing:
     def test_snapshot_written(self, space, counting_evaluator, tmp_path):
         evaluator, __ = counting_evaluator
         path = tmp_path / "run.ckpt.json"
-        CheckpointedSearch(
+        search = CheckpointedSearch(
             space, evaluator, maximize("m"),
             GAConfig(seed=1, generations=8),
             checkpoint_path=path, checkpoint_every=3,
-        ).run()
-        assert path.exists()
-        payload = json.loads(path.read_text())
+        )
+        search.start()
+        for _ in range(8):
+            search.step()
+        # One journal line per checkpoint_every generations, each carrying
+        # only the rows and records added since the line before it.
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [line["format"] for line in lines] == [5, 5]
+        assert [line["generation"] for line in lines] == [3, 6]
+        assert [len(line["records"]) for line in lines] == [4, 3]
+        keys = [tuple(row["values"]) for line in lines for row in line["cache"]]
+        assert len(keys) == len(set(keys))
+        assert search.step() is None  # horizon: the journal is compacted
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
         assert payload["space"] == "ck"
         assert payload["generation"] == 8
         assert len(payload["population"]) == 10
+        assert len(payload["records"]) == 9
+        assert len(payload["cache"]) == len(list(search.stack.memo_items()))
+        assert payload["eval_stats"] == search.eval_stats().counts()
 
     def test_atomic_write_no_tmp_left(self, space, counting_evaluator, tmp_path):
         evaluator, __ = counting_evaluator
@@ -152,37 +168,12 @@ class TestResume:
 
 
 class TestLegacyFormats:
-    """Checkpoints written by formats 1-3 must still resume correctly.
+    """Format 4, the one older format still read, and the parameter-order
+    guard it introduced. A format-4 file is a single JSON line with the
+    keys of a format-5 journal line, minus the evaluation counters."""
 
-    A current (format 4) snapshot is down-converted on disk into each
-    historical shape — config-dict population, ``{"config": ...}`` cache
-    rows, and for format 1 a single shared RNG state — and the resumed run
-    must land on the uninterrupted run's exact curve.
-    """
-
-    def _downconvert(self, payload: dict, space: DesignSpace, version: int) -> dict:
-        legacy = dict(payload)
-        legacy["format"] = version
-        names = legacy.pop("params")
-        legacy["population"] = [
-            space.genome_from_indices(codes).as_dict()
-            for codes in payload["population"]
-        ]
-        legacy["cache"] = [
-            {"config": dict(zip(names, row["values"])), "metrics": row["metrics"]}
-            for row in payload["cache"]
-        ]
-        if version < 3:
-            legacy.pop("guidance", None)
-        if version == 1:
-            legacy["rng_state"] = payload["rng_streams"]["streams"]["shared"]
-            del legacy["rng_streams"]
-            del legacy["stalled"]
-        return legacy
-
-    @pytest.mark.parametrize("version", [1, 2, 3])
-    def test_legacy_checkpoint_resumes_identically(
-        self, space, counting_evaluator, tmp_path, version
+    def test_format4_file_loads_as_one_line_journal(
+        self, space, counting_evaluator, tmp_path
     ):
         evaluator, __ = counting_evaluator
         reference = CheckpointedSearch(
@@ -197,19 +188,30 @@ class TestLegacyFormats:
             checkpoint_path=path, checkpoint_every=2,
         ).run()
         payload = json.loads(path.read_text())
-        assert payload["format"] == 4
-        path.write_text(json.dumps(self._downconvert(payload, space, version)))
+        payload["format"] = 4
+        del payload["eval_stats"]
+        path.write_text(json.dumps(payload))  # format 4: no trailing newline
         resumed = CheckpointedSearch(
             space, evaluator, maximize("m"),
             GAConfig(seed=11, generations=18),
-            checkpoint_path=path, checkpoint_every=1000,
-        ).resume().run()
-        assert resumed.curve() == reference.curve()
-        assert resumed.best_config == reference.best_config
-        assert resumed.distinct_evaluations == reference.distinct_evaluations
+            checkpoint_path=path, checkpoint_every=2,
+        ).resume()
+        # Format 4 carries no counters: its rows count as paid.
+        assert resumed.distinct_evaluations == len(payload["cache"])
+        resumed.start()
+        resumed.step()
+        resumed.step()
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [line["format"] for line in lines] == [4, 5]
+        assert lines[1]["generation"] == 8
+        result = resumed.run()
+        assert result.curve() == reference.curve()
+        assert result.best_config == reference.best_config
+        assert result.distinct_evaluations == reference.distinct_evaluations
+        assert len(path.read_text().splitlines()) == 1
 
     def test_param_order_guard(self, space, counting_evaluator, tmp_path):
-        """A v4 checkpoint refuses to resume into a reordered space."""
+        """A checkpoint refuses to resume into a reordered space."""
         evaluator, __ = counting_evaluator
         path = tmp_path / "guard.json"
         CheckpointedSearch(

@@ -156,7 +156,6 @@ class TestMemoTransfer:
         stack = EvaluationStack(counting_evaluator(calls))
         stack.preload(space.genome(a=1), {"m": 1.0})
         stack.preload(space.genome(a=2), None)  # restored infeasible
-        assert stack.distinct_evaluations == 2
         assert stack.evaluate(space.genome(a=1)) == {"m": 1.0}
         with pytest.raises(InfeasibleDesignError):
             stack.evaluate(space.genome(a=2))
@@ -165,9 +164,22 @@ class TestMemoTransfer:
         assert keys == {space.genome(a=1).key, space.genome(a=2).key}
 
     def test_preload_without_charge(self, space):
+        """Preloading never charges; a resume restores the counters."""
         stack = EvaluationStack(CallableEvaluator(lambda g: {"m": 1.0}))
-        stack.preload(space.genome(a=1), {"m": 1.0}, charge=False)
-        assert stack.distinct_evaluations == 0
+        stack.preload(space.genome(a=1), {"m": 1.0})
+        assert stack.stats().counts() == EvalStats().counts()
+        stack.restore_counts(
+            {"requests": 5, "distinct": 3, "memo_hits": 2, "wall_time_s": 9.0}
+        )
+        stats = stack.stats()
+        assert (stats.requests, stats.distinct, stats.memo_hits) == (5, 3, 2)
+        assert stats.wall_time_s == 0.0  # timers measure this process
+
+    def test_memo_items_from_watermark(self, space):
+        stack = EvaluationStack(CallableEvaluator(lambda g: {"m": float(g["a"])}))
+        stack.evaluate_many([space.genome(a=a) for a in (3, 1, 2)])
+        tail = [key for key, __ in stack.memo_items(1)]
+        assert tail == [space.genome(a=1).key, space.genome(a=2).key]
 
 
 class TestPersistentCache:

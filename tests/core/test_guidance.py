@@ -282,7 +282,7 @@ class TestCheckpointedGuidance:
             full.guidance.confidence_trace[-1]
         )
 
-    def test_checkpoint_payload_is_format_4_with_guidance(
+    def test_checkpoint_journal_is_format_5_with_guidance(
         self, space, evaluator, tmp_path
     ):
         path = tmp_path / "ga.ckpt.json"
@@ -295,52 +295,15 @@ class TestCheckpointedGuidance:
             checkpoint_path=path,
             checkpoint_every=1,
         )
-        search.run()
-        payload = json.loads(path.read_text())
-        assert payload["format"] == 4
-        assert payload["guidance"] == {"kind": "static"}
-
-    def test_v2_checkpoint_still_loads(self, space, evaluator, tmp_path):
-        path = tmp_path / "ga.ckpt.json"
-        search = CheckpointedSearch(
-            space,
-            evaluator,
-            maximize("m"),
-            GAConfig(seed=4, generations=6),
-            hints=author_hints(),
-            checkpoint_path=path,
-            checkpoint_every=1,
-        )
         search.start()
         for _ in range(3):
             search.step()
-        payload = json.loads(path.read_text())
-        payload["format"] = 2
-        del payload["guidance"]
-        path.write_text(json.dumps(payload))
-        resumed = CheckpointedSearch(
-            space,
-            evaluator,
-            maximize("m"),
-            GAConfig(seed=4, generations=6),
-            hints=author_hints(),
-            checkpoint_path=path,
-            checkpoint_every=1,
-        ).resume(path)
-        result = resumed.run()
-        # Static guidance has no mutable state, so a v2 resume is exact.
-        full = CheckpointedSearch(
-            space,
-            evaluator,
-            maximize("m"),
-            GAConfig(seed=4, generations=6),
-            hints=author_hints(),
-            checkpoint_path=tmp_path / "other.ckpt.json",
-            checkpoint_every=10,
-        ).run()
-        assert [r.best_score for r in result.records] == [
-            r.best_score for r in full.records
-        ]
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [line["format"] for line in lines] == [5, 5, 5]
+        assert all(line["guidance"] == {"kind": "static"} for line in lines)
+        search.run()
+        (line,) = path.read_text().splitlines()
+        assert json.loads(line)["guidance"] == {"kind": "static"}
 
 
 class TestJsonRoundTrip:
