@@ -9,7 +9,7 @@ Two assertions, end to end against a live daemon:
    history, and both Prometheus families must be exported.
 
 2. **The archive is purely additive.** With the archive disabled, the full
-   16-run engine-parity matrix stays bit-identical to the checked-in
+   20-run engine-parity matrix stays bit-identical to the checked-in
    ``benchmarks/baselines/engine_parity.json`` — proving the tap, the
    warm-start plumbing and the guidance kind cost zero RNG draws when off.
 

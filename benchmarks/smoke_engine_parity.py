@@ -2,9 +2,13 @@
 
 Runs fig4/fig6-style workloads (noc-frequency and fft-luts) through every
 single-objective engine — the baseline GA, the guided (nautilus) GA, the
-adaptive-confidence GA, and the random-sampling baseline — and compares the
-*full* per-generation convergence curve of each seeded run against the
-checked-in baseline in ``benchmarks/baselines/engine_parity.json``.
+adaptive-confidence GA, and the random-sampling baseline — plus both
+multi-objective queries through the NSGA-II ``ParetoSearch`` (population 24,
+80 generations, as the service runs them), and compares the *full*
+per-generation convergence curve of each of the 20 seeded runs against the
+checked-in baseline in ``benchmarks/baselines/engine_parity.json``. Pareto
+runs also pin their final non-dominated front: sorted raw metric tuples and
+sorted parameter assignments.
 
 Where ``smoke_eval_counts.py`` pins only the end-of-run distinct-evaluation
 count, this check pins every point of every curve: generation index,
@@ -38,9 +42,17 @@ from repro.core import (
     DatasetEvaluator,
     GAConfig,
     GeneticSearch,
+    ParetoSearch,
     RandomSearch,
 )
-from repro.queries import QUERIES, build_hints, load_dataset, resolve_objective
+from repro.queries import (
+    MULTI_QUERIES,
+    QUERIES,
+    build_hints,
+    load_dataset,
+    resolve_multi_objectives,
+    resolve_objective,
+)
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "engine_parity.json"
 WORKLOADS = ("noc-frequency", "fft-luts")
@@ -48,6 +60,8 @@ ENGINES = ("baseline", "nautilus", "adaptive", "random")
 SEEDS = (0, 1)
 GENERATIONS = 15
 RANDOM_BUDGET = 120
+PARETO_POPULATION = 24
+PARETO_GENERATIONS = 80
 
 
 def _build(
@@ -71,6 +85,13 @@ def _build(
     return AdaptiveSearch(dataset.space, evaluator, objective, config, hints=hints)
 
 
+def _curve(result) -> list[list]:
+    return [
+        [r.generation, r.distinct_evaluations, r.best_raw, r.best_score]
+        for r in result.records
+    ]
+
+
 def run_workload(tracing: bool = False) -> dict[str, dict]:
     results = {}
     for query_name in WORKLOADS:
@@ -87,31 +108,38 @@ def run_workload(tracing: bool = False) -> dict[str, dict]:
                 results[f"{query_name}/{engine}/{seed}"] = {
                     "stop_reason": result.stop_reason,
                     "distinct_evaluations": result.distinct_evaluations,
-                    "curve": [
-                        [
-                            r.generation,
-                            r.distinct_evaluations,
-                            r.best_raw,
-                            r.best_score,
-                        ]
-                        for r in result.records
-                    ],
+                    "curve": _curve(result),
                 }
+    for multi_name, multi in MULTI_QUERIES.items():
+        dataset = load_dataset(multi.space)
+        objectives, __ = resolve_multi_objectives(multi)
+        for seed in SEEDS:
+            result = ParetoSearch(
+                dataset.space,
+                DatasetEvaluator(dataset),
+                objectives,
+                GAConfig(
+                    population_size=PARETO_POPULATION,
+                    generations=PARETO_GENERATIONS,
+                    seed=seed,
+                    tracing=tracing,
+                ),
+            ).run()
+            results[f"{multi_name}/pareto/{seed}"] = {
+                "stop_reason": result.stop_reason,
+                "distinct_evaluations": result.distinct_evaluations,
+                "curve": _curve(result),
+                "front_raws": [list(raws) for raws in result.front_raws()],
+                "front_configs": sorted(
+                    result.front_configs(),
+                    key=lambda config: json.dumps(config, sort_keys=True),
+                ),
+            }
     return results
-
-
-def _curve(result) -> list[list]:
-    return [
-        [r.generation, r.distinct_evaluations, r.best_raw, r.best_score]
-        for r in result.records
-    ]
 
 
 def check_observability_identity() -> list[str]:
     """Same seed, observability on vs. off -> bit-identical curves."""
-    from repro.core import ParetoSearch
-    from repro.queries import MULTI_QUERIES, resolve_multi_objectives
-
     failures = []
     query = QUERIES["noc-frequency"]
     dataset = load_dataset(query.space)
@@ -166,7 +194,7 @@ def check_observability_identity() -> list[str]:
 
 
 def check_tracing_identity() -> list[str]:
-    """Span tracing on -> the whole 16-run matrix stays bit-identical.
+    """Span tracing on -> the whole 20-run matrix stays bit-identical.
 
     Re-runs every workload/engine/seed cell with ``GAConfig(tracing=True)``
     (and ``RandomSearch(tracing=True)``) and compares each curve against
