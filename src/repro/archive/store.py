@@ -42,6 +42,7 @@ from typing import Any, Iterable, Mapping, Sequence, TYPE_CHECKING
 
 from ..core.errors import EvaluationError, InfeasibleDesignError, NautilusError
 from ..core.params import values_key
+from ..core.pareto import dominates
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.fitness import Objective
@@ -500,11 +501,6 @@ class DesignArchive:
             except (KeyError, TypeError, ValueError):
                 continue
             points.append((point, codes, row))
-
-        def dominates(a: tuple, b: tuple) -> bool:
-            return all(x >= y for x, y in zip(a, b)) and any(
-                x > y for x, y in zip(a, b)
-            )
 
         front = [
             entry

@@ -76,28 +76,63 @@ class ParetoIndividual:
         return f"ParetoIndividual(raws={self.raws}, rank={self.rank})"
 
 
+def _dominance(a: Sequence[float], b: Sequence[float]) -> int:
+    """1 if ``a`` dominates ``b``, -1 if ``b`` dominates ``a``, else 0.
+
+    The one dominance rule (higher is better): at least as good on every
+    objective and strictly better on one. A NaN on either side makes the
+    pair incomparable.
+    """
+    a_better = b_better = False
+    for x, y in zip(a, b):
+        if x > y:
+            if b_better:
+                return 0
+            a_better = True
+        elif y > x:
+            if a_better:
+                return 0
+            b_better = True
+        elif x != y:  # NaN: neither >= holds
+            return 0
+    if a_better:
+        return 1
+    return -1 if b_better else 0
+
+
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     """Whether score vector ``a`` Pareto-dominates ``b`` (higher is better)."""
-    at_least_as_good = all(x >= y for x, y in zip(a, b))
-    strictly_better = any(x > y for x, y in zip(a, b))
-    return at_least_as_good and strictly_better
+    return _dominance(a, b) > 0
 
 
 def non_dominated_sort(
     population: Sequence[ParetoIndividual],
 ) -> list[list[ParetoIndividual]]:
-    """Fast non-dominated sorting into fronts (front 0 = non-dominated)."""
-    dominated_by: list[list[int]] = [[] for _ in population]
-    domination_count = [0] * len(population)
-    fronts: list[list[int]] = [[]]
-    for i, a in enumerate(population):
-        for j, b in enumerate(population):
-            if i == j:
-                continue
-            if dominates(a.scores, b.scores):
+    """Fast non-dominated sorting into fronts (front 0 = non-dominated).
+
+    Compares each unordered pair once. Sets ``rank`` on every member to
+    its front's index. Order contract, which survivor truncation and the
+    index-drawing tournament depend on: front 0 lists its members in
+    population order; each later front lists them in the order the
+    peel-off discovers them, walking the previous front in its order and
+    each member's dominated set in population order.
+    """
+    n = len(population)
+    scores = [ind.scores for ind in population]
+    dominated_by: list[list[int]] = [[] for _ in range(n)]
+    domination_count = [0] * n
+    for i in range(n):
+        a = scores[i]
+        for j in range(i + 1, n):
+            verdict = _dominance(a, scores[j])
+            if verdict > 0:
                 dominated_by[i].append(j)
-            elif dominates(b.scores, a.scores):
+                domination_count[j] += 1
+            elif verdict < 0:
+                dominated_by[j].append(i)
                 domination_count[i] += 1
+    fronts: list[list[int]] = [[]]
+    for i in range(n):
         if domination_count[i] == 0:
             population[i].rank = 0
             fronts[0].append(i)
@@ -132,7 +167,9 @@ def crowding_distances(front: Sequence[ParetoIndividual]) -> None:
         ordered[0].crowding = float("inf")
         ordered[-1].crowding = float("inf")
         span = ordered[-1].scores[m] - ordered[0].scores[m]
-        if span <= 0.0:
+        # A zero, infinite or NaN span (ties, or -inf scores of infeasible
+        # members) leaves this objective to the extremes alone.
+        if not 0.0 < span < float("inf"):
             continue
         for k in range(1, n - 1):
             ordered[k].crowding += (
@@ -458,17 +495,22 @@ class ParetoSearch(GenerationalEngine):
         )
 
     def _finite_front(self) -> list[ParetoIndividual]:
-        """Deduplicated feasible front-0 members of the current population."""
-        finite = [
-            ind
-            for ind in self._population
-            if all(score != float("-inf") for score in ind.scores)
-        ]
-        fronts = non_dominated_sort(finite) if finite else [[]]
+        """Deduplicated feasible front-0 members of the current population.
+
+        Read from the ranks that start, the survivor step and checkpoint
+        resume assign to every population they install. A member with a
+        ``-inf`` score never dominates one without, so the finite rank-0
+        members, in population order, are exactly front 0 of sorting the
+        finite members alone.
+        """
         seen: set[tuple] = set()
         front = []
-        for ind in fronts[0]:
-            if ind.genome.codes not in seen:
+        for ind in self._population:
+            if (
+                ind.rank == 0
+                and float("-inf") not in ind.scores
+                and ind.genome.codes not in seen
+            ):
                 seen.add(ind.genome.codes)
                 front.append(ind)
         return front

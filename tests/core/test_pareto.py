@@ -1,9 +1,12 @@
 """Tests for the multi-objective (NSGA-II style) extension."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     CallableEvaluator,
+    CheckpointedParetoSearch,
     DesignSpace,
     GAConfig,
     GeneticSearch,
@@ -34,6 +37,65 @@ class TestDominance:
     def test_incomparable(self):
         assert not dominates((2.0, 0.0), (0.0, 2.0))
         assert not dominates((0.0, 2.0), (2.0, 0.0))
+
+    def test_nan_is_incomparable(self):
+        nan = float("nan")
+        assert not dominates((nan, 2.0), (1.0, 1.0))
+        assert not dominates((2.0, 2.0), (nan, 1.0))
+        assert not dominates((1.0, 1.0), (2.0, nan))
+        assert not dominates((nan, nan), (nan, nan))
+
+    def test_all_negative_infinity(self):
+        ninf = float("-inf")
+        assert not dominates((ninf, ninf), (ninf, ninf))
+        assert dominates((0.0, ninf), (ninf, ninf))
+        assert not dominates((ninf, ninf), (0.0, ninf))
+
+
+def _reference_dominates(a, b):
+    return all(x >= y for x, y in zip(a, b)) and any(x > y for x, y in zip(a, b))
+
+
+def _reference_sort(population):
+    """The textbook double loop over ordered pairs: the sort's oracle."""
+    dominated_by = [[] for _ in population]
+    domination_count = [0] * len(population)
+    fronts = [[]]
+    for i, a in enumerate(population):
+        for j, b in enumerate(population):
+            if i == j:
+                continue
+            if _reference_dominates(a.scores, b.scores):
+                dominated_by[i].append(j)
+            elif _reference_dominates(b.scores, a.scores):
+                domination_count[i] += 1
+        if domination_count[i] == 0:
+            population[i].rank = 0
+            fronts[0].append(i)
+    current = 0
+    while fronts[current]:
+        next_front = []
+        for i in fronts[current]:
+            for j in dominated_by[i]:
+                domination_count[j] -= 1
+                if domination_count[j] == 0:
+                    population[j].rank = current + 1
+                    next_front.append(j)
+        current += 1
+        fronts.append(next_front)
+    return [[population[i] for i in front] for front in fronts if front]
+
+
+# A small value pool makes ties and duplicate vectors common.
+_SCORE = st.sampled_from([0.0, 1.0, 2.0, float("-inf"), float("nan")])
+_SCORE_VECTORS = st.integers(2, 3).flatmap(
+    lambda m: st.lists(st.tuples(*[_SCORE] * m), max_size=48)
+)
+
+
+def _front_positions(population, fronts):
+    index = {id(ind): k for k, ind in enumerate(population)}
+    return [[index[id(ind)] for ind in front] for front in fronts]
 
 
 def _individual(space, a, scores):
@@ -67,6 +129,19 @@ class TestSorting:
         fronts = non_dominated_sort(population)
         assert len(fronts) == 1 and len(fronts[0]) == 5
 
+    @settings(max_examples=300, deadline=None)
+    @given(_SCORE_VECTORS)
+    def test_matches_reference_sort(self, vectors):
+        genome = DesignSpace("p", [IntParam("a", 0, 99)]).genome(a=0)
+        expected_pop = [ParetoIndividual(genome, v, v) for v in vectors]
+        actual_pop = [ParetoIndividual(genome, v, v) for v in vectors]
+        expected = _front_positions(expected_pop, _reference_sort(expected_pop))
+        actual = _front_positions(actual_pop, non_dominated_sort(actual_pop))
+        assert actual == expected
+        assert [ind.rank for ind in actual_pop] == [
+            ind.rank for ind in expected_pop
+        ]
+
 
 class TestCrowding:
     def test_extremes_infinite(self, space):
@@ -82,6 +157,25 @@ class TestCrowding:
         front = [_individual(space, 0, (1.0, 2.0)), _individual(space, 1, (2.0, 1.0))]
         crowding_distances(front)
         assert all(ind.crowding == float("inf") for ind in front)
+
+    def test_all_infeasible_front_has_no_nan(self, space):
+        inf = float("inf")
+        front = [_individual(space, i, (-inf, -inf)) for i in range(4)]
+        crowding_distances(front)
+        assert [ind.crowding for ind in front] == [inf, 0.0, 0.0, inf]
+
+    def test_one_negative_infinite_score_has_no_nan(self, space):
+        inf = float("inf")
+        front = [
+            _individual(space, 0, (-inf, 3.0)),
+            _individual(space, 1, (1.0, 2.0)),
+            _individual(space, 2, (2.0, 1.0)),
+            _individual(space, 3, (3.0, 0.0)),
+        ]
+        crowding_distances(front)
+        # The first objective's span is infinite, so only the second
+        # objective spaces the interior members.
+        assert [ind.crowding for ind in front] == [inf, 2 / 3, 2 / 3, inf]
 
 
 class TestHypervolume:
@@ -319,3 +413,85 @@ class TestParetoIncremental:
         stats = result.eval_stats
         assert stats.distinct == result.distinct_evaluations
         assert stats.requests >= stats.distinct
+
+
+class TestFrontFromRanks:
+    """``front()`` reads front 0 from ranks instead of sorting again."""
+
+    OBJECTIVES = staticmethod(lambda: [maximize("x"), maximize("y")])
+
+    @staticmethod
+    def _evaluator():
+        # Infeasible-heavy: a third of the designs raise; a sixth score
+        # -inf on x but the best y, so they hold rank 0 and the front must
+        # filter them out; coarse metrics tie and converge to duplicates.
+        def fn(genome):
+            a = genome["a"]
+            if a % 3 == 0:
+                raise InfeasibleDesignError("multiple of three")
+            if a % 6 == 1:
+                return {"x": float("-inf"), "y": 10.0}
+            return {"x": float(a % 7), "y": float(-(a // 10))}
+
+        return CallableEvaluator(fn)
+
+    @staticmethod
+    def _reference_front(population):
+        """Front 0 of sorting the finite members afresh, deduplicated."""
+        finite = [
+            ind
+            for ind in population
+            if all(score != float("-inf") for score in ind.scores)
+        ]
+        copies = [ParetoIndividual(ind.genome, ind.raws, ind.scores) for ind in finite]
+        fronts = _front_positions(copies, _reference_sort(copies))
+        seen = set()
+        front = []
+        for k in fronts[0] if fronts else []:
+            if finite[k].genome.codes not in seen:
+                seen.add(finite[k].genome.codes)
+                front.append(finite[k])
+        return front
+
+    def _assert_front(self, search):
+        expected = self._reference_front(search._population)
+        assert [id(ind) for ind in search.front()] == [id(ind) for ind in expected]
+
+    def test_front_matches_fresh_sort_every_step(self, space):
+        search = ParetoSearch(
+            space,
+            self._evaluator(),
+            self.OBJECTIVES(),
+            GAConfig(population_size=12, generations=20, seed=5, elitism=1),
+        )
+        search.start()
+        while True:
+            self._assert_front(search)
+            assert any(
+                ind.rank == 0 and float("-inf") in ind.scores
+                for ind in search._population
+            )
+            if search.step() is None:
+                break
+
+    def test_front_matches_fresh_sort_after_resume(self, space, tmp_path):
+        config = GAConfig(population_size=12, generations=12, seed=6, elitism=1)
+        path = tmp_path / "pareto.json"
+        first = CheckpointedParetoSearch(
+            space, self._evaluator(), self.OBJECTIVES(), config,
+            checkpoint_path=path, checkpoint_every=1,
+        )
+        first.start()
+        for _ in range(4):
+            first.step()
+        before = [ind.genome.codes for ind in first.front()]
+        resumed = CheckpointedParetoSearch(
+            space, self._evaluator(), self.OBJECTIVES(), config,
+            checkpoint_path=path, checkpoint_every=1,
+        )
+        resumed.resume()
+        resumed.start()
+        self._assert_front(resumed)
+        assert [ind.genome.codes for ind in resumed.front()] == before
+        while resumed.step() is not None:
+            self._assert_front(resumed)
