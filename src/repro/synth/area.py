@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["Resources"]
 
 
-@dataclass(frozen=True)
-class Resources:
+class Resources(NamedTuple):
     """FPGA resource usage: LUTs, flip-flops, block RAMs, DSP slices.
 
     Fractional LUT counts are allowed internally (packing estimates);
-    reports round at the flow boundary.
+    reports round at the flow boundary. A named tuple because the flow
+    builds two or three per instance; ``+`` adds element-wise rather than
+    concatenating.
     """
 
     luts: float = 0.0
@@ -38,11 +39,3 @@ class Resources:
             self.brams * factor,
             self.dsps * factor,
         )
-
-    @staticmethod
-    def total(items) -> "Resources":
-        """Sum an iterable of resource vectors."""
-        acc = Resources()
-        for item in items:
-            acc = acc + item
-        return acc

@@ -1,5 +1,11 @@
 """Tests for the synthesis flow: determinism, noise bounds, congestion."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.synth import (
@@ -10,6 +16,22 @@ from repro.synth import (
     SynthesisFlow,
     VIRTEX6,
 )
+
+
+SRC_DIR = Path(__file__).resolve().parents[2] / "src"
+
+# An FFT design with two exactly tied worst paths: one captured at
+# ``stage0_perm_mem``, the other at ``stage0_reg``.
+TIED_FFT_REPORT = """
+import json
+from repro.fft.generator import build_fft
+from repro.synth import SynthesisFlow
+report = SynthesisFlow().run(build_fft({
+    "architecture": "iterative", "bit_width": 10, "radix": 2, "n": 1024,
+    "scaling": "per_stage", "streaming_width": 1, "twiddle_storage": "cordic",
+}))
+print(json.dumps([report.critical_path, report.levels, report.metrics()]))
+"""
 
 
 def module_of(luts=100, name="m"):
@@ -27,6 +49,19 @@ class TestDeterminism:
         r1 = flow.run(module_of())
         r2 = flow.run(module_of())
         assert r1 == r2
+
+    def test_tied_critical_path_independent_of_hash_seed(self):
+        reports = set()
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=str(SRC_DIR))
+            done = subprocess.run(
+                [sys.executable, "-c", TIED_FFT_REPORT],
+                env=env, capture_output=True, text=True, timeout=60, check=True,
+            )
+            reports.add(done.stdout)
+        assert len(reports) == 1, reports
+        path, levels, _ = json.loads(reports.pop())
+        assert path[-1] in ("stage0_perm_mem", "stage0_reg") and levels == 5
 
     def test_different_salt_different_noise(self):
         a = SynthesisFlow(salt="tool-a").run(module_of())

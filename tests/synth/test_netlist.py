@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import SynthesisError
 from repro.synth import Adder, Module, Mux, Register, VIRTEX6
+from repro.synth.netlist import _Replicated
 
 
 def simple_module(name="m"):
@@ -84,6 +85,13 @@ class TestReplication:
         m = Module("m")
         m.add("regs", Register(8), replicate=3)
         assert m.instance("regs").sequential
+
+    def test_replicated_equality_covers_inner_and_count(self):
+        a, b = _Replicated(Adder(8), 2), _Replicated(Adder(16), 7)
+        assert a != b and _Replicated(Adder(8), 3) != a
+        assert len({a, b, _Replicated(Adder(8), 2)}) == 2
+        assert a == _Replicated(Adder(8), 2)
+        assert "Adder(" in repr(a) and "count=2" in repr(a)
 
 
 class TestSignature:

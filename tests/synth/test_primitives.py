@@ -178,4 +178,3 @@ class TestResourcesArithmetic:
         total = a + b
         assert total.luts == 11 and total.ffs == 5 and total.brams == 2
         assert a.scaled(3).luts == 30
-        assert Resources.total([a, b]).luts == 11
