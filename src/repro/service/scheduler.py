@@ -393,10 +393,12 @@ class Scheduler:
     def _finalize(self, campaign: Campaign, state: str) -> None:
         self._drain_archive(campaign)
         self._drain_spans(campaign)
+        # Count the state before publishing it: a client that has seen a
+        # terminal status must find it in the campaign-state gauge.
+        self.metrics.record_state(campaign.id, state)
         campaign.state = state
         self.store.save_status(campaign)
         self.store.save_result(campaign)
-        self.metrics.record_state(campaign.id, state)
         if state == CampaignState.FAILED:
             _LOG.error(
                 "campaign failed",
