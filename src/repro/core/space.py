@@ -12,11 +12,12 @@ to be unbuildable at generation time.
 
 from __future__ import annotations
 
+import numbers
 import random
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .codec import SpaceCodec
-from .errors import SpaceError
+from .errors import ParameterError, SpaceError
 from .genome import Genome
 from .params import Param
 
@@ -109,8 +110,9 @@ class DesignSpace:
     def genome_from_indices(self, indices: Sequence[int]) -> Genome:
         """Build a genome from ordinal indices into each parameter domain.
 
-        Indices are range-checked (this is a trust boundary — checkpoints
-        and external callers come through here), then wrapped via the
+        Indices must be in-range integers (this is a trust boundary —
+        checkpoints and external callers come through here); anything else
+        raises :class:`ParameterError`. They are then wrapped via the
         codec's trusted fast path.
         """
         if len(indices) != len(self.params):
@@ -118,6 +120,10 @@ class DesignSpace:
                 f"expected {len(self.params)} indices, got {len(indices)}"
             )
         for p, i in zip(self.params, indices):
+            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+                raise ParameterError(
+                    f"index {i!r} for parameter {p.name!r} is not an integer"
+                )
             p.value_at(i)  # raises ParameterError on out-of-range indices
         return Genome.from_codes(self, tuple(int(i) for i in indices))
 

@@ -4,6 +4,8 @@ path, O(changes) replace, and the canonical values-key contract."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     BoolParam,
@@ -223,3 +225,90 @@ class TestSamplingParity:
         codec = space.codec
         assert not codec.is_feasible_codes((0, 0, 0, 0))
         assert codec.is_feasible_codes((1, 0, 0, 0))
+
+
+# Domains mixing ints, strings, None and list values (lists freeze to
+# tuples), single-value domains included; unique_by keeps each domain free
+# of equal values, as Param requires.
+_DOMAIN_VALUE = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["x", "y", "z", None]),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+
+
+@st.composite
+def design_spaces(draw):
+    """Small random spaces of plain :class:`Param` domains."""
+    domains = draw(
+        st.lists(
+            st.lists(_DOMAIN_VALUE, min_size=1, max_size=5,
+                     unique_by=freeze_value),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    return DesignSpace(
+        "prop", [Param(f"p{k}", values) for k, values in enumerate(domains)]
+    )
+
+
+@st.composite
+def _space_and_codes(draw):
+    space = draw(design_spaces())
+    codes = draw(
+        st.tuples(*[st.integers(0, c - 1) for c in space.codec.cardinalities])
+    )
+    return space, codes
+
+
+class TestCodecProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_space_and_codes())
+    def test_decode_encode_round_trip(self, case):
+        space, codes = case
+        codec = space.codec
+        values = codec.decode(codes)
+        mapping = dict(zip(codec.names, values))
+        assert codec.encode_mapping(mapping) == codes
+        assert codec.decode(codec.encode_mapping(mapping)) == values
+
+    @settings(max_examples=200, deadline=None)
+    @given(_space_and_codes())
+    def test_values_key_matches_decoded_values(self, case):
+        space, codes = case
+        codec = space.codec
+        assert codec.values_key(codes) == values_key(codec.decode(codes))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_space_and_codes())
+    def test_one_gene_reads_match_full_decode(self, case):
+        space, codes = case
+        genome = Genome.from_codes(space, codes)
+        before = {name: genome[name] for name in space.param_names}
+        # Reading genes one by one decodes nothing else.
+        assert genome._values is None
+        decoded = genome.as_dict()
+        assert genome._values is not None
+        for name in space.param_names:
+            assert before[name] is decoded[name]
+            assert genome[name] is decoded[name]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_recode_moves_only_named_positions(self, data):
+        space, codes = data.draw(_space_and_codes())
+        codec = space.codec
+        named = data.draw(
+            st.lists(st.sampled_from(codec.names), unique=True)
+        )
+        changes = {
+            name: data.draw(st.sampled_from(codec.domains[codec.positions[name]]))
+            for name in named
+        }
+        recoded = codec.recode(codes, changes)
+        for pos, name in enumerate(codec.names):
+            if name in changes:
+                assert codec.domains[pos][recoded[pos]] == changes[name]
+            else:
+                assert recoded[pos] == codes[pos]

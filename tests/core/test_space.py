@@ -10,6 +10,7 @@ from repro.core import (
     ChoiceParam,
     DesignSpace,
     IntParam,
+    ParameterError,
     PowOfTwoParam,
     SpaceError,
 )
@@ -73,6 +74,14 @@ class TestEnumeration:
     def test_genome_from_indices_wrong_length(self):
         with pytest.raises(SpaceError):
             make_space().genome_from_indices([0])
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", None, True])
+    def test_genome_from_indices_non_integer(self, bad):
+        # Checkpoint codes cross this boundary: a non-integer code is a
+        # ParameterError like an out-of-range one, never a bare TypeError
+        # or a silently accepted bool.
+        with pytest.raises(ParameterError, match="not an integer"):
+            make_space().genome_from_indices([bad, 0, 0])
 
 
 class TestSampling:
