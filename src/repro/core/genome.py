@@ -69,13 +69,16 @@ class Genome(Mapping[str, Any]):
     # -- Mapping interface ---------------------------------------------------
 
     def __getitem__(self, name: str) -> Any:
+        codec = self._space.codec
         try:
-            pos = self._space.codec.positions[name]
+            pos = codec.positions[name]
         except KeyError:
             raise KeyError(name) from None
         values = self._values
         if values is None:
-            values = self._decoded()
+            # One gene: a constraint predicate reads one or two values, so
+            # decoding the whole vector would be wasted.
+            return codec.domains[pos][self._codes[pos]]
         return values[pos]
 
     def __iter__(self) -> Iterator[str]:

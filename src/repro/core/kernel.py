@@ -53,6 +53,7 @@ from .evalstack import EvalStats, EvaluationStack
 from .fitness import Objective
 from .genome import Genome
 from .guidance import GuidanceProvider, GuidanceState
+from .population import Population
 from .selection import Individual
 
 __all__ = [
@@ -1200,8 +1201,11 @@ class GenerationalEngine(SearchKernel):
         if not self.observability or not self._population:
             return
         batch_size, batch_infeasible = self._last_batch
+        population = self._population
         payload = population_health(
-            [getattr(ind, "genome", ind) for ind in self._population],
+            population.codes
+            if isinstance(population, Population)
+            else [ind.genome.codes for ind in population],
             cardinalities={p.name: p.cardinality for p in self.space.params},
             best_history=list(self._best_window),
             stalled_generations=self._stalled_generations,

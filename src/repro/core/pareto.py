@@ -11,8 +11,8 @@ reuses the whole Nautilus substrate:
 * the same hint-guided mutation operators — importance, decay, orderings and
   steps apply unchanged; bias/target hints, which are inherently directional,
   are taken as authored (pointing at the region of interest);
-* classic fast non-dominated sorting plus crowding-distance selection
-  (Deb et al., 2002);
+* non-dominated sorting over the pool's distinct score vectors plus
+  crowding-distance selection (Deb et al., 2002);
 * the same :class:`~repro.core.kernel.SearchKernel` substrate as the
   single-objective engines — NSGA-II is just a different selection
   strategy (rank/crowding tournament) and survivor rule plugged into the
@@ -32,6 +32,7 @@ a generation "improves" when the non-dominated set changes at all.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Sequence
 
 from .engine import GAConfig, _CROSSOVERS
@@ -108,48 +109,69 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
 def non_dominated_sort(
     population: Sequence[ParetoIndividual],
 ) -> list[list[ParetoIndividual]]:
-    """Fast non-dominated sorting into fronts (front 0 = non-dominated).
+    """Non-dominated sorting into fronts (front 0 = non-dominated).
 
-    Compares each unordered pair once. Sets ``rank`` on every member to
-    its front's index. Order contract, which survivor truncation and the
-    index-drawing tournament depend on: front 0 lists its members in
-    population order; each later front lists them in the order the
-    peel-off discovers them, walking the previous front in its order and
-    each member's dominated set in population order.
+    Works on the distinct score vectors, not the members: GA pools hold
+    many copies of one vector, and copies never dominate each other.
+    Sorted descending lexicographically, a later vector can never
+    dominate an earlier one, and an earlier one is already >= on the
+    first objective, so it dominates a later one exactly when it is >= on
+    every other objective: one test per unordered pair. A vector holding
+    a NaN is incomparable to every other and takes rank 0.
+
+    Sets ``rank`` on every member to its front's index. Order contract,
+    which survivor truncation and the index-drawing tournament depend on
+    (it is the textbook member-by-member peel-off's order): front 0 lists
+    its members in population order; a member of a later front follows
+    the position of its last dominator in the previous front, and members
+    freed by the same dominator follow population order.
     """
-    n = len(population)
-    scores = [ind.scores for ind in population]
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    for i in range(n):
-        a = scores[i]
-        for j in range(i + 1, n):
-            verdict = _dominance(a, scores[j])
-            if verdict > 0:
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif verdict < 0:
-                dominated_by[j].append(i)
-                domination_count[i] += 1
-    fronts: list[list[int]] = [[]]
-    for i in range(n):
-        if domination_count[i] == 0:
-            population[i].rank = 0
-            fronts[0].append(i)
-    current = 0
-    while fronts[current]:
+    members: dict[tuple, list[int]] = {}
+    for i, ind in enumerate(population):
+        members.setdefault(ind.scores, []).append(i)
+    vectors = sorted(
+        (v for v in members if not any(map(math.isnan, v))), reverse=True
+    )
+    groups = [members[v] for v in vectors]
+    group_of = [-1] * len(population)
+    # beaten[g]: the vectors g dominates; count[g]: the number of
+    # *members* dominating g, decremented by a whole group at once.
+    beaten: list[Sequence[int]] = []
+    count = [0] * len(vectors)
+    # The sort settles the first objective; filter on the others.
+    others = list(zip(*vectors))[1:]
+    for a, top in enumerate(vectors):
+        for i in groups[a]:
+            group_of[i] = a
+        below: Sequence[int] = range(a + 1, len(vectors))
+        for column, bound in zip(others, top[1:]):
+            below = [b for b in below if column[b] <= bound]
+        beaten.append(below)
+        for b in below:
+            count[b] += len(groups[a])
+    front = [i for i, g in enumerate(group_of) if g < 0 or not count[g]]
+    fronts: list[list[ParetoIndividual]] = []
+    while front:
+        fronts.append([population[i] for i in front])
+        for ind in fronts[-1]:
+            ind.rank = len(fronts) - 1
         next_front: list[int] = []
-        for i in fronts[current]:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    population[j].rank = current + 1
-                    next_front.append(j)
-        current += 1
-        fronts.append(next_front)
-    return [
-        [population[i] for i in front] for front in fronts if front
-    ]
+        for i in front:
+            g = group_of[i]
+            # A group's members share one front, and its last member in
+            # front order is its highest index; a vector it dominates is
+            # freed exactly when that member would free it.
+            if g < 0 or groups[g][-1] != i:
+                continue
+            freed = []
+            for b in beaten[g]:
+                count[b] -= len(groups[g])
+                if not count[b]:
+                    freed.append(b)
+            if freed:
+                next_front.extend(sorted(j for b in freed for j in groups[b]))
+        front = next_front
+    return fronts
 
 
 def crowding_distances(front: Sequence[ParetoIndividual]) -> None:

@@ -1,7 +1,7 @@
 """Tests for the multi-objective (NSGA-II style) extension."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -86,10 +86,49 @@ def _reference_sort(population):
     return [[population[i] for i in front] for front in fronts if front]
 
 
-# A small value pool makes ties and duplicate vectors common.
-_SCORE = st.sampled_from([0.0, 1.0, 2.0, float("-inf"), float("nan")])
-_SCORE_VECTORS = st.integers(2, 3).flatmap(
-    lambda m: st.lists(st.tuples(*[_SCORE] * m), max_size=48)
+# A small value pool makes ties and duplicate vectors common (-0.0 == 0.0
+# makes two unequal-looking vectors one).
+_SCORE = st.sampled_from([0.0, -0.0, 1.0, 2.0, float("-inf"), float("nan")])
+
+
+def _small_pool(m):
+    return st.lists(st.tuples(*[_SCORE] * m), max_size=96)
+
+
+def _duplicate_heavy_pool(m):
+    # A handful of distinct vectors, each repeated many times: the shape
+    # of a converging GA pool.
+    distinct = st.lists(
+        st.tuples(*[st.integers(-3, 3).map(float)] * m), min_size=1, max_size=6
+    )
+    return distinct.flatmap(
+        lambda vs: st.lists(st.sampled_from(vs), max_size=96)
+    )
+
+
+def _chain_pool(m):
+    # Level k dominates level k - 1 on every objective: up to 96 fronts,
+    # shuffled, with some levels repeated and a few incomparable members.
+    level = st.integers(0, 95).map(lambda k: (float(k),) * m)
+    sideways = st.integers(0, 95).map(
+        lambda k: (float(k) + 0.5,) + (float(95 - k),) * (m - 1)
+    )
+    return st.lists(st.one_of(level, level, level, sideways), max_size=96)
+
+
+def _distinct_pool(m):
+    return st.lists(
+        st.tuples(*[st.floats(-1e3, 1e3, allow_nan=False)] * m),
+        max_size=96,
+        unique=True,
+    )
+
+
+_SCORE_VECTORS = st.integers(2, 4).flatmap(
+    lambda m: st.one_of(
+        _small_pool(m), _duplicate_heavy_pool(m), _chain_pool(m),
+        _distinct_pool(m),
+    )
 )
 
 
@@ -129,8 +168,11 @@ class TestSorting:
         fronts = non_dominated_sort(population)
         assert len(fronts) == 1 and len(fronts[0]) == 5
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(_SCORE_VECTORS)
+    # Front 0 is A, B, A; B alone dominates D, and C is freed by the
+    # second A: the reference's front 1 is D, C, not index order C, D.
+    @example([(0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (2.0, 0.0), (-1.0, 1.0)])
     def test_matches_reference_sort(self, vectors):
         genome = DesignSpace("p", [IntParam("a", 0, 99)]).genome(a=0)
         expected_pop = [ParetoIndividual(genome, v, v) for v in vectors]
