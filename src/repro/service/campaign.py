@@ -16,6 +16,7 @@ rows. A kill loses only the generation being stepped.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
@@ -48,6 +49,14 @@ __all__ = [
 ]
 
 _ENGINES = ("nautilus", "baseline", "random", "pareto")
+
+#: Spec fields that must hold an ``int`` (never a ``bool``), and those that
+#: may also be None. A JSON body can carry any type in any field; an
+#: unchecked ``"priority": "hi"`` would reach the scheduler's priority sort.
+_INT_FIELDS = ("generations", "seed", "priority", "budget")
+_OPTIONAL_INT_FIELDS = (
+    "max_evaluations", "workers", "trace_max_events", "warm_start",
+)
 
 
 def query_space(spec: "CampaignSpec") -> str:
@@ -142,6 +151,7 @@ class CampaignSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
+        self._check_types()
         if self.engine not in _ENGINES:
             raise NautilusError(
                 f"unknown engine {self.engine!r}; choose from {_ENGINES}"
@@ -178,6 +188,27 @@ class CampaignSpec:
             # field-level errors. Space-level validation needs the dataset
             # and happens in Scheduler.validate_spec.
             hintset_from_json(self.hints)
+
+    def _check_types(self) -> None:
+        for name in _INT_FIELDS + _OPTIONAL_INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_INT_FIELDS:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise NautilusError(f"{name} must be an integer, got {value!r}")
+        confidence = self.confidence
+        if confidence is not None and (
+            isinstance(confidence, bool) or not isinstance(confidence, numbers.Real)
+        ):
+            raise NautilusError(
+                f"confidence must be a number or null, got {confidence!r}"
+            )
+        if not isinstance(self.tracing, bool):
+            raise NautilusError(f"tracing must be a boolean, got {self.tracing!r}")
+        for name in ("query", "engine", "label"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise NautilusError(f"{name} must be a string, got {value!r}")
 
     def to_json(self) -> dict[str, Any]:
         return asdict(self)

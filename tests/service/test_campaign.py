@@ -10,7 +10,35 @@ from repro.core import (
     RandomSearch,
     hintset_to_json,
 )
-from repro.service import CampaignSpec, CampaignState, build_search
+from repro.service import (
+    CampaignSpec,
+    CampaignState,
+    SearchService,
+    ServiceClient,
+    ServiceError,
+    build_search,
+)
+
+#: One mistyped field each; every one must be rejected at submission.
+BAD_FIELDS = [
+    {"generations": "200"},
+    {"generations": 2.5},
+    {"seed": "x"},
+    {"seed": None},
+    {"priority": "hi"},
+    {"priority": True},
+    {"budget": 4.0},
+    {"max_evaluations": "10"},
+    {"workers": 1.0},
+    {"trace_max_events": [100]},
+    {"warm_start": False},
+    {"confidence": "high"},
+    {"confidence": True},
+    {"tracing": "yes"},
+    {"tracing": 1},
+    {"label": 5},
+    {"query": ["fft-luts"]},
+]
 
 
 class TestCampaignSpec:
@@ -35,6 +63,18 @@ class TestCampaignSpec:
             CampaignSpec(query="fft-luts", generations=0)
         with pytest.raises(NautilusError):
             CampaignSpec(query="fft-luts", budget=0)
+
+    @pytest.mark.parametrize("bad", BAD_FIELDS, ids=lambda b: repr(b))
+    def test_field_types_checked(self, bad):
+        with pytest.raises(NautilusError, match=next(iter(bad))):
+            CampaignSpec.from_json({"query": "fft-luts", **bad})
+
+    def test_well_typed_optionals_accepted(self):
+        spec = CampaignSpec(
+            query="fft-luts", confidence=1, max_evaluations=50, workers=2,
+            trace_max_events=10, warm_start=3, tracing=True, label="x",
+        )
+        assert CampaignSpec.from_json(spec.to_json()) == spec
 
     def test_inline_hints_structurally_validated(self):
         with pytest.raises(HintSpecError) as excinfo:
@@ -112,3 +152,58 @@ class TestBuildSearch:
         first = build_search(spec, tiny_dataset).run()
         second = build_search(spec, tiny_dataset).run()
         assert first.curve() == second.curve()
+
+
+class TestMistypedSpecsOverHttp:
+    """A mistyped field is a 400 at submission. Accepted, ``"priority":
+    "hi"`` stopped the scheduler thread at its priority sort as soon as a
+    second priority was queued, so no campaign advanced again."""
+
+    def test_each_bad_type_is_a_400_and_the_scheduler_keeps_running(
+        self, tmp_path, tiny_provider
+    ):
+        service = SearchService(
+            tmp_path / "campaigns", port=0, dataset_provider=tiny_provider
+        ).start()
+        try:
+            client = ServiceClient(port=service.port)
+            for bad in BAD_FIELDS:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit({"query": "noc-frequency", **bad})
+                assert excinfo.value.status == 400, bad
+            assert client.list_campaigns() == []
+            ids = [
+                client.submit(CampaignSpec(
+                    query="noc-frequency", engine="baseline", generations=6,
+                    priority=priority,
+                ))
+                for priority in (0, 1)
+            ]
+            finals = [client.wait(cid, timeout=60) for cid in ids]
+            assert [f["state"] for f in finals] == ["done", "done"]
+        finally:
+            service.stop()
+
+    def test_store_with_well_typed_spec_recovers(self, tmp_path, tiny_provider):
+        root = tmp_path / "campaigns"
+        first = SearchService(root, port=0, dataset_provider=tiny_provider)
+        first.start(run_scheduler=False)
+        client = ServiceClient(port=first.port)
+        ids = [
+            client.submit(CampaignSpec(
+                query="noc-frequency", engine="baseline", generations=6,
+                priority=priority, max_evaluations=40, label="typed",
+            ))
+            for priority in (2, 0)
+        ]
+        first.scheduler.tick()
+        first.stop()
+
+        second = SearchService(root, port=0, dataset_provider=tiny_provider)
+        second.start()
+        try:
+            client2 = ServiceClient(port=second.port)
+            finals = [client2.wait(cid, timeout=60) for cid in ids]
+        finally:
+            second.stop()
+        assert [f["state"] for f in finals] == ["done", "done"]
