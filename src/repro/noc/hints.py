@@ -54,7 +54,8 @@ def frequency_hints(confidence: float = STRONG_CONFIDENCE) -> HintSet:
     return HintSet(
         {
             # Values below are the (rounded) output of an 80-design
-            # estimate_router_hints sweep — see tests/noc/test_hints.py,
+            # estimate_router_hints sweep — see tests/noc/test_space_hints.py
+            # (TestEstimatedHints::test_sweep_agrees_with_static_signs),
             # which re-derives them and checks the signs agree.
             "pipeline_stages": ParamHints(importance=95, bias=0.95),
             "vc_allocator": ParamHints(importance=80, bias=-1.0),
