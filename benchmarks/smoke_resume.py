@@ -15,6 +15,14 @@ interrupted is served by the eval cache the second time). The store must
 hold no ``*.tmp`` file, and the finished campaign's checkpoint journal
 must have been compacted into a single line.
 
+The campaign's ``events.jsonl`` must hold a readable trace of both
+daemons: every line parses except at most one torn by the kill, and the
+``generation-end`` events give every generation once, in order, on the
+uninterrupted best-raw curve. One generation may appear twice: the one
+the kill interrupted after its events were written but before its
+journal line was. A generation journaled without its events would show
+up as a gap.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/smoke_resume.py
@@ -22,6 +30,7 @@ Usage::
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import signal
@@ -80,6 +89,35 @@ def _stop(process: subprocess.Popen) -> None:
             process.wait(10.0)
 
 
+def _check_event_log(path: Path, ref_curve: list[tuple[int, float]]) -> str:
+    """Check the event log a kill and a restart leave (see the module
+    docstring); returns a one-line summary."""
+    torn = 0
+    ends: list[tuple[int, float]] = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        try:
+            event = json.loads(line)
+        except ValueError:
+            torn += 1
+            continue
+        if event.get("kind") == "generation-end":
+            ends.append((event["generation"], event["best_raw"]))
+    assert torn <= 1, f"{torn} unparsable lines in the event log"
+    repeated = [i for i in range(1, len(ends)) if ends[i][0] == ends[i - 1][0]]
+    assert len(repeated) <= 1, (
+        f"generations {[ends[i][0] for i in repeated]} appear twice"
+    )
+    assert all(ends[i] == ends[i - 1] for i in repeated), (
+        "a repeated generation-end differs from the first"
+    )
+    unique = [end for i, end in enumerate(ends) if i not in repeated]
+    assert unique == ref_curve, "event-log best-raw curve drifted"
+    return (
+        f"{len(unique)} generations, {len(repeated)} repeated, "
+        f"{torn} torn line(s)"
+    )
+
+
 def main() -> int:
     reference = build_search(SPEC, load_dataset(query_space(SPEC))).run()
     ref_curve = [(r.generation, r.best_raw) for r in reference.records]
@@ -134,6 +172,7 @@ def main() -> int:
             f"resume re-paid evaluations: {final['distinct_evaluations']} > "
             f"{reference.distinct_evaluations}"
         )
+        events = _check_event_log(store / cid / "events.jsonl", ref_curve)
         leftovers = sorted(str(p) for p in store.rglob("*.tmp"))
         assert not leftovers, f"temp files left behind: {leftovers}"
         lines = journal.read_bytes().splitlines()
@@ -142,6 +181,7 @@ def main() -> int:
             f"  resumed:       best={final['best_raw']:.6g} "
             f"distinct={final['distinct_evaluations']}"
         )
+        print(f"  event log:     {events}")
     print("  ok: SIGKILLed daemon resumed onto the uninterrupted curve")
     return 0
 

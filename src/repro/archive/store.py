@@ -28,8 +28,10 @@ self-describing header; each following line is one design point::
 Rows are deduplicated by the canonical values key (first writer wins — an
 archive row is immutable once recorded, since two evaluators sharing a
 fingerprint return identical metrics), and a torn trailing line from a
-killed daemon is skipped on load. One lock guards the in-memory slots and
-file appends, so every campaign stack of a daemon shares one instance.
+killed daemon is skipped on load; the next append starts on a line of its
+own, and a file left empty gets its header. One lock guards the in-memory
+slots and file appends, so every campaign stack of a daemon shares one
+instance.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence, TYPE_CHECKING
 
 from ..core.errors import EvaluationError, InfeasibleDesignError, NautilusError
+from ..core.fileio import open_append
 from ..core.params import values_key
 from ..core.pareto import dominates
 
@@ -173,11 +176,8 @@ class DesignArchive:
                 if row_key in slot.rows:
                     continue
                 if fh is None:
-                    path = self._path(space_name, fingerprint)
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    fresh = not path.exists()
-                    fh = open(path, "a", encoding="utf-8")
-                    if fresh:
+                    fh, empty = open_append(self._path(space_name, fingerprint))
+                    if empty:
                         fh.write(
                             json.dumps(
                                 {

@@ -24,7 +24,8 @@ Subcommands:
   (mine a hints JSON from archived rows), and ``import`` (backfill from
   a persistent eval cache).
 * ``cache`` — maintain the persistent evaluation cache (``compact``
-  rewrites each space file dropping duplicate and torn rows).
+  rewrites each space file dropping duplicate and torn rows; run it only
+  while no daemon appends to that directory).
 * ``worker`` — run one evaluation-fleet worker daemon against a
   coordinator (see ``docs/distributed.md``).
 * ``fleet`` — show a daemon's evaluation-fleet status (workers, queue
@@ -948,7 +949,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8765, help="0 picks an ephemeral port")
     p.add_argument("--dir", default="campaigns", help="campaign store directory")
-    p.add_argument("--workers", type=int, default=4, help="evaluation worker pool size")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=4,
+        help="size of the evaluation thread pool the daemon's campaigns "
+        "share (1 evaluates inline)",
+    )
     p.add_argument(
         "--eval-cache",
         action="store_true",
@@ -1157,6 +1164,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = cache_sub.add_parser(
         "compact",
         help="rewrite cache files dropping duplicate and torn rows",
+        description="Rewrite cache files dropping duplicate and torn rows. "
+        "Run it only while no daemon appends to the directory: a row "
+        "appended during compaction is lost.",
     )
     p.add_argument(
         "--dir", default="campaigns/evalcache", help="cache directory"

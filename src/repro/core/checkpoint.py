@@ -9,14 +9,15 @@ counters, the per-generation records (replayed into the kernel's history
 on resume) and (crucially) the evaluation cache, so resumed runs never
 re-pay for a design the snapshot recorded.
 
-Format 5 is an append-only journal of JSON lines, so a snapshot costs
+Format 6 is an append-only journal of JSON lines, so a snapshot costs
 O(population) bytes rather than O(everything ever evaluated). Every line
 carries:
 
 * the O(population) state — ``population`` (code vectors in parameter
-  declaration order, guarded by ``params``), ``rng_streams``,
-  ``guidance``, ``stalled`` and ``eval_stats`` (the stack's integer
-  counters);
+  declaration order, guarded by ``params``), ``rng_streams`` (each
+  Mersenne Twister state's 625 words packed as base64 of little-endian
+  uint32), ``guidance``, ``stalled`` and ``eval_stats`` (the stack's
+  integer counters);
 * only the ``cache`` rows (``{"values": [...], "metrics": {...} | null}``,
   the :class:`~repro.core.evalstack.PersistentCache` row shape) and the
   ``records`` produced since the previous line. The writer finds them
@@ -27,10 +28,17 @@ accumulate, the state comes from the last complete line, and a torn final
 line (a writer killed mid-line) is ignored — the resumed
 :class:`CheckpointJournal` truncates it before its first append. When the
 search finishes, the journal is compacted into one full line through
-:meth:`SearchCheckpoint.save` (tmp + replace). A format-4 file is one line
-with the same keys, so it loads as a one-line journal; it carries no
-counters, so its rows count as distinct evaluations, as they did in
-format 4.
+:meth:`SearchCheckpoint.save` (tmp + replace).
+
+Formats 4 and 5 still load. Both write each RNG state as a list of 625
+ints, which the decoder tells apart from packed words by its shape; a
+format-5 line differs from a format-6 one in nothing else, so a format-5
+journal continued by this version simply gains format-6 lines. An older
+reader rejects a format-6 line as an unsupported format. A format-4 file
+is one line with the same keys, so it loads as a one-line journal; it
+carries no counters, so its rows count as distinct evaluations, as they
+did in format 4. A malformed RNG state of any format raises
+:class:`~repro.core.errors.NautilusError` when a search resumes from it.
 
 Both the single-objective GA (:class:`CheckpointedSearch`) and the NSGA-II
 engine (:class:`CheckpointedParetoSearch`) checkpoint through the same
@@ -62,9 +70,9 @@ __all__ = [
     "CheckpointedParetoSearch",
 ]
 
-_FORMAT_VERSION = 5
+_FORMAT_VERSION = 6
 #: Formats a journal line may carry (a format-4 file is a one-line journal).
-_READABLE_FORMATS = (4, _FORMAT_VERSION)
+_READABLE_FORMATS = (4, 5, _FORMAT_VERSION)
 
 
 class SearchCheckpoint:
@@ -273,6 +281,7 @@ class _CheckpointMixin:
         self.checkpoint_path = Path(checkpoint_path)
         self.checkpoint_every = checkpoint_every
         self._resume_from: SearchCheckpoint | None = None
+        self._resume_rngs: RngStreams | None = None
         self._journal = CheckpointJournal(self.checkpoint_path)
         #: Watermarks: memo rows and records already in the journal.
         self._rows_journaled = 0
@@ -330,10 +339,11 @@ class _CheckpointMixin:
         """Load a journal; the next :meth:`run` continues from it.
 
         The evaluation cache and counters are restored immediately (so even
-        pre-run lookups are free); population, RNG streams and history are
-        restored when the search starts. A journal with no complete line
-        (killed during its first append) resumes nothing: the search starts
-        fresh and overwrites it.
+        pre-run lookups are free) and the RNG streams are decoded (a
+        damaged state raises :class:`NautilusError` here); population, RNG
+        streams and history take effect when the search starts. A journal
+        with no complete line (killed during its first append) resumes
+        nothing: the search starts fresh and overwrites it.
         """
         path = Path(path or self.checkpoint_path)
         checkpoint = SearchCheckpoint.read(path)
@@ -350,6 +360,8 @@ class _CheckpointMixin:
                 f"not match space {self.space.name!r} parameters "
                 f"{self.space.param_names!r}"
             )
+        rngs = RngStreams(self.seed, split=self.split_rngs)
+        rngs.setstate(checkpoint.rng_streams)
         for config, metrics in checkpoint.cache_configs(self.space):
             self._counter.preload(self.space.genome(config), metrics)
         self._counter.restore_counts(
@@ -363,6 +375,7 @@ class _CheckpointMixin:
             self._rows_journaled = len(checkpoint.cache)
             self._records_journaled = len(checkpoint.records)
         self._resume_from = checkpoint
+        self._resume_rngs = rngs
         return self
 
     # -- lifecycle --------------------------------------------------------------
@@ -382,10 +395,8 @@ class _CheckpointMixin:
             return super().start()
         if self.started:
             raise NautilusError("search already started")
-        checkpoint = self._resume_from
-        self._resume_from = None
-        self._rngs = RngStreams(self.seed, split=self.split_rngs)
-        self._rngs.setstate(checkpoint.rng_streams)
+        checkpoint, self._rngs = self._resume_from, self._resume_rngs
+        self._resume_from = self._resume_rngs = None
         # Re-assessing the restored population only hits the memo; keep
         # those lookups out of the restored counters.
         counts = self._counter.stats().counts()

@@ -55,6 +55,7 @@ from pathlib import Path
 from typing import Any, Iterator, Sequence, TYPE_CHECKING
 
 from .errors import InfeasibleDesignError, NautilusError
+from .fileio import open_append
 from .fitness import Metrics
 from .genome import Genome
 from .params import values_key
@@ -226,9 +227,13 @@ class _PoolBackend:
     Per-design exceptions are captured and returned in place rather than
     aborting the batch — exactly how a cluster of synthesis jobs behaves
     when one run fails.
+
+    ``executor`` is an optional caller-owned pool (see
+    :class:`EvaluationStack`). A batch of one design runs on the calling
+    thread: a pool cannot parallelize a single job.
     """
 
-    def __init__(self, inner: "Evaluator", workers: int, kind: str):
+    def __init__(self, inner: "Evaluator", workers: int, kind: str, executor=None):
         from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
         if workers < 1:
@@ -236,22 +241,29 @@ class _PoolBackend:
         self.inner = inner
         self.workers = workers
         self.kind = kind
+        self._executor = executor
         self._executor_cls = (
             ProcessPoolExecutor if kind == "process" else ThreadPoolExecutor
         )
+        self._inline = _InlineBackend(inner, delegate_batches=False)
 
     def evaluate_many(self, genomes: Sequence[Genome]) -> list[Outcome]:
-        if not genomes:
-            return []
+        if len(genomes) < 2:
+            return self._inline.evaluate_many(genomes)
+        if self._executor is not None:
+            return self._collect(self._executor, genomes)
         with self._executor_cls(max_workers=self.workers) as pool:
-            futures = [pool.submit(self.inner.evaluate, g) for g in genomes]
-            results: list[Outcome] = []
-            for future in futures:
-                try:
-                    results.append(future.result())
-                except Exception as exc:
-                    results.append(exc)
-            return results
+            return self._collect(pool, genomes)
+
+    def _collect(self, pool, genomes: Sequence[Genome]) -> list[Outcome]:
+        futures = [pool.submit(self.inner.evaluate, g) for g in genomes]
+        results: list[Outcome] = []
+        for future in futures:
+            try:
+                results.append(future.result())
+            except Exception as exc:
+                results.append(exc)
+        return results
 
 
 def run_backend_batch(
@@ -449,7 +461,9 @@ class PersistentCache:
     ``metrics: null`` records an :class:`InfeasibleDesignError` — a failed
     synthesis attempt still consumed a job, and replaying it must fail the
     same way. Rows are appended one line per ``write()`` call and a torn
-    trailing line (killed daemon) is skipped on load, so the cache survives
+    trailing line (killed daemon) is skipped on load; the next append
+    starts on a line of its own, and a file left empty gets its header
+    (see :func:`~repro.core.fileio.open_append`). So the cache survives
     crashes without any locking protocol beyond append.
 
     Thread safety: one lock guards the in-memory maps and file appends, so
@@ -540,11 +554,10 @@ class PersistentCache:
                     if key in rows:
                         continue
                     if fh is None:
-                        path = self._path(genome.space.name, fingerprint)
-                        path.parent.mkdir(parents=True, exist_ok=True)
-                        fresh_file = not path.exists()
-                        fh = open(path, "a", encoding="utf-8")
-                        if fresh_file:
+                        fh, empty = open_append(
+                            self._path(genome.space.name, fingerprint)
+                        )
+                        if empty:
                             fh.write(
                                 json.dumps(
                                     {
@@ -584,6 +597,9 @@ class PersistentCache:
         order, silently drops unparsable or malformed lines, and rewrites
         each file atomically (tmp + rename). In-memory maps are invalidated
         so the next access reloads from the rewritten files.
+
+        Run it only while no daemon appends to ``root``: a row appended
+        between a file's read and its replace is lost.
 
         Returns ``{"files": {name: {"rows", "reclaimed"}}, "rows", "reclaimed"}``.
         """
@@ -712,6 +728,10 @@ class EvaluationStack:
             worker fleet of ``fleet``, degrading to inline execution when
             no worker can serve the space — see :mod:`repro.distributed`).
         workers: Pool size for the thread/process backends.
+        executor: Optional pool the thread/process backend submits to,
+            owned by the caller (the service scheduler shares one per
+            worker count among every campaign). The stack never shuts it
+            down. Without one, each batch starts and joins its own pool.
         fleet: The :class:`repro.distributed.FleetCoordinator` backing the
             ``"fleet"`` backend (required for it, ignored otherwise).
         persistent: Optional shared :class:`PersistentCache`; campaigns over
@@ -750,6 +770,7 @@ class EvaluationStack:
         fleet=None,
         archive=None,
         campaign: str = "",
+        executor=None,
     ):
         if backend not in _BACKENDS:
             raise NautilusError(
@@ -778,7 +799,9 @@ class EvaluationStack:
 
             tail = FleetBackend(inner, fleet, self.fingerprint)
         elif backend in ("thread", "process"):
-            tail = _PoolBackend(inner, workers=workers, kind=backend)
+            tail = _PoolBackend(
+                inner, workers=workers, kind=backend, executor=executor
+            )
         else:
             tail = _InlineBackend(inner, delegate_batches=backend == "auto")
         self._tail = tail

@@ -35,9 +35,11 @@ engines only declare their operator pipeline and survivor rule.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import random
+import struct
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -50,6 +52,7 @@ from ..obs.health import population_health
 from ..obs.tracing import SpanRecorder
 from .errors import NautilusError
 from .evalstack import EvalStats, EvaluationStack
+from .fileio import open_append
 from .fitness import Objective
 from .genome import Genome
 from .guidance import GuidanceProvider, GuidanceState
@@ -146,26 +149,50 @@ class RecordingTraceSink(TraceSink):
 class JsonlTraceSink(TraceSink):
     """Appends one JSON line per event — the service's per-campaign log.
 
-    The file is opened lazily and appended to (a resumed campaign continues
-    the log it left behind); every line is flushed so a killed daemon loses
-    at most the event being written.
+    Each event is encoded as it arrives; a generation's lines are written
+    with one ``write`` and one ``flush`` when its ``generation-end`` (or
+    the run's ``stop``) arrives, and :meth:`close` writes whatever is
+    still pending. The kernel emits ``generation-end`` before a
+    checkpointed search journals the generation, so a journal line never
+    commits a generation whose events are not in the file. A killed
+    daemon loses the events of the generation being stepped, and that
+    generation runs again on resume.
+
+    The file is opened lazily and appended to (a resumed campaign
+    continues the log it left behind), through
+    :func:`~repro.core.fileio.open_append`, so an append never lands on
+    a torn final line.
     """
+
+    #: Event kinds that write the pending lines out.
+    _WRITE_ON = frozenset(("generation-end", "stop"))
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._handle = None
+        self._pending: list[str] = []
         self._closed = False
 
     def emit(self, event: RunEvent) -> None:
         if self._closed:
             return
+        self._pending.append(json.dumps(event.as_dict()) + "\n")
+        if event.kind in self._WRITE_ON:
+            self._write()
+
+    def _write(self) -> None:
+        """Write and flush the pending lines."""
+        if not self._pending:
+            return
         if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
-        self._handle.write(json.dumps(event.as_dict()) + "\n")
+            self._handle, __ = open_append(self.path)
+        self._handle.write("".join(self._pending))
         self._handle.flush()
+        self._pending.clear()
 
     def close(self) -> None:
+        if not self._closed:
+            self._write()
         self._closed = True
         if self._handle is not None:
             self._handle.close()
@@ -176,8 +203,8 @@ class CappedJsonlTraceSink(JsonlTraceSink):
     """A :class:`JsonlTraceSink` that bounds the file's event count.
 
     Long campaigns would otherwise grow ``events.jsonl`` without bound.
-    When the line count exceeds ``max_events`` (plus a small slack that
-    amortizes the rewrite), the file is compacted to the first
+    When a write takes the line count past ``max_events`` (plus a small
+    slack that amortizes the rewrite), the file is compacted to the first
     ``max_events // 2`` and last ``max_events - max_events // 2`` events
     with a marker line between them::
 
@@ -199,13 +226,16 @@ class CappedJsonlTraceSink(JsonlTraceSink):
         self._slack = max(max_events // 4, 8)
         self._lines: int | None = None
 
-    def emit(self, event: RunEvent) -> None:
-        if self._closed:
+    def _write(self) -> None:
+        """Write the pending lines, then count them and compact if due."""
+        written = len(self._pending)
+        if not written:
             return
+        super()._write()
         if self._lines is None:
             self._lines = self._count_existing()
-        super().emit(event)
-        self._lines += 1
+        else:
+            self._lines += written
         if self._lines > self.max_events + self._slack:
             self._compact()
 
@@ -319,13 +349,24 @@ class RunTrace:
 # ---------------------------------------------------------------------------
 
 
+#: A Mersenne Twister state: 624 words plus the position, each a uint32.
+_MT_STATE = struct.Struct("<625I")
+
+
 def _rng_state_to_json(state) -> list:
+    """``random.Random.getstate()`` as JSON, its words packed as base64 of
+    little-endian uint32 (3.3 KB instead of a 7 KB list of ints)."""
     version, internal, gauss = state
-    return [version, list(internal), gauss]
+    packed = base64.b64encode(_MT_STATE.pack(*internal)).decode("ascii")
+    return [version, packed, gauss]
 
 
 def _rng_state_from_json(payload) -> tuple:
+    """Inverse of :func:`_rng_state_to_json`. A list of ints in place of
+    the packed words (checkpoint formats 4 and 5) is read as is."""
     version, internal, gauss = payload
+    if isinstance(internal, str):
+        internal = _MT_STATE.unpack(base64.b64decode(internal, validate=True))
     return (version, tuple(internal), gauss)
 
 
@@ -406,14 +447,16 @@ class RngStreams:
                 f"configured for {'split' if self.split else 'shared'!r}"
             )
         if self.split:
-            for name in self.NAMES:
-                self._streams[name].setstate(
-                    _rng_state_from_json(payload["streams"][name])
-                )
+            targets = [(name, self._streams[name]) for name in self.NAMES]
         else:
-            self._streams["init"].setstate(
-                _rng_state_from_json(payload["streams"]["shared"])
-            )
+            targets = [("shared", self._streams["init"])]
+        try:
+            for name, rng in targets:
+                rng.setstate(_rng_state_from_json(payload["streams"][name]))
+        except (KeyError, TypeError, ValueError, struct.error) as exc:
+            # A checkpoint is read back from disk: a damaged state is an
+            # error of the file, not a crash inside random.setstate.
+            raise NautilusError(f"malformed RNG state: {exc!r}") from None
 
     @classmethod
     def from_state(cls, payload: dict[str, Any]) -> "RngStreams":

@@ -14,7 +14,8 @@ exactly that, on the standard library alone:
   journal, so a killed daemon resumes every in-flight campaign without
   re-paying for the designs of its completed generations;
 * :mod:`~repro.service.scheduler` — a priority-aware round-robin scheduler
-  stepping one generation per tick on a shared worker pool;
+  stepping one generation per tick; every campaign's evaluations run on
+  one evaluation thread pool the scheduler owns (one per worker count);
 * :mod:`~repro.service.metrics` — live service counters (evaluation
   throughput, cache hit rate, queue depth), doubling as the daemon's
   :class:`~repro.obs.MetricsRegistry` behind

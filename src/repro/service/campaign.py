@@ -244,6 +244,7 @@ def build_search(
     fleet=None,
     archive=None,
     campaign_id: str = "",
+    executor=None,
 ):
     """Instantiate the engine a spec describes, against a shared dataset.
 
@@ -255,7 +256,10 @@ def build_search(
     and counters, a thread-pool backend when ``workers > 1``
     (population-sized parallelism), and optionally a shared ``persistent``
     on-disk cache so campaigns over the same space never re-pay a
-    synthesis job, across processes and daemon restarts. ``registry`` is
+    synthesis job, across processes and daemon restarts. ``executor`` is
+    the pool the thread backend runs on (the scheduler's shared pool,
+    which the stack never shuts down); without it, each batch starts its
+    own. ``registry`` is
     the daemon's shared metrics registry; each stack publishes its
     ``nautilus_eval_*`` families there. ``fleet`` is an optional
     :class:`~repro.distributed.FleetCoordinator`; when given, the stack's
@@ -280,6 +284,7 @@ def build_search(
         DatasetEvaluator(dataset),
         backend=backend,
         workers=effective_workers,
+        executor=executor,
         persistent=persistent,
         registry=registry,
         fleet=fleet,

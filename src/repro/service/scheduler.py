@@ -28,6 +28,7 @@ from __future__ import annotations
 import logging
 import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from ..core import (
@@ -58,12 +59,20 @@ _LOG = logging.getLogger("nautilus.scheduler")
 class Scheduler:
     """Steps many campaigns fairly on one thread + a shared worker pool.
 
+    The scheduler owns one evaluation thread pool (threads named
+    ``nautilus-eval_*``) per distinct worker count in use — the daemon
+    default plus any ``spec.workers`` override — created on first use and
+    handed to every campaign's :class:`~repro.core.EvaluationStack`.
+    Campaigns step one at a time, so at most one batch uses a pool at
+    once. :meth:`shutdown` shuts the pools down, and the next campaign
+    built after it creates them again.
+
     Args:
         store: Campaign persistence (specs, statuses, checkpoints, results).
         metrics: Counter sink; a fresh one is created when omitted.
-        workers: Evaluation worker-pool size per step (the thread backend of
-            each campaign's :class:`~repro.core.EvaluationStack`); 1
-            evaluates inline.
+        workers: Evaluation pool size (the thread backend of each
+            campaign's :class:`~repro.core.EvaluationStack`); 1 evaluates
+            inline. A spec's own ``workers`` overrides it.
         dataset_provider: ``space_name -> Dataset`` hook, overridable in
             tests; defaults to the bundled dataset loaders.
         poll_interval: Idle-loop sleep of the scheduler thread, seconds.
@@ -125,6 +134,8 @@ class Scheduler:
         self._campaigns: dict[str, Campaign] = {}
         #: Live per-campaign JSONL trace sinks, closed on finalize.
         self._sinks: dict[str, JsonlTraceSink] = {}
+        #: Shared evaluation pools by worker count (see the class docs).
+        self._pools: dict[int, ThreadPoolExecutor] = {}
         self._queues: dict[int, deque[str]] = {}
         self._lock = threading.RLock()
         self._wake = threading.Event()
@@ -268,13 +279,28 @@ class Scheduler:
                 self._enqueue(campaign)
         return True
 
+    def _pool(self, workers: int) -> ThreadPoolExecutor | None:
+        """The shared evaluation pool of ``workers`` threads, created on
+        first use; None where a stack runs no thread backend."""
+        if workers < 2 or self.fleet is not None:
+            return None
+        with self._lock:
+            pool = self._pools.get(workers)
+            if pool is None:
+                pool = self._pools[workers] = ThreadPoolExecutor(
+                    workers, thread_name_prefix="nautilus-eval"
+                )
+            return pool
+
     def _build(self, campaign: Campaign) -> None:
         dataset = self._dataset(query_space(campaign.spec))
+        workers = campaign.spec.workers or self.workers
         search = build_search(
             campaign.spec,
             dataset,
             campaign_dir=self.store.campaign_dir(campaign.id),
-            workers=self.workers,
+            workers=workers,
+            executor=self._pool(workers),
             persistent=self.persistent,
             registry=self.metrics.registry,
             fleet=self.fleet,
@@ -286,9 +312,10 @@ class Scheduler:
         if isinstance(search, resumable) and checkpoint.exists():
             search.resume(checkpoint)
         # Every engine streams its structured trace into the campaign's
-        # append-mode event log. On resume the engine replays its recorded
-        # history without notifying sinks, so the log never duplicates
-        # generations across daemon restarts.
+        # append-mode event log, one write per generation. On resume the
+        # engine replays its recorded history without notifying sinks, so
+        # only a generation whose events were written before the daemon
+        # died, but not journaled, appears twice in the log.
         events_path = self.store.events_path(campaign.id)
         cap = campaign.spec.trace_max_events or self.trace_max_events
         if cap is not None:
@@ -526,7 +553,8 @@ class Scheduler:
         thread that refuses to die raises — leaking it silently would turn
         every later shutdown into a slow drift of zombie threads), drains
         the run queues, closes every live trace sink and checkpoint
-        journal, and detaches engine objects of unfinished campaigns.
+        journal, detaches engine objects of unfinished campaigns, and
+        shuts the evaluation pools down.
         Checkpoint journals are already appended per generation, so the
         store stays consistent and :meth:`start` / :meth:`recover` resume
         everything losslessly.
@@ -562,4 +590,8 @@ class Scheduler:
                     campaign.search = None
                     campaign.result = None
             self._sinks.clear()
+            pools = list(self._pools.values())
+            self._pools.clear()
+        for pool in pools:
+            pool.shutdown(wait=True)
         self._wake.clear()

@@ -6,9 +6,11 @@ Layout, one directory per campaign under the store root::
       c000001/
         spec.json        # the submitted CampaignSpec, verbatim
         status.json      # state, error, generations_done (atomic rewrites)
-        checkpoint.json  # SearchCheckpoint journal (GA engines; appended by
-                         # the engine each generation, compacted at finish)
-        events.jsonl     # structured RunEvent trace, one JSON line per event
+        checkpoint.json  # SearchCheckpoint journal, format 6 (GA engines;
+                         # appended by the engine each generation,
+                         # compacted at finish)
+        events.jsonl     # structured RunEvent trace, one JSON line per
+                         # event, written once per generation
         spans.jsonl      # span tree (tracing campaigns), one span per line
         result.json      # final curve + best design, once terminal
 
@@ -16,9 +18,12 @@ Layout, one directory per campaign under the store root::
 temp-file + ``rename``, so a killed daemon never leaves them torn.
 ``status.json`` changes only with the campaign's state — at create, at the
 first step and at finalize — so it costs nothing per generation. The
-append-only files (the checkpoint journal, events, spans) are flushed as
-they are appended; a kill can tear only their last line, which every
-reader skips.
+append-only files (the checkpoint journal, events, spans) get one write and
+one flush per generation; a kill can tear only their last line, which
+every reader skips, and the next append starts on a line of its own.
+A generation's events reach ``events.jsonl`` before its journal line, so
+the only generation whose events can appear twice is the one a kill
+interrupted after its events were written and before it was journaled.
 The checkpoint is the :class:`~repro.core.checkpoint.SearchCheckpoint`
 journal, which carries the evaluation cache — the expensive part of a
 half-finished campaign.
@@ -32,6 +37,7 @@ from pathlib import Path
 from typing import Any
 
 from ..core import NautilusError
+from ..core.fileio import open_append
 from .campaign import Campaign, CampaignSpec, CampaignState
 
 __all__ = ["CampaignStore"]
@@ -140,8 +146,10 @@ class CampaignStore:
     ) -> list[dict[str, Any]]:
         """Read a campaign's RunEvent log; ``limit`` keeps the last N.
 
-        Torn trailing lines (a daemon killed mid-write) are skipped — the
-        sink flushes per event, so at most the final line can be partial.
+        Unparsable lines are skipped: a daemon killed mid-write tears at
+        most the final line, and the next daemon's first write starts on
+        a new line. The generation a kill interrupted may appear twice
+        (see the module docstring).
         """
         path = self.events_path(campaign_id)
         if not path.exists():
@@ -178,12 +186,9 @@ class CampaignStore:
         """
         if not spans:
             return
-        path = self.spans_path(campaign_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a") as handle:
-            for span in spans:
-                handle.write(json.dumps(span) + "\n")
-            handle.flush()
+        handle, __ = open_append(self.spans_path(campaign_id))
+        with handle:
+            handle.write("".join(json.dumps(span) + "\n" for span in spans))
 
     def load_spans(self, campaign_id: str) -> list[dict[str, Any]]:
         """Read a campaign's persisted span log (torn tail lines skipped)."""

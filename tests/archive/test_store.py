@@ -103,6 +103,25 @@ class TestRecording:
         fresh = DesignArchive(tmp_path)
         assert fresh.entries(space, FP) == 24
 
+    def test_append_after_torn_line_starts_a_new_line(self, tmp_path, space):
+        genomes = [space.genome({"a": a, "o": "lo", "c": "p"}) for a in range(3)]
+        archive = DesignArchive(tmp_path)
+        archive.record_many([(g, metrics_for(g)) for g in genomes[:2]], FP)
+        (path,) = tmp_path.glob("*.jsonl")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"values": ["trunc')  # killed mid-write
+        resumed = DesignArchive(tmp_path)
+        resumed.record_many([(genomes[2], metrics_for(genomes[2]))], FP)
+        assert DesignArchive(tmp_path).entries(space, FP) == 3
+
+    def test_empty_file_gets_its_header(self, tmp_path, space):
+        """A file left empty (killed between open and flush) is not a
+        headerless file forever."""
+        archive = DesignArchive(tmp_path)
+        archive._path(space.name, FP).touch()
+        assert fill(archive, space) == 24
+        assert DesignArchive(tmp_path).entries(space, FP) == 24
+
     def test_fingerprint_mismatch_rejected(self, tmp_path, space):
         archive = DesignArchive(tmp_path)
         fill(archive, space)

@@ -11,10 +11,13 @@ from repro.core import (
     GAConfig,
     InfeasibleDesignError,
     IntParam,
+    JsonlTraceSink,
     NautilusError,
+    RngStreams,
     SearchCheckpoint,
     maximize,
 )
+from repro.core.checkpoint import CheckpointJournal
 
 
 @pytest.fixture
@@ -50,7 +53,7 @@ class TestCheckpointing:
         # One journal line per checkpoint_every generations, each carrying
         # only the rows and records added since the line before it.
         lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [line["format"] for line in lines] == [5, 5]
+        assert [line["format"] for line in lines] == [6, 6]
         assert [line["generation"] for line in lines] == [3, 6]
         assert [len(line["records"]) for line in lines] == [4, 3]
         keys = [tuple(row["values"]) for line in lines for row in line["cache"]]
@@ -167,10 +170,27 @@ class TestResume:
             SearchCheckpoint.load(path)
 
 
+def _int_list_rng(payload):
+    """An ``rng_streams`` payload in the format-4/5 encoding: each
+    state's 625 words as a JSON list of ints."""
+    streams = RngStreams.from_state(payload)
+    if payload["mode"] == "shared":
+        keys = {"shared": "init"}
+    else:
+        keys = {name: name for name in RngStreams.NAMES}
+    encoded = {}
+    for key, name in keys.items():
+        version, internal, gauss = streams.stream(name).getstate()
+        encoded[key] = [version, list(internal), gauss]
+    return {"mode": payload["mode"], "streams": encoded}
+
+
 class TestLegacyFormats:
-    """Format 4, the one older format still read, and the parameter-order
-    guard it introduced. A format-4 file is a single JSON line with the
-    keys of a format-5 journal line, minus the evaluation counters."""
+    """Formats 4 and 5, the older formats still read, and the
+    parameter-order guard format 4 introduced. A format-5 line writes
+    each RNG state as a list of 625 ints; a format-4 file is a single
+    JSON line with the keys of a format-5 line, minus the evaluation
+    counters."""
 
     def test_format4_file_loads_as_one_line_journal(
         self, space, counting_evaluator, tmp_path
@@ -189,6 +209,7 @@ class TestLegacyFormats:
         ).run()
         payload = json.loads(path.read_text())
         payload["format"] = 4
+        payload["rng_streams"] = _int_list_rng(payload["rng_streams"])
         del payload["eval_stats"]
         path.write_text(json.dumps(payload))  # format 4: no trailing newline
         resumed = CheckpointedSearch(
@@ -202,7 +223,7 @@ class TestLegacyFormats:
         resumed.step()
         resumed.step()
         lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [line["format"] for line in lines] == [4, 5]
+        assert [line["format"] for line in lines] == [4, 6]
         assert lines[1]["generation"] == 8
         result = resumed.run()
         assert result.curve() == reference.curve()
@@ -311,3 +332,122 @@ class TestKillAndResume:
         ).resume().run()
         assert resumed.stop_reason == "stall"
         assert resumed.curve() == reference.curve()
+
+
+class TestFormat6:
+    """Format 6 packs each RNG state; format-5 journals still resume."""
+
+    def _search(self, space, evaluator, path, split=False, every=1):
+        return CheckpointedSearch(
+            space, evaluator, maximize("m"),
+            GAConfig(
+                seed=23, generations=16,
+                rng_streams="split" if split else "shared",
+            ),
+            checkpoint_path=path, checkpoint_every=every,
+        )
+
+    def test_line_packs_each_rng_state(self, space, counting_evaluator, tmp_path):
+        evaluator, __ = counting_evaluator
+        path = tmp_path / "journal.json"
+        search = self._search(space, evaluator, path)
+        search.start()
+        search.step()
+        search.close()
+        (line,) = [json.loads(l) for l in path.read_text().splitlines()]
+        version, words, gauss = line["rng_streams"]["streams"]["shared"]
+        assert isinstance(words, str) and len(words) == 3336  # 2,500 bytes
+
+    @pytest.mark.parametrize("split", (False, True), ids=["shared", "split"])
+    def test_format5_journal_resumes_and_gains_format6_lines(
+        self, space, counting_evaluator, tmp_path, split
+    ):
+        evaluator, __ = counting_evaluator
+        reference = self._search(
+            space, evaluator, tmp_path / "ref.json", split, every=1000
+        ).run()
+        path = tmp_path / "journal.json"
+        interrupted = self._search(space, evaluator, path, split)
+        interrupted.start()
+        for _ in range(5):
+            interrupted.step()
+        interrupted.close()
+        rng_state = interrupted.rngs.getstate()
+        # Rewrite the journal as this version's predecessor wrote it.
+        lines = [json.loads(l) for l in path.read_text().splitlines()]
+        for line in lines:
+            line["format"] = 5
+            line["rng_streams"] = _int_list_rng(line["rng_streams"])
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+        resumed = self._search(space, evaluator, path, split).resume()
+        resumed.start()
+        assert resumed.rngs.getstate() == rng_state
+        resumed.step()
+        formats = [json.loads(l)["format"] for l in path.read_text().splitlines()]
+        assert formats == [5] * len(lines) + [6]
+        result = resumed.run()
+        assert result.records == reference.records
+        assert result.best_config == reference.best_config
+        assert result.eval_stats.counts() == reference.eval_stats.counts()
+
+    def test_malformed_packed_state_raises_at_resume(
+        self, space, counting_evaluator, tmp_path
+    ):
+        evaluator, __ = counting_evaluator
+        path = tmp_path / "journal.json"
+        search = self._search(space, evaluator, path)
+        search.start()
+        search.step()
+        search.step()
+        search.close()
+        lines = path.read_text().splitlines()
+        last = json.loads(lines[-1])
+        version, words, gauss = last["rng_streams"]["streams"]["shared"]
+        last["rng_streams"]["streams"]["shared"] = [version, words[:-8], gauss]
+        path.write_text("\n".join([*lines[:-1], json.dumps(last)]) + "\n")
+        with pytest.raises(NautilusError, match="malformed RNG state"):
+            self._search(space, evaluator, path).resume()
+
+
+class TestEventsBeforeJournal:
+    def test_generation_end_is_in_the_file_before_its_journal_line(
+        self, space, counting_evaluator, tmp_path, monkeypatch
+    ):
+        """A journal line never commits a generation whose events a
+        killed daemon could still lose."""
+        evaluator, __ = counting_evaluator
+        journal = tmp_path / "checkpoint.json"
+        events = tmp_path / "events.jsonl"
+
+        def generation_ends():
+            if not events.exists():
+                return []
+            return [
+                payload["generation"]
+                for payload in map(json.loads, events.read_text().splitlines())
+                if payload["kind"] == "generation-end"
+            ]
+
+        appended = []
+        append = CheckpointJournal.append
+
+        def checked_append(self, checkpoint):
+            assert generation_ends()[-1] == checkpoint.generation
+            appended.append(checkpoint.generation)
+            append(self, checkpoint)
+
+        monkeypatch.setattr(CheckpointJournal, "append", checked_append)
+        search = CheckpointedSearch(
+            space, evaluator, maximize("m"), GAConfig(seed=3, generations=12),
+            checkpoint_path=journal, checkpoint_every=1,
+        )
+        sink = JsonlTraceSink(events)
+        search.attach_sink(sink)
+        search.start()
+        while search.step() is not None:
+            journaled = len(journal.read_text().splitlines())
+            assert len(generation_ends()) >= journaled
+        sink.close()
+        search.close()
+        assert appended == list(range(1, 13))

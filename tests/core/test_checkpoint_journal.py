@@ -1,4 +1,4 @@
-"""Crash consistency of the checkpoint journal (checkpoint format 5).
+"""Crash consistency of the checkpoint journal (checkpoint format 6).
 
 A campaign's journal is cut the way a killed writer leaves it — at every
 line boundary and at every byte offset inside its final line — and every
@@ -179,7 +179,7 @@ class TestCutJournal:
 
     def test_empty_journal_resumes_nothing(self, space, tmp_path):
         path = tmp_path / "empty.json"
-        path.write_bytes(b'{"format": 5, "spa')
+        path.write_bytes(b'{"format": 6, "spa')
         assert SearchCheckpoint.read(path) is None
         search = _search(space, [], path).resume()
         search.start()

@@ -2,6 +2,7 @@
 
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -127,6 +128,45 @@ class TestConstruction:
         genomes = [space.genome(a=i) for i in range(16)]
         assert stack.evaluate_many(genomes) == [{"m": float(i)} for i in range(16)]
         assert stack.distinct_evaluations == 16
+
+    def test_one_design_batch_runs_on_the_calling_thread(self, space):
+        threads = []
+
+        def fn(genome):
+            threads.append(threading.get_ident())
+            if genome["a"] == 0:
+                raise InfeasibleDesignError("bad")
+            return {"m": 1.0}
+
+        stack = EvaluationStack(CallableEvaluator(fn), backend="thread", workers=4)
+        assert stack.evaluate_many([space.genome(a=1)]) == [{"m": 1.0}]
+        assert threads == [threading.get_ident()]
+        # Its exception is captured in place, as on the pool.
+        (outcome,) = stack.evaluate_many([space.genome(a=0)])
+        assert isinstance(outcome, InfeasibleDesignError)
+        assert stack.stats().infeasible == 1
+        threads.clear()
+        stack.evaluate_many([space.genome(a=2), space.genome(a=3)])
+        assert len(threads) == 2 and threading.get_ident() not in threads
+
+    def test_given_executor_is_used_and_left_open(self, space):
+        names = []
+
+        def fn(genome):
+            names.append(threading.current_thread().name)
+            return {"m": float(genome["a"])}
+
+        with ThreadPoolExecutor(2, thread_name_prefix="shared") as pool:
+            stack = EvaluationStack(
+                CallableEvaluator(fn), backend="thread", workers=2, executor=pool
+            )
+            genomes = [space.genome(a=i) for i in range(8)]
+            assert stack.evaluate_many(genomes) == [
+                {"m": float(i)} for i in range(8)
+            ]
+            assert len(names) == 8
+            assert all(name.startswith("shared") for name in names)
+            assert pool.submit(int, "7").result(timeout=10) == 7  # still open
 
     def test_batch_size_chunks_backend_batches(self, space):
         sizes = []
@@ -272,6 +312,30 @@ class TestPersistentCache:
         assert recovered.evaluate(space.genome(a=1)) == {"m": 1.0}
         assert recovered.evaluate(space.genome(a=2)) == {"m": 2.0}
         assert calls == [2]  # the torn row is re-evaluated, the intact one not
+        # The row appended after the torn one is on a line of its own, so
+        # the next process finds it instead of paying for it again.
+        after_restart = EvaluationStack(
+            counting_evaluator(calls),
+            persistent=PersistentCache(tmp_path),
+            fingerprint="fp",
+        )
+        assert after_restart.evaluate(space.genome(a=2)) == {"m": 2.0}
+        assert calls == [2]
+
+    def test_empty_file_gets_its_header(self, space, tmp_path):
+        """A file left empty (killed between open and flush) is not a
+        headerless file forever."""
+        cache = PersistentCache(tmp_path)
+        cache._path("stk", "fp").touch()
+        cache.put_many([(space.genome(a=1), {"m": 1.0})], "fp")
+        calls = []
+        reloaded = EvaluationStack(
+            counting_evaluator(calls),
+            persistent=PersistentCache(tmp_path),
+            fingerprint="fp",
+        )
+        assert reloaded.evaluate(space.genome(a=1)) == {"m": 1.0}
+        assert calls == []
 
     def test_fingerprint_isolation(self, space, tmp_path):
         cache = PersistentCache(tmp_path)

@@ -282,7 +282,7 @@ class TestCheckpointedGuidance:
             full.guidance.confidence_trace[-1]
         )
 
-    def test_checkpoint_journal_is_format_5_with_guidance(
+    def test_checkpoint_journal_is_format_6_with_guidance(
         self, space, evaluator, tmp_path
     ):
         path = tmp_path / "ga.ckpt.json"
@@ -299,7 +299,7 @@ class TestCheckpointedGuidance:
         for _ in range(3):
             search.step()
         lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [line["format"] for line in lines] == [5, 5, 5]
+        assert [line["format"] for line in lines] == [6, 6, 6]
         assert all(line["guidance"] == {"kind": "static"} for line in lines)
         search.run()
         (line,) = path.read_text().splitlines()

@@ -7,6 +7,8 @@ vocabulary and precedence, seed handling (0 is a real seed, not falsy),
 structured-trace invariants, and RNG-stream checkpoint round-trips.
 """
 
+import json
+
 import pytest
 
 from repro.core import (
@@ -239,6 +241,61 @@ class TestRngStreams:
     def test_unknown_stream_raises(self):
         with pytest.raises(NautilusError, match="unknown RNG stream"):
             RngStreams(seed=1).stream("oops")
+
+    @pytest.mark.parametrize("split", (False, True))
+    def test_packed_state_restores_every_word(self, split):
+        streams = RngStreams(seed=9, split=split)
+        for name in RngStreams.NAMES:
+            streams.stream(name).gauss(0.0, 1.0)  # sets gauss_next
+        state = json.loads(json.dumps(streams.getstate()))
+        for packed in state["streams"].values():
+            assert isinstance(packed[1], str)
+        restored = RngStreams.from_state(state)
+        for name in RngStreams.NAMES:
+            assert restored.stream(name).getstate() == (
+                streams.stream(name).getstate()
+            )
+
+    @pytest.mark.parametrize("split", (False, True))
+    def test_int_list_state_still_reads(self, split):
+        """Checkpoint formats 4 and 5 list each state's words as ints."""
+        streams = RngStreams(seed=4, split=split)
+        keys = RngStreams.NAMES if split else ("shared",)
+        legacy = {
+            "mode": "split" if split else "shared",
+            "streams": {},
+        }
+        for key in keys:
+            version, internal, gauss = streams.stream(
+                "init" if key == "shared" else key
+            ).getstate()
+            legacy["streams"][key] = [version, list(internal), gauss]
+        restored = RngStreams.from_state(legacy)
+        assert restored.getstate() == streams.getstate()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda words: words[:-4],  # 624 words and a bit
+            lambda words: "!" + words[1:],  # not base64
+            lambda words: words + "AAAA",  # 626 words
+            lambda words: {"words": words},
+            lambda words: list(range(10)),  # a short int list
+        ],
+        ids=["truncated", "not-base64", "too-long", "not-a-string", "short-list"],
+    )
+    def test_malformed_state_raises_nautilus_error(self, damage):
+        state = RngStreams(seed=1).getstate()
+        version, words, gauss = state["streams"]["shared"]
+        state["streams"]["shared"] = [version, damage(words), gauss]
+        with pytest.raises(NautilusError, match="malformed RNG state"):
+            RngStreams(seed=1).setstate(state)
+
+    def test_missing_stream_raises_nautilus_error(self):
+        state = RngStreams(seed=1, split=True).getstate()
+        del state["streams"]["mutation"]
+        with pytest.raises(NautilusError, match="malformed RNG state"):
+            RngStreams(seed=1, split=True).setstate(state)
 
 
 class TestCheckpointRngRoundTrip:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis import trace_summary
 from repro.core import (
+    CappedJsonlTraceSink,
     JsonlTraceSink,
     NautilusError,
     RecordingTraceSink,
@@ -101,6 +102,61 @@ class TestJsonlTraceSink:
         sink.close()
         sink.emit(RunEvent(1, "generation-start", 1))
         assert len(path.read_text().splitlines()) == 1
+
+    def test_one_write_per_generation(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        sink = JsonlTraceSink(path)
+        sink.emit(RunEvent(0, "generation-start", 0))
+        sink.emit(RunEvent(1, "eval-batch", 0, {"size": 4}))
+        assert not path.exists()  # pending until the generation ends
+        sink.emit(RunEvent(2, "generation-end", 0))
+        assert len(path.read_text().splitlines()) == 3
+        sink.emit(RunEvent(3, "phase-budget", 0))
+        sink.emit(RunEvent(4, "stop", 0, {"reason": "horizon"}))
+        sink.close()
+        kinds = [json.loads(l)["kind"] for l in path.read_text().splitlines()]
+        assert kinds == [
+            "generation-start", "eval-batch", "generation-end",
+            "phase-budget", "stop",
+        ]
+
+    def test_append_after_torn_line_starts_a_new_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(
+            '{"seq": 0, "kind": "generation-start", "generation": 4}\n'
+            '{"seq": 1, "kind": "eval-ba'  # a daemon killed mid-write
+        )
+        sink = JsonlTraceSink(path)
+        sink.emit(RunEvent(2, "generation-start", 5))
+        sink.emit(RunEvent(3, "generation-end", 5))
+        sink.close()
+        events = []
+        for line in path.read_text().splitlines():
+            try:
+                events.append(json.loads(line))
+            except ValueError:
+                continue
+        assert [(e["kind"], e["generation"]) for e in events] == [
+            ("generation-start", 4),
+            ("generation-start", 5),
+            ("generation-end", 5),
+        ]
+
+    def test_capped_sink_bounds_the_file_after_every_write(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        sink = CappedJsonlTraceSink(path, max_events=4)  # slack 8
+        seq = 0
+        for generation in range(20):
+            for kind in ("generation-start", "eval-batch", "generation-end"):
+                sink.emit(RunEvent(seq, kind, generation))
+                seq += 1
+            lines = [json.loads(l) for l in path.read_text().splitlines()]
+            assert len(lines) <= 4 + 8
+            assert lines[-1]["kind"] == "generation-end"
+            assert lines[-1]["generation"] == generation
+        sink.close()
+        marker = [l for l in lines if l["kind"] == "trace-truncated"]
+        assert marker and marker[0]["dropped"] > 0
 
 
 class TestTraceSummary:

@@ -1,5 +1,8 @@
 """Tests for the round-robin scheduler (manual ticking: fully deterministic)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core import NautilusError
@@ -8,6 +11,8 @@ from repro.service import (
     CampaignState,
     CampaignStore,
     Scheduler,
+    SearchService,
+    ServiceClient,
     build_search,
 )
 
@@ -181,3 +186,85 @@ class TestThreadedLifecycle:
     def test_validation(self, tmp_path):
         with pytest.raises(NautilusError):
             Scheduler(CampaignStore(tmp_path), workers=0)
+
+
+def _eval_threads(ignore=()):
+    """Live evaluation-pool threads, except those in ``ignore`` (pools of
+    schedulers other tests left to the garbage collector)."""
+    return [
+        t for t in threading.enumerate()
+        if t.name.startswith("nautilus-eval") and t.is_alive()
+        and t not in ignore
+    ]
+
+
+class TestSharedEvaluationPool:
+    def test_threaded_daemon_shares_pools_and_stops_them(
+        self, tmp_path, noc_dataset, fft_ds
+    ):
+        """Campaigns stepped on the daemon's shared pools equal their
+        in-process runs, and stop() leaves no evaluation thread behind."""
+        datasets = {"noc": noc_dataset, "fft": fft_ds}
+        specs = [
+            CampaignSpec(query=query, engine=engine, generations=8, seed=seed)
+            for seed, (query, engine) in enumerate(
+                [("noc-frequency", "nautilus"), ("noc-frequency", "baseline"),
+                 ("fft-luts", "nautilus"), ("fft-luts", "baseline")] * 2
+            )
+        ]
+        specs[2] = CampaignSpec(
+            query="fft-luts", engine="nautilus", generations=8, seed=2,
+            workers=2,
+        )
+        service = SearchService(
+            tmp_path / "campaigns", workers=4,
+            dataset_provider=lambda name: datasets[name],
+        )
+        others = set(_eval_threads())
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads harder
+        try:
+            service.start()
+            client = ServiceClient(port=service.port)
+            ids = [client.submit(spec) for spec in specs]
+            finals = [client.wait(cid, timeout=120) for cid in ids]
+            pool_threads = _eval_threads(others)
+        finally:
+            service.stop()
+            sys.setswitchinterval(switch_interval)
+        assert 0 < len(pool_threads) <= 4 + 2  # one pool per worker count
+        assert _eval_threads(others) == []
+        for spec, cid, final in zip(specs, ids, finals):
+            assert final["state"] == CampaignState.DONE, final
+            result = service.scheduler.get(cid).result
+            dataset = datasets["noc" if spec.query.startswith("noc") else "fft"]
+            sequential = build_search(spec, dataset).run()
+            assert result.records == sequential.records
+            assert result.best_config == sequential.best_config
+            assert result.distinct_evaluations == sequential.distinct_evaluations
+            stats = result.eval_stats
+            assert stats.requests == (
+                stats.distinct + stats.memo_hits + stats.persistent_hits
+                + stats.batch_dedup_hits
+            )
+
+    def test_shutdown_clears_pools_and_a_new_campaign_recreates_them(
+        self, tmp_path, tiny_provider
+    ):
+        scheduler = Scheduler(
+            CampaignStore(tmp_path / "campaigns"),
+            workers=4,
+            dataset_provider=tiny_provider,
+        )
+        others = set(_eval_threads())
+        scheduler.submit(_spec(seed=1))
+        _drain(scheduler)
+        assert _eval_threads(others)
+        scheduler.shutdown()
+        assert _eval_threads(others) == []
+        campaign = scheduler.submit(_spec(seed=2))
+        _drain(scheduler)
+        assert campaign.state == CampaignState.DONE
+        assert _eval_threads(others)
+        scheduler.shutdown()
+        assert _eval_threads(others) == []

@@ -74,3 +74,13 @@ class TestStore:
     def test_missing_result_is_none(self, store, spec):
         campaign = store.create(spec)
         assert store.load_result(campaign.id) is None
+
+    def test_spans_appended_after_a_torn_line_survive(self, store, spec):
+        campaign = store.create(spec)
+        store.append_spans(campaign.id, [{"name": "run", "span_id": 1}])
+        with open(store.spans_path(campaign.id), "a", encoding="utf-8") as fh:
+            fh.write('{"name": "generation", "sp')  # killed mid-write
+        store.append_spans(campaign.id, [{"name": "run", "span_id": 2}])
+        assert [span["span_id"] for span in store.load_spans(campaign.id)] == [
+            1, 2,
+        ]
