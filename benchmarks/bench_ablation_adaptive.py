@@ -2,8 +2,8 @@
 
 Section 3 flags balancing guidance strength against GA stochasticity as "a
 particularly important issue" but leaves confidence fixed. The adaptive
-extension (``repro.core.adaptive``) backs confidence off when the search
-stalls and restores it while progress continues.
+extension (the ``AdaptiveConfidence`` guidance provider) backs confidence
+off when the search stalls and restores it while progress continues.
 
 Checks on the Figure 4 query:
 * with *correct* hints, adaptive ~= fixed strong confidence (no tax);
@@ -12,7 +12,7 @@ Checks on the Figure 4 query:
 """
 
 from repro.core import (
-    AdaptiveSearch,
+    AdaptiveConfidence,
     DatasetEvaluator,
     GAConfig,
     GeneticSearch,
@@ -30,24 +30,25 @@ def _sweep(dataset):
     right = frequency_hints(0.8)
     wrong = right.for_minimization()  # sign-flipped saboteur
 
-    def factory(cls, hints):
+    def factory(hints, adaptive=False):
         def build(seed):
-            return cls(
+            return GeneticSearch(
                 dataset.space,
                 DatasetEvaluator(dataset),
                 objective,
                 GAConfig(generations=GENERATIONS, seed=seed),
-                hints=hints,
+                hints=None if adaptive else hints,
+                guidance=AdaptiveConfidence(hints) if adaptive else None,
             )
 
         return build
 
     return {
-        "baseline (no hints)": run_many(factory(GeneticSearch, None), RUNS),
-        "fixed conf, right hints": run_many(factory(GeneticSearch, right), RUNS),
-        "adaptive, right hints": run_many(factory(AdaptiveSearch, right), RUNS),
-        "fixed conf, wrong hints": run_many(factory(GeneticSearch, wrong), RUNS),
-        "adaptive, wrong hints": run_many(factory(AdaptiveSearch, wrong), RUNS),
+        "baseline (no hints)": run_many(factory(None), RUNS),
+        "fixed conf, right hints": run_many(factory(right), RUNS),
+        "adaptive, right hints": run_many(factory(right, adaptive=True), RUNS),
+        "fixed conf, wrong hints": run_many(factory(wrong), RUNS),
+        "adaptive, wrong hints": run_many(factory(wrong, adaptive=True), RUNS),
     }
 
 

@@ -2,13 +2,14 @@
 
 Runs fig4/fig6-style workloads (noc-frequency and fft-luts) through every
 single-objective engine — the baseline GA, the guided (nautilus) GA, the
-adaptive-confidence GA, and the random-sampling baseline — plus both
-multi-objective queries through the NSGA-II ``ParetoSearch`` (population 24,
-80 generations, as the service runs them), and compares the *full*
-per-generation convergence curve of each of the 20 seeded runs against the
-checked-in baseline in ``benchmarks/baselines/engine_parity.json``. Pareto
-runs also pin their final non-dominated front: sorted raw metric tuples and
-sorted parameter assignments.
+GA guided by ``AdaptiveConfidence``, and the random-sampling baseline —
+plus both multi-objective queries through the NSGA-II ``ParetoSearch``
+(population 24, 80 generations, as the service runs them), and compares
+the *full* per-generation convergence curve of each of the 20 seeded runs
+against the checked-in baseline in
+``benchmarks/baselines/engine_parity.json``. Pareto runs also pin their
+final non-dominated front: sorted raw metric tuples and sorted parameter
+assignments.
 
 Where ``smoke_eval_counts.py`` pins only the end-of-run distinct-evaluation
 count, this check pins every point of every curve: generation index,
@@ -38,7 +39,7 @@ import sys
 from pathlib import Path
 
 from repro.core import (
-    AdaptiveSearch,
+    AdaptiveConfidence,
     DatasetEvaluator,
     GAConfig,
     GeneticSearch,
@@ -82,7 +83,10 @@ def _build(
         return GeneticSearch(
             dataset.space, evaluator, objective, config, hints=hints
         )
-    return AdaptiveSearch(dataset.space, evaluator, objective, config, hints=hints)
+    return GeneticSearch(
+        dataset.space, evaluator, objective, config,
+        guidance=AdaptiveConfidence(hints),
+    )
 
 
 def _curve(result) -> list[list]:
@@ -161,8 +165,9 @@ def check_observability_identity() -> list[str]:
                     dataset.space, evaluator, objective, config, hints=hints
                 )
             else:
-                search = AdaptiveSearch(
-                    dataset.space, evaluator, objective, config, hints=hints
+                search = GeneticSearch(
+                    dataset.space, evaluator, objective, config,
+                    guidance=AdaptiveConfidence(hints),
                 )
             curves[enabled] = _curve(search.run())
         if curves[True] != curves[False]:
@@ -235,14 +240,13 @@ def check_tracing_identity() -> list[str]:
 
 
 def check_guidance_identity() -> list[str]:
-    """Explicit providers must match the hints= shorthand bit-for-bit.
+    """An explicit provider must match the hints= shorthand bit-for-bit.
 
     ``GeneticSearch(hints=h)`` and ``GeneticSearch(guidance=StaticHints(h))``
-    are two spellings of the same search; likewise ``AdaptiveSearch`` and a
-    plain GA composed with an ``AdaptiveConfidence`` provider. Any drift
-    means the guidance refactor changed engine behavior.
+    are two spellings of the same search. Any drift means the guidance
+    refactor changed engine behavior.
     """
-    from repro.core import AdaptiveConfidence, StaticHints
+    from repro.core import StaticHints
 
     failures = []
     query = QUERIES["noc-frequency"]
@@ -259,16 +263,6 @@ def check_guidance_identity() -> list[str]:
             GeneticSearch(
                 dataset.space, DatasetEvaluator(dataset), objective, config,
                 guidance=StaticHints(hints),
-            ),
-        ),
-        "adaptive": (
-            AdaptiveSearch(
-                dataset.space, DatasetEvaluator(dataset), objective, config,
-                hints=hints,
-            ),
-            GeneticSearch(
-                dataset.space, DatasetEvaluator(dataset), objective, config,
-                guidance=AdaptiveConfidence(hints),
             ),
         ),
     }

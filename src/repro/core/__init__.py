@@ -81,12 +81,7 @@ from .evalstack import (
     PersistentCache,
     evaluator_fingerprint,
 )
-from .evaluator import (
-    CallableEvaluator,
-    CountingEvaluator,
-    DatasetEvaluator,
-    Evaluator,
-)
+from .evaluator import CallableEvaluator, DatasetEvaluator, Evaluator
 from .engine import (
     GAConfig,
     GenerationRecord,
@@ -113,13 +108,7 @@ from .expressions import (
     objective_from_expression,
     parse_expression,
 )
-from .adaptive import AdaptiveSearch
-from .checkpoint import (
-    CheckpointedParetoSearch,
-    CheckpointedSearch,
-    SearchCheckpoint,
-)
-from .parallel import BatchEvaluator, ParallelEvaluator, evaluate_batch
+from .checkpoint import SearchCheckpoint
 from .pareto import (
     ParetoIndividual,
     ParetoResult,
@@ -187,7 +176,6 @@ __all__ = [
     "minimize",
     "Evaluator",
     "CallableEvaluator",
-    "CountingEvaluator",
     "DatasetEvaluator",
     # evaluation stack
     "EvalStats",
@@ -219,15 +207,8 @@ __all__ = [
     "parse_expression",
     "objective_from_expression",
     "ExpressionError",
-    # adaptive-confidence extension
-    "AdaptiveSearch",
-    "CheckpointedSearch",
-    "CheckpointedParetoSearch",
+    # checkpoint format
     "SearchCheckpoint",
-    # parallel evaluation
-    "BatchEvaluator",
-    "ParallelEvaluator",
-    "evaluate_batch",
     # multi-objective extension
     "ParetoIndividual",
     "ParetoResult",

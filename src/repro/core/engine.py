@@ -27,14 +27,15 @@ memo-only stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping, Sequence
 
-from ..obs.attribution import BreedingObserver
+from .checkpoint import SearchCheckpoint
 from .errors import InfeasibleDesignError, NautilusError
 from .evaluator import Evaluator
 from .fitness import Objective
 from .genome import Genome
-from .guidance import GuidanceProvider, StaticHints
+from .guidance import GuidanceProvider
 from .hints import HintSet
 from .kernel import (
     GenerationalEngine,
@@ -42,13 +43,7 @@ from .kernel import (
     SearchKernel,
     SearchResult,
 )
-from .operators import (
-    BreedingPipeline,
-    GeneticOperators,
-    single_point_crossover,
-    two_point_crossover,
-    uniform_crossover,
-)
+from .operators import _CROSSOVERS
 from .population import Population
 from .selection import SELECTION_STRATEGIES, Individual
 from .space import DesignSpace
@@ -61,12 +56,6 @@ __all__ = [
     "RandomSearch",
     "exhaustive_best",
 ]
-
-_CROSSOVERS = {
-    "uniform": uniform_crossover,
-    "single_point": single_point_crossover,
-    "two_point": two_point_crossover,
-}
 
 _RNG_STREAM_MODES = ("shared", "split")
 
@@ -213,7 +202,11 @@ class GeneticSearch(GenerationalEngine):
         label: Free-form label carried into the result (for plots).
         guidance: A :class:`~repro.core.guidance.GuidanceProvider` steering
             the operators generation by generation. Mutually exclusive with
-            ``hints``.
+            ``hints``. ``guidance=AdaptiveConfidence(hints)`` is the
+            adaptive-confidence extension.
+        checkpoint_path: Journal file for checkpoint/resume (see
+            :class:`~repro.core.kernel.GenerationalEngine`); ``None``
+            writes no journal.
     """
 
     def __init__(
@@ -225,55 +218,27 @@ class GeneticSearch(GenerationalEngine):
         hints: HintSet | None = None,
         label: str = "",
         guidance: GuidanceProvider | None = None,
+        checkpoint_path: str | Path | None = None,
         clock=None,
     ):
-        if hints is not None and guidance is not None:
-            raise NautilusError(
-                "pass either hints or a guidance provider, not both"
-            )
-        self.config = config or GAConfig()
+        config = config or GAConfig()
         guided = hints is not None or guidance is not None
         super().__init__(
             space,
             evaluator,
             objective,
+            config,
             label=label or ("nautilus" if guided else "baseline"),
-            seed=self.config.seed,
-            max_evaluations=self.config.max_evaluations,
-            horizon=self.config.generations,
-            stall_generations=self.config.stall_generations,
-            split_rngs=self.config.rng_streams == "split",
-            observability=self.config.observability,
-            tracing=self.config.tracing,
+            selection=SELECTION_STRATEGIES[config.selection],
+            bind_objective=objective,
+            hints=hints,
+            guidance=guidance,
+            checkpoint_path=checkpoint_path,
             clock=clock,
         )
-        provider = guidance if guidance is not None else (
-            StaticHints(hints) if hints is not None else None
-        )
-        if provider is not None:
-            # Binding validates the hints against the space and orients
-            # author biases (stated w.r.t. the raw metric) for minimization.
-            provider.bind(space, objective, self._counter)
-        self._guidance = provider
         #: Archived seeds actually injected into generation 0 (stays 0 on a
         #: cold start *and* on a checkpoint resume, which never re-seeds).
         self.warm_start_seeds = 0
-        self.operators = GeneticOperators(space, self.config.mutation_rate)
-        if self.config.observability:
-            self.operators.observer = BreedingObserver()
-        self.pipeline = BreedingPipeline(
-            space,
-            self.operators,
-            SELECTION_STRATEGIES[self.config.selection],
-            _CROSSOVERS[self.config.crossover],
-            self.config.crossover_rate,
-            clock=self._clock,
-        )
-
-    @property
-    def hints(self) -> HintSet | None:
-        """The oriented hint set in force, or None on an unguided run."""
-        return self._guidance.hints if self._guidance is not None else None
 
     # -- scoring ------------------------------------------------------------------
 
@@ -386,6 +351,17 @@ class GeneticSearch(GenerationalEngine):
             distinct_evaluations=self._counter.distinct_evaluations,
             best_config=self._best.genome.as_dict(),
         )
+
+    def _restore_population(self, checkpoint: SearchCheckpoint) -> None:
+        # Cached, so re-assessing the population costs no synthesis jobs.
+        self._population = Population(
+            [self._assess(g) for g in checkpoint.population_genomes(self.space)]
+        )
+        best = max(self._population, key=lambda ind: ind.score)
+        for row in checkpoint.records:
+            if row["best_score"] > best.score:
+                best = self._assess(self.space.genome(row["best_config"]))
+        self._best = best
 
 
 class RandomSearch(SearchKernel):

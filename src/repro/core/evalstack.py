@@ -32,8 +32,7 @@ layer preserves submission order and returns one outcome (a metrics dict or
 the exception the evaluation raised) per genome, so batch and serial paths
 are bit-identical — the engines rely on this for seeded reproducibility.
 
-Accounting invariant, kept for compatibility with the old
-:class:`~repro.core.evaluator.CountingEvaluator`::
+Accounting invariant::
 
     total_requests == distinct_evaluations + memo_hits
                       + persistent_hits + batch_dedup_hits
@@ -69,13 +68,12 @@ __all__ = [
     "EvaluationStack",
     "PersistentCache",
     "evaluator_fingerprint",
-    "run_backend_batch",
 ]
 
 #: An evaluation outcome: the metrics dict, or the exception the run raised.
 Outcome = Any
 
-_BACKENDS = ("auto", "inline", "thread", "process", "fleet")
+_BACKENDS = ("inline", "thread", "process", "fleet")
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +194,12 @@ def evaluator_fingerprint(evaluator: Any) -> str:
 
 
 class _InlineBackend:
-    """Run the inner evaluator directly, one design at a time.
+    """Run the inner evaluator directly, one design at a time."""
 
-    When the inner evaluator exposes its own ``evaluate_many`` (a legacy
-    :class:`~repro.core.parallel.ParallelEvaluator`, say), the whole batch
-    is delegated so existing parallel evaluators keep their fan-out.
-    """
-
-    def __init__(self, inner: "Evaluator", delegate_batches: bool = True):
+    def __init__(self, inner: "Evaluator"):
         self.inner = inner
-        self._delegate = delegate_batches
 
     def evaluate_many(self, genomes: Sequence[Genome]) -> list[Outcome]:
-        if self._delegate:
-            many = getattr(self.inner, "evaluate_many", None)
-            if many is not None:
-                return list(many(genomes))
         results: list[Outcome] = []
         for genome in genomes:
             try:
@@ -245,7 +233,7 @@ class _PoolBackend:
         self._executor_cls = (
             ProcessPoolExecutor if kind == "process" else ThreadPoolExecutor
         )
-        self._inline = _InlineBackend(inner, delegate_batches=False)
+        self._inline = _InlineBackend(inner)
 
     def evaluate_many(self, genomes: Sequence[Genome]) -> list[Outcome]:
         if len(genomes) < 2:
@@ -264,17 +252,6 @@ class _PoolBackend:
             except Exception as exc:
                 results.append(exc)
         return results
-
-
-def run_backend_batch(
-    evaluator: "Evaluator", genomes: Sequence[Genome]
-) -> list[Outcome]:
-    """Evaluate a batch through a bare inline backend (no caching layers).
-
-    This is the engine-room behind the legacy
-    :func:`repro.core.parallel.evaluate_batch` helper.
-    """
-    return _InlineBackend(evaluator).evaluate_many(genomes)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +287,7 @@ class _Batcher:
     """Coalesce duplicate keys within one batch; optionally chunk huge ones.
 
     Duplicates cost nothing extra — a generation that breeds the same
-    genome twice pays for one synthesis job, as the old
-    ``CountingEvaluator.evaluate_many`` guaranteed.
+    genome twice pays for one synthesis job.
     """
 
     def __init__(self, next_layer, counters: _Counters, batch_size: int | None = None):
@@ -720,13 +696,14 @@ class EvaluationStack:
 
     Args:
         inner: The base evaluator that actually scores designs.
-        backend: ``"auto"`` (default: inline, delegating whole batches to an
-            inner ``evaluate_many`` when it has one), ``"inline"`` (strictly
-            sequential), ``"thread"`` or ``"process"`` (pool fan-out; the
-            useful pool size is the GA population — the paper's parallelism
-            cap), or ``"fleet"`` (dispatch batches to the distributed
-            worker fleet of ``fleet``, degrading to inline execution when
-            no worker can serve the space — see :mod:`repro.distributed`).
+        backend: ``"inline"`` (default: one design at a time on the calling
+            thread), ``"thread"`` or ``"process"`` (pool fan-out, results
+            in submission order, each design's exception returned in its
+            place; the useful pool size is the GA population — the paper's
+            parallelism cap; a ``"process"`` evaluator must be picklable),
+            or ``"fleet"`` (dispatch batches to the distributed worker
+            fleet of ``fleet``, degrading to inline execution when no
+            worker can serve the space — see :mod:`repro.distributed`).
         workers: Pool size for the thread/process backends.
         executor: Optional pool the thread/process backend submits to,
             owned by the caller (the service scheduler shares one per
@@ -760,7 +737,7 @@ class EvaluationStack:
         self,
         inner: "Evaluator",
         *,
-        backend: str = "auto",
+        backend: str = "inline",
         workers: int = 1,
         persistent: PersistentCache | None = None,
         batch_size: int | None = None,
@@ -803,7 +780,7 @@ class EvaluationStack:
                 inner, workers=workers, kind=backend, executor=executor
             )
         else:
-            tail = _InlineBackend(inner, delegate_batches=backend == "auto")
+            tail = _InlineBackend(inner)
         self._tail = tail
         layer = _Instrumentation(tail, self._counters, clock=clock)
         layer = _Batcher(layer, self._counters, batch_size=batch_size)
@@ -825,13 +802,6 @@ class EvaluationStack:
         if isinstance(evaluator, EvaluationStack):
             return evaluator
         return cls(evaluator, **options)
-
-    @classmethod
-    def for_dataset(cls, dataset, **options) -> "EvaluationStack":
-        """A stack over a characterized dataset (the service's backend)."""
-        from .evaluator import DatasetEvaluator
-
-        return cls(DatasetEvaluator(dataset), **options)
 
     # -- evaluation -------------------------------------------------------------
 

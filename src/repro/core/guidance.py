@@ -22,8 +22,9 @@ Three providers rebase the pre-existing behavior:
 * :class:`StaticHints` — an author :class:`HintSet` as-is; decay is folded
   into each generation's effective importances (the classic Nautilus run).
 * :class:`AdaptiveConfidence` — the stall/backoff/recovery confidence
-  controller previously hard-wired into ``AdaptiveSearch``, now an engine-
-  independent policy any generational engine can compose.
+  controller, an engine-independent policy any generational engine can
+  compose (``GeneticSearch(..., guidance=AdaptiveConfidence(hints))`` is
+  the adaptive-confidence extension).
 * :class:`EstimatedHints` — runs an :func:`~repro.core.estimation.estimate_hints`
   sweep on first use (charged to the engine's own evaluation stack) and then
   behaves like :class:`StaticHints`; the estimated set is checkpointed so a

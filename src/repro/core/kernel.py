@@ -1,10 +1,10 @@
 """The search kernel: one lifecycle, one RNG discipline, one trace.
 
-Every engine in this reproduction — the baseline/guided generational GA,
-the adaptive-confidence variant, the NSGA-II multi-objective search, and
-the random-sampling baseline — is a thin strategy layered on the same
-:class:`SearchKernel`. The kernel owns the three things the engines used to
-re-implement independently:
+Every engine in this reproduction — the baseline/guided generational GA
+(adaptive confidence is one of its guidance providers), the NSGA-II
+multi-objective search, and the random-sampling baseline — is a thin
+strategy layered on the same :class:`SearchKernel`. The kernel owns the
+three things the engines used to re-implement independently:
 
 * **Lifecycle** — the incremental ``start()`` / ``step()`` protocol the
   service scheduler interleaves, the ``finished`` / ``stop_reason`` state
@@ -29,8 +29,10 @@ re-implement independently:
   and the service persists the same events per campaign as a JSONL log.
 
 :class:`GenerationalEngine` specializes the kernel for population-based
-searches (propose → evaluate → select survivors → record); concrete
-engines only declare their operator pipeline and survivor rule.
+searches (propose → evaluate → select survivors → record) and owns their
+shared setup (guidance provider, operators, breeding pipeline) and their
+checkpoint journal; concrete engines only declare their selection
+strategy and survivor rule.
 """
 
 from __future__ import annotations
@@ -46,16 +48,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from ..obs.attribution import summarize_generation
+from ..obs.attribution import BreedingObserver, summarize_generation
 from ..obs.clock import DEFAULT_CLOCK
 from ..obs.health import population_health
 from ..obs.tracing import SpanRecorder
+from .checkpoint import CheckpointJournal, SearchCheckpoint
 from .errors import NautilusError
 from .evalstack import EvalStats, EvaluationStack
 from .fileio import open_append
 from .fitness import Objective
 from .genome import Genome
-from .guidance import GuidanceProvider, GuidanceState
+from .guidance import GuidanceProvider, GuidanceState, StaticHints
+from .hints import HintSet
+from .operators import _CROSSOVERS, BreedingPipeline, GeneticOperators
 from .population import Population
 from .selection import Individual
 
@@ -733,11 +738,6 @@ class SearchKernel:
         return self._guidance
 
     @property
-    def guidance_state(self) -> GuidanceState | None:
-        """The guidance state in force for the current generation."""
-        return self._guidance_state
-
-    @property
     def rngs(self) -> RngStreams:
         """The named RNG streams (available once started)."""
         if self._rngs is None:
@@ -867,7 +867,6 @@ class SearchKernel:
             self._tracer.end(
                 self._run_span, generations=self._generation, stop_reason=reason
             )
-        self._on_finish(reason)
 
     def _push_record(self, record: GenerationRecord) -> GenerationRecord:
         """Append a record and emit its generation-end event."""
@@ -895,15 +894,9 @@ class SearchKernel:
     def _do_step(self):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _after_generation(self, record: GenerationRecord) -> None:
-        """Hook invoked after each completed generation (subclass seam)."""
-
-    def _on_finish(self, reason: str) -> None:
-        """Hook invoked exactly once when a stopping cutoff fires."""
-
     def close(self) -> None:
         """Release files the search holds open (a no-op unless it
-        checkpoints); a later snapshot reopens them."""
+        checkpoints); a later journal line reopens them."""
 
 
 class GenerationalEngine(SearchKernel):
@@ -913,10 +906,101 @@ class GenerationalEngine(SearchKernel):
     evaluate them as one batch, pick survivors, observe progress, record —
     and each stage is a hook: :meth:`_initial_genomes`,
     :meth:`_propose`, :meth:`_to_individuals`, :meth:`_survivors`,
-    :meth:`_observe_start` / :meth:`_observe`, and :meth:`_make_record`.
+    :meth:`_observe_start` / :meth:`_observe`, :meth:`_make_record` and
+    :meth:`_restore_population`.
+
+    The constructor does the setup every generational engine shares: the
+    guidance provider (``hints`` is shorthand for
+    ``guidance=StaticHints(hints)``; the two are mutually exclusive) bound
+    to the space and to ``bind_objective``, the operators with their
+    breeding observer, and the breeding pipeline over ``selection``.
+    ``config`` is a :class:`~repro.core.engine.GAConfig`.
+
+    With ``checkpoint_path`` the engine journals itself (format in
+    :mod:`repro.core.checkpoint`): one line after every generation step
+    (generation 0 rides in generation 1's line), a compaction into one
+    line when a cutoff fires, and :meth:`resume` to continue from a
+    journal. Without it, :meth:`resume` still loads a journal given by
+    path, and nothing is written.
     """
 
+    def __init__(
+        self,
+        space,
+        evaluator,
+        objective: Objective,
+        config,
+        *,
+        label: str,
+        selection: Callable,
+        bind_objective: Objective | None,
+        hints: HintSet | None = None,
+        guidance: GuidanceProvider | None = None,
+        checkpoint_path: str | Path | None = None,
+        clock: Callable[[], float] | None = None,
+    ):
+        if hints is not None and guidance is not None:
+            raise NautilusError(
+                "pass either hints or a guidance provider, not both"
+            )
+        self.config = config
+        super().__init__(
+            space,
+            evaluator,
+            objective,
+            label=label,
+            seed=config.seed,
+            max_evaluations=config.max_evaluations,
+            horizon=config.generations,
+            stall_generations=config.stall_generations,
+            split_rngs=config.rng_streams == "split",
+            observability=config.observability,
+            tracing=config.tracing,
+            clock=clock,
+        )
+        provider = guidance if guidance is not None else (
+            StaticHints(hints) if hints is not None else None
+        )
+        if provider is not None:
+            # Binding validates the hints against the space and, given an
+            # objective, orients author biases (stated w.r.t. the raw
+            # metric) for minimization.
+            provider.bind(space, bind_objective, self._counter)
+        self._guidance = provider
+        self.operators = GeneticOperators(space, config.mutation_rate)
+        if config.observability:
+            self.operators.observer = BreedingObserver()
+        self.pipeline = BreedingPipeline(
+            space,
+            self.operators,
+            selection,
+            _CROSSOVERS[config.crossover],
+            config.crossover_rate,
+            clock=self._clock,
+        )
+        self.checkpoint_path = (
+            Path(checkpoint_path) if checkpoint_path is not None else None
+        )
+        self._journal = (
+            CheckpointJournal(self.checkpoint_path)
+            if self.checkpoint_path is not None
+            else None
+        )
+        self._resume_from: SearchCheckpoint | None = None
+        self._resume_rngs: RngStreams | None = None
+        #: Watermarks: memo rows and records already in the journal.
+        self._rows_journaled = 0
+        self._records_journaled = 0
+
+    @property
+    def hints(self) -> HintSet | None:
+        """The hint set in force (oriented for the objective it was bound
+        to), or None on an unguided run."""
+        return self._guidance.hints if self._guidance is not None else None
+
     def _do_start(self) -> GenerationRecord:
+        if self._resume_from is not None:
+            return self._restore()
         tr = self._tracer
         gen_span = (
             tr.begin("generation", parent=self._run_span, generation=0)
@@ -1021,7 +1105,8 @@ class GenerationalEngine(SearchKernel):
         if tr is not None:
             b3 = self._clock()
             tr.record("phase", b2, b3, parent=gen_span, phase="observe")
-        self._after_generation(record)
+        if self._journal is not None:
+            self._snapshot()
         if tr is not None:
             b4 = self._clock()
             tr.record("phase", b3, b4, parent=gen_span, phase="checkpoint")
@@ -1079,6 +1164,143 @@ class GenerationalEngine(SearchKernel):
             )
             self._materialize_eval_spans(batch_span)
         return self._to_individuals(genomes, outcomes)
+
+    def _finish(self, reason: str) -> None:
+        super()._finish(reason)
+        if self._journal is not None:
+            self._compact()
+
+    # -- checkpointing (format in repro.core.checkpoint) -------------------------
+
+    def _cache_rows(self, start: int = 0) -> list[dict[str, Any]]:
+        rows = []
+        for (__, values), outcome in self._counter.memo_items(start):
+            metrics = None if isinstance(outcome, Exception) else dict(outcome)
+            rows.append({"values": list(values), "metrics": metrics})
+        return rows
+
+    def _checkpoint(self, cache, records) -> SearchCheckpoint:
+        return SearchCheckpoint(
+            space_name=self.space.name,
+            generation=self._generation,
+            population=[list(ind.genome.codes) for ind in self._population],
+            params=list(self.space.param_names),
+            rng_streams=self.rngs.getstate(),
+            records=[{f: getattr(r, f) for f in _RECORD_FIELDS} for r in records],
+            cache=cache,
+            stalled=self._stalled_generations,
+            guidance=(
+                self._guidance.state_dict() if self._guidance is not None else None
+            ),
+            eval_stats=self._counter.stats().counts(),
+        )
+
+    def _snapshot(self) -> None:
+        """Append one journal line: the state plus what is new since the
+        previous line."""
+        rows = self._cache_rows(self._rows_journaled)
+        records = self._records[self._records_journaled:]
+        self._journal.append(self._checkpoint(rows, records))
+        self._rows_journaled += len(rows)
+        self._records_journaled += len(records)
+
+    def _compact(self) -> None:
+        """Replace the journal with one full line (tmp + replace)."""
+        self._journal.close()
+        checkpoint = self._checkpoint(self._cache_rows(), self._records)
+        checkpoint.save(self.checkpoint_path)
+        self._rows_journaled = len(checkpoint.cache)
+        self._records_journaled = len(checkpoint.records)
+        self._journal = CheckpointJournal(
+            self.checkpoint_path, keep=self.checkpoint_path.stat().st_size
+        )
+
+    def close(self) -> None:
+        if self._journal is not None:
+            self._journal.close()
+
+    def resume(self, path: str | Path | None = None):
+        """Load a journal (default: ``checkpoint_path``); the next
+        :meth:`start` continues from it.
+
+        The evaluation cache and counters are restored immediately (so even
+        pre-run lookups are free) and the RNG streams are decoded (a
+        damaged state raises :class:`NautilusError` here); population, RNG
+        streams and history take effect when the search starts. A journal
+        with no complete line (killed during its first append) resumes
+        nothing: the search starts fresh and overwrites it.
+        """
+        path = Path(path) if path is not None else self.checkpoint_path
+        if path is None:
+            raise NautilusError("resume() needs a path or a checkpoint_path")
+        checkpoint = SearchCheckpoint.read(path)
+        if checkpoint is None:
+            return self
+        if checkpoint.space_name != self.space.name:
+            raise NautilusError(
+                f"checkpoint is for space {checkpoint.space_name!r}, "
+                f"not {self.space.name!r}"
+            )
+        if checkpoint.params is not None and tuple(checkpoint.params) != self.space.param_names:
+            raise NautilusError(
+                f"checkpoint parameter order {tuple(checkpoint.params)!r} does "
+                f"not match space {self.space.name!r} parameters "
+                f"{self.space.param_names!r}"
+            )
+        rngs = RngStreams(self.seed, split=self.split_rngs)
+        rngs.setstate(checkpoint.rng_streams)
+        for config, metrics in checkpoint.cache_configs(self.space):
+            self._counter.preload(self.space.genome(config), metrics)
+        self._counter.restore_counts(
+            checkpoint.eval_stats
+            if checkpoint.eval_stats is not None
+            else {"distinct": len(checkpoint.cache)}
+        )
+        if (
+            self.checkpoint_path is not None
+            and path.resolve() == self.checkpoint_path.resolve()
+        ):
+            # Continue this journal; everything restored is already in it.
+            self._journal = CheckpointJournal(path, keep=checkpoint.end)
+            self._rows_journaled = len(checkpoint.cache)
+            self._records_journaled = len(checkpoint.records)
+        self._resume_from = checkpoint
+        self._resume_rngs = rngs
+        return self
+
+    def _restore(self) -> GenerationRecord:
+        """Start from the journal :meth:`resume` loaded.
+
+        The population, RNG streams, history (replayed into the trace
+        without notifying sinks — the events were delivered before the
+        interruption), best-so-far, the stall counter and the evaluation
+        counters are all reconstituted, so the continued step sequence is
+        exactly the run that would have happened without the interruption —
+        including ``stall_generations`` cutoffs and
+        :class:`~repro.core.evalstack.EvalStats`. Returns the record of the
+        last completed generation.
+        """
+        checkpoint, self._rngs = self._resume_from, self._resume_rngs
+        self._resume_from = self._resume_rngs = None
+        # Re-assessing the restored population only hits the memo; keep
+        # those lookups out of the restored counters.
+        counts = self._counter.stats().counts()
+        self._restore_population(checkpoint)
+        self._counter.restore_counts(counts)
+        for payload in checkpoint.records:
+            self._replay_record(payload)
+        self._generation = checkpoint.generation
+        self._stalled_generations = checkpoint.stalled or 0
+        if self._guidance is not None:
+            if checkpoint.guidance is not None:
+                self._guidance.load_state_dict(checkpoint.guidance)
+            # Rebuild the in-force state for the checkpointed generation so
+            # the next step's advance() continues the provider's sequence.
+            self._guidance_state = self._guidance.peek(checkpoint.generation)
+        else:
+            self._guidance_state = GuidanceState.neutral(checkpoint.generation)
+        records = self._records
+        return records[-1] if records else self._make_record(self._generation)
 
     # -- tracing (see repro.obs.tracing; zero RNG draws by construction) ---------
 
@@ -1324,4 +1546,9 @@ class GenerationalEngine(SearchKernel):
 
     def _make_record(self, generation: int) -> GenerationRecord:
         """Summarize the current population into a record."""
+        raise NotImplementedError  # pragma: no cover - abstract
+
+    def _restore_population(self, checkpoint: SearchCheckpoint) -> None:
+        """Install a checkpoint's population and best-so-far (re-assessed
+        from the restored memo, so it costs no synthesis jobs)."""
         raise NotImplementedError  # pragma: no cover - abstract

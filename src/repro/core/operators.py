@@ -305,6 +305,14 @@ def two_point_crossover(a: Genome, b: Genome, rng: random.Random) -> Genome:
     return Genome.from_codes(a.space, ac[:lo] + bc[lo : hi + 1] + ac[hi + 1:])
 
 
+#: ``GAConfig.crossover`` name -> operator.
+_CROSSOVERS = {
+    "uniform": uniform_crossover,
+    "single_point": single_point_crossover,
+    "two_point": two_point_crossover,
+}
+
+
 class BreedingPipeline:
     """One offspring = select → crossover → mutate, drawn from named streams.
 

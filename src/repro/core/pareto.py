@@ -33,18 +33,19 @@ a generation "improves" when the non-dominated set changes at all.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 from typing import Any, Sequence
 
-from .engine import GAConfig, _CROSSOVERS
+from .checkpoint import SearchCheckpoint
+from .engine import GAConfig
 from .errors import InfeasibleDesignError, NautilusError
 from .evalstack import EvalStats
 from .evaluator import Evaluator
 from .fitness import Objective
 from .genome import Genome
-from .guidance import GuidanceProvider, StaticHints
+from .guidance import GuidanceProvider
 from .hints import HintSet
 from .kernel import GenerationalEngine, GenerationRecord, RunEvent
-from .operators import BreedingPipeline, GeneticOperators
 from .selection import Individual
 from .space import DesignSpace
 
@@ -317,6 +318,11 @@ class ParetoSearch(GenerationalEngine):
             mutually exclusive with ``hints``. Providers are bound without
             an orienting objective — multi-objective hints are taken as
             authored (see the module docstring).
+        checkpoint_path: Journal file for checkpoint/resume, as for
+            :class:`~repro.core.engine.GeneticSearch`. Scores are not
+            journaled: a resume re-assesses the population from the
+            restored evaluation cache and re-ranks it, so the NSGA-II state
+            (ranks, crowding, front signature) is rebuilt bit-identically.
     """
 
     def __init__(
@@ -328,58 +334,29 @@ class ParetoSearch(GenerationalEngine):
         hints: HintSet | None = None,
         label: str = "pareto",
         guidance: GuidanceProvider | None = None,
+        checkpoint_path: str | Path | None = None,
         clock=None,
     ):
         if len(objectives) < 2:
             raise NautilusError("ParetoSearch needs at least 2 objectives")
-        if hints is not None and guidance is not None:
-            raise NautilusError(
-                "pass either hints or a guidance provider, not both"
-            )
         self.objectives = list(objectives)
-        self.config = config or GAConfig(population_size=24, elitism=1)
         super().__init__(
             space,
             evaluator,
             # Records/curves project onto the first objective.
             self.objectives[0],
+            config or GAConfig(population_size=24, elitism=1),
             label=label,
-            seed=self.config.seed,
-            max_evaluations=self.config.max_evaluations,
-            horizon=self.config.generations,
-            stall_generations=self.config.stall_generations,
-            split_rngs=self.config.rng_streams == "split",
-            observability=self.config.observability,
-            tracing=self.config.tracing,
-            clock=clock,
-        )
-        provider = guidance if guidance is not None else (
-            StaticHints(hints) if hints is not None else None
-        )
-        if provider is not None:
+            selection=self._tournament,
             # No orienting objective: directional hints point at the region
             # of interest as authored (module docstring), so only validate.
-            provider.bind(space, None, self._counter)
-        self._guidance = provider
-        self.operators = GeneticOperators(space, self.config.mutation_rate)
-        if self.config.observability:
-            from ..obs.attribution import BreedingObserver
-
-            self.operators.observer = BreedingObserver()
-        self.pipeline = BreedingPipeline(
-            space,
-            self.operators,
-            self._tournament,
-            _CROSSOVERS[self.config.crossover],
-            self.config.crossover_rate,
-            clock=self._clock,
+            bind_objective=None,
+            hints=hints,
+            guidance=guidance,
+            checkpoint_path=checkpoint_path,
+            clock=clock,
         )
         self._front_signature: tuple = ()
-
-    @property
-    def hints(self) -> HintSet | None:
-        """The hint set in force, or None on an unguided run."""
-        return self._guidance.hints if self._guidance is not None else None
 
     # -- scoring ------------------------------------------------------------------
 
@@ -499,6 +476,14 @@ class ParetoSearch(GenerationalEngine):
             distinct_evaluations=self._counter.distinct_evaluations,
             best_config=self._best.genome.as_dict(),
         )
+
+    def _restore_population(self, checkpoint: SearchCheckpoint) -> None:
+        self._population = self._assess_all(
+            checkpoint.population_genomes(self.space)
+        )
+        self._rank(self._population)
+        self._front_signature = self._signature()
+        self._best = self._projected_best()
 
     # -- front bookkeeping ---------------------------------------------------------
 

@@ -102,7 +102,7 @@ class Dataset:
 
         stack = EvaluationStack(
             evaluator,
-            backend="thread" if workers > 1 else "auto",
+            backend="thread" if workers > 1 else "inline",
             workers=workers,
         )
         dataset = cls(name or space.name, space)

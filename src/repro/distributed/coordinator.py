@@ -39,7 +39,6 @@ from typing import Any, Sequence
 from ..obs.clock import DEFAULT_CLOCK
 from .protocol import (
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     ProtocolError,
     read_message,
     send_message,
@@ -85,7 +84,7 @@ class _Task:
         #: tracing submitter asked for it (zero overhead otherwise).
         self.events: list[dict[str, Any]] | None = None
         #: Span context of the tracing submitter, forwarded in the batch
-        #: frame so v2 workers can echo it back.
+        #: frame so the worker can echo it back.
         self.trace_ctx: dict[str, Any] | None = None
 
     def note(self, event: str, worker: str | None, at: float, **extra) -> None:
@@ -336,7 +335,7 @@ class FleetCoordinator:
         ``trace`` is an optional span context (``{"trace": ..., "parent":
         ...}``) from a tracing caller. It turns on the per-task event log
         (dispatches, retries, completion, dropped duplicates) and rides
-        the batch frames to v2 workers; each returned outcome then carries
+        the batch frames to the workers; each returned outcome then carries
         a ``"trace"`` payload whose event times are *offsets in seconds
         relative to this submission* — the caller anchors them inside its
         own eval-batch span, so coordinator and campaign clocks never need
@@ -471,7 +470,7 @@ class FleetCoordinator:
             if (
                 hello is None
                 or hello.get("type") != "register"
-                or hello.get("version") not in SUPPORTED_VERSIONS
+                or hello.get("version") != PROTOCOL_VERSION
             ):
                 sock.close()
                 return
@@ -785,8 +784,7 @@ class FleetCoordinator:
                         "batch": batch_id,
                         "tasks": [t.wire_payload() for t in shard],
                     }
-                    # Span context rides to v2 workers (v1 workers ignore
-                    # unknown keys; the batch still serves).
+                    # Span context rides to the worker, which echoes it.
                     if trace_ctx is not None:
                         frame["trace"] = trace_ctx
                     sends.append((self._conns[info.name], frame))

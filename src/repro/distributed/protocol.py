@@ -25,14 +25,14 @@ compatibility)::
                   "fingerprint": "dataset:...", "values": [2, 4, ...]}]}
       {"type": "shutdown"}
 
-Version 2 (tracing) extends version 1 without breaking it. A ``batch``
-frame may carry a span context (``"trace": {"trace": "...", "parent":
-"..."}``) which version-2 workers echo back in the ``result`` frame, and
-each result fragment may add worker-side timing (``"queue_s"``: seconds
-the task sat between batch receipt and execution start; ``"exec_s"``:
-execution wall seconds). Because unknown keys are ignored, v1 workers
-serve v2 coordinators (no timing, spans degrade gracefully) and vice
-versa; both sides accept any version in :data:`SUPPORTED_VERSIONS`.
+Workers and the coordinator ship in one package, so both sides require
+:data:`PROTOCOL_VERSION` at registration. A ``batch`` frame may carry a
+span context (``"trace": {"trace": "...", "parent": "..."}``) which the
+worker echoes back in the ``result`` frame, and each result fragment may
+add worker-side timing (``"queue_s"``: seconds the task sat between batch
+receipt and execution start; ``"exec_s"``: execution wall seconds). A
+coordinator tolerates a fragment without timing or trace (spans degrade
+gracefully).
 
 Task identity is **content-addressed**: :func:`task_id` hashes the space
 name, the evaluator fingerprint, and the genome's canonical value vector —
@@ -59,7 +59,6 @@ from ..core.genome import Genome
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
     "ProtocolError",
     "RemoteEvaluationError",
     "task_id",
@@ -73,11 +72,6 @@ __all__ = [
 ]
 
 PROTOCOL_VERSION = 2
-
-#: Peer versions both sides still serve. Version 1 predates span tracing:
-#: a v1 peer neither sends nor expects trace context or task timing, and
-#: the extra v2 keys ride through its unknown-key tolerance.
-SUPPORTED_VERSIONS = (1, 2)
 
 #: Cap on one frame, bytes. A batch of a few hundred tasks is ~100 KB; a
 #: frame beyond this is a protocol violation, not a big batch.

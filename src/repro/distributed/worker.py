@@ -29,7 +29,6 @@ from ..core.genome import Genome
 from ..obs.clock import DEFAULT_CLOCK
 from .protocol import (
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     ProtocolError,
     encode_outcome,
     connect_stream,
@@ -156,11 +155,11 @@ class FleetWorker:
             welcome = read_message(rfile)
             if welcome is None or welcome.get("type") != "welcome":
                 raise ProtocolError("coordinator did not send a welcome frame")
-            if welcome.get("version") not in SUPPORTED_VERSIONS:
+            if welcome.get("version") != PROTOCOL_VERSION:
                 raise ProtocolError(
                     f"protocol version mismatch: coordinator speaks "
-                    f"{welcome.get('version')}, worker supports "
-                    f"{SUPPORTED_VERSIONS}"
+                    f"{welcome.get('version')}, worker speaks "
+                    f"{PROTOCOL_VERSION}"
                 )
             self.name = welcome.get("worker") or self.name
             interval = float(welcome.get("heartbeat_interval_s") or 1.0)
@@ -218,8 +217,7 @@ class FleetWorker:
     def _serve_batch(self, message: dict[str, Any], executor) -> None:
         tasks = message.get("tasks") or []
         # Batch receipt time anchors each task's queue wait (time between
-        # the batch landing and that task's execution starting) — protocol
-        # v2 timing that v1 coordinators simply ignore.
+        # the batch landing and that task's execution starting).
         received_at = DEFAULT_CLOCK()
         if executor is not None:
             results = list(

@@ -30,7 +30,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "render_prometheus",
     "parse_prometheus",
     "DEFAULT_LATENCY_BUCKETS",
 ]
@@ -308,11 +307,6 @@ class MetricsRegistry:
         for family in families:
             lines.extend(family._render())
         return "\n".join(lines) + "\n" if lines else ""
-
-
-def render_prometheus(registry: MetricsRegistry) -> str:
-    """Functional alias for :meth:`MetricsRegistry.render`."""
-    return registry.render()
 
 
 def parse_prometheus(text: str) -> dict[str, dict]:

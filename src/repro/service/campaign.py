@@ -6,12 +6,13 @@ hyper-parameters. Specs are plain JSON-serializable dataclasses — they ride
 over the REST API and into the on-disk store unchanged.
 
 :func:`build_search` turns a spec into a concrete engine instance. GA
-campaigns are built as :class:`~repro.core.checkpoint.CheckpointedSearch`
-(or its Pareto twin) appending one checkpoint-journal line per generation
-to the campaign directory, which is what lets a restarted daemon resume
-them: each line carries the population, RNG streams, guidance state and
-evaluation counters, plus the generation's new records and evaluation-cache
-rows. A kill loses only the generation being stepped.
+campaigns (:class:`~repro.core.GeneticSearch` or
+:class:`~repro.core.ParetoSearch`) are built with a ``checkpoint_path`` in
+the campaign directory, so they append one checkpoint-journal line per
+generation, which is what lets a restarted daemon resume them: each line
+carries the population, RNG streams, guidance state and evaluation
+counters, plus the generation's new records and evaluation-cache rows. A
+kill loses only the generation being stepped.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from pathlib import Path
 from typing import Any
 
 from ..core import (
-    CheckpointedParetoSearch,
-    CheckpointedSearch,
     EvaluationStack,
     GAConfig,
+    GeneticSearch,
     NautilusError,
+    ParetoSearch,
     RandomSearch,
     hintset_from_json,
 )
@@ -279,7 +280,10 @@ def build_search(
     elif effective_workers > 1:
         backend = "thread"
     else:
-        backend = "auto"
+        backend = "inline"
+    checkpoint_path = (
+        Path(campaign_dir) / "checkpoint.json" if campaign_dir is not None else None
+    )
     evaluator = EvaluationStack(
         DatasetEvaluator(dataset),
         backend=backend,
@@ -309,22 +313,14 @@ def build_search(
             max_evaluations=spec.max_evaluations,
             tracing=spec.tracing,
         )
-        if campaign_dir is None:
-            from ..core import ParetoSearch
-
-            return ParetoSearch(
-                dataset.space, evaluator, objectives, config,
-                hints=hints, label=spec.label or "pareto",
-            )
-        return CheckpointedParetoSearch(
+        return ParetoSearch(
             dataset.space,
             evaluator,
             objectives,
             config,
             hints=hints,
             label=spec.label or "pareto",
-            checkpoint_path=Path(campaign_dir) / "checkpoint.json",
-            checkpoint_every=1,
+            checkpoint_path=checkpoint_path,
         )
     query = QUERIES[spec.query]
     objective, hint_kind = resolve_objective(query)
@@ -362,22 +358,14 @@ def build_search(
         tracing=spec.tracing,
         warm_start=warm_start,
     )
-    if campaign_dir is None:
-        from ..core import GeneticSearch
-
-        return GeneticSearch(
-            dataset.space, evaluator, objective, config,
-            hints=hints, label=spec.label,
-        )
-    return CheckpointedSearch(
+    return GeneticSearch(
         dataset.space,
         evaluator,
         objective,
         config,
         hints=hints,
         label=spec.label,
-        checkpoint_path=Path(campaign_dir) / "checkpoint.json",
-        checkpoint_every=1,
+        checkpoint_path=checkpoint_path,
     )
 
 

@@ -14,9 +14,9 @@ tests use manual ticking to stop a daemon deterministically mid-campaign.
 
 Fault model: an engine exception fails only its campaign; a daemon kill
 loses at most the generation being stepped. GA campaigns append one line
-per generation to their checkpoint journal through
-:class:`~repro.core.checkpoint.CheckpointedSearch` (the generation's new
-evaluation-cache rows included), so the resumed campaign pays again only
+per generation to their checkpoint journal (the generation's new
+evaluation-cache rows included; see
+:class:`~repro.core.kernel.GenerationalEngine`), so the resumed campaign pays again only
 for the evaluations of the lost generation — and not even those when the
 daemon's ``--eval-cache`` holds them. :meth:`recover` re-queues every
 in-flight campaign found in the store. ``status.json`` is rewritten only
@@ -33,8 +33,7 @@ from typing import Any
 
 from ..core import (
     CappedJsonlTraceSink,
-    CheckpointedParetoSearch,
-    CheckpointedSearch,
+    GenerationalEngine,
     JsonlTraceSink,
     NautilusError,
     hintset_from_json,
@@ -308,8 +307,7 @@ class Scheduler:
             campaign_id=campaign.id,
         )
         checkpoint = self.store.checkpoint_path(campaign.id)
-        resumable = (CheckpointedSearch, CheckpointedParetoSearch)
-        if isinstance(search, resumable) and checkpoint.exists():
+        if isinstance(search, GenerationalEngine) and checkpoint.exists():
             search.resume(checkpoint)
         # Every engine streams its structured trace into the campaign's
         # append-mode event log, one write per generation. On resume the

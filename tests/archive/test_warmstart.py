@@ -5,7 +5,6 @@ import pytest
 from repro.archive import ArchiveGuidance, DesignArchive
 from repro.core import (
     CallableEvaluator,
-    CheckpointedSearch,
     DesignSpace,
     GAConfig,
     GeneticSearch,
@@ -129,26 +128,26 @@ class TestResumeWithWarmStart:
     ):
         evaluator, calls = counting_evaluator
         config = dict(seed=5, warm_start=(SEED_CFG,))
-        reference = CheckpointedSearch(
+        reference = GeneticSearch(
             space, evaluator, maximize("m"),
             GAConfig(generations=20, **config),
-            checkpoint_path=tmp_path / "ref.json", checkpoint_every=100,
+            checkpoint_path=tmp_path / "ref.json",
         ).run()
         assert reference.records[0].best_raw >= 100.0  # the seed took
 
         path = tmp_path / "interrupted.json"
-        CheckpointedSearch(
+        GeneticSearch(
             space, evaluator, maximize("m"),
             GAConfig(generations=8, **config),
-            checkpoint_path=path, checkpoint_every=3,
+            checkpoint_path=path,
         ).run()
         phase1 = len(calls)
         calls.clear()
 
-        search = CheckpointedSearch(
+        search = GeneticSearch(
             space, evaluator, maximize("m"),
             GAConfig(generations=20, **config),
-            checkpoint_path=path, checkpoint_every=3,
+            checkpoint_path=path,
         ).resume()
         resumed = search.run()
         # No re-injection: the restored population already contains
@@ -173,16 +172,16 @@ class TestResumeWithWarmStart:
         ]
         archive.record_many(rows, fingerprint, campaign="history")
 
-        def run(generations, provider, path, every=3):
-            return CheckpointedSearch(
+        def run(generations, provider, path):
+            return GeneticSearch(
                 space, evaluator, maximize("m"),
                 GAConfig(seed=7, generations=generations, warm_start=(SEED_CFG,)),
                 guidance=provider,
-                checkpoint_path=path, checkpoint_every=every,
+                checkpoint_path=path,
             )
 
         reference = run(
-            16, ArchiveGuidance(archive, min_rows=1), tmp_path / "r.json", 100
+            16, ArchiveGuidance(archive, min_rows=1), tmp_path / "r.json"
         ).run()
 
         path = tmp_path / "i.json"

@@ -1,9 +1,10 @@
-"""Tests for the adaptive-confidence extension."""
+"""Tests for the adaptive-confidence extension: the generational GA
+guided by an :class:`AdaptiveConfidence` provider."""
 
 import pytest
 
 from repro.core import (
-    AdaptiveSearch,
+    AdaptiveConfidence,
     CallableEvaluator,
     DesignSpace,
     GAConfig,
@@ -37,10 +38,22 @@ def wrong_hints(confidence=0.8):
     return good_hints(confidence).for_minimization()  # flipped = misleading
 
 
+def adaptive(space, evaluator, config=None, hints=None, label="", **policy):
+    """The GA with adaptive confidence over ``hints`` (good by default)."""
+    return GeneticSearch(
+        space,
+        evaluator,
+        maximize("m"),
+        config,
+        guidance=AdaptiveConfidence(hints or good_hints(), **policy),
+        label=label,
+    )
+
+
 class TestConstruction:
-    def test_requires_hints(self, space, evaluator):
+    def test_requires_hints(self):
         with pytest.raises(NautilusError, match="requires hints"):
-            AdaptiveSearch(space, evaluator, maximize("m"))
+            AdaptiveConfidence(None)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -48,49 +61,43 @@ class TestConstruction:
     )
     def test_parameter_validation(self, space, evaluator, kwargs):
         with pytest.raises(NautilusError):
-            AdaptiveSearch(
-                space, evaluator, maximize("m"), hints=good_hints(), **kwargs
-            )
+            adaptive(space, evaluator, **kwargs)
 
     def test_default_label(self, space, evaluator):
-        search = AdaptiveSearch(space, evaluator, maximize("m"), hints=good_hints())
-        assert search.label == "nautilus-adaptive"
+        assert adaptive(space, evaluator).label == "nautilus"
+        labelled = adaptive(space, evaluator, label="nautilus-adaptive")
+        assert labelled.label == "nautilus-adaptive"
 
 
 class TestAdaptation:
     def test_confidence_never_exceeds_author_setting(self, space, evaluator):
-        search = AdaptiveSearch(
-            space,
-            evaluator,
-            maximize("m"),
-            GAConfig(seed=1, generations=30),
-            hints=good_hints(0.7),
+        search = adaptive(
+            space, evaluator, GAConfig(seed=1, generations=30), good_hints(0.7)
         )
         search.run()
-        assert search.confidence_trace
-        assert all(c <= 0.7 + 1e-12 for _, c in search.confidence_trace)
-        assert all(c >= search.min_confidence for _, c in search.confidence_trace)
+        trace = search.guidance.confidence_trace
+        assert trace
+        assert all(c <= 0.7 + 1e-12 for _, c in trace)
+        assert all(c >= search.guidance.min_confidence for _, c in trace)
 
     def test_wrong_hints_trigger_backoff(self, space, evaluator):
-        search = AdaptiveSearch(
+        search = adaptive(
             space,
             evaluator,
-            maximize("m"),
             GAConfig(seed=2, generations=60),
-            hints=wrong_hints(0.9),
+            wrong_hints(0.9),
             patience=3,
         )
         search.run()
-        confidences = [c for _, c in search.confidence_trace]
+        confidences = [c for _, c in search.guidance.confidence_trace]
         assert min(confidences) < 0.9 * 0.7  # backed off at least twice
 
     def test_still_finds_optimum_with_wrong_hints(self, space, evaluator):
-        result = AdaptiveSearch(
+        result = adaptive(
             space,
             evaluator,
-            maximize("m"),
             GAConfig(seed=3, generations=60),
-            hints=wrong_hints(0.9),
+            wrong_hints(0.9),
             patience=3,
         ).run()
         assert result.best_raw >= 58  # optimum is 62
@@ -103,23 +110,15 @@ class TestAdaptation:
             fixed = GeneticSearch(
                 space, evaluator, maximize("m"), config, hints=good_hints()
             ).run()
-            adaptive = AdaptiveSearch(
-                space, evaluator, maximize("m"), config, hints=good_hints()
-            ).run()
+            adapted = adaptive(space, evaluator, config).run()
             fixed_total += fixed.evals_to_reach(threshold) or 1000
-            adaptive_total += adaptive.evals_to_reach(threshold) or 1000
+            adaptive_total += adapted.evals_to_reach(threshold) or 1000
         # Good hints keep earning trust: adaptive stays within ~40% of fixed.
         assert adaptive_total <= 1.4 * fixed_total
 
     def test_trace_one_entry_per_generation(self, space, evaluator):
-        search = AdaptiveSearch(
-            space,
-            evaluator,
-            maximize("m"),
-            GAConfig(seed=4, generations=25),
-            hints=good_hints(),
-        )
+        search = adaptive(space, evaluator, GAConfig(seed=4, generations=25))
         search.run()
-        generations = [g for g, _ in search.confidence_trace]
+        generations = [g for g, _ in search.guidance.confidence_trace]
         assert generations == sorted(set(generations))
         assert len(generations) == 25

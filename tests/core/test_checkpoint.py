@@ -6,9 +6,9 @@ import pytest
 
 from repro.core import (
     CallableEvaluator,
-    CheckpointedSearch,
     DesignSpace,
     GAConfig,
+    GeneticSearch,
     InfeasibleDesignError,
     IntParam,
     JsonlTraceSink,
@@ -42,20 +42,21 @@ class TestCheckpointing:
     def test_snapshot_written(self, space, counting_evaluator, tmp_path):
         evaluator, __ = counting_evaluator
         path = tmp_path / "run.ckpt.json"
-        search = CheckpointedSearch(
+        search = GeneticSearch(
             space, evaluator, maximize("m"),
             GAConfig(seed=1, generations=8),
-            checkpoint_path=path, checkpoint_every=3,
+            checkpoint_path=path,
         )
         search.start()
         for _ in range(8):
             search.step()
-        # One journal line per checkpoint_every generations, each carrying
-        # only the rows and records added since the line before it.
+        # One journal line per generation step, each carrying only the
+        # rows and records added since the line before it (generation 0's
+        # record rides in generation 1's line).
         lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [line["format"] for line in lines] == [6, 6]
-        assert [line["generation"] for line in lines] == [3, 6]
-        assert [len(line["records"]) for line in lines] == [4, 3]
+        assert [line["format"] for line in lines] == [6] * 8
+        assert [line["generation"] for line in lines] == list(range(1, 9))
+        assert [len(line["records"]) for line in lines] == [2] + [1] * 7
         keys = [tuple(row["values"]) for line in lines for row in line["cache"]]
         assert len(keys) == len(set(keys))
         assert search.step() is None  # horizon: the journal is compacted
@@ -72,19 +73,25 @@ class TestCheckpointing:
     def test_atomic_write_no_tmp_left(self, space, counting_evaluator, tmp_path):
         evaluator, __ = counting_evaluator
         path = tmp_path / "run.ckpt.json"
-        CheckpointedSearch(
+        GeneticSearch(
             space, evaluator, maximize("m"),
             GAConfig(seed=1, generations=4),
             checkpoint_path=path,
         ).run()
         assert not list(tmp_path.glob("*.tmp"))
 
-    def test_validation(self, space, counting_evaluator):
+    def test_validation(self, space, counting_evaluator, tmp_path):
+        """A search without a journal writes nothing, and resume() then
+        needs a path."""
         evaluator, __ = counting_evaluator
-        with pytest.raises(NautilusError):
-            CheckpointedSearch(
-                space, evaluator, maximize("m"), checkpoint_every=0
-            )
+        search = GeneticSearch(
+            space, evaluator, maximize("m"), GAConfig(seed=1, generations=3)
+        )
+        assert search.checkpoint_path is None
+        search.run()
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(NautilusError, match="path"):
+            GeneticSearch(space, evaluator, maximize("m")).resume()
 
 
 class TestResume:
@@ -92,21 +99,21 @@ class TestResume:
         self, space, counting_evaluator, tmp_path
     ):
         evaluator, __ = counting_evaluator
-        reference = CheckpointedSearch(
+        reference = GeneticSearch(
             space, evaluator, maximize("m"),
             GAConfig(seed=5, generations=24),
-            checkpoint_path=tmp_path / "ref.json", checkpoint_every=100,
+            checkpoint_path=tmp_path / "ref.json",
         ).run()
         path = tmp_path / "interrupted.json"
-        CheckpointedSearch(
+        GeneticSearch(
             space, evaluator, maximize("m"),
             GAConfig(seed=5, generations=9),
-            checkpoint_path=path, checkpoint_every=3,
+            checkpoint_path=path,
         ).run()
-        resumed = CheckpointedSearch(
+        resumed = GeneticSearch(
             space, evaluator, maximize("m"),
             GAConfig(seed=5, generations=24),
-            checkpoint_path=path, checkpoint_every=3,
+            checkpoint_path=path,
         ).resume().run()
         assert resumed.curve() == reference.curve()
         assert resumed.best_config == reference.best_config
@@ -114,14 +121,14 @@ class TestResume:
     def test_cache_not_repaid(self, space, counting_evaluator, tmp_path):
         evaluator, calls = counting_evaluator
         path = tmp_path / "c.json"
-        CheckpointedSearch(
+        GeneticSearch(
             space, evaluator, maximize("m"),
             GAConfig(seed=2, generations=10),
             checkpoint_path=path,
         ).run()
         phase1 = len(calls)
         calls.clear()
-        resumed = CheckpointedSearch(
+        resumed = GeneticSearch(
             space, evaluator, maximize("m"),
             GAConfig(seed=2, generations=20),
             checkpoint_path=path,
@@ -134,14 +141,14 @@ class TestResume:
         evaluator, calls = counting_evaluator
         path = tmp_path / "inf.json"
         # Force the hole into the cache.
-        search = CheckpointedSearch(
+        search = GeneticSearch(
             space, evaluator, maximize("m"),
             GAConfig(seed=3, generations=2), checkpoint_path=path,
         )
         search._counter.evaluate_many([space.genome(a=13, b=13)])
         search.run()
         calls.clear()
-        resumed = CheckpointedSearch(
+        resumed = GeneticSearch(
             space, evaluator, maximize("m"),
             GAConfig(seed=3, generations=2), checkpoint_path=path,
         ).resume()
@@ -153,13 +160,13 @@ class TestResume:
     def test_wrong_space_rejected(self, space, counting_evaluator, tmp_path):
         evaluator, __ = counting_evaluator
         path = tmp_path / "x.json"
-        CheckpointedSearch(
+        GeneticSearch(
             space, evaluator, maximize("m"),
             GAConfig(seed=1, generations=2), checkpoint_path=path,
         ).run()
         other = DesignSpace("other", [IntParam("a", 0, 63), IntParam("b", 0, 63)])
         with pytest.raises(NautilusError, match="space"):
-            CheckpointedSearch(
+            GeneticSearch(
                 other, evaluator, maximize("m"), checkpoint_path=path
             ).resume()
 
@@ -196,26 +203,26 @@ class TestLegacyFormats:
         self, space, counting_evaluator, tmp_path
     ):
         evaluator, __ = counting_evaluator
-        reference = CheckpointedSearch(
+        reference = GeneticSearch(
             space, evaluator, maximize("m"),
             GAConfig(seed=11, generations=18),
-            checkpoint_path=tmp_path / "ref.json", checkpoint_every=1000,
+            checkpoint_path=tmp_path / "ref.json",
         ).run()
         path = tmp_path / "interrupted.json"
-        CheckpointedSearch(
+        GeneticSearch(
             space, evaluator, maximize("m"),
             GAConfig(seed=11, generations=6),
-            checkpoint_path=path, checkpoint_every=2,
+            checkpoint_path=path,
         ).run()
         payload = json.loads(path.read_text())
         payload["format"] = 4
         payload["rng_streams"] = _int_list_rng(payload["rng_streams"])
         del payload["eval_stats"]
         path.write_text(json.dumps(payload))  # format 4: no trailing newline
-        resumed = CheckpointedSearch(
+        resumed = GeneticSearch(
             space, evaluator, maximize("m"),
             GAConfig(seed=11, generations=18),
-            checkpoint_path=path, checkpoint_every=2,
+            checkpoint_path=path,
         ).resume()
         # Format 4 carries no counters: its rows count as paid.
         assert resumed.distinct_evaluations == len(payload["cache"])
@@ -223,8 +230,8 @@ class TestLegacyFormats:
         resumed.step()
         resumed.step()
         lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [line["format"] for line in lines] == [4, 6]
-        assert lines[1]["generation"] == 8
+        assert [line["format"] for line in lines] == [4, 6, 6]
+        assert [line["generation"] for line in lines[1:]] == [7, 8]
         result = resumed.run()
         assert result.curve() == reference.curve()
         assert result.best_config == reference.best_config
@@ -235,7 +242,7 @@ class TestLegacyFormats:
         """A checkpoint refuses to resume into a reordered space."""
         evaluator, __ = counting_evaluator
         path = tmp_path / "guard.json"
-        CheckpointedSearch(
+        GeneticSearch(
             space, evaluator, maximize("m"),
             GAConfig(seed=1, generations=2), checkpoint_path=path,
         ).run()
@@ -243,7 +250,7 @@ class TestLegacyFormats:
             "ck", [IntParam("b", 0, 63), IntParam("a", 0, 63)]
         )
         with pytest.raises(NautilusError, match="parameter order"):
-            CheckpointedSearch(
+            GeneticSearch(
                 reordered, evaluator, maximize("m"), checkpoint_path=path
             ).resume()
 
@@ -254,10 +261,10 @@ class TestKillAndResume:
     cache must prevent re-paying for designs evaluated before the kill."""
 
     def _reference(self, space, evaluator, tmp_path):
-        return CheckpointedSearch(
+        return GeneticSearch(
             space, evaluator, maximize("m"),
             GAConfig(seed=17, generations=20),
-            checkpoint_path=tmp_path / "ref.json", checkpoint_every=1000,
+            checkpoint_path=tmp_path / "ref.json",
         ).run()
 
     def test_killed_run_resumes_to_identical_result(self, space, tmp_path):
@@ -282,10 +289,10 @@ class TestKillAndResume:
             return {"m": float(genome["a"] + genome["b"])}
 
         path = tmp_path / "killed.json"
-        interrupted = CheckpointedSearch(
+        interrupted = GeneticSearch(
             space, CallableEvaluator(bomb), maximize("m"),
             GAConfig(seed=17, generations=20),
-            checkpoint_path=path, checkpoint_every=2,
+            checkpoint_path=path,
         )
         with pytest.raises(RuntimeError, match="cluster node lost"):
             interrupted.run()
@@ -295,10 +302,10 @@ class TestKillAndResume:
         calls.clear()
 
         # Phase 2: resume against a healthy evaluator.
-        resumed = CheckpointedSearch(
+        resumed = GeneticSearch(
             space, CallableEvaluator(fn), maximize("m"),
             GAConfig(seed=17, generations=20),
-            checkpoint_path=path, checkpoint_every=2,
+            checkpoint_path=path,
         ).resume().run()
 
         assert resumed.curve() == reference.curve()
@@ -311,24 +318,24 @@ class TestKillAndResume:
     def test_resume_replays_stall_counter(self, space, tmp_path):
         """stall_generations keeps working across a kill/resume boundary."""
         flat = CallableEvaluator(lambda g: {"m": 1.0})
-        reference = CheckpointedSearch(
+        reference = GeneticSearch(
             space, flat, maximize("m"),
             GAConfig(seed=4, generations=40, stall_generations=6),
-            checkpoint_path=tmp_path / "flat_ref.json", checkpoint_every=1000,
+            checkpoint_path=tmp_path / "flat_ref.json",
         ).run()
         assert reference.stop_reason == "stall"
 
         path = tmp_path / "flat.json"
-        partial = CheckpointedSearch(
+        partial = GeneticSearch(
             space, flat, maximize("m"),
             GAConfig(seed=4, generations=3, stall_generations=6),
-            checkpoint_path=path, checkpoint_every=1,
+            checkpoint_path=path,
         )
         partial.run()  # stops at the horizon with 3 stalled generations
-        resumed = CheckpointedSearch(
+        resumed = GeneticSearch(
             space, flat, maximize("m"),
             GAConfig(seed=4, generations=40, stall_generations=6),
-            checkpoint_path=path, checkpoint_every=1,
+            checkpoint_path=path,
         ).resume().run()
         assert resumed.stop_reason == "stall"
         assert resumed.curve() == reference.curve()
@@ -337,14 +344,14 @@ class TestKillAndResume:
 class TestFormat6:
     """Format 6 packs each RNG state; format-5 journals still resume."""
 
-    def _search(self, space, evaluator, path, split=False, every=1):
-        return CheckpointedSearch(
+    def _search(self, space, evaluator, path, split=False):
+        return GeneticSearch(
             space, evaluator, maximize("m"),
             GAConfig(
                 seed=23, generations=16,
                 rng_streams="split" if split else "shared",
             ),
-            checkpoint_path=path, checkpoint_every=every,
+            checkpoint_path=path,
         )
 
     def test_line_packs_each_rng_state(self, space, counting_evaluator, tmp_path):
@@ -364,7 +371,7 @@ class TestFormat6:
     ):
         evaluator, __ = counting_evaluator
         reference = self._search(
-            space, evaluator, tmp_path / "ref.json", split, every=1000
+            space, evaluator, tmp_path / "ref.json", split
         ).run()
         path = tmp_path / "journal.json"
         interrupted = self._search(space, evaluator, path, split)
@@ -438,9 +445,9 @@ class TestEventsBeforeJournal:
             append(self, checkpoint)
 
         monkeypatch.setattr(CheckpointJournal, "append", checked_append)
-        search = CheckpointedSearch(
+        search = GeneticSearch(
             space, evaluator, maximize("m"), GAConfig(seed=3, generations=12),
-            checkpoint_path=journal, checkpoint_every=1,
+            checkpoint_path=journal,
         )
         sink = JsonlTraceSink(events)
         search.attach_sink(sink)
@@ -451,3 +458,36 @@ class TestEventsBeforeJournal:
         sink.close()
         search.close()
         assert appended == list(range(1, 13))
+
+
+class TestResumedTracing:
+    def test_resumed_run_has_one_run_span_parenting_every_generation(
+        self, space, counting_evaluator, tmp_path
+    ):
+        """A resumed traced search starts through the kernel's one start
+        path, so its span tree has a root like a fresh run's."""
+        evaluator, __ = counting_evaluator
+        path = tmp_path / "traced.json"
+
+        def build():
+            return GeneticSearch(
+                space, evaluator, maximize("m"),
+                GAConfig(seed=6, generations=5, tracing=True),
+                checkpoint_path=path,
+            )
+
+        first = build()
+        first.start()
+        first.step()
+        first.step()
+        first.close()
+        resumed = build().resume()
+        result = resumed.run()
+        spans = resumed.spans()
+        (run,) = [span for span in spans if span["name"] == "run"]
+        generations = [span for span in spans if span["name"] == "generation"]
+        assert [span["attrs"]["generation"] for span in generations] == [3, 4, 5]
+        assert all(span["parent"] == run["id"] for span in generations)
+        assert run["end_s"] is not None
+        assert run["attrs"]["stop_reason"] == result.stop_reason == "horizon"
+        assert run["attrs"]["generations"] == 5

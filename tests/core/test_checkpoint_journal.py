@@ -21,9 +21,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     CallableEvaluator,
-    CheckpointedSearch,
     DesignSpace,
     GAConfig,
+    GeneticSearch,
     InfeasibleDesignError,
     IntParam,
     SearchCheckpoint,
@@ -59,10 +59,10 @@ def _evaluator(calls: list):
 
 
 def _search(space, calls, path, generations=HORIZON):
-    return CheckpointedSearch(
+    return GeneticSearch(
         space, _evaluator(calls), maximize("m"),
         GAConfig(seed=21, generations=generations),
-        checkpoint_path=path, checkpoint_every=1,
+        checkpoint_path=path,
     )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -11,11 +12,14 @@ from repro.core import (
     DesignSpace,
     EvalStats,
     EvaluationStack,
+    GAConfig,
+    GeneticSearch,
     InfeasibleDesignError,
     IntParam,
     NautilusError,
     PersistentCache,
     evaluator_fingerprint,
+    maximize,
 )
 
 
@@ -26,6 +30,16 @@ def space():
 
 def counting_evaluator(calls):
     return CallableEvaluator(lambda g: calls.append(g["a"]) or {"m": float(g["a"])})
+
+
+class ParityEvaluator:
+    """Module-level (hence picklable) evaluator for process-pool tests:
+    odd ``a`` values are infeasible, even ones score their value."""
+
+    def evaluate(self, genome):
+        if genome["a"] % 2:
+            raise InfeasibleDesignError("odd values unbuildable")
+        return {"m": float(genome["a"])}
 
 
 class TestAccounting:
@@ -169,25 +183,147 @@ class TestConstruction:
             assert pool.submit(int, "7").result(timeout=10) == 7  # still open
 
     def test_batch_size_chunks_backend_batches(self, space):
-        sizes = []
-
-        class Recorder:
-            def evaluate(self, genome):
-                return {"m": 1.0}
-
-            def evaluate_many(self, genomes):
-                sizes.append(len(genomes))
-                return [{"m": 1.0} for _ in genomes]
-
-        stack = EvaluationStack(Recorder(), batch_size=4)
+        stack = EvaluationStack(
+            CallableEvaluator(lambda g: {"m": 1.0}), batch_size=4
+        )
         stack.evaluate_many([space.genome(a=i) for i in range(10)])
-        assert sizes == [4, 4, 2]
+        assert stack.stats().batches == 3
+        assert stack.stats().max_batch == 4
 
     def test_fingerprint_defaults(self):
         inner = CallableEvaluator(lambda g: {"m": 1.0})
         assert evaluator_fingerprint(inner).endswith("CallableEvaluator")
         stack = EvaluationStack(inner, fingerprint="override")
         assert stack.fingerprint == "override"
+
+
+class TestPoolBackends:
+    """``backend="thread"`` / ``"process"``: a batch fans out to a pool,
+    results come back in submission order, and one design's exception is
+    returned in its place without poisoning the batch."""
+
+    def test_order_preserved(self, space):
+        """Results follow submission order, not completion order: later
+        designs sleep less, so they finish first."""
+
+        def fn(genome):
+            time.sleep(0.002 * (20 - genome["a"]))
+            return {"m": float(genome["a"])}
+
+        stack = EvaluationStack(CallableEvaluator(fn), backend="thread", workers=4)
+        results = stack.evaluate_many([space.genome(a=i) for i in range(20)])
+        assert [r["m"] for r in results] == [float(i) for i in range(20)]
+
+    def test_single_passthrough(self, space):
+        stack = EvaluationStack(
+            CallableEvaluator(lambda g: {"m": float(g["a"])}),
+            backend="thread",
+            workers=4,
+        )
+        assert stack.evaluate(space.genome(a=3)) == {"m": 3.0}
+        assert stack.distinct_evaluations == 1
+
+    def test_validation(self):
+        inner = CallableEvaluator(lambda g: {"m": 1.0})
+        with pytest.raises(NautilusError):
+            EvaluationStack(inner, backend="process", workers=0)
+        with pytest.raises(NautilusError):
+            EvaluationStack(inner, backend="thread", workers=-1)
+
+    def test_actually_concurrent(self, space):
+        active = 0
+        peak = 0
+        lock = threading.Lock()
+
+        def slow(genome):
+            nonlocal active, peak
+            with lock:
+                active += 1
+                peak = max(peak, active)
+            time.sleep(0.02)
+            with lock:
+                active -= 1
+            return {"m": 1.0}
+
+        stack = EvaluationStack(CallableEvaluator(slow), backend="thread", workers=8)
+        stack.evaluate_many([space.genome(a=i) for i in range(16)])
+        assert peak > 1  # overlapping evaluations observed
+
+    def test_exception_isolation(self, space):
+        def fn(genome):
+            if genome["a"] % 2:
+                raise InfeasibleDesignError("odd")
+            return {"m": float(genome["a"])}
+
+        stack = EvaluationStack(CallableEvaluator(fn), backend="thread", workers=4)
+        results = stack.evaluate_many([space.genome(a=i) for i in range(6)])
+        assert results[0] == {"m": 0.0}
+        assert isinstance(results[1], InfeasibleDesignError)
+        assert results[4] == {"m": 4.0}
+
+    def test_empty_batch(self):
+        stack = EvaluationStack(
+            CallableEvaluator(lambda g: {"m": 1.0}), backend="thread", workers=2
+        )
+        assert stack.evaluate_many([]) == []
+
+    def test_process_pool_exception_isolation(self, space):
+        """One infeasible design must not poison its batch — under a real
+        process pool, where exceptions cross a pickling boundary."""
+        stack = EvaluationStack(ParityEvaluator(), backend="process", workers=2)
+        results = stack.evaluate_many([space.genome(a=i) for i in range(8)])
+        for i, outcome in enumerate(results):
+            if i % 2:
+                assert isinstance(outcome, InfeasibleDesignError)
+            else:
+                assert outcome == {"m": float(i)}
+        assert stack.stats().infeasible == 4
+
+    def test_process_pool_preserves_submission_order(self, space):
+        stack = EvaluationStack(ParityEvaluator(), backend="process", workers=4)
+        genomes = [space.genome(a=2 * (i % 16)) for i in range(32)]
+        results = stack.evaluate_many(genomes)
+        assert [r["m"] for r in results] == [float(2 * (i % 16)) for i in range(32)]
+        assert stack.distinct_evaluations == 16  # duplicates paid once
+
+    def test_distinct_accounting(self, space):
+        stack = EvaluationStack(
+            CallableEvaluator(lambda g: {"m": float(g["a"])}),
+            backend="thread",
+            workers=4,
+        )
+        genomes = [space.genome(a=i % 3) for i in range(9)]  # 3 distinct
+        stack.evaluate_many(genomes)
+        assert stack.distinct_evaluations == 3
+        assert stack.total_requests == 9
+        # Second batch fully cached.
+        stack.evaluate_many(genomes)
+        assert stack.distinct_evaluations == 3
+
+    def test_mixed_with_sequential(self, space):
+        stack = EvaluationStack(
+            CallableEvaluator(lambda g: {"m": float(g["a"])}),
+            backend="thread",
+            workers=4,
+        )
+        stack.evaluate(space.genome(a=1))
+        stack.evaluate_many([space.genome(a=1), space.genome(a=2)])
+        assert stack.distinct_evaluations == 2
+
+    def test_parallel_engine_matches_serial(self, space):
+        """Pool evaluation must not change search results at all."""
+        evaluator = CallableEvaluator(lambda g: {"m": float(g["a"])})
+        objective = maximize("m")
+        config = GAConfig(seed=9, generations=12)
+        serial = GeneticSearch(space, evaluator, objective, config).run()
+        parallel = GeneticSearch(
+            space,
+            EvaluationStack(evaluator, backend="thread", workers=4),
+            objective,
+            config,
+        ).run()
+        assert serial.best_config == parallel.best_config
+        assert serial.curve() == parallel.curve()
 
 
 class TestMemoTransfer:

@@ -4,9 +4,9 @@ import pytest
 
 from repro.core import (
     CallableEvaluator,
-    CountingEvaluator,
     DatasetEvaluator,
     DesignSpace,
+    EvaluationStack,
     InfeasibleDesignError,
     IntParam,
 )
@@ -19,11 +19,11 @@ def space():
     return DesignSpace("ev", [IntParam("a", 0, 9)])
 
 
-class TestCountingEvaluator:
+class TestMemoAccounting:
     def test_distinct_vs_requests(self, space):
         calls = []
         inner = CallableEvaluator(lambda g: calls.append(1) or {"m": g["a"]})
-        counter = CountingEvaluator(inner)
+        counter = EvaluationStack(inner)
         g1, g2 = space.genome(a=1), space.genome(a=2)
         counter.evaluate(g1)
         counter.evaluate(g1)
@@ -41,7 +41,7 @@ class TestCountingEvaluator:
             calls.append(1)
             raise InfeasibleDesignError("nope")
 
-        counter = CountingEvaluator(CallableEvaluator(fn))
+        counter = EvaluationStack(CallableEvaluator(fn))
         g = space.genome(a=3)
         with pytest.raises(InfeasibleDesignError):
             counter.evaluate(g)
@@ -52,7 +52,7 @@ class TestCountingEvaluator:
         assert len(calls) == 1
 
     def test_seen(self, space):
-        counter = CountingEvaluator(CallableEvaluator(lambda g: {"m": 1.0}))
+        counter = EvaluationStack(CallableEvaluator(lambda g: {"m": 1.0}))
         g = space.genome(a=0)
         assert not counter.seen(g)
         counter.evaluate(g)
@@ -62,7 +62,7 @@ class TestCountingEvaluator:
         """Revisiting an infeasible design must not grow the original
         exception's traceback chain — each raise is a fresh copy chained to
         the cached original via ``__cause__``."""
-        counter = CountingEvaluator(
+        counter = EvaluationStack(
             CallableEvaluator(lambda g: (_ for _ in ()).throw(
                 InfeasibleDesignError("nope")
             ))
@@ -79,10 +79,10 @@ class TestCountingEvaluator:
         assert first.value.__cause__.__traceback__ is original_tb
 
 
-class TestCountingEvaluatorBatches:
+class TestMemoAccountingBatches:
     def test_duplicates_within_one_batch_pay_once(self, space):
         calls = []
-        counter = CountingEvaluator(
+        counter = EvaluationStack(
             CallableEvaluator(lambda g: calls.append(g["a"]) or {"m": g["a"]})
         )
         g = space.genome(a=1)
@@ -99,7 +99,7 @@ class TestCountingEvaluatorBatches:
                 raise InfeasibleDesignError("bad point")
             return {"m": genome["a"]}
 
-        counter = CountingEvaluator(CallableEvaluator(fn))
+        counter = EvaluationStack(CallableEvaluator(fn))
         with pytest.raises(InfeasibleDesignError):
             counter.evaluate(space.genome(a=5))
         results = counter.evaluate_many(
@@ -115,10 +115,10 @@ class TestCountingEvaluatorBatches:
         """The same request sequence must produce identical counters whether
         issued one-by-one or as batches."""
         requests = [1, 2, 1, 3, 3, 2, 4, 1]
-        serial = CountingEvaluator(CallableEvaluator(lambda g: {"m": g["a"]}))
+        serial = EvaluationStack(CallableEvaluator(lambda g: {"m": g["a"]}))
         for a in requests:
             serial.evaluate(space.genome(a=a))
-        batched = CountingEvaluator(CallableEvaluator(lambda g: {"m": g["a"]}))
+        batched = EvaluationStack(CallableEvaluator(lambda g: {"m": g["a"]}))
         batched.evaluate_many([space.genome(a=a) for a in requests[:4]])
         batched.evaluate_many([space.genome(a=a) for a in requests[4:]])
         assert batched.distinct_evaluations == serial.distinct_evaluations == 4

@@ -6,9 +6,7 @@ import pytest
 
 from repro.core import (
     AdaptiveConfidence,
-    AdaptiveSearch,
     CallableEvaluator,
-    CheckpointedSearch,
     ChoiceParam,
     DesignSpace,
     EstimatedHints,
@@ -174,26 +172,6 @@ class TestAdaptiveConfidence:
         with pytest.raises(NautilusError, match="kind"):
             provider.load_state_dict({"kind": "static"})
 
-    def test_alias_engine_matches_explicit_provider(self, space, evaluator):
-        config = GAConfig(seed=5, generations=15)
-        alias = AdaptiveSearch(
-            space, evaluator, maximize("m"), config, hints=author_hints(), patience=3
-        )
-        alias_result = alias.run()
-        explicit = GeneticSearch(
-            space,
-            evaluator,
-            maximize("m"),
-            config,
-            guidance=AdaptiveConfidence(author_hints(), patience=3),
-            label="nautilus-adaptive",
-        )
-        explicit_result = explicit.run()
-        assert [r.best_score for r in alias_result.records] == [
-            r.best_score for r in explicit_result.records
-        ]
-        assert alias.confidence_trace == explicit.guidance.confidence_trace
-
 
 class TestEstimatedHints:
     def test_lazy_sweep_on_first_state(self, space, evaluator):
@@ -255,13 +233,12 @@ class TestCheckpointedGuidance:
         config = GAConfig(seed=9, generations=20)
 
         def build():
-            return CheckpointedSearch(
+            return GeneticSearch(
                 space,
                 evaluator,
                 maximize("m"),
                 config,
                 checkpoint_path=path,
-                checkpoint_every=1,
                 guidance=AdaptiveConfidence(author_hints(0.7), patience=2),
             )
 
@@ -286,14 +263,13 @@ class TestCheckpointedGuidance:
         self, space, evaluator, tmp_path
     ):
         path = tmp_path / "ga.ckpt.json"
-        search = CheckpointedSearch(
+        search = GeneticSearch(
             space,
             evaluator,
             maximize("m"),
             GAConfig(seed=1, generations=3),
             hints=author_hints(),
             checkpoint_path=path,
-            checkpoint_every=1,
         )
         search.start()
         for _ in range(3):

@@ -1,10 +1,11 @@
 """Shared protocol suite for every engine built on the search kernel.
 
-One parametrized battery runs the baseline GA, the guided GA, the adaptive
-variant, NSGA-II Pareto search, and the random baseline through the same
-lifecycle assertions: start/step guards, run == stepping, stop-reason
-vocabulary and precedence, seed handling (0 is a real seed, not falsy),
-structured-trace invariants, and RNG-stream checkpoint round-trips.
+One parametrized battery runs the baseline GA, the guided GA, the GA with
+adaptive confidence, NSGA-II Pareto search, and the random baseline
+through the same lifecycle assertions: start/step guards, run == stepping,
+stop-reason vocabulary and precedence, seed handling (0 is a real seed,
+not falsy), structured-trace invariants, and RNG-stream checkpoint
+round-trips.
 """
 
 import json
@@ -12,9 +13,8 @@ import json
 import pytest
 
 from repro.core import (
-    AdaptiveSearch,
+    AdaptiveConfidence,
     CallableEvaluator,
-    CheckpointedParetoSearch,
     GAConfig,
     GeneticSearch,
     HintSet,
@@ -44,8 +44,9 @@ def make_engine(name, space, evaluator, seed=0, generations=6, **overrides):
     if name == "nautilus":
         return GeneticSearch(space, evaluator, objective, config, hints=_HINTS)
     if name == "adaptive":
-        return AdaptiveSearch(
-            space, evaluator, objective, config, hints=_HINTS, patience=2
+        return GeneticSearch(
+            space, evaluator, objective, config,
+            guidance=AdaptiveConfidence(_HINTS, patience=2),
         )
     if name == "random":
         return RandomSearch(space, evaluator, objective, budget=30, seed=seed)
@@ -329,16 +330,16 @@ class TestCheckpointRngRoundTrip:
         uninterrupted = ParetoSearch(
             toy_space, toy_evaluator, objectives, config
         ).run()
-        first = CheckpointedParetoSearch(
+        first = ParetoSearch(
             toy_space, toy_evaluator, objectives, config,
-            checkpoint_path=path, checkpoint_every=1,
+            checkpoint_path=path,
         )
         first.start()
         for _ in range(3):
             first.step()
-        resumed = CheckpointedParetoSearch(
+        resumed = ParetoSearch(
             toy_space, toy_evaluator, objectives, config,
-            checkpoint_path=path, checkpoint_every=1,
+            checkpoint_path=path,
         )
         resumed.resume()
         resumed.start()

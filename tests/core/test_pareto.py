@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     CallableEvaluator,
-    CheckpointedParetoSearch,
     DesignSpace,
     GAConfig,
     GeneticSearch,
@@ -519,17 +518,17 @@ class TestFrontFromRanks:
     def test_front_matches_fresh_sort_after_resume(self, space, tmp_path):
         config = GAConfig(population_size=12, generations=12, seed=6, elitism=1)
         path = tmp_path / "pareto.json"
-        first = CheckpointedParetoSearch(
+        first = ParetoSearch(
             space, self._evaluator(), self.OBJECTIVES(), config,
-            checkpoint_path=path, checkpoint_every=1,
+            checkpoint_path=path,
         )
         first.start()
         for _ in range(4):
             first.step()
         before = [ind.genome.codes for ind in first.front()]
-        resumed = CheckpointedParetoSearch(
+        resumed = ParetoSearch(
             space, self._evaluator(), self.OBJECTIVES(), config,
-            checkpoint_path=path, checkpoint_every=1,
+            checkpoint_path=path,
         )
         resumed.resume()
         resumed.start()

@@ -2,7 +2,7 @@
 
 Covers the coordinator's per-task event timelines (dispatch / retry /
 done / duplicate, delivered as offsets relative to batch submission),
-the v1 <-> v2 interop rules, the stack's trace-context seam, and the
+the version handshake, the stack's trace-context seam, and the
 per-worker metric pruning on deregistration.
 """
 
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import threading
 import time
-
-import pytest
 
 from repro.core import CallableEvaluator
 from repro.core.evalstack import EvaluationStack
@@ -23,7 +21,6 @@ from repro.distributed import (
 )
 from repro.distributed.protocol import (
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     connect_stream,
     read_message,
     send_message,
@@ -42,42 +39,42 @@ from .test_fleet import _genomes
 TRACE_CTX = {"trace": "trace-test-1", "parent": "s000042"}
 
 
-class TestProtocolVersions:
-    def test_v2_is_current_and_v1_still_supported(self):
-        assert PROTOCOL_VERSION == 2
-        assert set(SUPPORTED_VERSIONS) == {1, 2}
+def _register(coordinator, version: int, worker: str):
+    """Send one ``register`` frame; return the coordinator's reply (None
+    when it closed the connection)."""
+    sock, rfile = connect_stream(coordinator.host, coordinator.port)
+    try:
+        send_message(
+            sock,
+            {"type": "register", "version": version, "worker": worker,
+             "spaces": ["tiny"], "slots": 1},
+        )
+        return read_message(rfile)
+    finally:
+        rfile.close()
+        sock.close()
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_coordinator_welcomes_both_versions(self, coordinator, version):
-        sock, rfile = connect_stream(coordinator.host, coordinator.port)
-        try:
-            send_message(
-                sock,
-                {"type": "register", "version": version, "worker": "probe",
-                 "spaces": ["tiny"], "slots": 1},
-            )
-            welcome = read_message(rfile)
-            assert welcome["type"] == "welcome"
-        finally:
-            rfile.close()
-            sock.close()
+
+class TestProtocolVersions:
+    def test_v2_is_current(self):
+        assert PROTOCOL_VERSION == 2
+
+    def test_coordinator_welcomes_current_version(self, coordinator):
+        welcome = _register(coordinator, PROTOCOL_VERSION, "probe")
+        assert welcome["type"] == "welcome"
+        assert welcome["version"] == PROTOCOL_VERSION
+
+    def test_version_1_is_rejected(self, coordinator):
+        # Workers and coordinator ship in one package: no older peer.
+        assert _register(coordinator, 1, "old") is None  # connection closed
 
     def test_unknown_version_is_rejected(self, coordinator):
-        sock, rfile = connect_stream(coordinator.host, coordinator.port)
-        try:
-            send_message(
-                sock,
-                {"type": "register", "version": 99, "worker": "future",
-                 "spaces": ["tiny"], "slots": 1},
-            )
-            assert read_message(rfile) is None  # connection closed
-        finally:
-            rfile.close()
-            sock.close()
+        assert _register(coordinator, 99, "future") is None  # connection closed
 
 
-class _V1Worker(FleetWorker):
-    """Emulates a protocol-v1 worker: no trace echo, no timing fields."""
+class _UntimedWorker(FleetWorker):
+    """A worker whose result frames carry no trace echo and no timing
+    fields: outside input the coordinator must tolerate."""
 
     def _serve_batch(self, message, executor):
         results = []
@@ -128,10 +125,10 @@ class TestTaskTraces:
         handle.stop()
 
     def test_v1_worker_serves_traced_batches(self, coordinator):
-        # Forward compatibility: a worker that neither echoes the span
-        # context nor reports timing still completes the batch; the
+        # A worker that neither echoes the span context nor reports timing
+        # (as protocol v1 did) still completes the batch; the
         # coordinator's own event log fills the trace (exec/queue 0).
-        worker = _V1Worker(
+        worker = _UntimedWorker(
             coordinator.host, coordinator.port, spaces=["tiny"], name="old",
             evaluator_provider=tiny_provider(),
         )

@@ -6,7 +6,7 @@ edit that makes instrumentation consume RNG fails fast in the unit suite.
 """
 
 from repro.core import (
-    AdaptiveSearch,
+    AdaptiveConfidence,
     GAConfig,
     GeneticSearch,
     HintSet,
@@ -48,12 +48,12 @@ class TestBitIdentity:
     def test_adaptive_search(self, toy_space, toy_evaluator):
         curves = {}
         for enabled in (True, False):
-            search = AdaptiveSearch(
-                toy_space, toy_evaluator, maximize("m"),
-                _config(enabled), hints=_hints(), patience=2,
+            search = GeneticSearch(
+                toy_space, toy_evaluator, maximize("m"), _config(enabled),
+                guidance=AdaptiveConfidence(_hints(), patience=2),
             )
             result = search.run()
-            curves[enabled] = (_curve(result), search.confidence_trace)
+            curves[enabled] = (_curve(result), search.guidance.confidence_trace)
         assert curves[True] == curves[False]
 
     def test_pareto_search(self, toy_space, toy_evaluator):
@@ -83,9 +83,9 @@ class TestBitIdentity:
         assert off.operators.observer is None
 
     def test_adaptive_rebuild_keeps_observer(self, toy_space, toy_evaluator):
-        search = AdaptiveSearch(
-            toy_space, toy_evaluator, maximize("m"),
-            _config(True), hints=_hints(), patience=2,
+        search = GeneticSearch(
+            toy_space, toy_evaluator, maximize("m"), _config(True),
+            guidance=AdaptiveConfidence(_hints(), patience=2),
         )
         observer = search.operators.observer
         assert observer is not None

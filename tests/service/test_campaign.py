@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import (
-    CheckpointedSearch,
     GeneticSearch,
     HintSpecError,
     NautilusError,
@@ -110,14 +109,14 @@ class TestBuildSearch:
     def test_ga_with_dir_checkpoints(self, tiny_dataset, tmp_path):
         spec = CampaignSpec(query="noc-frequency", engine="baseline", generations=3)
         search = build_search(spec, tiny_dataset, campaign_dir=tmp_path)
-        assert isinstance(search, CheckpointedSearch)
+        assert type(search) is GeneticSearch
         assert search.checkpoint_path == tmp_path / "checkpoint.json"
-        assert search.checkpoint_every == 1
 
     def test_ga_without_dir_is_plain(self, tiny_dataset):
         spec = CampaignSpec(query="noc-frequency", engine="baseline", generations=3)
         search = build_search(spec, tiny_dataset)
         assert type(search) is GeneticSearch
+        assert search.checkpoint_path is None
 
     def test_random_engine(self, tiny_dataset, tmp_path):
         spec = CampaignSpec(query="noc-frequency", engine="random", budget=5)

@@ -6,12 +6,12 @@ from repro.core import (
     CallableEvaluator,
     DesignSpace,
     EvaluationError,
+    EvaluationStack,
     GAConfig,
     GeneticSearch,
     InfeasibleDesignError,
     IntParam,
     NautilusError,
-    ParallelEvaluator,
     RandomSearch,
     maximize,
 )
@@ -52,9 +52,12 @@ class TestFailureInjection:
         def fn(genome):
             raise RuntimeError("node crashed")
 
-        parallel = ParallelEvaluator(CallableEvaluator(fn), workers=2)
-        results = parallel.evaluate_many([space.genome(a=1)])
-        assert isinstance(results[0], RuntimeError)
+        parallel = EvaluationStack(
+            CallableEvaluator(fn), backend="thread", workers=2
+        )
+        # Two designs: a batch of one runs on the calling thread.
+        results = parallel.evaluate_many([space.genome(a=1), space.genome(a=2)])
+        assert all(isinstance(outcome, RuntimeError) for outcome in results)
         # And the engine re-raises it rather than swallowing.
         with pytest.raises(RuntimeError):
             GeneticSearch(
