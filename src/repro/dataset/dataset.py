@@ -86,31 +86,23 @@ class Dataset:
         space: DesignSpace,
         evaluator,
         name: str | None = None,
-        progress_every: int = 0,
-        workers: int = 1,
         batch_size: int = 256,
     ) -> "Dataset":
         """Evaluate every structurally feasible point of a space.
 
         This is the reproduction's stand-in for the paper's two-week cluster
-        run; the miniature flow makes it a seconds-to-minutes job. The space
-        is streamed through an :class:`~repro.core.evalstack.EvaluationStack`
-        in ``batch_size`` chunks; ``workers > 1`` fans each chunk out to a
-        thread pool, mirroring the paper's characterization cluster.
+        run; the miniature flow makes it a seconds-to-minutes job on one
+        core. The space is streamed through an
+        :class:`~repro.core.evalstack.EvaluationStack` in ``batch_size``
+        chunks.
         """
         from ..core.evalstack import EvaluationStack
 
-        stack = EvaluationStack(
-            evaluator,
-            backend="thread" if workers > 1 else "inline",
-            workers=workers,
-        )
+        stack = EvaluationStack(evaluator)
         dataset = cls(name or space.name, space)
-        count = 0
         batch: list[Genome] = []
 
         def flush() -> None:
-            nonlocal count
             for genome, outcome in zip(batch, stack.evaluate_many(batch)):
                 if isinstance(outcome, InfeasibleDesignError):
                     metrics = None
@@ -119,9 +111,6 @@ class Dataset:
                 else:
                     metrics = outcome
                 dataset.record(genome, metrics)
-                count += 1
-                if progress_every and count % progress_every == 0:
-                    print(f"[characterize {dataset.name}] {count} designs done")
             batch.clear()
 
         for genome in space.iter_genomes():

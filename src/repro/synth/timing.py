@@ -61,22 +61,23 @@ def analyze_timing(module: Module, lib: TechLibrary) -> TimingReport:
     design reports the same critical path in every process.
 
     A module with no sequential element and no combinational logic (or no
-    instances at all) reports the clock floor.
+    instances at all) reports the clock floor. Each instance's launch or
+    combinational delay comes from :meth:`Module.mapped`.
     """
-    primitives = {inst.name: inst.primitive for inst in module.instances}
-    if not primitives:
+    nodes = module.mapped(lib)
+    if not nodes:
         return TimingReport(lib.clock_floor_ns, (), 0)
 
-    fanout = dict.fromkeys(primitives, 0)
-    indegree = dict.fromkeys(primitives, 0)
-    predecessors: dict[str, list[str]] = {name: [] for name in primitives}
-    successors: dict[str, list[str]] = {name: [] for name in primitives}
+    fanout = dict.fromkeys(nodes, 0)
+    indegree = dict.fromkeys(nodes, 0)
+    predecessors: dict[str, list[str]] = {name: [] for name in nodes}
+    successors: dict[str, list[str]] = {name: [] for name in nodes}
     captures: list[tuple[str, str]] = []
     for a, b in module.iter_edges():
         fanout[a] += 1
         # Edges out of sequential instances still propagate arrival times
         # (clock-to-out); only edges *into* sequential instances terminate.
-        if primitives[b].sequential:
+        if nodes[b].sequential:
             captures.append((a, b))
         else:
             indegree[b] += 1
@@ -90,10 +91,9 @@ def analyze_timing(module: Module, lib: TechLibrary) -> TimingReport:
     ready = [name for name, deg in indegree.items() if deg == 0]
     while ready:
         name = ready.pop()
-        primitive = primitives[name]
-        if primitive.sequential:
-            clk_to_out = getattr(primitive, "clk_to_out_ns", None)
-            arrival[name] = clk_to_out(lib) if clk_to_out else lib.ff_clk_to_q_ns
+        mapped = nodes[name]
+        if mapped.sequential:
+            arrival[name] = mapped.delay_ns
             via[name] = None
         else:
             best = 0.0
@@ -103,13 +103,13 @@ def analyze_timing(module: Module, lib: TechLibrary) -> TimingReport:
                 if candidate > best:
                     best = candidate
                     best_pred = pred
-            arrival[name] = best + primitive.comb_delay_ns(lib)
+            arrival[name] = best + mapped.delay_ns
             via[name] = best_pred
         for succ in successors[name]:
             indegree[succ] -= 1
             if indegree[succ] == 0:
                 ready.append(succ)
-    if len(arrival) != len(primitives):
+    if len(arrival) != len(nodes):
         stuck = sorted(name for name, deg in indegree.items() if deg > 0)
         raise SynthesisError(
             f"combinational loop in module {module.name!r} involving {stuck[:5]}"
@@ -136,5 +136,5 @@ def analyze_timing(module: Module, lib: TechLibrary) -> TimingReport:
         hops.append(node)
         node = via[node]
     path = tuple(reversed(hops)) + capture
-    levels = sum(not primitives[name].sequential for name in path)
+    levels = sum(not nodes[name].sequential for name in path)
     return TimingReport(worst, path, levels)

@@ -1,6 +1,15 @@
 """Tests for structural Verilog emission."""
 
-from repro.synth import Adder, Module, Register, emit_verilog
+import pytest
+
+from repro.synth import (
+    Adder,
+    ComplexMultiplier,
+    Module,
+    Register,
+    StreamingPermuter,
+    emit_verilog,
+)
 from repro.noc import build_router
 from repro.fft import build_fft
 
@@ -49,6 +58,53 @@ class TestEmission:
         text = emit_verilog(m)
         assert "module weird_name_" in text
         assert "a_b_c" in text
+
+
+def clocked(text: str, ident: str) -> bool:
+    """Whether an instance was emitted as an always block (else an assign)."""
+    always = f"always @(posedge clk) begin : {ident}" in text
+    assign = f"assign {ident}_q = {ident}_f({ident}_d);" in text
+    assert always != assign
+    return always
+
+
+class TestSequentialStanzas:
+    """An instance is clocked exactly when the STA launches paths from it."""
+
+    @pytest.mark.parametrize(
+        "primitive, replicate, sequential",
+        [
+            (ComplexMultiplier(16), 1, True),
+            (ComplexMultiplier(16), 4, True),
+            (ComplexMultiplier(16, pipelined=False), 1, False),
+            (StreamingPermuter(4, 24), 1, True),
+            (StreamingPermuter(2, 24), 3, True),
+            (StreamingPermuter(1, 24), 1, False),
+        ],
+    )
+    def test_sequential_flag_decides(self, primitive, replicate, sequential):
+        m = Module("m")
+        inst = m.add("dut", primitive, replicate=replicate)
+        assert inst.sequential is sequential
+        assert clocked(emit_verilog(m), "dut") is sequential
+
+    def test_streaming_fft_multiplier_and_permuter_are_clocked(self):
+        module = build_fft(
+            dict(
+                streaming_width=8,
+                radix=2,
+                bit_width=16,
+                twiddle_storage="bram_rom",
+                scaling="per_stage",
+                architecture="streaming",
+            )
+        )
+        text = emit_verilog(module)
+        kinds = {inst.name: inst.primitive.kind() for inst in module.instances}
+        assert kinds["stage0_twiddle_mult"] == "ComplexMultiplierx4"
+        assert kinds["stage0_permute"] == "StreamingPermuter"
+        for inst in module.instances:
+            assert clocked(text, inst.name) is inst.sequential, inst.name
 
 
 class TestGeneratedIpEmission:
