@@ -139,7 +139,12 @@ def legacy_is_feasible(space, genome) -> bool:
 class LegacyBreedingPipeline(BreedingPipeline):
     """The historical breed sequence with dict-based feasibility checks."""
 
-    def breed(self, population, guidance, rngs, timings=None):
+    def breed(self, population, guidance, rngs, count, timings=None):
+        return [
+            self._breed_one(population, guidance, rngs) for _ in range(count)
+        ]
+
+    def _breed_one(self, population, guidance, rngs):
         parent = self.select(population, rngs.selection)
         genome = parent.genome
         if rngs.crossover.random() < self.crossover_rate:
@@ -213,8 +218,7 @@ def micro_bench(space, objective, hints, dataset, breeds, repeats):
         )
 
         def run(pipeline=pipeline, state=state, rngs=rngs, population=population):
-            for _ in range(breeds):
-                pipeline.breed(population, state, rngs, None)
+            pipeline.breed(population, state, rngs, breeds, None)
 
         rates[label] = best_rate(run, breeds, repeats)
     return rates

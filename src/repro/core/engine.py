@@ -314,12 +314,13 @@ class GeneticSearch(GenerationalEngine):
         cfg = self.config
         elites = sorted(self._population, key=lambda i: i.score, reverse=True)
         genomes = [e.genome for e in elites[: cfg.elitism]]
-        while len(genomes) < cfg.population_size:
-            genomes.append(
-                self.pipeline.breed(
-                    self._population, self._guidance_state, self.rngs, timings
-                )
-            )
+        genomes += self.pipeline.breed(
+            self._population,
+            self._guidance_state,
+            self.rngs,
+            cfg.population_size - len(genomes),
+            timings,
+        )
         return genomes
 
     def _offspring_attribution(self, offspring) -> list:

@@ -718,7 +718,8 @@ class EvaluationStack:
             characterization pipeline streams a whole space through one
             stack this way).
         fingerprint: Evaluator-content fingerprint override; defaults to
-            :func:`evaluator_fingerprint` of ``inner``.
+            :func:`evaluator_fingerprint` of ``inner``, computed on first
+            read of :attr:`fingerprint`.
         clock: Timer used for the wall/backend timings (tests inject one).
         registry: Optional :class:`repro.obs.registry.MetricsRegistry`;
             when given, the stack also publishes its counters as
@@ -760,7 +761,7 @@ class EvaluationStack:
         self.workers = workers
         self.persistent = persistent
         self.archive = archive
-        self.fingerprint = fingerprint or evaluator_fingerprint(inner)
+        self._fingerprint = fingerprint or None
         self._counters = _Counters()
         self._clock = clock
         self.registry = registry
@@ -793,6 +794,19 @@ class EvaluationStack:
         if archive is not None:
             layer = _ArchiveTap(layer, archive, self.fingerprint, campaign)
         self._memo = _MemoCache(layer, self._counters)
+
+    @property
+    def fingerprint(self) -> str:
+        """The inner evaluator's content fingerprint, computed on first read.
+
+        Only the persistent cache, the archive tap, the fleet backend and
+        their callers read it; for a dataset it hashes every row, which a
+        stack without those layers never needs to pay.
+        """
+        fingerprint = self._fingerprint
+        if fingerprint is None:
+            fingerprint = self._fingerprint = evaluator_fingerprint(self.inner)
+        return fingerprint
 
     # -- construction helpers ---------------------------------------------------
 

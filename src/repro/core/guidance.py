@@ -83,6 +83,9 @@ class GuidanceState:
     generation (even when nothing changed) — the operators rely on this,
     resolving each state against the space codec once and caching the
     resolution by object identity for the generation's whole breeding pass.
+    The per-gene tables derived from ``hints`` are cached by hint-set
+    identity for the whole search, so a hint set is never mutated in place
+    once a state carries it.
 
     Attributes:
         generation: The generation this state applies to.

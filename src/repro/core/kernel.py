@@ -46,7 +46,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from ..obs.attribution import BreedingObserver, summarize_generation
 from ..obs.clock import DEFAULT_CLOCK
@@ -301,6 +301,22 @@ class CappedJsonlTraceSink(JsonlTraceSink):
         self._lines = len(head) + 1 + len(tail)
 
 
+def fold_operator_events(
+    totals: dict[str, dict[str, float]], events: Iterable[RunEvent]
+) -> dict[str, dict[str, float]]:
+    """Add ``operator-applied`` events into ``{operator: {calls, time_s}}``."""
+    for event in events:
+        if event.kind != "operator-applied":
+            continue
+        entry = totals.setdefault(
+            str(event.payload.get("operator", "?")),
+            {"calls": 0, "time_s": 0.0},
+        )
+        entry["calls"] += int(event.payload.get("calls", 0))
+        entry["time_s"] += float(event.payload.get("time_s", 0.0))
+    return totals
+
+
 class RunTrace:
     """The in-memory event stream of one search run.
 
@@ -333,12 +349,7 @@ class RunTrace:
         self._seq += 1
         self.events.append(event)
         if kind == "operator-applied":
-            totals = self._operators.setdefault(
-                str(event.payload.get("operator", "?")),
-                {"calls": 0, "time_s": 0.0},
-            )
-            totals["calls"] += int(event.payload.get("calls", 0))
-            totals["time_s"] += float(event.payload.get("time_s", 0.0))
+            fold_operator_events(self._operators, (event,))
         if notify:
             for sink in self._sinks:
                 sink.emit(event)
@@ -558,17 +569,7 @@ class SearchResult:
 
     def operator_timings(self) -> dict[str, dict[str, float]]:
         """{operator: {calls, time_s}} aggregated from the run's trace."""
-        totals: dict[str, dict[str, float]] = {}
-        for event in self.events:
-            if event.kind != "operator-applied":
-                continue
-            entry = totals.setdefault(
-                str(event.payload.get("operator", "?")),
-                {"calls": 0, "time_s": 0.0},
-            )
-            entry["calls"] += int(event.payload.get("calls", 0))
-            entry["time_s"] += float(event.payload.get("time_s", 0.0))
-        return totals
+        return fold_operator_events({}, self.events)
 
     def evals_to_reach(self, threshold: float) -> int | None:
         """Distinct evaluations needed to first reach a raw-metric threshold.

@@ -23,11 +23,13 @@ from __future__ import annotations
 import math
 import random
 import time
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
+from .codec import SpaceCodec
 from .errors import NautilusError
 from .genome import Genome
 from .guidance import GuidanceState
+from .hints import HintSet
 from .params import Param, freeze_value
 from .space import DesignSpace
 
@@ -104,17 +106,16 @@ def _blended_gene_rates(
 
 
 class _GeneGuide:
-    """Everything one gene's mutation needs, resolved to codes.
+    """Everything one gene's guided mutation needs, resolved to codes.
 
-    Built once per (guidance state, mutation rate) by
-    :class:`_ResolvedGuidance`; the hot loop then touches only plain
-    attribute loads — no hint lookups, no axis dict builds, no weight
-    recomputation per offspring.
+    Built once per (hint set, codec) by :func:`_gene_guides`; the hot loop
+    then touches only plain attribute loads — no hint lookups, no axis dict
+    builds per offspring. The per-generation part of a gene's guidance (its
+    mutation rate, the confidence) lives in :class:`_ResolvedGuidance`.
     """
 
     __slots__ = (
         "name",
-        "rate",
         "cardinality",
         "directional",
         "has_axis",
@@ -129,98 +130,98 @@ class _GeneGuide:
     )
 
 
-class _ResolvedGuidance:
+def _gene_guides(codec: SpaceCodec, hints: HintSet | None) -> tuple[_GeneGuide, ...]:
+    """Every gene's axis maps, target weights and step tables under a hint set.
+
+    These depend only on the hint set and the codec, never on the
+    generation, so :class:`GeneticOperators` builds them once per hint-set
+    object and reuses them for every generation that set is in force.
+    """
+    genes = []
+    for pos, name in enumerate(codec.names):
+        guide = _GeneGuide()
+        guide.name = name
+        card = codec.cardinalities[pos]
+        guide.cardinality = card
+        hints_p = hints.for_param(name) if hints is not None else None
+        directional = hints_p is not None and (
+            hints_p.bias != 0.0 or hints_p.target is not None
+        )
+        guide.directional = directional
+        guide.has_axis = False
+        guide.identity_axis = False
+        guide.axis_size = 0
+        guide.code_to_axis = None
+        guide.axis_to_code = None
+        guide.target_weights = None
+        guide.target_total = 0.0
+        guide.p_up = 0.0
+        guide.continue_prob = 0.0
+        if directional and card > 1:
+            ordering = hints_p.ordering
+            if ordering is not None:
+                index_map = codec.index_maps[pos]
+                axis_codes = tuple(
+                    index_map[freeze_value(v)] for v in ordering
+                )
+                guide.has_axis = True
+                guide.axis_size = len(axis_codes)
+                guide.axis_to_code = axis_codes
+                guide.code_to_axis = {
+                    code: i for i, code in enumerate(axis_codes)
+                }
+            elif codec.ordered[pos]:
+                # The domain order is the axis: code == axis position.
+                guide.has_axis = True
+                guide.identity_axis = True
+                guide.axis_size = card
+            if guide.has_axis:
+                if hints_p.target is not None:
+                    target_code = codec.index_maps[pos][
+                        freeze_value(hints_p.target)
+                    ]
+                    target_axis = (
+                        target_code
+                        if guide.identity_axis
+                        else guide.code_to_axis[target_code]
+                    )
+                    # Same expressions, same summation order as the
+                    # historical per-call computation — the floats (and
+                    # therefore every seeded draw consuming them) are
+                    # bit-identical.
+                    weights = [
+                        _STEP_TAIL ** abs(i - target_axis)
+                        for i in range(guide.axis_size)
+                    ]
+                    guide.target_weights = weights
+                    guide.target_total = sum(weights)
+                else:
+                    guide.p_up = (1.0 + hints_p.bias) / 2.0
+                    step_hint = hints_p.step
+                    if step_hint is None:
+                        guide.continue_prob = _STEP_TAIL
+                    else:
+                        # Geometric with mean ``step_hint``: mean = 1 / (1 - q).
+                        guide.continue_prob = max(
+                            0.0, min(0.9, 1.0 - 1.0 / max(step_hint, 1))
+                        )
+        genes.append(guide)
+    return tuple(genes)
+
+
+class _ResolvedGuidance(NamedTuple):
     """One guidance state, resolved against a space codec.
 
     Guidance providers emit one fresh :class:`~repro.core.guidance.GuidanceState`
     per generation (even a neutral one), so :class:`GeneticOperators` caches
     the resolution by state identity — the whole generation's breeding reads
-    a single resolution.
+    a single resolution. Only the confidence and the per-gene rates are
+    computed per state; ``genes`` is the hint set's shared table.
     """
 
-    __slots__ = ("confidence", "genes")
-
-    def __init__(
-        self,
-        space: DesignSpace,
-        guidance: GuidanceState | None,
-        mutation_rate: float,
-    ):
-        codec = space.codec
-        names = codec.names
-        self.confidence = guidance.confidence if guidance is not None else 0.0
-        rates = _blended_gene_rates(names, guidance, mutation_rate)
-        genes = []
-        for pos, name in enumerate(names):
-            guide = _GeneGuide()
-            guide.name = name
-            guide.rate = rates[pos]
-            card = codec.cardinalities[pos]
-            guide.cardinality = card
-            hints_p = guidance.for_param(name) if guidance is not None else None
-            directional = hints_p is not None and (
-                hints_p.bias != 0.0 or hints_p.target is not None
-            )
-            guide.directional = directional
-            guide.has_axis = False
-            guide.identity_axis = False
-            guide.axis_size = 0
-            guide.code_to_axis = None
-            guide.axis_to_code = None
-            guide.target_weights = None
-            guide.target_total = 0.0
-            guide.p_up = 0.0
-            guide.continue_prob = 0.0
-            if directional and card > 1:
-                ordering = hints_p.ordering
-                if ordering is not None:
-                    index_map = codec.index_maps[pos]
-                    axis_codes = tuple(
-                        index_map[freeze_value(v)] for v in ordering
-                    )
-                    guide.has_axis = True
-                    guide.axis_size = len(axis_codes)
-                    guide.axis_to_code = axis_codes
-                    guide.code_to_axis = {
-                        code: i for i, code in enumerate(axis_codes)
-                    }
-                elif codec.ordered[pos]:
-                    # The domain order is the axis: code == axis position.
-                    guide.has_axis = True
-                    guide.identity_axis = True
-                    guide.axis_size = card
-                if guide.has_axis:
-                    if hints_p.target is not None:
-                        target_code = codec.index_maps[pos][
-                            freeze_value(hints_p.target)
-                        ]
-                        target_axis = (
-                            target_code
-                            if guide.identity_axis
-                            else guide.code_to_axis[target_code]
-                        )
-                        # Same expressions, same summation order as the
-                        # historical per-call computation — the floats (and
-                        # therefore every seeded draw consuming them) are
-                        # bit-identical.
-                        weights = [
-                            _STEP_TAIL ** abs(i - target_axis)
-                            for i in range(guide.axis_size)
-                        ]
-                        guide.target_weights = weights
-                        guide.target_total = sum(weights)
-                    else:
-                        guide.p_up = (1.0 + hints_p.bias) / 2.0
-                        step_hint = hints_p.step
-                        if step_hint is None:
-                            guide.continue_prob = _STEP_TAIL
-                        else:
-                            # Geometric with mean ``step_hint``: mean = 1 / (1 - q).
-                            guide.continue_prob = max(
-                                0.0, min(0.9, 1.0 - 1.0 / max(step_hint, 1))
-                            )
-            genes.append(guide)
-        self.genes: tuple[_GeneGuide, ...] = tuple(genes)
+    confidence: float
+    rates: list[float]
+    genes: tuple[_GeneGuide, ...]
 
 
 def _mutate_code(
@@ -313,22 +314,29 @@ _CROSSOVERS = {
 }
 
 
+def _no_clock() -> float:
+    """The time source of an untimed breeding call: reads nothing."""
+    return 0.0
+
+
 class BreedingPipeline:
-    """One offspring = select → crossover → mutate, drawn from named streams.
+    """A generation's offspring, each one select → crossover → mutate.
 
     This is the declarative operator pipeline every generational engine
     passes to the kernel: the engine chooses the parent-selection strategy
     (fitness-proportional for the single-objective GA, rank/crowding
     tournament for NSGA-II) and the pipeline runs the fixed breeding
-    sequence, drawing each concern from its named RNG stream
-    (``selection`` / ``crossover`` / ``mutation``) and charging per-operator
-    wall time into the caller's ``timings`` accumulator (``{operator:
-    [calls, seconds]}``) so every run can report where breeding time went.
+    sequence once per child, drawing each concern from its named RNG stream
+    (``selection`` / ``crossover`` / ``mutation``). :meth:`breed` produces
+    a whole generation in one call: it times every operator per child and
+    charges the sums into the caller's ``timings`` accumulator (``{operator:
+    [calls, seconds]}``) once per call, so every run can report where
+    breeding time went.
 
-    The draw order is pinned — parent selection, crossover-rate draw,
-    mate selection, up to 8 feasible-crossover attempts, then mutation —
-    because with shared RNG streams (the default) it is the sequence the
-    engine-parity baseline captures.
+    The draw order is pinned — per child: parent selection, crossover-rate
+    draw, mate selection, up to 8 feasible-crossover attempts, then
+    mutation — because with shared RNG streams (the default) it is the
+    sequence the engine-parity baseline captures.
     """
 
     #: Attempts at producing a structurally feasible crossover before
@@ -355,13 +363,11 @@ class BreedingPipeline:
 
     @staticmethod
     def _charge(
-        timings: dict[str, list[float]] | None,
+        timings: dict[str, list[float]],
         operator: str,
         calls: int,
         seconds: float,
     ) -> None:
-        if timings is None:
-            return
         entry = timings.setdefault(operator, [0, 0.0])
         entry[0] += calls
         entry[1] += seconds
@@ -371,59 +377,71 @@ class BreedingPipeline:
         population: Sequence,
         guidance: GuidanceState,
         rngs,
+        count: int,
         timings: dict[str, list[float]] | None = None,
-    ) -> Genome:
-        """Produce one offspring genome under this generation's guidance."""
+    ) -> list[Genome]:
+        """Breed ``count`` offspring genomes under this generation's guidance.
+
+        Without ``timings`` the clock is never read; with it, every
+        operator is timed per child and the sums are charged once.
+        """
         observer = self.operators.observer
-        if timings is None:
-            # Untimed fast path: identical logic and draw order, no
-            # perf_counter traffic per offspring.
-            parent = self.select(population, rngs.selection)
+        select = self.select
+        crossover = self.crossover
+        crossover_rate = self.crossover_rate
+        attempts = range(self.CROSSOVER_ATTEMPTS)
+        is_feasible = self.space.is_feasible
+        mutate_feasible = self.operators.mutate_feasible
+        clock = self.clock if timings is not None else _no_clock
+        selection_rng = rngs.selection
+        crossover_rng = rngs.crossover
+        mutation_rng = rngs.mutation
+        crossover_draw = crossover_rng.random
+        crossings = 0
+        crossed_first = False
+        select_s = crossover_s = mutation_s = 0.0
+        children: list[Genome] = []
+        for _ in range(count):
+            t0 = clock()
+            parent = select(population, selection_rng)
             genome = parent.genome
+            t1 = clock()
+            select_s += t1 - t0
             if observer is not None:
                 observer.child_started(scalar_score(parent))
-            if rngs.crossover.random() < self.crossover_rate:
-                other = self.select(population, rngs.selection)
-                for _ in range(self.CROSSOVER_ATTEMPTS):
-                    candidate = self.crossover(
-                        parent.genome, other.genome, rngs.crossover
-                    )
-                    if self.space.is_feasible(candidate):
+            if crossover_draw() < crossover_rate:
+                if not children:
+                    crossed_first = True
+                t1 = clock()
+                other = select(population, selection_rng)
+                t2 = clock()
+                select_s += t2 - t1
+                for _ in attempts:
+                    candidate = crossover(parent.genome, other.genome, crossover_rng)
+                    if is_feasible(candidate):
                         genome = candidate
                         if observer is not None:
                             observer.crossover_applied()
                         break
-            mutated = self.operators.mutate_feasible(genome, guidance, rngs.mutation)
+                crossover_s += clock() - t2
+                crossings += 1
+            t3 = clock()
+            children.append(mutate_feasible(genome, guidance, mutation_rng))
+            mutation_s += clock() - t3
             if observer is not None:
                 observer.child_finished()
-            return mutated
-        clock = self.clock
-        t0 = clock()
-        parent = self.select(population, rngs.selection)
-        genome = parent.genome
-        t1 = clock()
-        self._charge(timings, "selection", 1, t1 - t0)
-        if observer is not None:
-            observer.child_started(scalar_score(parent))
-        if rngs.crossover.random() < self.crossover_rate:
-            t1 = clock()
-            other = self.select(population, rngs.selection)
-            t2 = clock()
-            self._charge(timings, "selection", 1, t2 - t1)
-            for _ in range(self.CROSSOVER_ATTEMPTS):
-                candidate = self.crossover(parent.genome, other.genome, rngs.crossover)
-                if self.space.is_feasible(candidate):
-                    genome = candidate
-                    if observer is not None:
-                        observer.crossover_applied()
-                    break
-            self._charge(timings, "crossover", 1, clock() - t2)
-        t3 = clock()
-        mutated = self.operators.mutate_feasible(genome, guidance, rngs.mutation)
-        self._charge(timings, "mutation", 1, clock() - t3)
-        if observer is not None:
-            observer.child_finished()
-        return mutated
+        if timings is not None and count > 0:
+            # Keys keep the order of each operator's first charge, as when
+            # every child was charged on its own: crossover precedes
+            # mutation only when the first child crossed.
+            charge = self._charge
+            charge(timings, "selection", count + crossings, select_s)
+            if crossed_first:
+                charge(timings, "crossover", crossings, crossover_s)
+            charge(timings, "mutation", count, mutation_s)
+            if crossings and not crossed_first:
+                charge(timings, "crossover", crossings, crossover_s)
+        return children
 
 
 class GeneticOperators:
@@ -458,6 +476,10 @@ class GeneticOperators:
         # whole generation's breeding. Keyed on mutation_rate too, so callers
         # that tweak the rate mid-run get a fresh resolution.
         self._resolved: tuple | None = None
+        # ``(hint set, gene tables)`` of the last hint set resolved. A
+        # provider keeps one hint set for a whole search (an estimating
+        # provider swaps it once), so the tables are built once per search.
+        self._guides: tuple | None = None
 
     # -- gene selection ---------------------------------------------------------
 
@@ -475,15 +497,24 @@ class GeneticOperators:
 
     def _resolve(self, guidance: GuidanceState | None) -> _ResolvedGuidance:
         """The codec-resolved form of a guidance state, cached by identity."""
+        mutation_rate = self.mutation_rate
         cached = self._resolved
         if (
             cached is not None
             and cached[0] is guidance
-            and cached[1] == self.mutation_rate
+            and cached[1] == mutation_rate
         ):
             return cached[2]
-        resolved = _ResolvedGuidance(self.space, guidance, self.mutation_rate)
-        self._resolved = (guidance, self.mutation_rate, resolved)
+        hints = guidance.hints if guidance is not None else None
+        guides = self._guides
+        if guides is None or guides[0] is not hints:
+            guides = self._guides = (hints, _gene_guides(self.space.codec, hints))
+        resolved = _ResolvedGuidance(
+            guidance.confidence if guidance is not None else 0.0,
+            _blended_gene_rates(self.space.codec.names, guidance, mutation_rate),
+            guides[1],
+        )
+        self._resolved = (guidance, mutation_rate, resolved)
         return resolved
 
     # -- value assignment ---------------------------------------------------------
@@ -621,8 +652,11 @@ class GeneticOperators:
         new_codes: list[int] | None = None
         channels = [] if observer is not None else None
         confidence = resolved.confidence
-        for pos, guide in enumerate(resolved.genes):
-            if rng.random() < guide.rate:
+        genes = resolved.genes
+        draw = rng.random
+        for pos, rate in enumerate(resolved.rates):
+            if draw() < rate:
+                guide = genes[pos]
                 # Fired genes read the *original* code, matching the
                 # historical read from the input genome.
                 code, channel = _mutate_code(guide, codes[pos], confidence, rng)

@@ -45,7 +45,12 @@ from .fitness import Objective
 from .genome import Genome
 from .guidance import GuidanceProvider
 from .hints import HintSet
-from .kernel import GenerationalEngine, GenerationRecord, RunEvent
+from .kernel import (
+    GenerationalEngine,
+    GenerationRecord,
+    RunEvent,
+    fold_operator_events,
+)
 from .selection import Individual
 from .space import DesignSpace
 
@@ -259,17 +264,7 @@ class ParetoResult:
 
     def operator_timings(self) -> dict[str, dict[str, float]]:
         """{operator: {calls, time_s}} aggregated from the run's trace."""
-        totals: dict[str, dict[str, float]] = {}
-        for event in self.events:
-            if event.kind != "operator-applied":
-                continue
-            entry = totals.setdefault(
-                str(event.payload.get("operator", "?")),
-                {"calls": 0, "time_s": 0.0},
-            )
-            entry["calls"] += int(event.payload.get("calls", 0))
-            entry["time_s"] += float(event.payload.get("time_s", 0.0))
-        return totals
+        return fold_operator_events({}, self.events)
 
     def hypervolume(self, reference_raws: tuple[float, float]) -> float:
         """2-objective hypervolume against a reference point in raw units."""
@@ -416,12 +411,13 @@ class ParetoSearch(GenerationalEngine):
         # gives the stack population-sized batches to fan out. NSGA-II's
         # elitism lives in the survivor rule (parents compete in the pool),
         # so no individuals are copied here.
-        return [
-            self.pipeline.breed(
-                self._population, self._guidance_state, self.rngs, timings
-            )
-            for _ in range(self.config.population_size)
-        ]
+        return self.pipeline.breed(
+            self._population,
+            self._guidance_state,
+            self.rngs,
+            self.config.population_size,
+            timings,
+        )
 
     def _offspring_attribution(self, offspring) -> list:
         # Every offspring is bred (NSGA-II elitism lives in the survivor

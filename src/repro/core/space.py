@@ -24,9 +24,17 @@ from .params import Param
 __all__ = ["DesignSpace", "Constraint"]
 
 #: A structural constraint: returns True when the configuration is feasible.
+#: It must be a pure function of the config — the same verdict for the same
+#: values, every time — because a space remembers each code vector's verdict
+#: (see :meth:`DesignSpace.is_feasible`).
 Constraint = Callable[[Mapping[str, Any]], bool]
 
 _MAX_SAMPLING_ATTEMPTS = 10_000
+
+#: Verdicts a space remembers before it forgets them all. Above the largest
+#: bundled product space (the router's 30,240 points), so their memos fill
+#: once and are never cleared.
+_FEASIBILITY_MEMO_CAP = 1 << 16
 
 
 class DesignSpace:
@@ -36,7 +44,10 @@ class DesignSpace:
         name: A short identifier used in genome cache keys and datasets.
         params: The parameters, in a stable order.
         constraints: Structural feasibility predicates. A genome is feasible
-            only if *all* predicates return True on its config dict.
+            only if *all* predicates return True on its config dict. Each
+            must be a pure function of the config: the space memoizes the
+            verdict per code vector, so a predicate is asked about a point
+            at most once between memo resets.
     """
 
     def __init__(
@@ -59,6 +70,18 @@ class DesignSpace:
         #: Built eagerly — params and constraints are immutable after this
         #: point, so the codec shares the space's lifetime.
         self.codec = SpaceCodec(self)
+        #: code vector -> feasibility verdict, for this space's own genomes.
+        self._feasible: dict[tuple[int, ...], bool] = {}
+
+    def __getstate__(self) -> dict[str, Any]:
+        # A genome pickles its space; the memo would multiply that payload.
+        state = self.__dict__.copy()
+        del state["_feasible"]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._feasible = {}
 
     # -- parameter lookup -----------------------------------------------------
 
@@ -132,11 +155,27 @@ class DesignSpace:
 
         A :class:`Genome` is passed to the constraint predicates directly
         (it is a Mapping; values decode lazily) — no intermediate dict.
+        The verdict for a genome of this space is memoized by its code
+        vector: breeding re-proposes the same points over and over, and
+        constraints are pure. A mapping, or a genome of another space, is
+        checked directly. Threads may race to compute the same verdict;
+        each stores the same answer.
         """
-        if not self.constraints:
+        constraints = self.constraints
+        if not constraints:
             return True
+        if isinstance(genome, Genome) and genome.space is self:
+            memo = self._feasible
+            codes = genome.codes
+            verdict = memo.get(codes)
+            if verdict is None:
+                verdict = all(constraint(genome) for constraint in constraints)
+                if len(memo) >= _FEASIBILITY_MEMO_CAP:
+                    memo.clear()
+                memo[codes] = verdict
+            return verdict
         config = genome if isinstance(genome, Genome) else dict(genome)
-        return all(constraint(config) for constraint in self.constraints)
+        return all(constraint(config) for constraint in constraints)
 
     def random_genome(self, rng: random.Random) -> Genome:
         """Draw a uniform random *feasible* genome by rejection sampling."""

@@ -196,6 +196,35 @@ class TestConstruction:
         stack = EvaluationStack(inner, fingerprint="override")
         assert stack.fingerprint == "override"
 
+    def test_fingerprint_is_computed_on_first_read(self, space, monkeypatch):
+        from repro.core import DatasetEvaluator
+        from repro.dataset import Dataset
+
+        dataset = Dataset("d", space)
+        for a in range(100):
+            dataset.record({"a": a}, {"m": float(a % 17)})
+        hashed = []
+        content_fingerprint = Dataset.content_fingerprint
+
+        def counting(self):
+            hashed.append(self)
+            return content_fingerprint(self)
+
+        monkeypatch.setattr(Dataset, "content_fingerprint", counting)
+        inner = DatasetEvaluator(dataset)
+        stack = EvaluationStack(inner)
+        GeneticSearch(
+            space,
+            stack,
+            maximize("m"),
+            GAConfig(population_size=6, generations=4, seed=3),
+        ).run()
+        stack.evaluate_many([space.genome(a=a) for a in range(10)])
+        # No persistent cache, archive or fleet: nothing read the hash.
+        assert hashed == []
+        assert stack.fingerprint == evaluator_fingerprint(inner)
+        assert hashed
+
 
 class TestPoolBackends:
     """``backend="thread"`` / ``"process"``: a batch fans out to a pool,

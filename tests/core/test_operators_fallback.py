@@ -96,24 +96,20 @@ class TestExhaustion:
 
 class TestSuccessPath:
     def test_commit_reports_the_succeeding_attempt(self):
-        # A stateful constraint: infeasible for the first 4 feasibility
-        # probes, feasible afterwards — the operator must commit on
-        # attempt 5 with fallback=False.
-        probes = []
-
-        def warming_up(cfg):
-            probes.append(1)
-            return len(probes) > 4
-
+        # Constraints are pure (the space memoizes their verdicts), so the
+        # seed picks the attempts: from a == 0 every attempt moves `a` to
+        # 1, 2 or 3, and under seed 23 attempts 1-4 draw 1 or 2 (infeasible)
+        # and attempt 5 draws 3 — the operator must commit on attempt 5
+        # with fallback=False.
         space = DesignSpace(
-            "warmup",
+            "top",
             [IntParam("a", 0, 3), ChoiceParam("c", ("x", "y"))],
-            constraints=[warming_up],
+            constraints=[lambda cfg: cfg["a"] == 3],
         )
         ops = GeneticOperators(space, mutation_rate=1.0)
         ops.observer = observer = RecordingObserver()
         genome = space.genome({"a": 0, "c": "x"})
-        result = ops.mutate_feasible(genome, None, random.Random(3))
+        result = ops.mutate_feasible(genome, None, random.Random(23))
         assert observer.committed == [(5, False)]
         assert result is not genome
 

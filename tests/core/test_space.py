@@ -1,5 +1,6 @@
 """Tests for design spaces: size, constraints, sampling, enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -129,3 +130,80 @@ def test_random_genome_always_in_domain(seed):
     g = space.random_genome(random.Random(seed))
     for param in space.params:
         assert param.contains(g[param.name])
+
+
+def _bundled_spaces():
+    from repro.dsp.space import fir_space
+    from repro.fft.space import fft_space
+    from repro.noc.space import router_space
+
+    return [router_space(), fft_space(), fir_space()]
+
+
+def _direct(space, genome):
+    return all(constraint(genome) for constraint in space.constraints)
+
+
+class TestFeasibilityMemo:
+    def test_bundled_spaces_agree_with_their_constraints(self):
+        checked = 0
+        for space in _bundled_spaces():
+            genomes = [space.codec.genome(c) for c in space.codec.iter_codes()]
+            expected = [_direct(space, g) for g in genomes]
+            for _ in range(2):  # the first query fills the memo, the second hits
+                assert [space.is_feasible(g) for g in genomes] == expected
+            assert len(space._feasible) == len(genomes)
+            checked += len(genomes)
+        assert checked == 30_240 + 12_600 + 2_808
+
+    def test_small_cap_keeps_verdicts_and_bounds_the_memo(self, monkeypatch):
+        import repro.core.space as space_module
+
+        monkeypatch.setattr(space_module, "_FEASIBILITY_MEMO_CAP", 7)
+        space = make_space([lambda c: (c["a"] + c["b"]) % 3 != 0])
+        genomes = [space.codec.genome(c) for c in space.codec.iter_codes()]
+        for _ in range(3):
+            for genome in genomes:
+                assert space.is_feasible(genome) == _direct(space, genome)
+                assert 0 < len(space._feasible) <= 7
+
+    def test_memo_is_not_pickled(self):
+        import pickle
+
+        from repro.noc.space import router_space
+
+        fresh = router_space()
+        used = router_space()
+        codes = list(itertools.islice(used.codec.iter_codes(), 3_000))
+        for c in codes:
+            used.is_feasible(used.codec.genome(c))
+        assert len(used._feasible) == 3_000
+        fresh_bytes = pickle.dumps(fresh.codec.genome(codes[0]))
+        used_bytes = pickle.dumps(used.codec.genome(codes[0]))
+        assert len(used_bytes) == len(fresh_bytes)
+        restored = pickle.loads(used_bytes)
+        assert restored.space._feasible == {}
+        assert restored.space.is_feasible(restored) == used.is_feasible(
+            used.codec.genome(codes[0])
+        )
+
+    def test_mappings_and_foreign_genomes_run_the_constraints(self):
+        calls = []
+
+        def not_a1(config):
+            calls.append(1)
+            return config["a"] != 1
+
+        space, twin = make_space([not_a1]), make_space([not_a1])
+        config = {"a": 1, "b": 2, "f": True}
+        foreign = twin.genome(config)
+        own = space.genome(config)
+        for _ in range(2):
+            assert not space.is_feasible(config)
+            assert not space.is_feasible(foreign)
+        assert len(calls) == 4
+        assert space._feasible == {}
+        for _ in range(2):
+            assert not space.is_feasible(own)
+        assert len(calls) == 5
+        assert space._feasible == {own.codes: False}
