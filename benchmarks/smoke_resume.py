@@ -13,7 +13,10 @@ same spec — best raw metric, best design and the whole best-raw curve —
 and pay no more distinct evaluations than it (the generation the kill
 interrupted is served by the eval cache the second time). The store must
 hold no ``*.tmp`` file, and the finished campaign's checkpoint journal
-must have been compacted into a single line.
+must have been compacted into a single line. Every ``cache`` row of that
+line must be in ``<store>/archive`` under the campaign's id, with the
+same metrics: the rows the restarted daemon restored from the journal
+reach the archive too.
 
 The campaign's ``events.jsonl`` must hold a readable trace of both
 daemons: every line parses except at most one torn by the kill, and the
@@ -118,6 +121,37 @@ def _check_event_log(path: Path, ref_curve: list[tuple[int, float]]) -> str:
     )
 
 
+def _check_archive(store: Path, cid: str, line: bytes) -> str:
+    """Check that every memo row of the compacted journal ``line`` is
+    archived under ``cid`` (see the module docstring); returns a one-line
+    summary."""
+    archived: dict[tuple, dict] = {}
+    for path in sorted((store / "archive").glob("*.jsonl")):
+        with open(path, encoding="utf-8") as fh:
+            next(fh, None)  # the header
+            for text in fh:
+                try:
+                    row = json.loads(text)
+                except ValueError:
+                    continue  # a line the kill tore; readers skip it too
+                archived.setdefault(tuple(row["values"]), row)
+    rows = json.loads(line)["cache"]
+    missing = [
+        row["values"] for row in rows
+        if archived.get(tuple(row["values"]), {}).get("campaign") != cid
+    ]
+    assert not missing, (
+        f"{len(missing)} of {len(rows)} journal rows not archived under "
+        f"{cid}, e.g. {missing[:3]}"
+    )
+    differ = [
+        row["values"] for row in rows
+        if archived[tuple(row["values"])]["metrics"] != row["metrics"]
+    ]
+    assert not differ, f"archived metrics differ for {differ[:3]}"
+    return f"{len(rows)} journal rows archived under {cid}"
+
+
 def main() -> int:
     reference = build_search(SPEC, load_dataset(query_space(SPEC))).run()
     ref_curve = [(r.generation, r.best_raw) for r in reference.records]
@@ -177,11 +211,13 @@ def main() -> int:
         assert not leftovers, f"temp files left behind: {leftovers}"
         lines = journal.read_bytes().splitlines()
         assert len(lines) == 1, f"finished journal has {len(lines)} lines"
+        archived = _check_archive(store, cid, lines[0])
         print(
             f"  resumed:       best={final['best_raw']:.6g} "
             f"distinct={final['distinct_evaluations']}"
         )
         print(f"  event log:     {events}")
+        print(f"  archive:       {archived}")
     print("  ok: SIGKILLed daemon resumed onto the uninterrupted curve")
     return 0
 

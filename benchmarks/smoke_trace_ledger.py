@@ -1,18 +1,21 @@
-"""CI smoke check: the traced perfbench ledger sees every ``replay`` layer.
+"""CI smoke check: the traced perfbench ledger sees every layer of a
+workload.
 
-Runs ``perfbench/run.py --workload replay --trace 1`` and fails unless
+Runs ``perfbench/run.py --workload <workload> --trace 1`` and fails unless
 
 * the run exits 0 (which also means traced and untraced items agree),
 * every wrapped target was found (``targets not found: none``), and
-* each layer the ``replay`` workload goes through reports a nonzero call
-  count in the final JSON line.
+* each layer the workload goes through reports a nonzero call count in
+  the final JSON line.
 
 A wrapper left on a method the program no longer calls reads zero calls
 and is otherwise silent; this check turns that into a failure.
 
 Usage::
 
-    python3 benchmarks/smoke_trace_ledger.py   # from the root of a checkout
+    python3 benchmarks/smoke_trace_ledger.py [replay|daemon]   # default replay
+
+Run it from the root of a checkout.
 """
 
 from __future__ import annotations
@@ -21,26 +24,46 @@ import json
 import subprocess
 import sys
 
-COMMAND = [
-    sys.executable, "perfbench/run.py",
-    "--workload", "replay", "--seed", "1", "--seconds", "5", "--trace", "1",
-]
+#: Layers every campaign of a workload passes through.
+LAYERS = {
+    "replay": (
+        "core.operators.breed",
+        "core.kernel.step",
+        "core.kernel.trace_emit",
+        "core.guidance.advance",
+        "obs.attribution",
+        "obs.health",
+        "core.evalstack.evaluate_many",
+        "core.evaluator.dataset_lookup",
+    ),
+    "daemon": (
+        "core.operators.breed",
+        "core.kernel.step",
+        "core.kernel.jsonl_emit",
+        "core.evalstack.evaluate_many",
+        "core.evalstack.persistent_put",
+        "archive.record_many",
+        "core.evaluator.dataset_lookup",
+        "core.checkpoint.save",
+        "service.store.save_status",
+        "service.store.save_result",
+        "service.metrics.record",
+        "service.scheduler.tick",
+        "service.http.request",
+    ),
+}
 
-#: Layers every replay campaign passes through.
-REPLAY_LAYERS = (
-    "core.operators.breed",
-    "core.kernel.step",
-    "core.kernel.trace_emit",
-    "core.guidance.advance",
-    "obs.attribution",
-    "obs.health",
-    "core.evalstack.evaluate_many",
-    "core.evaluator.dataset_lookup",
-)
 
-
-def main() -> int:
-    run = subprocess.run(COMMAND, capture_output=True, text=True)
+def main(argv: list[str]) -> int:
+    workload = argv[0] if argv else "replay"
+    if len(argv) > 1 or workload not in LAYERS:
+        print(f"usage: smoke_trace_ledger.py [{'|'.join(LAYERS)}]")
+        return 2
+    command = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", "1", "--seconds", "5", "--trace", "1",
+    ]
+    run = subprocess.run(command, capture_output=True, text=True)
     sys.stdout.write(run.stdout)
     sys.stderr.write(run.stderr)
     failures = []
@@ -54,7 +77,7 @@ def main() -> int:
     except (json.JSONDecodeError, KeyError):
         metrics = {}
         failures.append("the last line is not perfbench's result JSON")
-    for layer in REPLAY_LAYERS:
+    for layer in LAYERS[workload]:
         calls = metrics.get(f"{layer}.calls", {}).get("value", 0)
         if not calls:
             failures.append(f"{layer}.calls is {calls}")
@@ -63,9 +86,9 @@ def main() -> int:
     if failures:
         print("trace ledger check failed: " + "; ".join(failures))
         return 1
-    print("trace ledger sees every replay layer")
+    print(f"trace ledger sees every {workload} layer")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

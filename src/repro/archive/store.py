@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence, TYPE_CHECKING
 
 from ..core.errors import EvaluationError, InfeasibleDesignError, NautilusError
-from ..core.fileio import open_append
+from ..core.fileio import append_lines, dumps
 from ..core.params import values_key
 from ..core.pareto import dominates
 
@@ -164,48 +164,41 @@ class DesignArchive:
         entries: Iterable[tuple[Sequence[Any], dict | None]],
         campaign: str,
     ) -> int:
-        """Append ``(values, metrics)`` rows, deduplicated; returns written."""
+        """Append ``(values, metrics)`` rows, deduplicated; returns written.
+
+        The new lines are encoded first, then written together, and only
+        then indexed: a row that fails to encode or write never enters
+        the index.
+        """
         slot = self._load(space_name, fingerprint, params)
         if slot.params is None:
             slot.params = tuple(params)
-        written = 0
-        fh = None
-        try:
-            for values, metrics in entries:
-                row_key = values_key(values)
-                if row_key in slot.rows:
-                    continue
-                if fh is None:
-                    fh, empty = open_append(self._path(space_name, fingerprint))
-                    if empty:
-                        fh.write(
-                            json.dumps(
-                                {
-                                    "kind": _KIND,
-                                    "schema": ARCHIVE_SCHEMA_VERSION,
-                                    "space": space_name,
-                                    "params": list(params),
-                                    "fingerprint": fingerprint,
-                                }
-                            )
-                            + "\n"
-                        )
-                row = {
+        fresh: dict[tuple, dict[str, Any]] = {}
+        for values, metrics in entries:
+            row_key = values_key(values)
+            if row_key not in slot.rows and row_key not in fresh:
+                fresh[row_key] = {
                     "values": list(row_key),
                     "metrics": metrics,
                     "campaign": campaign,
                 }
-                slot.rows[row_key] = row
-                fh.write(json.dumps(row) + "\n")
-                written += 1
-            if fh is not None:
-                fh.flush()
-        finally:
-            if fh is not None:
-                fh.close()
-        if written and self._rows_counter is not None:
-            self._rows_counter.inc(written)
-        return written
+        if not fresh:
+            return 0
+        append_lines(
+            self._path(space_name, fingerprint),
+            "".join(dumps(row) + "\n" for row in fresh.values()),
+            header={
+                "kind": _KIND,
+                "schema": ARCHIVE_SCHEMA_VERSION,
+                "space": space_name,
+                "params": list(params),
+                "fingerprint": fingerprint,
+            },
+        )
+        slot.rows.update(fresh)
+        if self._rows_counter is not None:
+            self._rows_counter.inc(len(fresh))
+        return len(fresh)
 
     # -- recording --------------------------------------------------------------
 

@@ -54,6 +54,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import NautilusError
+from .fileio import dumps
 from .genome import Genome
 from .space import DesignSpace
 
@@ -118,7 +119,7 @@ class SearchCheckpoint:
             "guidance": self.guidance,
             "eval_stats": self.eval_stats,
         }
-        return (json.dumps(payload) + "\n").encode("utf-8")
+        return (dumps(payload) + "\n").encode("utf-8")
 
     def save(self, path: str | Path) -> None:
         """Replace ``path`` with a one-line journal holding this checkpoint.

@@ -46,15 +46,15 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import operator
 import threading
 import time
-from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
-from typing import Any, Iterator, Sequence, TYPE_CHECKING
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence, TYPE_CHECKING
 
 from .errors import InfeasibleDesignError, NautilusError
-from .fileio import open_append
+from .fileio import append_lines, dumps
 from .fitness import Metrics
 from .genome import Genome
 from .params import values_key
@@ -81,13 +81,13 @@ _BACKENDS = ("inline", "thread", "process", "fleet")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvalStats:
+class EvalStats(NamedTuple):
     """One consistent snapshot of every counter/timer in a stack.
 
     All counters are cumulative since stack construction; subtract two
     snapshots with :meth:`minus` to get the delta over an interval (the
-    service scheduler does this once per generation step).
+    service scheduler does this once per generation step). A tuple, so a
+    snapshot is one read of the counter slots.
     """
 
     requests: int = 0
@@ -126,24 +126,17 @@ class EvalStats:
 
     def minus(self, other: "EvalStats") -> "EvalStats":
         """Per-field delta ``self - other`` (``max_batch`` keeps the max)."""
-        values = {
-            f.name: getattr(self, f.name) - getattr(other, f.name)
-            for f in fields(self)
-        }
-        values["max_batch"] = self.max_batch
-        return EvalStats(**values)
+        delta = list(map(operator.sub, self, other))
+        delta[_MAX_BATCH] = self.max_batch
+        return EvalStats._make(delta)
 
     def counts(self) -> dict[str, int]:
         """The integer counters only (no timers) — what a checkpoint keeps."""
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if not f.name.endswith("_s")
-        }
+        return dict(zip(_COUNT_FIELDS, _count_values(self)))
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready view including the derived rates."""
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload = self._asdict()
         payload["cache_hits"] = self.cache_hits
         payload["hit_rate"] = self.hit_rate
         payload["persistent_hit_rate"] = self.persistent_hit_rate
@@ -152,17 +145,26 @@ class EvalStats:
         return payload
 
 
+_MAX_BATCH = EvalStats._fields.index("max_batch")
+#: The integer counters, in field order (timers end in ``_s``).
+_COUNT_FIELDS = tuple(
+    name for name in EvalStats._fields if not name.endswith("_s")
+)
+_count_values = operator.itemgetter(*map(EvalStats._fields.index, _COUNT_FIELDS))
+_read_counters = operator.attrgetter(*EvalStats._fields)
+
+
 class _Counters:
     """Mutable counter block shared by the layers of one stack."""
 
-    __slots__ = [f.name for f in fields(EvalStats)]
+    __slots__ = EvalStats._fields
 
     def __init__(self) -> None:
         for name in self.__slots__:
             setattr(self, name, 0.0 if name.endswith("_s") else 0)
 
     def snapshot(self) -> EvalStats:
-        return EvalStats(**{name: getattr(self, name) for name in self.__slots__})
+        return EvalStats._make(_read_counters(self))
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +211,96 @@ class _InlineBackend:
         return results
 
 
+class _SharedBatch:
+    """One thread-backend batch, its designs taken from one queue by the
+    calling thread and by pool helpers.
+
+    Each design's outcome lands at its submission index. A helper that
+    meets a :class:`BaseException` records it and empties the queue; the
+    calling thread re-raises it once the designs helpers took have
+    finished.
+    """
+
+    __slots__ = ("_evaluate", "_genomes", "results", "_next", "_lock",
+                 "_settled", "_helping", "_failure")
+
+    def __init__(self, evaluate, genomes: Sequence[Genome]):
+        self._evaluate = evaluate
+        self._genomes = genomes
+        self.results: list[Outcome] = [None] * len(genomes)
+        self._next = 0
+        self._lock = threading.Lock()
+        self._settled = threading.Condition(self._lock)
+        #: Designs a helper took and has not finished.
+        self._helping = 0
+        self._failure: BaseException | None = None
+
+    def _take(self, helping: int = 0) -> int:
+        """The next design's index, or -1 once the queue is empty;
+        ``helping=1`` counts the design as taken by a helper."""
+        with self._lock:
+            i = self._next
+            if i >= len(self._genomes):
+                return -1
+            self._next = i + 1
+            self._helping += helping
+            return i
+
+    def _stop(self, failure: BaseException | None = None) -> None:
+        """Empty the queue, keeping the first failure."""
+        with self._lock:
+            self._next = len(self._genomes)
+            if self._failure is None:
+                self._failure = failure
+
+    def _run(self, i: int) -> None:
+        try:
+            self.results[i] = self._evaluate(self._genomes[i])
+        except Exception as exc:
+            self.results[i] = exc
+
+    def help(self) -> None:
+        """A pool helper: take designs until the queue is empty.
+
+        Never raises, so no helper future holds an exception nobody reads.
+        """
+        i = self._take(1)
+        while i >= 0:
+            try:
+                self._run(i)
+            except BaseException as exc:
+                self._stop(exc)
+                return
+            finally:
+                with self._lock:
+                    self._helping -= 1
+                    if not self._helping:
+                        self._settled.notify()
+            i = self._take(1)
+
+    def work(self, pool, helpers: int) -> list[Outcome]:
+        """The calling thread's part: ask ``pool`` for ``helpers``
+        helpers, take designs until the queue is empty, then wait only for
+        the designs helpers took."""
+        try:
+            for __ in range(helpers):
+                pool.submit(self.help)
+            i = self._take()
+            while i >= 0:
+                self._run(i)
+                i = self._take()
+        except BaseException:
+            self._stop()
+            raise
+        with self._lock:
+            while self._helping:
+                self._settled.wait()
+            failure = self._failure
+        if failure is not None:
+            raise failure
+        return self.results
+
+
 class _PoolBackend:
     """Fan a batch out to a thread or process pool, preserving order.
 
@@ -218,7 +310,12 @@ class _PoolBackend:
 
     ``executor`` is an optional caller-owned pool (see
     :class:`EvaluationStack`). A batch of one design runs on the calling
-    thread: a pool cannot parallelize a single job.
+    thread: a pool cannot parallelize a single job. A thread batch is
+    worked by the calling thread alongside up to ``workers - 1`` pool
+    helpers, all taking designs from one queue: a batch of cheap designs
+    is done before a helper wakes, and a saturated pool cannot stall a
+    batch, since the calling thread always makes progress. A process
+    pool cannot share the queue, so it gets one task per design.
     """
 
     def __init__(self, inner: "Evaluator", workers: int, kind: str, executor=None):
@@ -238,10 +335,20 @@ class _PoolBackend:
     def evaluate_many(self, genomes: Sequence[Genome]) -> list[Outcome]:
         if len(genomes) < 2:
             return self._inline.evaluate_many(genomes)
+        if self.kind == "thread":
+            return self._share(genomes)
         if self._executor is not None:
             return self._collect(self._executor, genomes)
         with self._executor_cls(max_workers=self.workers) as pool:
             return self._collect(pool, genomes)
+
+    def _share(self, genomes: Sequence[Genome]) -> list[Outcome]:
+        batch = _SharedBatch(self.inner.evaluate, genomes)
+        helpers = min(self.workers, len(genomes)) - 1
+        if self._executor is None and helpers:
+            with self._executor_cls(max_workers=helpers) as pool:
+                return batch.work(pool, helpers)
+        return batch.work(self._executor, helpers)
 
     def _collect(self, pool, genomes: Sequence[Genome]) -> list[Outcome]:
         futures = [pool.submit(self.inner.evaluate, g) for g in genomes]
@@ -436,10 +543,12 @@ class PersistentCache:
 
     ``metrics: null`` records an :class:`InfeasibleDesignError` — a failed
     synthesis attempt still consumed a job, and replaying it must fail the
-    same way. Rows are appended one line per ``write()`` call and a torn
-    trailing line (killed daemon) is skipped on load; the next append
-    starts on a line of its own, and a file left empty gets its header
-    (see :func:`~repro.core.fileio.open_append`). So the cache survives
+    same way. A batch's rows are appended together, and enter the
+    in-memory index only once written (see
+    :func:`~repro.core.fileio.append_lines`). A torn trailing line (killed
+    daemon) is skipped on load; the next append starts on a line of its
+    own, and a file left empty gets its header (see
+    :func:`~repro.core.fileio.open_append`). So the cache survives
     crashes without any locking protocol beyond append.
 
     Thread safety: one lock guards the in-memory maps and file appends, so
@@ -512,49 +621,46 @@ class PersistentCache:
 
         Metrics and :class:`InfeasibleDesignError` outcomes are persisted;
         other exceptions (transient failures, setup bugs) are not — they
-        must not poison future campaigns.
+        must not poison future campaigns. A space's new lines are encoded
+        first, then written together, and only then indexed: a row that
+        fails to encode or write is not reported as cached.
         """
+        grouped: dict[str, tuple["DesignSpace", list]] = {}
+        for genome, outcome in outcomes:
+            if isinstance(outcome, InfeasibleDesignError):
+                metrics = None
+            elif isinstance(outcome, Exception):
+                continue
+            else:
+                metrics = dict(outcome)
+            space = genome.space
+            grouped.setdefault(space.name, (space, []))[1].append(
+                (genome.key[1], metrics)
+            )
         written = 0
         with self._lock:
-            fh = None
-            try:
-                for genome, outcome in outcomes:
-                    if isinstance(outcome, InfeasibleDesignError):
-                        metrics = None
-                    elif isinstance(outcome, Exception):
-                        continue
-                    else:
-                        metrics = dict(outcome)
-                    rows = self._load(genome.space, fingerprint)
-                    key = genome.key[1]
-                    if key in rows:
-                        continue
-                    if fh is None:
-                        fh, empty = open_append(
-                            self._path(genome.space.name, fingerprint)
-                        )
-                        if empty:
-                            fh.write(
-                                json.dumps(
-                                    {
-                                        "space": genome.space.name,
-                                        "params": list(genome.space.param_names),
-                                        "fingerprint": fingerprint,
-                                    }
-                                )
-                                + "\n"
-                            )
-                    rows[key] = metrics
-                    fh.write(
-                        json.dumps({"values": list(genome.key[1]), "metrics": metrics})
-                        + "\n"
-                    )
-                    written += 1
-                if fh is not None:
-                    fh.flush()
-            finally:
-                if fh is not None:
-                    fh.close()
+            for space, entries in grouped.values():
+                rows = self._load(space, fingerprint)
+                fresh: dict[tuple, dict | None] = {}
+                for key, metrics in entries:
+                    if key not in rows:
+                        fresh.setdefault(key, metrics)
+                if not fresh:
+                    continue
+                append_lines(
+                    self._path(space.name, fingerprint),
+                    "".join(
+                        dumps({"values": list(key), "metrics": metrics}) + "\n"
+                        for key, metrics in fresh.items()
+                    ),
+                    header={
+                        "space": space.name,
+                        "params": list(space.param_names),
+                        "fingerprint": fingerprint,
+                    },
+                )
+                rows.update(fresh)
+                written += len(fresh)
         return written
 
     def entries(self, space: "DesignSpace", fingerprint: str) -> int:
@@ -728,9 +834,10 @@ class EvaluationStack:
             purely additive: the :class:`EvalStats` accounting is
             byte-for-byte identical with or without a registry.
         archive: Optional :class:`repro.archive.DesignArchive` (duck-typed
-            — only ``record_many`` is called); every memo miss is recorded
-            into it under ``campaign``. Pure observation: counters, RNG
-            and seeded curves are identical with or without an archive.
+            — only ``record_many`` is called); every memo miss, and every
+            row :meth:`preload` restores, is recorded into it under
+            ``campaign``. Pure observation: counters, RNG and seeded
+            curves are identical with or without an archive.
         campaign: Campaign id stamped onto archived rows.
     """
 
@@ -761,6 +868,7 @@ class EvaluationStack:
         self.workers = workers
         self.persistent = persistent
         self.archive = archive
+        self.campaign = campaign
         self._fingerprint = fingerprint or None
         self._counters = _Counters()
         self._clock = clock
@@ -922,20 +1030,31 @@ class EvaluationStack:
         """
         return islice(self._memo.entries.items(), start, None)
 
-    def preload(self, genome: Genome, metrics: Metrics | None) -> None:
-        """Seed the memo with an already-paid-for outcome (checkpoint resume).
+    def preload(self, rows: Iterable[tuple[Genome, Metrics | None]]) -> None:
+        """Seed the memo with already-paid-for ``(genome, metrics)`` rows
+        (checkpoint resume).
 
         ``metrics=None`` restores an infeasible result. Counters are left
         alone: a resumed search restores them with :meth:`restore_counts`
         from the same checkpoint, so a row served by the persistent cache
-        before the interruption stays a persistent hit.
+        before the interruption stays a persistent hit. With an archive,
+        the rows are recorded in one call under the stack's campaign, as
+        the archive tap records the rows it sees.
         """
-        outcome: Outcome = (
-            metrics
-            if metrics is not None
-            else InfeasibleDesignError("restored from checkpoint")
-        )
-        self._memo.entries[genome.key] = outcome
+        entries = self._memo.entries
+        restored = []
+        for genome, metrics in rows:
+            outcome: Outcome = (
+                metrics
+                if metrics is not None
+                else InfeasibleDesignError("restored from checkpoint")
+            )
+            entries[genome.key] = outcome
+            restored.append((genome, outcome))
+        if self.archive is not None and restored:
+            self.archive.record_many(
+                restored, self.fingerprint, campaign=self.campaign
+            )
 
     def restore_counts(self, counts: dict[str, int]) -> None:
         """Overwrite the integer counters (see :meth:`EvalStats.counts`).

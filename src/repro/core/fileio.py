@@ -1,4 +1,4 @@
-"""The one opener for append-only JSON-lines files.
+"""The one opener for append-only JSON-lines files, and their encoder.
 
 The evaluation cache, the design archive and a campaign's event and span
 logs are appended to, and their readers skip a torn final line.
@@ -6,10 +6,15 @@ logs are appended to, and their readers skip a torn final line.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
-from typing import TextIO
+from typing import Any, TextIO
 
-__all__ = ["open_append"]
+__all__ = ["append_lines", "dumps", "open_append"]
+
+#: ``json.dumps`` with default arguments, minus the circular-reference
+#: check: the same bytes, for lines written every generation.
+dumps = json.JSONEncoder(check_circular=False).encode
 
 
 def open_append(path: str | Path) -> tuple[TextIO, bool]:
@@ -35,3 +40,17 @@ def open_append(path: str | Path) -> tuple[TextIO, bool]:
         if handle.buffer.read(1) != b"\n":
             handle.write("\n")
     return handle, size == 0
+
+
+def append_lines(path: str | Path, lines: str, header: Any) -> None:
+    """Append already-encoded, newline-terminated ``lines`` to ``path``
+    with one write; a file that is empty gets ``header`` first.
+
+    Returns once the lines are flushed, so a caller that indexes rows
+    after this call indexes only rows whose lines are written.
+    """
+    handle, empty = open_append(path)
+    with handle:
+        if empty:
+            handle.write(dumps(header) + "\n")
+        handle.write(lines)

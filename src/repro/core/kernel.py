@@ -55,7 +55,7 @@ from ..obs.tracing import SpanRecorder
 from .checkpoint import CheckpointJournal, SearchCheckpoint
 from .errors import NautilusError
 from .evalstack import EvalStats, EvaluationStack
-from .fileio import open_append
+from .fileio import dumps, open_append
 from .fitness import Objective
 from .genome import Genome
 from .guidance import GuidanceProvider, GuidanceState, StaticHints
@@ -181,7 +181,7 @@ class JsonlTraceSink(TraceSink):
     def emit(self, event: RunEvent) -> None:
         if self._closed:
             return
-        self._pending.append(json.dumps(event.as_dict()) + "\n")
+        self._pending.append(dumps(event.as_dict()) + "\n")
         if event.kind in self._WRITE_ON:
             self._write()
 
@@ -1250,8 +1250,10 @@ class GenerationalEngine(SearchKernel):
             )
         rngs = RngStreams(self.seed, split=self.split_rngs)
         rngs.setstate(checkpoint.rng_streams)
-        for config, metrics in checkpoint.cache_configs(self.space):
-            self._counter.preload(self.space.genome(config), metrics)
+        self._counter.preload(
+            (self.space.genome(config), metrics)
+            for config, metrics in checkpoint.cache_configs(self.space)
+        )
         self._counter.restore_counts(
             checkpoint.eval_stats
             if checkpoint.eval_stats is not None

@@ -92,10 +92,10 @@ class Scheduler:
             not own the coordinator's lifecycle — the daemon does.
         archive: Optional :class:`~repro.archive.DesignArchive` shared by
             every campaign: live evaluations are recorded through each
-            stack's archive tap, completed campaigns are drained into it
-            at finalize (catching checkpoint-resumed rows the tap never
-            saw), and specs with ``warm_start`` seed their initial
-            population from its best designs.
+            stack's archive tap, rows a campaign restores from its
+            checkpoint are recorded when it resumes, and specs with
+            ``warm_start`` seed their initial population from its best
+            designs.
     """
 
     def __init__(
@@ -385,38 +385,7 @@ class Scheduler:
         if finished:
             self.store.append_spans(campaign.id, finished)
 
-    def _drain_archive(self, campaign: Campaign) -> None:
-        """Flush a finished campaign's memoized outcomes into the archive.
-
-        The live tap records everything flowing past the memo, but a
-        checkpoint-resumed campaign preloads its memo directly — those rows
-        never cross the tap. Draining at finalize catches them; the archive
-        dedupes, so double-recording the tapped rows costs nothing.
-        """
-        if self.archive is None or campaign.search is None:
-            return
-        stack = getattr(campaign.search, "stack", None)
-        if stack is None:
-            return
-        try:
-            space = self._dataset(query_space(campaign.spec)).space
-        except NautilusError:
-            return
-        pairs = []
-        for key, outcome in stack.memo_items():
-            __, values = key
-            try:
-                genome = space.genome(dict(zip(space.param_names, values)))
-            except NautilusError:
-                continue  # space drifted since the rows were paid for
-            pairs.append((genome, outcome))
-        if pairs:
-            self.archive.record_many(
-                pairs, stack.fingerprint, campaign=campaign.id
-            )
-
     def _finalize(self, campaign: Campaign, state: str) -> None:
-        self._drain_archive(campaign)
         self._drain_spans(campaign)
         # Count the state before publishing it: a client that has seen a
         # terminal status must find it in the campaign-state gauge.

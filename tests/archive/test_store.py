@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.archive import DesignArchive
@@ -121,6 +122,17 @@ class TestRecording:
         archive._path(space.name, FP).touch()
         assert fill(archive, space) == 24
         assert DesignArchive(tmp_path).entries(space, FP) == 24
+
+    def test_a_row_that_fails_to_encode_is_not_indexed(self, tmp_path, space):
+        """Rows enter the index only once their line is written."""
+        archive = DesignArchive(tmp_path)
+        g = space.genome({"a": 2, "o": "mid", "c": "q"})
+        with pytest.raises(TypeError):
+            archive.record(g, {"m": np.float32(1.5)}, FP, campaign="c1")
+        assert archive.entries(space, FP) == 0
+        assert archive.record(g, {"m": 1.5}, FP, campaign="c1")
+        (row,) = DesignArchive(tmp_path).top_k(space, FP, maximize("m"), k=1)
+        assert row["metrics"] == {"m": 1.5}
 
     def test_fingerprint_mismatch_rejected(self, tmp_path, space):
         archive = DesignArchive(tmp_path)

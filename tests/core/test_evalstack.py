@@ -5,8 +5,10 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
+from repro.archive import DesignArchive
 from repro.core import (
     CallableEvaluator,
     DesignSpace,
@@ -97,6 +99,35 @@ class TestAccounting:
         assert payload["hit_rate"] == delta.hit_rate
         assert json.dumps(payload)  # JSON-ready
 
+    def test_fields_and_count_order_are_pinned(self):
+        """Journal lines carry ``counts()`` in this order."""
+        assert EvalStats._fields == (
+            "requests",
+            "distinct",
+            "memo_hits",
+            "persistent_hits",
+            "batch_dedup_hits",
+            "batches",
+            "max_batch",
+            "infeasible",
+            "errors",
+            "backend_time_s",
+            "wall_time_s",
+        )
+        stats = EvalStats(*range(9), 0.5, 1.5)
+        assert list(stats.counts().items()) == list(
+            zip(EvalStats._fields[:9], range(9))
+        )
+        assert EvalStats(errors=2) == EvalStats(0, 0, 0, 0, 0, 0, 0, 0, 2)
+        assert list(stats.as_dict())[:11] == list(EvalStats._fields)
+
+    def test_minus_keeps_max_batch(self):
+        late = EvalStats(requests=9, max_batch=3, backend_time_s=2.5)
+        early = EvalStats(requests=4, max_batch=7, backend_time_s=1.0)
+        delta = late.minus(early)
+        assert delta == EvalStats(requests=5, max_batch=3, backend_time_s=1.5)
+        assert isinstance(delta, EvalStats)
+
     def test_infeasible_and_error_counters(self, space):
         def fn(genome):
             if genome["a"] == 0:
@@ -160,17 +191,26 @@ class TestConstruction:
         assert isinstance(outcome, InfeasibleDesignError)
         assert stack.stats().infeasible == 1
         threads.clear()
+        # A larger batch is worked by the calling thread alongside the
+        # pool, so its designs may run on either.
         stack.evaluate_many([space.genome(a=2), space.genome(a=3)])
-        assert len(threads) == 2 and threading.get_ident() not in threads
+        assert len(threads) == 2
 
     def test_given_executor_is_used_and_left_open(self, space):
         names = []
+        asked = []
+
+        class Shared(ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                asked.append(fn)
+                return super().submit(fn, *args, **kwargs)
 
         def fn(genome):
             names.append(threading.current_thread().name)
             return {"m": float(genome["a"])}
 
-        with ThreadPoolExecutor(2, thread_name_prefix="shared") as pool:
+        caller = threading.current_thread().name
+        with Shared(2, thread_name_prefix="shared") as pool:
             stack = EvaluationStack(
                 CallableEvaluator(fn), backend="thread", workers=2, executor=pool
             )
@@ -178,8 +218,13 @@ class TestConstruction:
             assert stack.evaluate_many(genomes) == [
                 {"m": float(i)} for i in range(8)
             ]
+            # The batch asked the given pool for its one helper; designs
+            # ran there or on the calling thread.
+            assert len(asked) == 1
             assert len(names) == 8
-            assert all(name.startswith("shared") for name in names)
+            assert all(
+                name.startswith("shared") or name == caller for name in names
+            )
             assert pool.submit(int, "7").result(timeout=10) == 7  # still open
 
     def test_batch_size_chunks_backend_batches(self, space):
@@ -339,6 +384,125 @@ class TestPoolBackends:
         stack.evaluate_many([space.genome(a=1), space.genome(a=2)])
         assert stack.distinct_evaluations == 2
 
+    def test_blocked_executor_cannot_stall_a_batch(self, space):
+        """The given executor's only thread is busy: the calling thread
+        works the whole batch instead of waiting for it."""
+        started, release = threading.Event(), threading.Event()
+        done = []
+
+        def block():
+            started.set()
+            release.wait(30)
+
+        with ThreadPoolExecutor(1, thread_name_prefix="busy") as pool:
+            pool.submit(block)
+            try:
+                assert started.wait(10)
+                stack = EvaluationStack(
+                    CallableEvaluator(lambda g: {"m": float(g["a"])}),
+                    backend="thread",
+                    workers=2,
+                    executor=pool,
+                )
+                runner = threading.Thread(
+                    target=lambda: done.append(
+                        stack.evaluate_many([space.genome(a=i) for i in range(3)])
+                    )
+                )
+                runner.start()
+                runner.join(10)
+                assert not runner.is_alive()
+            finally:
+                release.set()
+        assert done == [[{"m": 0.0}, {"m": 1.0}, {"m": 2.0}]]
+
+    def test_slow_batch_runs_on_the_caller_and_the_pool(self, space):
+        """20 ms designs on a warm pool: the calling thread and pool
+        threads both take designs, at most ``workers`` run at once, and
+        outcomes (exceptions included) come back in submission order."""
+        ran_on = {}
+        active = 0
+        peak = 0
+        lock = threading.Lock()
+
+        def slow(genome):
+            nonlocal active, peak
+            with lock:
+                active += 1
+                peak = max(peak, active)
+            ran_on[genome["a"]] = threading.get_ident()
+            time.sleep(0.02)
+            with lock:
+                active -= 1
+            if genome["a"] % 3 == 0:
+                raise InfeasibleDesignError("multiple of three")
+            return {"m": float(genome["a"])}
+
+        with ThreadPoolExecutor(6) as pool:
+            list(pool.map(time.sleep, [0.01] * 6))  # start the pool's threads
+            stack = EvaluationStack(
+                CallableEvaluator(slow), backend="thread", workers=4, executor=pool
+            )
+            results = stack.evaluate_many([space.genome(a=i) for i in range(12)])
+        for i, outcome in enumerate(results):
+            if i % 3 == 0:
+                assert isinstance(outcome, InfeasibleDesignError)
+            else:
+                assert outcome == {"m": float(i)}
+        caller = threading.get_ident()
+        assert len(ran_on) == 12
+        assert caller in ran_on.values()
+        assert set(ran_on.values()) - {caller}
+        assert 1 < peak <= 4
+        assert stack.stats().infeasible == 4
+
+    @pytest.mark.parametrize("on_helper", [True, False])
+    def test_base_exception_propagates_promptly(self, space, on_helper):
+        """A BaseException from the evaluator re-raises in the caller, on
+        whichever thread it was raised, and no further design starts."""
+
+        class Abort(BaseException):
+            pass
+
+        calls = []
+        raised = []
+        caller = []
+        lock = threading.Lock()
+
+        def fn(genome):
+            calls.append(genome["a"])
+            time.sleep(0.005)
+            with lock:
+                fire = not raised and (
+                    threading.get_ident() != caller[0]
+                ) == on_helper
+                if fire:
+                    raised.append(genome["a"])
+            if fire:
+                raise Abort()
+            return {"m": float(genome["a"])}
+
+        outcome = []
+
+        def run():
+            caller.append(threading.get_ident())
+            try:
+                stack.evaluate_many([space.genome(a=i) for i in range(60)])
+            except Abort:
+                outcome.append("raised")
+
+        with ThreadPoolExecutor(4) as pool:
+            stack = EvaluationStack(
+                CallableEvaluator(fn), backend="thread", workers=4, executor=pool
+            )
+            runner = threading.Thread(target=run)
+            runner.start()
+            runner.join(10)
+            assert not runner.is_alive()
+        assert outcome == ["raised"]
+        assert len(raised) == 1
+        assert len(calls) < 60  # the queue stopped
+
     def test_parallel_engine_matches_serial(self, space):
         """Pool evaluation must not change search results at all."""
         evaluator = CallableEvaluator(lambda g: {"m": float(g["a"])})
@@ -359,8 +523,8 @@ class TestMemoTransfer:
     def test_preload_and_memo_items(self, space):
         calls = []
         stack = EvaluationStack(counting_evaluator(calls))
-        stack.preload(space.genome(a=1), {"m": 1.0})
-        stack.preload(space.genome(a=2), None)  # restored infeasible
+        # a=2 is a restored infeasible row.
+        stack.preload([(space.genome(a=1), {"m": 1.0}), (space.genome(a=2), None)])
         assert stack.evaluate(space.genome(a=1)) == {"m": 1.0}
         with pytest.raises(InfeasibleDesignError):
             stack.evaluate(space.genome(a=2))
@@ -371,7 +535,7 @@ class TestMemoTransfer:
     def test_preload_without_charge(self, space):
         """Preloading never charges; a resume restores the counters."""
         stack = EvaluationStack(CallableEvaluator(lambda g: {"m": 1.0}))
-        stack.preload(space.genome(a=1), {"m": 1.0})
+        stack.preload([(space.genome(a=1), {"m": 1.0})])
         assert stack.stats().counts() == EvalStats().counts()
         stack.restore_counts(
             {"requests": 5, "distinct": 3, "memo_hits": 2, "wall_time_s": 9.0}
@@ -379,6 +543,25 @@ class TestMemoTransfer:
         stats = stack.stats()
         assert (stats.requests, stats.distinct, stats.memo_hits) == (5, 3, 2)
         assert stats.wall_time_s == 0.0  # timers measure this process
+
+    def test_preload_records_rows_in_the_archive(self, space, tmp_path):
+        """Restored rows never cross the archive tap, so preload records
+        them itself, under the stack's campaign, without charging them."""
+        stack = EvaluationStack(
+            CallableEvaluator(lambda g: {"m": 0.0}),
+            archive=DesignArchive(tmp_path),
+            campaign="c7",
+            fingerprint="fp",
+        )
+        stack.preload([(space.genome(a=1), {"m": 1.0}), (space.genome(a=2), None)])
+        (path,) = tmp_path.glob("*.jsonl")
+        rows = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        assert rows == [
+            {"values": [1], "metrics": {"m": 1.0}, "campaign": "c7"},
+            {"values": [2], "metrics": None, "campaign": "c7"},
+        ]
+        assert DesignArchive(tmp_path).entries(space, "fp") == 2
+        assert stack.stats().counts() == EvalStats().counts()
 
     def test_memo_items_from_watermark(self, space):
         stack = EvaluationStack(CallableEvaluator(lambda g: {"m": float(g["a"])}))
@@ -486,6 +669,17 @@ class TestPersistentCache:
         )
         assert after_restart.evaluate(space.genome(a=2)) == {"m": 2.0}
         assert calls == [2]
+
+    def test_a_row_that_fails_to_encode_is_not_cached(self, space, tmp_path):
+        """Rows enter the index only once their line is written."""
+        cache = PersistentCache(tmp_path)
+        genome = space.genome(a=4)
+        with pytest.raises(TypeError):
+            cache.put_many([(genome, {"m": np.float32(1.5)})], "fp")
+        assert cache.get(genome, "fp") == (False, None)
+        assert cache.entries(space, "fp") == 0
+        assert cache.put_many([(genome, {"m": 1.5})], "fp") == 1
+        assert PersistentCache(tmp_path).get(genome, "fp") == (True, {"m": 1.5})
 
     def test_empty_file_gets_its_header(self, space, tmp_path):
         """A file left empty (killed between open and flush) is not a

@@ -1,11 +1,13 @@
 """Tests for the round-robin scheduler (manual ticking: fully deterministic)."""
 
+import json
 import sys
 import threading
 
 import pytest
 
-from repro.core import NautilusError
+from repro.archive import DesignArchive
+from repro.core import EvalStats, NautilusError
 from repro.service import (
     CampaignSpec,
     CampaignState,
@@ -153,6 +155,36 @@ class TestRecovery:
         assert resumed.result.distinct_evaluations == sequential.distinct_evaluations
         assert paid_before <= sequential.distinct_evaluations
 
+    def test_resumed_campaign_archives_its_restored_rows(
+        self, tmp_path, tiny_provider
+    ):
+        """Checkpointed by a daemon without an archive, resumed by one with
+        a fresh archive: every memo row ends up archived under the
+        campaign's id, restored rows included."""
+        store_root = tmp_path / "campaigns"
+        first = Scheduler(CampaignStore(store_root), dataset_provider=tiny_provider)
+        campaign = first.submit(_spec(seed=6, generations=8))
+        for _ in range(4):  # start + 3 generations, then "crash"
+            first.tick()
+        restored = [values for (__, values), __ in campaign.search.stack.memo_items()]
+        assert restored
+
+        second = Scheduler(
+            CampaignStore(store_root),
+            dataset_provider=tiny_provider,
+            archive=DesignArchive(tmp_path / "archive"),
+        )
+        second.recover()
+        _drain(second)
+        resumed = second.get(campaign.id)
+        assert resumed.state == CampaignState.DONE
+        memo = [list(values) for (__, values), __ in resumed.search.stack.memo_items()]
+        assert len(memo) >= len(restored)
+        (path,) = (tmp_path / "archive").glob("*.jsonl")
+        rows = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        assert sorted(row["values"] for row in rows) == sorted(memo)
+        assert {row["campaign"] for row in rows} == {campaign.id}
+
     def test_recover_skips_terminal(self, tmp_path, tiny_provider):
         store_root = tmp_path / "campaigns"
         first = Scheduler(CampaignStore(store_root), dataset_provider=tiny_provider)
@@ -167,6 +199,33 @@ class TestRecovery:
         # Terminal campaigns answer status/curve queries from the stored result.
         assert loaded.status_payload()["best_raw"] == done.result.best_raw
         assert loaded.curve_payload() == done.curve_payload()
+
+
+class TestPersistedLines:
+    def test_journal_and_event_lines_are_plain_json_dumps(
+        self, tmp_path, tiny_provider
+    ):
+        """Journal lines (running and compacted) and event lines are the
+        bytes ``json.dumps`` writes; journal counters keep field order."""
+        store = CampaignStore(tmp_path / "campaigns")
+        scheduler = Scheduler(store, dataset_provider=tiny_provider)
+        campaign = scheduler.submit(_spec(seed=3, generations=6))
+        for _ in range(4):
+            scheduler.tick()
+        journal = store.checkpoint_path(campaign.id)
+        running = journal.read_text(encoding="utf-8").splitlines()
+        assert len(running) > 1
+        _drain(scheduler)
+        assert campaign.state == CampaignState.DONE
+        (compacted,) = journal.read_text(encoding="utf-8").splitlines()
+        events = store.events_path(campaign.id).read_text(encoding="utf-8")
+        events = events.splitlines()
+        assert events
+        for line in running + [compacted] + events:
+            assert line == json.dumps(json.loads(line))
+        counts = [name for name in EvalStats._fields if not name.endswith("_s")]
+        for line in running + [compacted]:
+            assert list(json.loads(line)["eval_stats"]) == counts
 
 
 class TestThreadedLifecycle:
