@@ -7,10 +7,11 @@ reach the quality a cold-start search ends at.
 
 For each (cold_seed, warm_seed) pair: run a cold GA on ``noc-frequency``
 whose evaluation stack records into a fresh archive (exactly the daemon's
-tap wiring), note its final best; then run a *differently seeded* GA whose
-initial population is warm-started with the archive's top designs, and
-count the distinct evaluations it needs before its best-so-far matches the
-cold run's final best. Pass: >= 25% aggregate reduction.
+store-layer wiring), note its final best; then run a *differently seeded*
+GA whose initial population is warm-started with the archive's top
+designs, and count the distinct evaluations it needs before its
+best-so-far matches the cold run's final best. Pass: >= 25% aggregate
+reduction.
 
 Writes ``results/BENCH_archive.json``; exits 1 when the floor is missed.
 

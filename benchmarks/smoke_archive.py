@@ -10,7 +10,7 @@ Two assertions, end to end against a live daemon:
 
 2. **The archive is purely additive.** With the archive disabled, the full
    20-run engine-parity matrix stays bit-identical to the checked-in
-   ``benchmarks/baselines/engine_parity.json`` — proving the tap, the
+   ``benchmarks/baselines/engine_parity.json`` — proving the store layer, the
    warm-start plumbing and the guidance kind cost zero RNG draws when off.
 
 Usage::

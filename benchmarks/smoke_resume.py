@@ -16,7 +16,8 @@ hold no ``*.tmp`` file, and the finished campaign's checkpoint journal
 must have been compacted into a single line. Every ``cache`` row of that
 line must be in ``<store>/archive`` under the campaign's id, with the
 same metrics: the rows the restarted daemon restored from the journal
-reach the archive too.
+reach the archive too. The archive is the eval cache as well, so the
+store holds no ``evalcache`` directory.
 
 The campaign's ``events.jsonl`` must hold a readable trace of both
 daemons: every line parses except at most one torn by the kill, and the
@@ -209,6 +210,9 @@ def main() -> int:
         events = _check_event_log(store / cid / "events.jsonl", ref_curve)
         leftovers = sorted(str(p) for p in store.rglob("*.tmp"))
         assert not leftovers, f"temp files left behind: {leftovers}"
+        assert not (store / "evalcache").exists(), (
+            "the eval cache is the archive's store; no evalcache directory"
+        )
         lines = journal.read_bytes().splitlines()
         assert len(lines) == 1, f"finished journal has {len(lines)} lines"
         archived = _check_archive(store, cid, lines[0])

@@ -1,7 +1,8 @@
 """repro.archive — the cross-campaign design knowledge base.
 
-Every design point any campaign ever evaluated, stored append-only and
-queryable (:class:`DesignArchive`), plus the two feedback paths into new
+Every design point any campaign ever evaluated, queryable
+(:class:`DesignArchive`, queries over the one store of paid-for
+evaluations), plus the two feedback paths into new
 searches: hint mining without a sweep (:class:`ArchiveGuidance`,
 :func:`mine_hints`) and warm-started initial populations
 (``GAConfig(warm_start=...)`` fed by
@@ -9,10 +10,9 @@ searches: hint mining without a sweep (:class:`ArchiveGuidance`,
 """
 
 from .guidance import ArchiveGuidance, mine_hints
-from .store import ARCHIVE_SCHEMA_VERSION, DesignArchive
+from .store import DesignArchive
 
 __all__ = [
-    "ARCHIVE_SCHEMA_VERSION",
     "ArchiveGuidance",
     "DesignArchive",
     "mine_hints",

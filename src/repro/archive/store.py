@@ -3,10 +3,11 @@
 The paper's economics are per-campaign: hints make *one* search cheap. But a
 daemon that has served many campaigns has already paid for thousands of
 synthesis results, and today each new campaign starts cold. The archive
-turns that history into a knowledge base: an append-only, content-addressed
-store of every evaluated design point (code-addressable via the space's
-:class:`~repro.core.codec.SpaceCodec`), plus an in-memory index answering
-the retrieval questions new searches ask:
+turns that history into a knowledge base: queries over the one store of
+paid-for evaluations (:class:`~repro.core.evalstack.PersistentCache`, whose
+rows carry the campaign that paid for them), code-addressable via the
+space's :class:`~repro.core.codec.SpaceCodec`, answering the retrieval
+questions new searches ask:
 
 * top-k designs by an objective (warm-start seeding),
 * nearest neighbors in ordinal code space,
@@ -15,36 +16,19 @@ the retrieval questions new searches ask:
   from),
 * the cross-campaign Pareto front over any metric set.
 
-Layout mirrors :class:`~repro.core.evalstack.PersistentCache`: one JSONL
-file per (space, evaluator fingerprint) under ``root``, named
-``<space>-<sha1(fingerprint)[:12]>.jsonl``. The first line is a
-self-describing header; each following line is one design point::
-
-    {"kind": "nautilus-archive", "schema": 1, "space": "router",
-     "params": ["topology", ...], "fingerprint": "..."}
-    {"values": [..], "metrics": {"fmax_mhz": 612.0, ..}, "campaign": "c3"}
-    {"values": [..], "metrics": null, "campaign": "c3"}      # infeasible
-
-Rows are deduplicated by the canonical values key (first writer wins — an
-archive row is immutable once recorded, since two evaluators sharing a
-fingerprint return identical metrics), and a torn trailing line from a
-killed daemon is skipped on load; the next append starts on a line of its
-own, and a file left empty gets its header. One lock guards the in-memory
-slots and file appends, so every campaign stack of a daemon shares one
-instance.
+The archive opens no file itself: the store owns the file layout, the
+first-writer-wins index, torn-line tolerance and the lock, so a daemon
+run with ``--eval-cache --archive`` keeps one directory whose rows serve
+both cache hits and these queries.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import threading
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence, TYPE_CHECKING
+from typing import Any, Mapping, Sequence, TYPE_CHECKING
 
-from ..core.errors import EvaluationError, InfeasibleDesignError, NautilusError
-from ..core.fileio import append_lines, dumps
-from ..core.params import values_key
+from ..core.errors import EvaluationError, NautilusError
+from ..core.evalstack import PersistentCache
 from ..core.pareto import dominates
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,40 +36,26 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.genome import Genome
     from ..core.space import DesignSpace
 
-__all__ = ["DesignArchive", "ARCHIVE_SCHEMA_VERSION"]
-
-#: Version stamp carried by every archive file header.
-ARCHIVE_SCHEMA_VERSION = 1
-
-_KIND = "nautilus-archive"
-
-
-class _Slot:
-    """In-memory index of one (space, fingerprint) archive file."""
-
-    __slots__ = ("params", "rows")
-
-    def __init__(self, params: tuple[str, ...] | None):
-        self.params = params
-        #: values_key -> {"values": [...], "metrics": {...}|None, "campaign": str}
-        self.rows: dict[tuple, dict[str, Any]] = {}
+__all__ = ["DesignArchive"]
 
 
 class DesignArchive:
-    """Append-only store + retrieval index over all evaluated designs.
+    """Retrieval queries over one store of paid-for evaluations.
 
     Args:
-        root: Directory holding one JSONL file per (space, fingerprint).
+        root: The store's directory (see
+            :class:`~repro.core.evalstack.PersistentCache`); ``self.store``
+            is the store itself, which an evaluation stack may also use as
+            its eval cache.
         registry: Optional duck-typed metrics registry (a
             :class:`repro.obs.registry.MetricsRegistry` in the daemon);
-            when given, appended rows increment the
+            when given, rows written through the archive increment the
             ``nautilus_archive_rows_total`` counter.
     """
 
     def __init__(self, root: str | Path, registry=None):
-        self.root = Path(root)
-        self._lock = threading.RLock()
-        self._slots: dict[tuple[str, str], _Slot] = {}
+        self.store = PersistentCache(root)
+        self.root = self.store.root
         self._rows_counter = None
         if registry is not None:
             self._rows_counter = registry.counter(
@@ -93,112 +63,10 @@ class DesignArchive:
                 "Design points appended to the cross-campaign archive.",
             )
 
-    # -- file mapping -----------------------------------------------------------
-
-    def _path(self, space_name: str, fingerprint: str) -> Path:
-        digest = hashlib.sha1(fingerprint.encode("utf-8")).hexdigest()[:12]
-        return self.root / f"{space_name}-{digest}.jsonl"
-
-    def _load(
-        self,
-        space_name: str,
-        fingerprint: str,
-        params: Sequence[str] | None = None,
-    ) -> _Slot:
-        """The in-memory slot for one file, parsing it on first access."""
-        key = (space_name, fingerprint)
-        slot = self._slots.get(key)
-        if slot is not None:
-            if params is not None and slot.params is not None and tuple(
-                params
-            ) != slot.params:
-                raise NautilusError(
-                    f"archive file for space {space_name!r} indexes parameters "
-                    f"{slot.params!r}, not {tuple(params)!r}"
-                )
-            return slot
-        slot = _Slot(tuple(params) if params is not None else None)
-        path = self._path(space_name, fingerprint)
-        if path.exists():
-            with open(path, "r", encoding="utf-8") as fh:
-                header: dict | None = None
-                for line in fh:
-                    try:
-                        payload = json.loads(line)
-                    except ValueError:
-                        continue  # torn trailing line from a killed writer
-                    if header is None:
-                        header = payload
-                        if (
-                            header.get("kind") != _KIND
-                            or header.get("space") != space_name
-                            or header.get("fingerprint") != fingerprint
-                        ):
-                            raise NautilusError(
-                                f"archive file {path} does not match space "
-                                f"{space_name!r} / fingerprint {fingerprint!r}"
-                            )
-                        file_params = tuple(header.get("params", ()))
-                        if slot.params is not None and file_params != slot.params:
-                            raise NautilusError(
-                                f"archive file {path} indexes parameters "
-                                f"{file_params!r}, not {slot.params!r}"
-                            )
-                        slot.params = file_params
-                        continue
-                    try:
-                        row_key = values_key(payload["values"])
-                        payload["metrics"]
-                    except (KeyError, TypeError):
-                        continue  # corrupt row; never poison the index
-                    if row_key not in slot.rows:  # first writer wins
-                        slot.rows[row_key] = payload
-        self._slots[key] = slot
-        return slot
-
-    def _append(
-        self,
-        space_name: str,
-        params: Sequence[str],
-        fingerprint: str,
-        entries: Iterable[tuple[Sequence[Any], dict | None]],
-        campaign: str,
-    ) -> int:
-        """Append ``(values, metrics)`` rows, deduplicated; returns written.
-
-        The new lines are encoded first, then written together, and only
-        then indexed: a row that fails to encode or write never enters
-        the index.
-        """
-        slot = self._load(space_name, fingerprint, params)
-        if slot.params is None:
-            slot.params = tuple(params)
-        fresh: dict[tuple, dict[str, Any]] = {}
-        for values, metrics in entries:
-            row_key = values_key(values)
-            if row_key not in slot.rows and row_key not in fresh:
-                fresh[row_key] = {
-                    "values": list(row_key),
-                    "metrics": metrics,
-                    "campaign": campaign,
-                }
-        if not fresh:
-            return 0
-        append_lines(
-            self._path(space_name, fingerprint),
-            "".join(dumps(row) + "\n" for row in fresh.values()),
-            header={
-                "kind": _KIND,
-                "schema": ARCHIVE_SCHEMA_VERSION,
-                "space": space_name,
-                "params": list(params),
-                "fingerprint": fingerprint,
-            },
-        )
-        slot.rows.update(fresh)
-        if self._rows_counter is not None:
-            self._rows_counter.inc(len(fresh))
-        return len(fresh)
+    def _count(self, written: int) -> int:
+        if written and self._rows_counter is not None:
+            self._rows_counter.inc(written)
+        return written
 
     # -- recording --------------------------------------------------------------
 
@@ -207,31 +75,13 @@ class DesignArchive:
     ) -> int:
         """Record ``(genome, outcome)`` pairs; returns rows actually written.
 
-        Mirrors the persistent cache's policy: metrics dicts and
+        The store's policy: metrics dicts and
         :class:`~repro.core.errors.InfeasibleDesignError` outcomes are
-        archived (the failed synthesis was knowledge too); other exceptions
-        are transient and skipped. Already-archived designs are skipped —
+        recorded (the failed synthesis was knowledge too); other exceptions
+        are transient and skipped. Already-stored designs are skipped —
         the first campaign to evaluate a point owns its row.
         """
-        grouped: dict[str, list[tuple[tuple, dict | None]]] = {}
-        params: dict[str, tuple[str, ...]] = {}
-        for genome, outcome in outcomes:
-            if isinstance(outcome, InfeasibleDesignError):
-                metrics = None
-            elif isinstance(outcome, Exception):
-                continue
-            else:
-                metrics = dict(outcome)
-            space = genome.space
-            grouped.setdefault(space.name, []).append((genome.key[1], metrics))
-            params[space.name] = space.param_names
-        written = 0
-        with self._lock:
-            for space_name, entries in grouped.items():
-                written += self._append(
-                    space_name, params[space_name], fingerprint, entries, campaign
-                )
-        return written
+        return self._count(self.store.put_many(outcomes, fingerprint, campaign))
 
     def record(
         self, genome: "Genome", outcome, fingerprint: str, campaign: str = ""
@@ -240,78 +90,56 @@ class DesignArchive:
         return self.record_many([(genome, outcome)], fingerprint, campaign) == 1
 
     def import_cache(self, cache_root: str | Path, campaign: str = "import") -> dict:
-        """One-shot import of :class:`~repro.core.evalstack.PersistentCache` files.
+        """Copy the rows of another store directory that the archive lacks.
 
-        Walks ``cache_root`` for cache JSONL files (header:
-        ``{"space", "params", "fingerprint"}``), appending every row not
-        already archived under ``campaign``. Archive files found there are
-        skipped (their header carries a ``kind``), as are torn/corrupt
-        lines. Returns ``{"files", "imported", "skipped"}``.
+        ``cache_root`` is any store directory: an old ``--eval-cache``
+        directory or another archive. A row keeps its campaign; a row
+        without one (an eval-cache row) is recorded under ``campaign``.
+        Torn and corrupt lines are skipped. Returns ``{"files",
+        "imported", "skipped"}``.
         """
-        cache_root = Path(cache_root)
+        source = PersistentCache(cache_root)
         report = {"files": 0, "imported": 0, "skipped": 0}
-        paths = sorted(cache_root.glob("*.jsonl")) if cache_root.exists() else []
-        with self._lock:
-            for path in paths:
-                header: dict | None = None
-                entries: list[tuple[list, dict | None]] = []
-                with open(path, "r", encoding="utf-8") as fh:
-                    for line in fh:
-                        try:
-                            payload = json.loads(line)
-                        except ValueError:
-                            continue
-                        if header is None:
-                            header = payload
-                            continue
-                        try:
-                            values = payload["values"]
-                            metrics = payload["metrics"]
-                        except (KeyError, TypeError):
-                            continue
-                        entries.append((values, metrics))
-                if (
-                    header is None
-                    or "kind" in header  # an archive file, not a cache file
-                    or not header.get("space")
-                    or not header.get("params")
-                    or "fingerprint" not in header
-                ):
-                    continue
-                report["files"] += 1
-                written = self._append(
-                    header["space"],
-                    list(header["params"]),
-                    header["fingerprint"],
-                    entries,
-                    campaign,
+        for space_name, params, fingerprint in source.files():
+            rows = source.rows(space_name, params, fingerprint)
+            written = self._count(
+                self.store.put_rows(
+                    space_name,
+                    params,
+                    fingerprint,
+                    (
+                        (key, metrics, origin or campaign)
+                        for key, (metrics, origin) in rows
+                    ),
                 )
-                report["imported"] += written
-                report["skipped"] += len(entries) - written
+            )
+            report["files"] += 1
+            report["imported"] += written
+            report["skipped"] += len(rows) - written
         return report
 
     # -- indexed access ----------------------------------------------------------
 
     def entries(self, space: "DesignSpace", fingerprint: str) -> int:
         """Number of archived rows for one (space, fingerprint)."""
-        with self._lock:
-            return len(self._load(space.name, fingerprint, space.param_names).rows)
+        return self.store.entries(space, fingerprint)
 
     def _indexed_rows(
         self, space: "DesignSpace", fingerprint: str
-    ) -> list[tuple[tuple[int, ...], dict[str, Any]]]:
-        """``(codes, row)`` pairs for rows that still decode against ``space``.
+    ) -> list[tuple[tuple[int, ...], tuple, dict | None, str]]:
+        """``(codes, values key, metrics, campaign)`` for the rows that
+        still decode against ``space``.
 
         Rows whose values fell out of the live space's domains (the IP
         generator evolved) are silently excluded from queries — they stay
         on disk, but no retrieval path can hand a stale design to a search.
         """
-        slot = self._load(space.name, fingerprint, space.param_names)
+        rows = self.store.rows(space.name, space.param_names, fingerprint)
         codec = space.codec
         index_maps = codec.index_maps
         num_params = codec.num_params
         out = []
-        for row_key, row in slot.rows.items():
+        for row_key, (metrics, campaign) in rows:
             if len(row_key) != num_params:
                 continue
             codes = []
@@ -321,7 +149,7 @@ class DesignArchive:
                     break
                 codes.append(code)
             else:
-                out.append((tuple(codes), row))
+                out.append((tuple(codes), row_key, metrics, campaign))
         return out
 
     def scored_rows(
@@ -333,17 +161,17 @@ class DesignArchive:
         maximized orientation — so every consumer (top-k, hint mining)
         ranks consistently regardless of the metric's direction.
         """
-        with self._lock:
-            indexed = self._indexed_rows(space, fingerprint)
         out = []
-        for codes, row in indexed:
-            metrics = row["metrics"]
+        for codes, row_key, metrics, campaign in self._indexed_rows(
+            space, fingerprint
+        ):
             if metrics is None:
                 continue
             try:
                 score = objective.score(metrics)
             except (EvaluationError, KeyError, TypeError, ZeroDivisionError):
                 continue  # row predates this metric; not comparable
+            row = {"values": list(row_key), "metrics": metrics, "campaign": campaign}
             out.append((codes, score, row))
         return out
 
@@ -368,7 +196,7 @@ class DesignArchive:
                 "metrics": dict(row["metrics"]),
                 "score": score,
                 "raw": objective.raw(row["metrics"]),
-                "campaign": row.get("campaign", ""),
+                "campaign": row["campaign"],
             }
             for codes, score, row in rows[: max(k, 0)]
         ]
@@ -399,24 +227,20 @@ class DesignArchive:
             target = tuple(config.codes)
         else:
             target = space.genome(dict(config)).codes
-        with self._lock:
-            indexed = self._indexed_rows(space, fingerprint)
-        ranked = sorted(
-            (
-                (sum(abs(a - b) for a, b in zip(codes, target)), codes, row)
-                for codes, row in indexed
-            ),
-            key=lambda item: (item[0], item[1]),
-        )
+        ranked = []
+        for codes, __, metrics, campaign in self._indexed_rows(space, fingerprint):
+            distance = sum(abs(a - b) for a, b in zip(codes, target))
+            ranked.append((distance, codes, metrics, campaign))
+        ranked.sort(key=lambda item: (item[0], item[1]))
         codec = space.codec
         return [
             {
                 "distance": distance,
                 "config": dict(zip(codec.names, codec.decode(codes))),
-                "metrics": None if row["metrics"] is None else dict(row["metrics"]),
-                "campaign": row.get("campaign", ""),
+                "metrics": None if metrics is None else dict(metrics),
+                "campaign": campaign,
             }
-            for distance, codes, row in ranked[: max(k, 0)]
+            for distance, codes, metrics, campaign in ranked[: max(k, 0)]
         ]
 
     def marginals(
@@ -480,11 +304,8 @@ class DesignArchive:
         if len(metrics) != len(directions):
             raise NautilusError("metrics and directions must align")
         signs = [1.0 if direction == "max" else -1.0 for direction in directions]
-        with self._lock:
-            indexed = self._indexed_rows(space, fingerprint)
         points = []
-        for codes, row in indexed:
-            values = row["metrics"]
+        for codes, __, values, campaign in self._indexed_rows(space, fingerprint):
             if values is None:
                 continue
             try:
@@ -493,7 +314,7 @@ class DesignArchive:
                 )
             except (KeyError, TypeError, ValueError):
                 continue
-            points.append((point, codes, row))
+            points.append((point, codes, values, campaign))
 
         front = [
             entry
@@ -509,49 +330,39 @@ class DesignArchive:
         return [
             {
                 "config": dict(zip(codec.names, codec.decode(codes))),
-                "metrics": dict(row["metrics"]),
-                "campaign": row.get("campaign", ""),
+                "metrics": dict(values),
+                "campaign": campaign,
             }
-            for __, codes, row in front
+            for __, codes, values, campaign in front
         ]
 
     # -- global readout ----------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
         """Row/feasibility/campaign counts over every file under ``root``."""
-        with self._lock:
-            paths = sorted(self.root.glob("*.jsonl")) if self.root.exists() else []
-            files = 0
-            spaces: dict[str, int] = {}
-            campaigns: dict[str, int] = {}
-            rows = feasible = infeasible = 0
-            for path in paths:
-                try:
-                    with open(path, "r", encoding="utf-8") as fh:
-                        header = json.loads(fh.readline())
-                except (OSError, ValueError):
-                    continue
-                if not isinstance(header, dict) or header.get("kind") != _KIND:
-                    continue
-                slot = self._load(header["space"], header["fingerprint"])
-                files += 1
-                for row in slot.rows.values():
-                    rows += 1
-                    spaces[header["space"]] = spaces.get(header["space"], 0) + 1
-                    campaign = row.get("campaign", "")
-                    campaigns[campaign] = campaigns.get(campaign, 0) + 1
-                    if row["metrics"] is None:
-                        infeasible += 1
-                    else:
-                        feasible += 1
-            return {
-                "rows": rows,
-                "feasible": feasible,
-                "infeasible": infeasible,
-                "files": files,
-                "spaces": spaces,
-                "campaigns": campaigns,
-            }
+        files = rows = feasible = infeasible = 0
+        spaces: dict[str, int] = {}
+        campaigns: dict[str, int] = {}
+        for space_name, params, fingerprint in self.store.files():
+            files += 1
+            for __, (metrics, campaign) in self.store.rows(
+                space_name, params, fingerprint
+            ):
+                rows += 1
+                spaces[space_name] = spaces.get(space_name, 0) + 1
+                campaigns[campaign] = campaigns.get(campaign, 0) + 1
+                if metrics is None:
+                    infeasible += 1
+                else:
+                    feasible += 1
+        return {
+            "rows": rows,
+            "feasible": feasible,
+            "infeasible": infeasible,
+            "files": files,
+            "spaces": spaces,
+            "campaigns": campaigns,
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DesignArchive({str(self.root)!r})"

@@ -21,11 +21,11 @@ Subcommands:
   every paid evaluation into the cross-campaign design archive.
 * ``archive`` — inspect the cross-campaign design archive offline:
   ``stats``, ``query`` (top designs for a named query), ``export-hints``
-  (mine a hints JSON from archived rows), and ``import`` (backfill from
-  a persistent eval cache).
-* ``cache`` — maintain the persistent evaluation cache (``compact``
-  rewrites each space file dropping duplicate and torn rows; run it only
-  while no daemon appends to that directory).
+  (mine a hints JSON from archived rows), and ``import`` (copy the rows
+  of another store directory, such as an old eval cache).
+* ``cache`` — maintain a store directory, an eval cache or an archive
+  (``compact`` rewrites each space file dropping duplicate and torn rows;
+  run it only while no daemon appends to that directory).
 * ``worker`` — run one evaluation-fleet worker daemon against a
   coordinator (see ``docs/distributed.md``).
 * ``fleet`` — show a daemon's evaluation-fleet status (workers, queue
@@ -508,7 +508,7 @@ def _cmd_archive_import(args: argparse.Namespace) -> int:
         args.source, campaign=args.campaign
     )
     print(
-        f"imported {report['imported']} row(s) from {report['files']} cache "
+        f"imported {report['imported']} row(s) from {report['files']} store "
         f"file(s) ({report['skipped']} skipped) into {args.dir}"
     )
     return 0
@@ -1139,7 +1139,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_archive_export_hints)
 
     p = archive_sub.add_parser(
-        "import", help="backfill the archive from a persistent eval cache"
+        "import",
+        help="copy the rows the archive lacks from another store directory "
+        "(an old eval cache or another archive)",
     )
     p.add_argument("--dir", default="campaigns/archive", help="archive directory")
     p.add_argument(
@@ -1147,29 +1149,32 @@ def build_parser() -> argparse.ArgumentParser:
         dest="source",
         required=True,
         metavar="CACHE_DIR",
-        help="persistent eval cache directory (e.g. campaigns/evalcache)",
+        help="store directory to copy from (e.g. campaigns/evalcache)",
     )
     p.add_argument(
         "--campaign",
         default="import",
-        help="campaign label recorded on imported rows",
+        help="campaign label recorded on imported rows that carry none",
     )
     p.set_defaults(fn=_cmd_archive_import)
 
     p = sub.add_parser(
-        "cache", help="maintain the persistent evaluation cache"
+        "cache", help="maintain a store of paid-for evaluations"
     )
     cache_sub = p.add_subparsers(dest="cache_command", required=True)
 
     p = cache_sub.add_parser(
         "compact",
-        help="rewrite cache files dropping duplicate and torn rows",
-        description="Rewrite cache files dropping duplicate and torn rows. "
-        "Run it only while no daemon appends to the directory: a row "
-        "appended during compaction is lost.",
+        help="rewrite store files dropping duplicate and torn rows",
+        description="Rewrite the files of a store directory (an eval cache "
+        "or an archive), keeping each design's first row and dropping "
+        "duplicate and torn rows. Run it only while no daemon appends to "
+        "the directory: a row appended during compaction is lost.",
     )
     p.add_argument(
-        "--dir", default="campaigns/evalcache", help="cache directory"
+        "--dir",
+        default="campaigns/evalcache",
+        help="store directory (an eval cache or an archive)",
     )
     p.set_defaults(fn=_cmd_cache_compact)
 

@@ -19,7 +19,8 @@ carries:
   uint32), ``guidance``, ``stalled`` and ``eval_stats`` (the stack's
   integer counters);
 * only the ``cache`` rows (``{"values": [...], "metrics": {...} | null}``,
-  the :class:`~repro.core.evalstack.PersistentCache` row shape) and the
+  the :class:`~repro.core.evalstack.PersistentCache` row shape without
+  its ``campaign``) and the
   ``records`` produced since the previous line. The writer finds them
   with two watermarks: the memo's insertion order and the record count.
 

@@ -12,12 +12,10 @@ pipeline instead of four divergent implementations::
     MemoCache          in-memory key → outcome; revisits are free
         │ misses
         ▼
-    ArchiveTap         optional pure observer feeding the cross-campaign
-        │              design archive (repro.archive) — see every memo miss
-        ▼
-    PersistentCache    optional on-disk JSON-lines, shared across
-        │ misses       campaigns/processes/daemon restarts
-        ▼
+    Store              optional: serves hits from the on-disk eval cache
+        │ misses       (PersistentCache) and records what the layers below
+        │              paid for — through the design archive when there
+        ▼              is one (repro.archive), else into the eval cache
     Batcher            coalesces duplicate keys within one batch
         │ unique
         ▼
@@ -424,27 +422,41 @@ class _Batcher:
         return [outcomes[index[g.key]] for g in genomes]
 
 
-class _PersistentLayer:
-    """Serve misses from the shared on-disk cache; write back fresh results."""
+class _StoreLayer:
+    """Serve misses from the eval cache; record what the layers below paid for.
+
+    ``cache`` (the stack's :class:`PersistentCache`, or None) serves hits.
+    ``record`` is the one call that stores the outcomes the inner layers
+    return, under ``campaign``: the archive's ``record_many`` when the
+    stack has an archive, else the cache's ``put_many``. Recording draws
+    no RNG and touches no counter, so seeded curves are bit-identical with
+    or without an archive.
+    """
 
     def __init__(
         self,
         next_layer,
-        cache: "PersistentCache",
+        cache: "PersistentCache | None",
+        record,
         fingerprint: str,
+        campaign: str,
         counters: _Counters,
         clock=time.perf_counter,
     ):
         self.next = next_layer
         self.cache = cache
+        self.record = record
         self.fingerprint = fingerprint
+        self.campaign = campaign
         self._counters = counters
         self._clock = clock
-        #: Timed write-backs since the last :meth:`pop_writes` — surfaced
-        #: to tracing kernels as ``cache-write`` spans.
+        #: Timed writes since the last :meth:`pop_writes` — surfaced to
+        #: tracing kernels as ``cache-write`` spans.
         self._writes: list[dict] = []
 
     def evaluate_many(self, genomes: Sequence[Genome]) -> list[Outcome]:
+        if self.cache is None:
+            return self._pay(genomes)
         results: list[Outcome] = [None] * len(genomes)
         misses: list[Genome] = []
         positions: list[int] = []
@@ -463,46 +475,24 @@ class _PersistentLayer:
                 misses.append(genome)
                 positions.append(i)
         if misses:
-            outcomes = self.next.evaluate_many(misses)
-            started = self._clock()
-            self.cache.put_many(
-                zip(misses, outcomes), self.fingerprint
-            )
-            self._writes.append(
-                {"entries": len(misses), "duration_s": self._clock() - started}
-            )
-            for position, outcome in zip(positions, outcomes):
+            for position, outcome in zip(positions, self._pay(misses)):
                 results[position] = outcome
         return results
 
-    def pop_writes(self) -> list[dict]:
-        """Timed cache write-backs since the last call (then reset)."""
-        writes, self._writes = self._writes, []
-        return writes
-
-
-class _ArchiveTap:
-    """Record outcomes flowing past the memo into a cross-campaign archive.
-
-    Sits between the memo cache and the persistent layer, so every memo
-    miss — fresh backend results *and* persistent-cache hits — lands in the
-    archive exactly once per stack. Pure observation: no counters, no RNG,
-    no reordering, so seeded curves are bit-identical with or without a
-    tap (the archive-off engine-parity guarantee).
-    """
-
-    def __init__(self, next_layer, archive, fingerprint: str, campaign: str):
-        self.next = next_layer
-        self.archive = archive
-        self.fingerprint = fingerprint
-        self.campaign = campaign
-
-    def evaluate_many(self, genomes: Sequence[Genome]) -> list[Outcome]:
+    def _pay(self, genomes: Sequence[Genome]) -> list[Outcome]:
+        """The inner layers' outcomes for ``genomes``, recorded and timed."""
         outcomes = self.next.evaluate_many(genomes)
-        self.archive.record_many(
-            zip(genomes, outcomes), self.fingerprint, campaign=self.campaign
+        started = self._clock()
+        self.record(zip(genomes, outcomes), self.fingerprint, campaign=self.campaign)
+        self._writes.append(
+            {"entries": len(genomes), "duration_s": self._clock() - started}
         )
         return outcomes
+
+    def pop_writes(self) -> list[dict]:
+        """Timed writes since the last call (then reset)."""
+        writes, self._writes = self._writes, []
+        return writes
 
 
 class _MemoCache:
@@ -525,41 +515,120 @@ class _MemoCache:
 
 
 # ---------------------------------------------------------------------------
-# persistent cache store
+# the row store
 # ---------------------------------------------------------------------------
 
 
-class PersistentCache:
-    """Content-addressed, append-only evaluation cache shared across runs.
+def _parse_row(payload: Any) -> tuple | None:
+    """``(values key, metrics, campaign)`` of one row line's payload, or None
+    for anything but an object with list ``values`` and object-or-null
+    ``metrics``."""
+    if not isinstance(payload, dict) or "metrics" not in payload:
+        return None
+    values, metrics = payload.get("values"), payload["metrics"]
+    if not isinstance(values, list) or not (
+        metrics is None or isinstance(metrics, dict)
+    ):
+        return None
+    key = values_key(values)
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    campaign = payload.get("campaign", "")
+    return key, metrics, campaign if isinstance(campaign, str) else ""
 
-    Layout: one JSON-lines file per (design space, evaluator fingerprint)
-    under ``root``, named ``<space>-<sha1(fingerprint)[:12]>.jsonl``. The
-    first line is a self-describing header (space, parameter names, the full
-    fingerprint); each following line is one design point::
+
+def _read_file(path: Path) -> tuple[Any, list[tuple], int]:
+    """One store file: its header (the first line that parses), its rows
+    as ``(values key, metrics, campaign)`` in file order, and how many
+    lines were skipped because they are torn or not rows."""
+    header: Any = None
+    rows: list[tuple] = []
+    skipped = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            try:
+                payload = json.loads(line)
+            except ValueError:
+                skipped += 1  # a torn line from a killed writer
+                continue
+            if header is None:
+                header = payload
+                continue
+            row = _parse_row(payload)
+            if row is None:
+                skipped += 1
+            else:
+                rows.append(row)
+    return header, rows, skipped
+
+
+def _named_by(header: Any) -> tuple[str, tuple[str, ...], str] | None:
+    """The ``(space, params, fingerprint)`` a store header names, or None."""
+    if not isinstance(header, dict):
+        return None
+    space, params = header.get("space"), header.get("params")
+    fingerprint = header.get("fingerprint")
+    if not (
+        space
+        and isinstance(space, str)
+        and isinstance(params, list)
+        and isinstance(fingerprint, str)
+    ):
+        return None
+    return space, tuple(params), fingerprint
+
+
+def _encode_rows(rows: dict[tuple, tuple[dict | None, str]]) -> str:
+    return "".join(
+        dumps({"values": list(key), "metrics": metrics, "campaign": campaign})
+        + "\n"
+        for key, (metrics, campaign) in rows.items()
+    )
+
+
+class PersistentCache:
+    """The one store of paid-for evaluations, append-only and shared
+    across runs.
+
+    The eval cache (``nautilus serve --eval-cache``) is a store, and the
+    design archive (:class:`repro.archive.DesignArchive`) is queries over
+    one. Layout: one JSON-lines file per (design space, evaluator
+    fingerprint) under ``root``, named
+    ``<space>-<sha1(fingerprint)[:12]>.jsonl``. The first line is a
+    self-describing header (space, parameter names, the full fingerprint);
+    each following line is one design point and the campaign that paid
+    for it::
 
         {"space": "spiral_fft", "params": ["radix", ...], "fingerprint": "..."}
-        {"values": [4, 16, ...], "metrics": {"luts": 512.0, ...}}
-        {"values": [8, 16, ...], "metrics": null}        # infeasible
+        {"values": [4, 16, ...], "metrics": {"luts": 512.0, ...}, "campaign": "c000003"}
+        {"values": [8, 16, ...], "metrics": null, "campaign": "c000003"}
+
+    Older files load too: archive headers add ``kind`` and ``schema``, and
+    eval-cache rows carry no ``campaign`` (read as ``""``).
 
     ``metrics: null`` records an :class:`InfeasibleDesignError` — a failed
     synthesis attempt still consumed a job, and replaying it must fail the
-    same way. A batch's rows are appended together, and enter the
-    in-memory index only once written (see
-    :func:`~repro.core.fileio.append_lines`). A torn trailing line (killed
-    daemon) is skipped on load; the next append starts on a line of its
-    own, and a file left empty gets its header (see
-    :func:`~repro.core.fileio.open_append`). So the cache survives
-    crashes without any locking protocol beyond append.
+    same way. The first row stored for a design wins: two evaluators
+    sharing a fingerprint return identical metrics. A batch's rows are
+    appended together, and enter the in-memory index only once written
+    (see :func:`~repro.core.fileio.append_lines`). A line that does not
+    parse, or is not a row object, is skipped on load — a torn trailing
+    line from a killed daemon among them; the next append starts on a line
+    of its own, and a file left empty gets its header (see
+    :func:`~repro.core.fileio.open_append`). So the store survives crashes
+    without any locking protocol beyond append.
 
-    Thread safety: one lock guards the in-memory maps and file appends, so
-    many campaign stacks in one scheduler can share a single instance.
+    Thread safety: one lock guards the in-memory index and file appends,
+    so every campaign stack of a daemon shares one instance.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self._lock = threading.Lock()
-        #: (space_name, fingerprint) -> {values_key: metrics | None}
-        self._spaces: dict[tuple[str, str], dict[tuple, dict | None]] = {}
+        #: (space, fingerprint) -> (params, {values key: (metrics | None, campaign)})
+        self._index: dict[tuple[str, str], tuple[tuple[str, ...], dict]] = {}
 
     # -- file mapping -----------------------------------------------------------
 
@@ -567,63 +636,66 @@ class PersistentCache:
         digest = hashlib.sha1(fingerprint.encode("utf-8")).hexdigest()[:12]
         return self.root / f"{space_name}-{digest}.jsonl"
 
+    def _paths(self) -> list[Path]:
+        return sorted(self.root.glob("*.jsonl")) if self.root.is_dir() else []
+
     # The canonical key (repro.core.params.values_key) — the same frozen
     # form Genome.key carries, so JSON round-trips (tuples → lists) land
     # back on identical keys. This *is* the on-disk key format; changing it
-    # orphans every existing cache file.
+    # orphans every existing store file.
     _values_key = staticmethod(values_key)
 
-    def _load(self, space: "DesignSpace", fingerprint: str) -> dict[tuple, dict | None]:
-        slot = (space.name, fingerprint)
-        rows = self._spaces.get(slot)
-        if rows is not None:
-            return rows
-        rows = {}
-        path = self._path(space.name, fingerprint)
+    def _load(
+        self, space_name: str, params: tuple[str, ...], fingerprint: str
+    ) -> dict[tuple, tuple[dict | None, str]]:
+        """The index of one (space, fingerprint) file, read on first
+        access. Call it with the lock held."""
+        slot = self._index.get((space_name, fingerprint))
+        if slot is not None:
+            if slot[0] is not params and slot[0] != params:
+                raise NautilusError(
+                    f"store for space {space_name!r} indexes parameters "
+                    f"{slot[0]!r}, not {params!r}"
+                )
+            return slot[1]
+        rows: dict[tuple, tuple[dict | None, str]] = {}
+        path = self._path(space_name, fingerprint)
         if path.exists():
-            with open(path, "r", encoding="utf-8") as fh:
-                header: dict | None = None
-                for line in fh:
-                    try:
-                        payload = json.loads(line)
-                    except ValueError:
-                        continue  # torn trailing line from a killed writer
-                    if header is None:
-                        header = payload
-                        if (
-                            header.get("space") != space.name
-                            or tuple(header.get("params", ())) != space.param_names
-                            or header.get("fingerprint") != fingerprint
-                        ):
-                            raise NautilusError(
-                                f"persistent cache {path} does not match space "
-                                f"{space.name!r} / fingerprint {fingerprint!r}"
-                            )
-                        continue
-                    rows[self._values_key(payload["values"])] = payload["metrics"]
-        self._spaces[slot] = rows
+            header, parsed, __ = _read_file(path)
+            if header is not None and _named_by(header) != (
+                space_name, params, fingerprint
+            ):
+                raise NautilusError(
+                    f"store file {path} does not match space {space_name!r} "
+                    f"/ parameters {params!r} / fingerprint {fingerprint!r}"
+                )
+            for key, metrics, campaign in parsed:
+                rows.setdefault(key, (metrics, campaign))  # first writer wins
+        self._index[(space_name, fingerprint)] = (params, rows)
         return rows
 
     # -- access -----------------------------------------------------------------
 
     def get(self, genome: Genome, fingerprint: str) -> tuple[bool, dict | None]:
         """``(found, metrics)``; ``metrics is None`` marks infeasible."""
+        space = genome.space
         with self._lock:
-            rows = self._load(genome.space, fingerprint)
-            key = genome.key[1]
-            if key in rows:
-                metrics = rows[key]
-                return True, dict(metrics) if metrics is not None else None
+            row = self._load(space.name, space.param_names, fingerprint).get(
+                genome.key[1]
+            )
+        if row is None:
             return False, None
+        metrics = row[0]
+        return True, dict(metrics) if metrics is not None else None
 
-    def put_many(self, outcomes, fingerprint: str) -> int:
-        """Append fresh ``(genome, outcome)`` rows; returns rows written.
+    def put_many(self, outcomes, fingerprint: str, campaign: str = "") -> int:
+        """Store fresh ``(genome, outcome)`` rows under ``campaign``;
+        returns rows written.
 
-        Metrics and :class:`InfeasibleDesignError` outcomes are persisted;
+        Metrics and :class:`InfeasibleDesignError` outcomes are stored;
         other exceptions (transient failures, setup bugs) are not — they
-        must not poison future campaigns. A space's new lines are encoded
-        first, then written together, and only then indexed: a row that
-        fails to encode or write is not reported as cached.
+        must not poison future campaigns. A design already stored keeps
+        its first row.
         """
         grouped: dict[str, tuple["DesignSpace", list]] = {}
         for genome, outcome in outcomes:
@@ -635,50 +707,89 @@ class PersistentCache:
                 metrics = dict(outcome)
             space = genome.space
             grouped.setdefault(space.name, (space, []))[1].append(
-                (genome.key[1], metrics)
+                (genome.key[1], metrics, campaign)
             )
-        written = 0
+        return sum(
+            self.put_rows(space.name, space.param_names, fingerprint, rows)
+            for space, rows in grouped.values()
+        )
+
+    def put_rows(
+        self,
+        space_name: str,
+        params: Sequence[str],
+        fingerprint: str,
+        rows: Iterable[tuple[tuple, dict | None, str]],
+    ) -> int:
+        """Append the ``(values key, metrics, campaign)`` rows of one file
+        that the store lacks; returns rows written.
+
+        The new lines are encoded first, then written together, and only
+        then indexed: a row that fails to encode or write is not stored.
+        """
+        params = tuple(params)
         with self._lock:
-            for space, entries in grouped.values():
-                rows = self._load(space, fingerprint)
-                fresh: dict[tuple, dict | None] = {}
-                for key, metrics in entries:
-                    if key not in rows:
-                        fresh.setdefault(key, metrics)
-                if not fresh:
+            index = self._load(space_name, params, fingerprint)
+            fresh: dict[tuple, tuple[dict | None, str]] = {}
+            for key, metrics, campaign in rows:
+                if key not in index:
+                    fresh.setdefault(key, (metrics, campaign))
+            if not fresh:
+                return 0
+            append_lines(
+                self._path(space_name, fingerprint),
+                _encode_rows(fresh),
+                header={
+                    "space": space_name,
+                    "params": list(params),
+                    "fingerprint": fingerprint,
+                },
+            )
+            index.update(fresh)
+            return len(fresh)
+
+    def rows(
+        self, space_name: str, params: Sequence[str], fingerprint: str
+    ) -> list[tuple[tuple, tuple[dict | None, str]]]:
+        """``(values key, (metrics, campaign))`` for every row of one
+        (space, fingerprint), in the order they were first written."""
+        with self._lock:
+            return list(self._load(space_name, tuple(params), fingerprint).items())
+
+    def files(self) -> list[tuple[str, tuple[str, ...], str]]:
+        """``(space, params, fingerprint)`` of every store file under
+        ``root``, by file name; a file whose first line is not a store
+        header, or whose name is not the one that header implies, is not
+        a store file."""
+        found = []
+        with self._lock:
+            for path in self._paths():
+                try:
+                    with open(path, "r", encoding="utf-8") as fh:
+                        named = _named_by(json.loads(fh.readline()))
+                except (OSError, ValueError):
                     continue
-                append_lines(
-                    self._path(space.name, fingerprint),
-                    "".join(
-                        dumps({"values": list(key), "metrics": metrics}) + "\n"
-                        for key, metrics in fresh.items()
-                    ),
-                    header={
-                        "space": space.name,
-                        "params": list(space.param_names),
-                        "fingerprint": fingerprint,
-                    },
-                )
-                rows.update(fresh)
-                written += len(fresh)
-        return written
+                if named is not None and path == self._path(named[0], named[2]):
+                    found.append(named)
+        return found
 
     def entries(self, space: "DesignSpace", fingerprint: str) -> int:
-        """Number of cached rows for one (space, fingerprint)."""
+        """Number of stored rows for one (space, fingerprint)."""
         with self._lock:
-            return len(self._load(space, fingerprint))
+            return len(self._load(space.name, space.param_names, fingerprint))
 
     def compact(self) -> dict[str, Any]:
-        """Rewrite every cache file, dropping duplicate and torn rows.
+        """Rewrite every store file, dropping duplicate and torn rows.
 
-        ``put_many`` dedupes within one process, but several writers
+        ``put_rows`` dedupes within one process, but several writers
         appending to the same file (fleet workers, parallel daemons,
-        repeated crash-restart cycles) accrete superseded duplicate rows —
-        the file only ever grows. Compaction keeps the *last* payload per
-        values key (matching ``_load``'s read semantics) in first-appearance
-        order, silently drops unparsable or malformed lines, and rewrites
-        each file atomically (tmp + rename). In-memory maps are invalidated
-        so the next access reloads from the rewritten files.
+        repeated crash-restart cycles) accrete duplicate rows — the file
+        only ever grows. Compaction keeps each design's first row (the one
+        reads serve) in file order and drops duplicates and lines that do
+        not parse or are not rows. A file that had any is rewritten
+        atomically (tmp + rename): its header as it was, its rows in the
+        current format. The in-memory index is cleared so the next access
+        reloads from the rewritten files.
 
         Run it only while no daemon appends to ``root``: a row appended
         between a file's read and its replace is lost.
@@ -687,49 +798,27 @@ class PersistentCache:
         """
         report: dict[str, Any] = {"files": {}, "rows": 0, "reclaimed": 0}
         with self._lock:
-            paths = sorted(self.root.glob("*.jsonl")) if self.root.exists() else []
-            for path in paths:
-                header: dict | None = None
-                rows: dict[tuple, Any] = {}
-                order: list[tuple] = []
-                dropped = 0
-                with open(path, "r", encoding="utf-8") as fh:
-                    for line in fh:
-                        try:
-                            payload = json.loads(line)
-                        except ValueError:
-                            dropped += 1  # torn line from a killed writer
-                            continue
-                        if header is None:
-                            header = payload
-                            continue
-                        try:
-                            key = self._values_key(payload["values"])
-                            payload["metrics"]
-                        except (KeyError, TypeError):
-                            dropped += 1
-                            continue
-                        if key in rows:
-                            dropped += 1  # superseded duplicate
-                        else:
-                            order.append(key)
-                        rows[key] = payload
+            for path in self._paths():
+                header, rows, dropped = _read_file(path)
                 if header is None:
                     continue  # empty or headerless file; nothing to keep
+                kept: dict[tuple, tuple[dict | None, str]] = {}
+                for key, metrics, campaign in rows:
+                    kept.setdefault(key, (metrics, campaign))
+                dropped += len(rows) - len(kept)
                 if dropped:
                     tmp = path.with_suffix(path.suffix + ".tmp")
                     with open(tmp, "w", encoding="utf-8") as out:
-                        out.write(json.dumps(header) + "\n")
-                        for key in order:
-                            out.write(json.dumps(rows[key]) + "\n")
+                        out.write(dumps(header) + "\n")
+                        out.write(_encode_rows(kept))
                     tmp.replace(path)
                 report["files"][path.name] = {
-                    "rows": len(order),
+                    "rows": len(kept),
                     "reclaimed": dropped,
                 }
-                report["rows"] += len(order)
+                report["rows"] += len(kept)
                 report["reclaimed"] += dropped
-            self._spaces.clear()
+            self._index.clear()
         return report
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -817,9 +906,10 @@ class EvaluationStack:
             down. Without one, each batch starts and joins its own pool.
         fleet: The :class:`repro.distributed.FleetCoordinator` backing the
             ``"fleet"`` backend (required for it, ignored otherwise).
-        persistent: Optional shared :class:`PersistentCache`; campaigns over
-            the same space then never re-pay a synthesis job, across
-            processes and daemon restarts.
+        persistent: Optional shared :class:`PersistentCache` (the eval
+            cache) that serves hits; campaigns over the same space then
+            never re-pay a synthesis job, across processes and daemon
+            restarts. Given with ``archive``, it must be ``archive.store``.
         batch_size: Optional chunking of huge batches (the dataset
             characterization pipeline streams a whole space through one
             stack this way).
@@ -833,12 +923,13 @@ class EvaluationStack:
             Duck-typed — the stack never imports :mod:`repro.obs` — and
             purely additive: the :class:`EvalStats` accounting is
             byte-for-byte identical with or without a registry.
-        archive: Optional :class:`repro.archive.DesignArchive` (duck-typed
-            — only ``record_many`` is called); every memo miss, and every
-            row :meth:`preload` restores, is recorded into it under
-            ``campaign``. Pure observation: counters, RNG and seeded
-            curves are identical with or without an archive.
-        campaign: Campaign id stamped onto archived rows.
+        archive: Optional :class:`repro.archive.DesignArchive`. The rows
+            the backend pays for, and every row :meth:`preload` restores,
+            are recorded through its ``record_many`` under ``campaign``;
+            without one they go to ``persistent``. Recording changes no
+            counter and draws no RNG, so seeded curves are identical with
+            or without an archive.
+        campaign: Campaign id stamped onto stored rows.
     """
 
     def __init__(
@@ -863,6 +954,13 @@ class EvaluationStack:
             )
         if isinstance(inner, EvaluationStack):
             raise NautilusError("cannot stack an EvaluationStack inside another")
+        if persistent is not None and archive is not None and (
+            archive.store is not persistent
+        ):
+            raise NautilusError(
+                "an eval cache given with an archive must be the archive's "
+                "store (persistent=archive.store)"
+            )
         self.inner = inner
         self.backend_kind = backend
         self.workers = workers
@@ -893,23 +991,26 @@ class EvaluationStack:
         self._tail = tail
         layer = _Instrumentation(tail, self._counters, clock=clock)
         layer = _Batcher(layer, self._counters, batch_size=batch_size)
-        self._persistent_layer: _PersistentLayer | None = None
-        if persistent is not None:
-            layer = _PersistentLayer(
-                layer, persistent, self.fingerprint, self._counters, clock=clock
+        self._store_layer: _StoreLayer | None = None
+        if archive is not None or persistent is not None:
+            layer = self._store_layer = _StoreLayer(
+                layer,
+                persistent,
+                archive.record_many if archive is not None else persistent.put_many,
+                self.fingerprint,
+                campaign,
+                self._counters,
+                clock=clock,
             )
-            self._persistent_layer = layer
-        if archive is not None:
-            layer = _ArchiveTap(layer, archive, self.fingerprint, campaign)
         self._memo = _MemoCache(layer, self._counters)
 
     @property
     def fingerprint(self) -> str:
         """The inner evaluator's content fingerprint, computed on first read.
 
-        Only the persistent cache, the archive tap, the fleet backend and
-        their callers read it; for a dataset it hashes every row, which a
-        stack without those layers never needs to pay.
+        Only the store layer, the fleet backend and their callers read it;
+        for a dataset it hashes every row, which a stack without those
+        layers never needs to pay.
         """
         fingerprint = self._fingerprint
         if fingerprint is None:
@@ -1014,8 +1115,8 @@ class EvaluationStack:
         return pop() if pop is not None else []
 
     def pop_cache_writes(self) -> list[dict[str, Any]]:
-        """Timed persistent-cache write-backs since the last call."""
-        layer = self._persistent_layer
+        """Timed store writes since the last call."""
+        layer = self._store_layer
         return layer.pop_writes() if layer is not None else []
 
     # -- memo import/export (checkpointing) -------------------------------------
@@ -1037,9 +1138,9 @@ class EvaluationStack:
         ``metrics=None`` restores an infeasible result. Counters are left
         alone: a resumed search restores them with :meth:`restore_counts`
         from the same checkpoint, so a row served by the persistent cache
-        before the interruption stays a persistent hit. With an archive,
-        the rows are recorded in one call under the stack's campaign, as
-        the archive tap records the rows it sees.
+        before the interruption stays a persistent hit. With an archive or
+        an eval cache, the rows are recorded in one call under the stack's
+        campaign, as the store layer records the rows it pays for.
         """
         entries = self._memo.entries
         restored = []
@@ -1051,10 +1152,9 @@ class EvaluationStack:
             )
             entries[genome.key] = outcome
             restored.append((genome, outcome))
-        if self.archive is not None and restored:
-            self.archive.record_many(
-                restored, self.fingerprint, campaign=self.campaign
-            )
+        layer = self._store_layer
+        if layer is not None and restored:
+            layer.record(restored, self.fingerprint, campaign=self.campaign)
 
     def restore_counts(self, counts: dict[str, int]) -> None:
         """Overwrite the integer counters (see :meth:`EvalStats.counts`).

@@ -1,7 +1,8 @@
 """The one opener for append-only JSON-lines files, and their encoder.
 
-The evaluation cache, the design archive and a campaign's event and span
-logs are appended to, and their readers skip a torn final line.
+The store of paid-for evaluations (the eval cache and the design
+archive) and a campaign's event and span logs are appended to, and their
+readers skip a torn final line.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ A :class:`SpanRecorder` collects one tree of timed spans per campaign::
         │       │   ├── dispatch      (one per attempt)
         │       │   ├── retry         (backoff wait after a failed attempt)
         │       │   └── worker-exec   (worker-reported execution window)
-        │       └── cache-write       (persistent-cache write-back)
+        │       └── cache-write       (store write of paid rows)
         └── ...
 
 Design constraints, in force everywhere:

@@ -270,7 +270,8 @@ def build_search(
 
     ``archive`` is the daemon's shared
     :class:`~repro.archive.DesignArchive`: when given, the stack records
-    every evaluation into it under ``campaign_id``, and a spec with
+    every evaluation it pays for through it under ``campaign_id`` (with
+    ``persistent``, it must be ``archive.store``), and a spec with
     ``warm_start`` gets the archive's top designs injected into its
     initial population (single-objective GA engines only).
     """

@@ -17,6 +17,7 @@ from __future__ import annotations
 import threading
 from pathlib import Path
 
+from ..core.errors import NautilusError
 from ..core.evalstack import PersistentCache
 from .http import ServiceHTTPServer, make_server
 from .metrics import ServiceMetrics
@@ -62,6 +63,11 @@ class SearchService:
         curves are unaffected by the archive itself — only an explicit
         ``warm_start`` changes a search.
 
+        With both on, the eval cache is the archive's store
+        (``self.eval_cache is self.archive.store``): one directory, each
+        paid row written once. An ``eval_cache`` path given with
+        ``archive`` is rejected.
+
         ``trace_max_events`` caps every campaign's on-disk event log (a
         spec's own setting overrides it); ``None``, the default, keeps
         every event. ``log_json`` routes the ``nautilus`` logger through
@@ -75,20 +81,17 @@ class SearchService:
         evaluations through the worker fleet, degrading to local inline
         execution while no worker is connected. ``fleet_policy`` overrides
         the default :class:`~repro.distributed.RetryPolicy`."""
+        if archive and eval_cache and eval_cache is not True:
+            raise NautilusError(
+                "an eval-cache path cannot be given with the archive: the "
+                "archive's store is the eval cache"
+            )
         if log_json:
             from ..obs import configure_json_logging
 
             configure_json_logging()
         self.store = CampaignStore(root)
         self.metrics = ServiceMetrics()
-        self.eval_cache: PersistentCache | None = None
-        if eval_cache:
-            cache_root = (
-                Path(root) / "evalcache"
-                if eval_cache is True
-                else Path(eval_cache)
-            )
-            self.eval_cache = PersistentCache(cache_root)
         self.archive = None
         if archive:
             from ..archive import DesignArchive
@@ -98,6 +101,17 @@ class SearchService:
             )
             self.archive = DesignArchive(
                 archive_root, registry=self.metrics.registry
+            )
+        self.eval_cache: PersistentCache | None = None
+        if eval_cache:
+            self.eval_cache = (
+                self.archive.store
+                if self.archive is not None
+                else PersistentCache(
+                    Path(root) / "evalcache"
+                    if eval_cache is True
+                    else Path(eval_cache)
+                )
             )
         self.fleet = None
         if fleet:

@@ -79,7 +79,7 @@ class Scheduler:
             :class:`~repro.core.PersistentCache` threaded into every
             campaign's evaluation stack, so campaigns over the same space
             never re-pay a synthesis job — across processes and daemon
-            restarts.
+            restarts. Given with ``archive``, it must be ``archive.store``.
         trace_max_events: Service-wide cap on per-campaign event logs
             (``None`` keeps everything). A spec's own ``trace_max_events``
             overrides it for that campaign. Capped logs keep the oldest
@@ -91,11 +91,11 @@ class Scheduler:
             inline execution while the fleet is empty). The scheduler does
             not own the coordinator's lifecycle — the daemon does.
         archive: Optional :class:`~repro.archive.DesignArchive` shared by
-            every campaign: live evaluations are recorded through each
-            stack's archive tap, rows a campaign restores from its
-            checkpoint are recorded when it resumes, and specs with
-            ``warm_start`` seed their initial population from its best
-            designs.
+            every campaign: each stack's store layer records the
+            evaluations it pays for through it, rows a campaign restores
+            from its checkpoint are recorded when it resumes, and specs
+            with ``warm_start`` seed their initial population from its
+            best designs.
     """
 
     def __init__(

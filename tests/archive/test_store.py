@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.archive import DesignArchive
+from repro.cli import main
 from repro.core import (
     ChoiceParam,
     DesignSpace,
@@ -119,7 +120,7 @@ class TestRecording:
         """A file left empty (killed between open and flush) is not a
         headerless file forever."""
         archive = DesignArchive(tmp_path)
-        archive._path(space.name, FP).touch()
+        archive.store._path(space.name, FP).touch()
         assert fill(archive, space) == 24
         assert DesignArchive(tmp_path).entries(space, FP) == 24
 
@@ -139,8 +140,8 @@ class TestRecording:
         fill(archive, space)
         # Masquerade the fp-test-1 file as another fingerprint's.
         other = DesignArchive(tmp_path)
-        src = archive._path(space.name, FP)
-        dst = other._path(space.name, "fp-other")
+        src = archive.store._path(space.name, FP)
+        dst = other.store._path(space.name, "fp-other")
         dst.write_text(src.read_text())
         with pytest.raises(NautilusError):
             other.entries(space, "fp-other")
@@ -184,12 +185,24 @@ class TestImport:
         again = archive.import_cache(tmp_path / "cache")
         assert again == {"files": 1, "imported": 0, "skipped": 4}
 
-    def test_import_ignores_archive_files(self, tmp_path, space):
+    def test_import_copies_archive_rows_once(self, tmp_path, space):
+        """An archive directory is a store directory too: its rows are
+        copied once, each with the campaign that paid for it."""
         first = DesignArchive(tmp_path / "archive")
-        fill(first, space)
+        fill(first, space, campaign="alpha")
+        g = space.genome({"a": 0, "o": "lo", "c": "p"})
+        first.store.put_many([(g, {"m": 99.0})], FP)  # already stored: kept
+        other = DesignSpace("brc", [IntParam("z", 0, 1)])
+        first.store.put_many([(other.genome({"z": 1}), {"m": 1.0})], FP)
         second = DesignArchive(tmp_path / "other")
-        # Pointing the importer at an archive dir must not double-ingest.
-        assert second.import_cache(tmp_path / "archive")["files"] == 0
+        report = second.import_cache(tmp_path / "archive", campaign="import")
+        assert report == {"files": 2, "imported": 25, "skipped": 0}
+        assert second.stats()["campaigns"] == {"alpha": 24, "import": 1}
+        (row,) = second.nearest(space, FP, g, k=1)
+        assert row["distance"] == 0
+        assert (row["metrics"], row["campaign"]) == (metrics_for(g), "alpha")
+        again = second.import_cache(tmp_path / "archive")
+        assert again == {"files": 2, "imported": 0, "skipped": 25}
 
     def test_import_missing_dir(self, tmp_path):
         archive = DesignArchive(tmp_path / "archive")
@@ -315,3 +328,26 @@ class TestStats:
             json.dumps({"space": "arc"}) + "\n"
         )
         assert archive.stats()["files"] == 1
+
+
+class TestCompactCommand:
+    def test_cache_compact_on_an_archive_dir(self, tmp_path, space, capsys):
+        """``nautilus cache compact`` works on an archive directory, older
+        archive headers included: duplicate and torn rows go, and each
+        design keeps its first row."""
+        path = DesignArchive(tmp_path).store._path(space.name, FP)
+        header = {"kind": "nautilus-archive", "schema": 1, "space": "arc",
+                  "params": ["a", "o", "c"], "fingerprint": FP}
+        first = {"values": [1, "lo", "p"], "metrics": {"m": 10.0}, "campaign": "c1"}
+        later = {"values": [1, "lo", "p"], "metrics": {"m": 99.0}, "campaign": "c2"}
+        other = {"values": [2, "mid", "q"], "metrics": None, "campaign": "c2"}
+        path.write_text(
+            "".join(json.dumps(line) + "\n" for line in (header, first, later, other))
+            + '{"values": [3, "hi"'  # killed mid-write
+        )
+        assert main(["cache", "compact", "--dir", str(tmp_path)]) == 0
+        assert "2 duplicate/torn row(s) reclaimed" in capsys.readouterr().out
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert lines == [header, first, other]
+        stats = DesignArchive(tmp_path).stats()
+        assert (stats["rows"], stats["campaigns"]) == (2, {"c1": 1, "c2": 1})

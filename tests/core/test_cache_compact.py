@@ -34,24 +34,27 @@ class TestCompact:
         assert report["reclaimed"] == 0
         assert len(raw_lines(tmp_path)) == 5  # header + 4 rows
 
-    def test_duplicates_reclaimed_last_payload_kept(self, tmp_path, space):
+    def test_duplicates_reclaimed_first_payload_kept(self, tmp_path, space):
         cache = PersistentCache(tmp_path)
         put(cache, space, 1, 1.0)
-        # A second writer (another daemon) appended superseding rows for
-        # the same designs — simulate by appending raw duplicates.
+        # A second writer (another daemon) appended rows for the same
+        # designs — simulate by appending raw duplicates.
         (path,) = tmp_path.glob("*.jsonl")
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps({"values": [1], "metrics": {"m": 2.0}}) + "\n")
             fh.write(json.dumps({"values": [1], "metrics": {"m": 3.0}}) + "\n")
+        assert PersistentCache(tmp_path).get(space.genome({"a": 1}), FP) == (
+            True, {"m": 1.0}
+        )
         report = PersistentCache(tmp_path).compact()
         assert report["rows"] == 1
         assert report["reclaimed"] == 2
         assert len(raw_lines(tmp_path)) == 2
-        # Read semantics are last-wins; compaction must preserve that.
+        # Reads are first-writer-wins; compaction must preserve that.
         found, metrics = PersistentCache(tmp_path).get(
             space.genome({"a": 1}), FP
         )
-        assert found and metrics == {"m": 3.0}
+        assert found and metrics == {"m": 1.0}
 
     def test_torn_line_reclaimed(self, tmp_path, space):
         cache = PersistentCache(tmp_path)

@@ -545,7 +545,7 @@ class TestMemoTransfer:
         assert stats.wall_time_s == 0.0  # timers measure this process
 
     def test_preload_records_rows_in_the_archive(self, space, tmp_path):
-        """Restored rows never cross the archive tap, so preload records
+        """Restored rows never cross the store layer, so preload records
         them itself, under the stack's campaign, without charging them."""
         stack = EvaluationStack(
             CallableEvaluator(lambda g: {"m": 0.0}),
@@ -581,14 +581,16 @@ class TestPersistentCache:
             ),
             persistent=cache,
             fingerprint="fp1",
+            campaign="c1",
         )
         stack.evaluate_many([space.genome(a=1), space.genome(a=2)])
         files = list(tmp_path.glob("stk-*.jsonl"))
         assert len(files) == 1
         lines = [json.loads(l) for l in files[0].read_text().splitlines()]
         assert lines[0] == {"space": "stk", "params": ["a"], "fingerprint": "fp1"}
-        assert {"values": [1], "metrics": {"m": 1.0}} in lines[1:]
-        assert {"values": [2], "metrics": None} in lines[1:]
+        # Rows carry the campaign that paid for them.
+        assert {"values": [1], "metrics": {"m": 1.0}, "campaign": "c1"} in lines[1:]
+        assert {"values": [2], "metrics": None, "campaign": "c1"} in lines[1:]
 
     def test_shared_across_stacks_and_infeasible_replay(self, space, tmp_path):
         calls = []
@@ -696,6 +698,21 @@ class TestPersistentCache:
         assert reloaded.evaluate(space.genome(a=1)) == {"m": 1.0}
         assert calls == []
 
+    def test_stray_lines_are_skipped(self, space, tmp_path):
+        """A line that parses to anything but a row never breaks a lookup."""
+        cache = PersistentCache(tmp_path)
+        cache.put_many([(space.genome(a=1), {"m": 1.0})], "fp")
+        path = next(tmp_path.glob("stk-*.jsonl"))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"metrics": {"m": 5.0}}\nnull\n[]\n')
+            fh.write('{"values": [3], "metrics": 7}\n')
+        fresh = PersistentCache(tmp_path)
+        assert fresh.get(space.genome(a=1), "fp") == (True, {"m": 1.0})
+        assert fresh.get(space.genome(a=3), "fp") == (False, None)
+        assert fresh.entries(space, "fp") == 1
+        assert fresh.put_many([(space.genome(a=3), {"m": 3.0})], "fp") == 1
+        assert PersistentCache(tmp_path).compact()["reclaimed"] == 4
+
     def test_fingerprint_isolation(self, space, tmp_path):
         cache = PersistentCache(tmp_path)
         old = EvaluationStack(
@@ -737,3 +754,100 @@ class TestPersistentCache:
             t.join()
         assert not errors
         assert cache.entries(space, "fp") == 8
+
+
+class TestSharedStore:
+    """An eval cache and an archive given together are one store."""
+
+    def test_each_fresh_design_written_once_with_its_campaign(
+        self, space, tmp_path
+    ):
+        from repro.obs.registry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        archive = DesignArchive(tmp_path, registry=registry)
+        calls = []
+        stack = EvaluationStack(
+            counting_evaluator(calls),
+            persistent=archive.store,
+            archive=archive,
+            fingerprint="fp",
+            campaign="c1",
+        )
+        genomes = [space.genome(a=a) for a in (1, 2, 2, 3)]
+        stack.evaluate_many(genomes)
+        stack.evaluate_many(genomes)  # memo hits: nothing more to store
+        (path,) = tmp_path.glob("*.jsonl")
+        rows = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        assert rows == [
+            {"values": [a], "metrics": {"m": float(a)}, "campaign": "c1"}
+            for a in (1, 2, 3)
+        ]
+        assert registry.counter("nautilus_archive_rows_total", "").value() == 3
+        assert stack.stats().persistent_hits == 0
+
+        again = EvaluationStack(
+            counting_evaluator(calls),
+            persistent=archive.store,
+            archive=archive,
+            fingerprint="fp",
+            campaign="c2",
+        )
+        assert again.evaluate(space.genome(a=2)) == {"m": 2.0}
+        assert again.stats().persistent_hits == 1
+        assert again.distinct_evaluations == 0
+        assert calls == [1, 2, 3]
+        assert len(path.read_text().splitlines()) == 4  # nothing rewritten
+        assert registry.counter("nautilus_archive_rows_total", "").value() == 3
+
+    def test_a_second_store_over_the_same_root_serves_hits(self, space, tmp_path):
+        archive = DesignArchive(tmp_path)
+        EvaluationStack(
+            CallableEvaluator(lambda g: {"m": 1.0}),
+            persistent=archive.store,
+            archive=archive,
+            fingerprint="fp",
+        ).evaluate(space.genome(a=5))
+        restarted = DesignArchive(tmp_path)
+        calls = []
+        stack = EvaluationStack(
+            counting_evaluator(calls),
+            persistent=restarted.store,
+            archive=restarted,
+            fingerprint="fp",
+        )
+        assert stack.evaluate(space.genome(a=5)) == {"m": 1.0}
+        assert stack.stats().persistent_hits == 1
+        assert calls == []
+
+    def test_cache_and_archive_on_different_roots_rejected(self, tmp_path):
+        with pytest.raises(NautilusError):
+            EvaluationStack(
+                CallableEvaluator(lambda g: {"m": 1.0}),
+                persistent=PersistentCache(tmp_path / "cache"),
+                archive=DesignArchive(tmp_path / "archive"),
+                fingerprint="fp",
+            )
+        with pytest.raises(NautilusError):  # same directory, two stores
+            EvaluationStack(
+                CallableEvaluator(lambda g: {"m": 1.0}),
+                persistent=PersistentCache(tmp_path),
+                archive=DesignArchive(tmp_path),
+                fingerprint="fp",
+            )
+
+    def test_archive_only_stack_records_through_the_archive(self, space, tmp_path):
+        from repro.obs.registry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        archive = DesignArchive(tmp_path, registry=registry)
+        stack = EvaluationStack(
+            CallableEvaluator(lambda g: {"m": 1.0}),
+            archive=archive,
+            fingerprint="fp",
+            campaign="c3",
+        )
+        stack.evaluate_many([space.genome(a=1), space.genome(a=2)])
+        assert registry.counter("nautilus_archive_rows_total", "").value() == 2
+        assert archive.stats()["campaigns"] == {"c3": 2}
+        assert [w["entries"] for w in stack.pop_cache_writes()] == [2]

@@ -7,8 +7,11 @@ daemon restart pays for strictly fewer distinct evaluations, shows
 persistent-cache hits in ``/metrics``, and still finds the same result.
 """
 
+import json
+
 import pytest
 
+from repro.core import NautilusError
 from repro.service import CampaignSpec, SearchService, ServiceClient
 
 SPEC = CampaignSpec(query="noc-frequency", engine="baseline", generations=4, seed=7)
@@ -79,3 +82,39 @@ class TestPersistentEvalCache:
         assert (
             metrics["campaign_evaluations"][cid] == status["distinct_evaluations"]
         )
+
+
+class TestOneStoreWithTheArchive:
+    def test_eval_cache_is_the_archive_store(self, root, tiny_provider):
+        """With both on, each paid row is written once, under the archive,
+        with the campaign that paid for it."""
+        service = SearchService(
+            root, port=0, dataset_provider=tiny_provider, eval_cache=True,
+            archive=True,
+        ).start()
+        try:
+            assert service.eval_cache is service.archive.store
+            client = ServiceClient(port=service.port)
+            first = client.wait(client.submit(SPEC), timeout=120)
+            second = client.wait(client.submit(SPEC), timeout=120)
+            assert second["distinct_evaluations"] < first["distinct_evaluations"]
+            assert client.metrics()["persistent_hits_total"] > 0
+        finally:
+            service.stop()
+        assert not (root / "evalcache").exists()
+        rows = [
+            json.loads(line)
+            for path in sorted((root / "archive").glob("*.jsonl"))
+            for line in path.read_text().splitlines()[1:]
+        ]
+        values = [tuple(row["values"]) for row in rows]
+        assert len(values) == len(set(values))
+        paid = first["distinct_evaluations"] + second["distinct_evaluations"]
+        assert len(rows) == paid
+        assert {row["campaign"] for row in rows} <= {first["id"], second["id"]}
+
+    def test_eval_cache_path_with_archive_rejected(self, root, tmp_path):
+        with pytest.raises(NautilusError):
+            SearchService(
+                root, port=0, eval_cache=tmp_path / "cache", archive=True
+            )
