@@ -26,6 +26,16 @@ A third pass re-runs the full matrix with ``GAConfig(tracing=True)``
 against the same baseline — span tracing is held to the same zero-RNG
 bar — and checks one traced run's span tree closes its accounting.
 
+The observability-payload pass pins the telemetry itself. For each of
+the 16 matrix runs that emit it (the GA and Pareto runs; random sampling
+emits none) it records the run's event count, the count of each
+telemetry kind, and one sha256 over the ``json.dumps`` lines of its
+``hint-attribution`` and ``health`` events, and compares them with
+``benchmarks/baselines/obs_payloads.json``. Those two kinds are what the
+``nautilus hints`` report and the health views fold, so the pass also
+proves both reports unchanged. A faster telemetry path must keep every
+byte.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/smoke_engine_parity.py             # check
@@ -34,6 +44,7 @@ Usage::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -56,6 +67,8 @@ from repro.queries import (
 )
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "engine_parity.json"
+PAYLOADS_PATH = Path(__file__).parent / "baselines" / "obs_payloads.json"
+TELEMETRY_KINDS = ("hint-attribution", "health")
 WORKLOADS = ("noc-frequency", "fft-luts")
 ENGINES = ("baseline", "nautilus", "adaptive", "random")
 SEEDS = (0, 1)
@@ -96,7 +109,29 @@ def _curve(result) -> list[list]:
     ]
 
 
-def run_workload(tracing: bool = False) -> dict[str, dict]:
+def _telemetry(result) -> dict | None:
+    """Event count, telemetry counts and one digest of a run's telemetry
+    lines; None when the run emits no telemetry."""
+    lines = [
+        json.dumps(event.as_dict())
+        for event in result.events
+        if event.kind in TELEMETRY_KINDS
+    ]
+    if not lines:
+        return None
+    counts = {
+        kind: sum(event.kind == kind for event in result.events)
+        for kind in TELEMETRY_KINDS
+    }
+    digest = hashlib.sha256("".join(f"{line}\n" for line in lines).encode())
+    return {"events": len(result.events), **counts, "sha256": digest.hexdigest()}
+
+
+def run_workload(
+    tracing: bool = False, payloads: dict[str, dict] | None = None
+) -> dict[str, dict]:
+    """Run the matrix; fills ``payloads`` (when given) with the telemetry
+    pin of every run that emits telemetry."""
     results = {}
     for query_name in WORKLOADS:
         query = QUERIES[query_name]
@@ -109,11 +144,13 @@ def run_workload(tracing: bool = False) -> dict[str, dict]:
                     tracing=tracing,
                 )
                 result = search.run()
-                results[f"{query_name}/{engine}/{seed}"] = {
+                key = f"{query_name}/{engine}/{seed}"
+                results[key] = {
                     "stop_reason": result.stop_reason,
                     "distinct_evaluations": result.distinct_evaluations,
                     "curve": _curve(result),
                 }
+                _pin_telemetry(payloads, key, result)
     for multi_name, multi in MULTI_QUERIES.items():
         dataset = load_dataset(multi.space)
         objectives, __ = resolve_multi_objectives(multi)
@@ -129,7 +166,9 @@ def run_workload(tracing: bool = False) -> dict[str, dict]:
                     tracing=tracing,
                 ),
             ).run()
-            results[f"{multi_name}/pareto/{seed}"] = {
+            key = f"{multi_name}/pareto/{seed}"
+            _pin_telemetry(payloads, key, result)
+            results[key] = {
                 "stop_reason": result.stop_reason,
                 "distinct_evaluations": result.distinct_evaluations,
                 "curve": _curve(result),
@@ -140,6 +179,31 @@ def run_workload(tracing: bool = False) -> dict[str, dict]:
                 ),
             }
     return results
+
+
+def _pin_telemetry(payloads: dict | None, key: str, result) -> None:
+    if payloads is not None:
+        pin = _telemetry(result)
+        if pin is not None:
+            payloads[key] = pin
+
+
+def check_payloads(payloads: dict[str, dict]) -> list[str]:
+    """The matrix's telemetry against the pinned counts and digests."""
+    failures = []
+    expected = json.loads(PAYLOADS_PATH.read_text())
+    for key in sorted(expected):
+        if payloads.get(key) != expected[key]:
+            failures.append(f"  {key}: telemetry payloads drifted")
+    extra = sorted(set(payloads) - set(expected))
+    if extra:
+        failures.append(f"  unexpected telemetry runs not pinned: {extra}")
+    if not failures:
+        print(
+            f"  ok payloads: {len(expected)} runs' hint-attribution and "
+            "health events match"
+        )
+    return failures
 
 
 def check_observability_identity() -> list[str]:
@@ -328,11 +392,13 @@ def check_encoded_identity() -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    results = run_workload()
+    payloads: dict[str, dict] = {}
+    results = run_workload(payloads=payloads)
     if "--update" in argv:
         BASELINE_PATH.parent.mkdir(parents=True, exist_ok=True)
         BASELINE_PATH.write_text(json.dumps(results, indent=1) + "\n")
-        print(f"baseline written to {BASELINE_PATH}")
+        PAYLOADS_PATH.write_text(json.dumps(payloads, indent=1) + "\n")
+        print(f"baselines written to {BASELINE_PATH} and {PAYLOADS_PATH}")
         return 0
     expected = json.loads(BASELINE_PATH.read_text())
     failures = []
@@ -348,6 +414,7 @@ def main(argv: list[str]) -> int:
     extra = sorted(set(results) - set(expected))
     if extra:
         failures.append(f"  unexpected runs not in baseline: {extra}")
+    failures.extend(check_payloads(payloads))
     failures.extend(check_observability_identity())
     failures.extend(check_tracing_identity())
     failures.extend(check_guidance_identity())
