@@ -46,7 +46,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..obs.attribution import BreedingObserver, summarize_generation
 from ..obs.clock import DEFAULT_CLOCK
@@ -971,6 +971,8 @@ class GenerationalEngine(SearchKernel):
         self.operators = GeneticOperators(space, config.mutation_rate)
         if config.observability:
             self.operators.observer = BreedingObserver()
+        #: Domain size per param, in code-vector order (for ``health``).
+        self._cardinalities = {p.name: p.cardinality for p in space.params}
         self.pipeline = BreedingPipeline(
             space,
             self.operators,
@@ -1474,7 +1476,7 @@ class GenerationalEngine(SearchKernel):
             population.codes
             if isinstance(population, Population)
             else [ind.genome.codes for ind in population],
-            cardinalities={p.name: p.cardinality for p in self.space.params},
+            cardinalities=self._cardinalities,
             best_history=list(self._best_window),
             stalled_generations=self._stalled_generations,
             stall_patience=self.stall_generations,
@@ -1497,7 +1499,7 @@ class GenerationalEngine(SearchKernel):
 
     def _attribution_context(
         self, generation: int
-    ) -> tuple[float, bool, dict[str, float]]:
+    ) -> tuple[float, bool, Mapping[str, float]]:
         """(confidence, hinted, effective importance) for the event.
 
         Read straight off the generation's :class:`GuidanceState` — the
@@ -1507,7 +1509,7 @@ class GenerationalEngine(SearchKernel):
         state = self._guidance_state
         if state is None or state.hints is None:
             return 0.0, False, {}
-        return state.confidence, True, dict(state.effective_importance)
+        return state.confidence, True, state.effective_importance
 
     # -- hooks -------------------------------------------------------------------
 

@@ -38,6 +38,7 @@ or neutral mean delta on the poisoned channel.
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = [
@@ -58,79 +59,84 @@ class BreedingObserver:
     Attached to :class:`~repro.core.operators.GeneticOperators` (and read
     by the :class:`~repro.core.operators.BreedingPipeline`); every method
     is pure bookkeeping — no RNG draws, no effect on the bred genomes.
+
+    Each finished child is recorded as one tuple
+    ``(parent_score, crossover, mutations, fallback)``: the parent's
+    scalar score, whether a crossover was applied, the committed
+    ``(param, channel)`` mutations (empty when mutation fell back to the
+    unmutated genome), and whether it fell back. ``mutations`` is the
+    sequence the operator passed to :meth:`mutation_attempted`, not a
+    copy: each ``mutate`` call builds a fresh one.
     """
 
+    __slots__ = (
+        "_children", "_started", "_parent_score", "_crossover",
+        "_mutations", "_fallback", "_pending",
+    )
+
     def __init__(self):
-        self._children: list[dict[str, Any]] = []
-        self._current: dict[str, Any] | None = None
-        self._pending_mutations: list[tuple[str, str]] = []
+        self._children: list[tuple] = []
+        self._started = False
+        self._parent_score = 0.0
+        self._crossover = False
+        self._mutations: Sequence[tuple[str, str]] = ()
+        self._fallback = False
+        self._pending: Sequence[tuple[str, str]] = ()
 
     # -- pipeline-facing hooks --------------------------------------------------
 
     def child_started(self, parent_score: float) -> None:
-        self._current = {
-            "parent_score": parent_score,
-            "crossover": False,
-            "mutations": [],
-            "attempts": 0,
-            "fallback": False,
-        }
+        self._started = True
+        self._parent_score = parent_score
+        self._crossover = False
+        self._mutations = ()
+        self._fallback = False
 
     def crossover_applied(self) -> None:
-        if self._current is not None:
-            self._current["crossover"] = True
+        if self._started:
+            self._crossover = True
 
     def child_finished(self) -> None:
-        if self._current is not None:
-            self._children.append(self._current)
-            self._current = None
+        if self._started:
+            self._children.append(
+                (
+                    self._parent_score,
+                    self._crossover,
+                    self._mutations,
+                    self._fallback,
+                )
+            )
+            self._started = False
 
     # -- operator-facing hooks --------------------------------------------------
 
     def mutation_attempted(self, mutations: Sequence[tuple[str, str]]) -> None:
         """The channels of the most recent (possibly infeasible) attempt."""
-        self._pending_mutations = list(mutations)
+        self._pending = mutations
 
     def mutation_committed(self, attempts: int, fallback: bool) -> None:
         """A feasible mutation (or the fallback to the input) was accepted."""
-        if self._current is None:
+        if not self._started:
             return
-        self._current["mutations"] = (
-            [] if fallback else list(self._pending_mutations)
-        )
-        self._current["attempts"] = attempts
-        self._current["fallback"] = fallback
-        self._pending_mutations = []
+        self._mutations = () if fallback else self._pending
+        self._fallback = fallback
+        self._pending = ()
 
     # -- engine-facing ----------------------------------------------------------
 
-    def drain(self) -> list[dict[str, Any]]:
+    def drain(self) -> list[tuple]:
         """Hand over (and forget) the children recorded since the last drain."""
         children, self._children = self._children, []
-        self._current = None
+        self._started = False
         return children
-
-
-def _finite(value: float) -> bool:
-    return value == value and value not in (float("inf"), float("-inf"))
 
 
 def _cell() -> dict[str, float]:
     return {"proposals": 0, "feasible": 0, "improved": 0, "delta_sum": 0.0}
 
 
-def _charge(cell: dict[str, float], delta: float | None) -> None:
-    cell["proposals"] += 1
-    if delta is None:
-        return
-    cell["feasible"] += 1
-    cell["delta_sum"] += delta
-    if delta > 0:
-        cell["improved"] += 1
-
-
 def summarize_generation(
-    children: Sequence[Mapping[str, Any]],
+    children: Sequence[tuple],
     scores: Sequence[tuple[float, bool]],
     confidence: float = 0.0,
     hinted: bool = False,
@@ -142,36 +148,95 @@ def summarize_generation(
     the aligned ``(score, feasible)`` list for the same bred offspring.
     Returns the JSON payload of one ``hint-attribution`` trace event, or
     ``None`` when nothing was bred this generation.
+
+    A child's delta (``score - parent_score``) counts when the child is
+    feasible and both scores are finite. Every mutation charges three
+    cells — its param, its (param, channel) pair and its channel — kept
+    as flat tallies indexed by cell; the nested payload is built once at
+    the end, with keys in first-seen order. Deltas are added child by
+    child, mutation by mutation, so each ``delta_sum`` is the same float
+    a cell-by-cell fold gives.
     """
     if not children:
         return None
+    improved = crossover = fallbacks = 0
+    # Cell index per param, per (param, channel) pair and per channel.
+    param_at: dict[str, int] = {}
+    pair_at: dict[tuple[str, str], int] = {}
+    channel_at: dict[str, int] = {}
+    proposals: list[int] = []
+    feasible_n: list[int] = []
+    improved_n: list[int] = []
+    delta_sum: list[float] = []
+
+    def new_cell(index: dict, key: Any) -> int:
+        cell = index[key] = len(proposals)
+        proposals.append(0)
+        feasible_n.append(0)
+        improved_n.append(0)
+        delta_sum.append(0.0)
+        return cell
+
+    for (parent_score, crossed, mutations, fallback), (score, feasible) in zip(
+        children, scores
+    ):
+        if crossed:
+            crossover += 1
+        if fallback:
+            fallbacks += 1
+        delta = None
+        if feasible and isfinite(score) and isfinite(parent_score):
+            delta = score - parent_score
+            if delta > 0:
+                improved += 1
+        for mutation in mutations:
+            name, channel = mutation
+            p = param_at.get(name)
+            if p is None:
+                p = new_cell(param_at, name)
+            q = pair_at.get(mutation)
+            if q is None:
+                q = new_cell(pair_at, mutation)
+            c = channel_at.get(channel)
+            if c is None:
+                c = new_cell(channel_at, channel)
+            proposals[p] += 1
+            proposals[q] += 1
+            proposals[c] += 1
+            if delta is None:
+                continue
+            feasible_n[p] += 1
+            feasible_n[q] += 1
+            feasible_n[c] += 1
+            delta_sum[p] += delta
+            delta_sum[q] += delta
+            delta_sum[c] += delta
+            if delta > 0:
+                improved_n[p] += 1
+                improved_n[q] += 1
+                improved_n[c] += 1
+
+    def cell(i: int) -> dict[str, float]:
+        return {
+            "proposals": proposals[i],
+            "feasible": feasible_n[i],
+            "improved": improved_n[i],
+            "delta_sum": delta_sum[i],
+        }
+
+    params = {name: {**cell(i), "channels": {}} for name, i in param_at.items()}
+    for (name, channel), i in pair_at.items():
+        params[name]["channels"][channel] = cell(i)
     payload: dict[str, Any] = {
         "children": len(children),
-        "improved": 0,
-        "crossover": 0,
-        "mutation_fallbacks": 0,
+        "improved": improved,
+        "crossover": crossover,
+        "mutation_fallbacks": fallbacks,
         "confidence": confidence,
         "hinted": hinted,
-        "params": {},
-        "channels": {},
+        "params": params,
+        "channels": {channel: cell(i) for channel, i in channel_at.items()},
     }
-    for child, (score, feasible) in zip(children, scores):
-        if child["crossover"]:
-            payload["crossover"] += 1
-        if child["fallback"]:
-            payload["mutation_fallbacks"] += 1
-        delta = None
-        if feasible and _finite(score) and _finite(child["parent_score"]):
-            delta = score - child["parent_score"]
-        if delta is not None and delta > 0:
-            payload["improved"] += 1
-        for name, channel in child["mutations"]:
-            param = payload["params"].setdefault(
-                name, {**_cell(), "channels": {}}
-            )
-            _charge(param, delta)
-            _charge(param["channels"].setdefault(channel, _cell()), delta)
-            _charge(payload["channels"].setdefault(channel, _cell()), delta)
     if effective_importance:
         payload["effective_importance"] = {
             name: round(float(value), 6)

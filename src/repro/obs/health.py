@@ -29,8 +29,8 @@ is still exploring or has collapsed, without consuming any RNG:
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
 from typing import Any, Mapping, Sequence
 
 __all__ = ["population_health", "stall_risk", "DEFAULT_STALL_PATIENCE"]
@@ -50,6 +50,22 @@ def stall_risk(
     return min(1.0, 0.7 * pressure + 0.3 * min(max(duplicate_rate, 0.0), 1.0))
 
 
+@functools.lru_cache(maxsize=4096)
+def _column_stats(
+    counts: tuple[int, ...], population: int, reachable: int
+) -> tuple[float, float, float]:
+    """A varying column's normalized entropy, and it and its spread
+    rounded for the payload, from its code counts in first-seen order.
+
+    Pure, so memoized: a converging population repeats its count
+    profiles from generation to generation and across campaigns.
+    """
+    # Shannon entropy of the code histogram, normalized to [0, 1].
+    entropy = -sum((n / population) * math.log(n / population) for n in counts)
+    entropy = min(1.0, entropy / math.log(reachable))
+    return entropy, round(entropy, 6), round(len(counts) / reachable, 6)
+
+
 def population_health(
     code_rows: Sequence[Sequence[int]],
     *,
@@ -64,7 +80,10 @@ def population_health(
 
     Works on code columns, not decoded values: a param's domain holds no
     two equal values, so its codes count exactly what its values would,
-    and in the same first-seen order.
+    and in the same first-seen order. Each varying column is counted in
+    one dict pass; its entropy and rounded values come from a memo keyed
+    by ``(counts in first-seen order, population, reachable)`` and capped
+    at 4,096 entries (least recently used dropped first).
 
     Args:
         code_rows: The surviving population's code vectors, one per
@@ -89,14 +108,12 @@ def population_health(
             param_entropy[name] = 0.0
             param_spread[name] = 1.0 if population else 0.0
             continue
-        # Shannon entropy of the code histogram, normalized to [0, 1].
-        counts = Counter(column).values()
-        entropy = -sum(
-            (n / population) * math.log(n / population) for n in counts
+        counts: dict[int, int] = {}
+        for code in column:
+            counts[code] = counts.get(code, 0) + 1
+        entropy, param_entropy[name], param_spread[name] = _column_stats(
+            tuple(counts.values()), population, reachable
         )
-        entropy = min(1.0, entropy / math.log(reachable))
-        param_entropy[name] = round(entropy, 6)
-        param_spread[name] = round(len(counts) / reachable, 6)
         varying.append(entropy)
     diversity = sum(varying) / len(varying) if varying else 0.0
 

@@ -17,21 +17,38 @@ def _child(observer, parent_score, mutations, fallback=False, crossover=False):
 
 
 class TestObserver:
+    """Each child is one ``(parent_score, crossover, mutations, fallback)``
+    tuple."""
+
     def test_collects_children_in_order(self):
         observer = BreedingObserver()
         _child(observer, 1.0, [("a", "bias")], crossover=True)
         _child(observer, 2.0, [("b", "uniform")])
-        children = observer.drain()
-        assert [c["parent_score"] for c in children] == [1.0, 2.0]
-        assert children[0]["crossover"] and not children[1]["crossover"]
-        assert children[0]["mutations"] == [("a", "bias")]
+        assert observer.drain() == [
+            (1.0, True, [("a", "bias")], False),
+            (2.0, False, [("b", "uniform")], False),
+        ]
         assert observer.drain() == []  # drain resets
 
     def test_fallback_discards_mutations(self):
         observer = BreedingObserver()
         _child(observer, 1.0, [("a", "bias")], fallback=True)
         (child,) = observer.drain()
-        assert child["fallback"] and child["mutations"] == []
+        assert child == (1.0, False, (), True)
+
+    def test_hooks_outside_a_child_record_nothing(self):
+        observer = BreedingObserver()
+        observer.crossover_applied()
+        observer.mutation_attempted([("a", "bias")])
+        observer.mutation_committed(1, fallback=False)
+        observer.child_finished()
+        assert observer.drain() == []
+        observer.child_started(3.0)
+        observer.child_finished()
+        assert observer.drain() == [(3.0, False, (), False)]
+
+    def test_has_no_instance_dict(self):
+        assert not hasattr(BreedingObserver(), "__dict__")
 
 
 class TestSummarize:
