@@ -698,6 +698,48 @@ class TestPersistentCache:
         assert reloaded.evaluate(space.genome(a=1)) == {"m": 1.0}
         assert calls == []
 
+    def test_torn_header_gets_a_header_after_it(self, space, tmp_path):
+        """A writer killed inside a new file's header leaves no complete
+        line; the next append writes the header on a line of its own."""
+        cache = PersistentCache(tmp_path)
+        path = cache._path("stk", "fp")
+        path.write_text('{"space": "stk", "par')
+        assert cache.put_many([(space.genome(a=1), {"m": 1.0})], "fp") == 1
+        lines = path.read_text().splitlines()
+        assert lines[0] == '{"space": "stk", "par'
+        assert json.loads(lines[1]) == {
+            "space": "stk", "params": ["a"], "fingerprint": "fp",
+        }
+        assert json.loads(lines[2])["values"] == [1]
+        fresh = PersistentCache(tmp_path)
+        assert fresh.get(space.genome(a=1), "fp") == (True, {"m": 1.0})
+        assert fresh.put_many([(space.genome(a=2), {"m": 2.0})], "fp") == 1
+        assert len(path.read_text().splitlines()) == 4  # one header only
+
+    def test_rows_before_the_header_are_rows(self, space, tmp_path):
+        """A file a torn header left headerless (rows written after it
+        with no header) loads its rows instead of failing every lookup."""
+        path = PersistentCache(tmp_path)._path("stk", "fp")
+        path.write_text(
+            '{"space": "stk", "par\n'
+            '{"values": [1], "metrics": {"m": 1.0}, "campaign": "c1"}\n'
+        )
+        fresh = PersistentCache(tmp_path)
+        assert fresh.get(space.genome(a=1), "fp") == (True, {"m": 1.0})
+        assert fresh.entries(space, "fp") == 1
+
+    def test_files_lists_a_file_whose_header_follows_a_torn_line(
+        self, space, tmp_path
+    ):
+        cache = PersistentCache(tmp_path)
+        path = cache._path("stk", "fp")
+        path.write_text(
+            '{"space": "stk", "par\n'
+            '{"space": "stk", "params": ["a"], "fingerprint": "fp"}\n'
+            '{"values": [1], "metrics": {"m": 1.0}, "campaign": "c1"}\n'
+        )
+        assert cache.files() == [("stk", ("a",), "fp")]
+
     def test_stray_lines_are_skipped(self, space, tmp_path):
         """A line that parses to anything but a row never breaks a lookup."""
         cache = PersistentCache(tmp_path)
