@@ -6,10 +6,16 @@ Runs ``perfbench/run.py --workload <workload> --trace 1`` and fails unless
 * the run exits 0 (which also means traced and untraced items agree),
 * every wrapped target was found (``targets not found: none``), and
 * each layer the workload goes through reports a nonzero call count in
-  the final JSON line.
+  the final JSON line, and
+* the telemetry runs once per generation: ``obs.health`` as often as
+  ``core.evalstack.evaluate_many`` (one batch per generation, generation
+  0 included) and ``obs.attribution`` as often as
+  ``core.operators.breed`` (one call per bred generation).
 
 A wrapper left on a method the program no longer calls reads zero calls
-and is otherwise silent; this check turns that into a failure.
+and is otherwise silent; this check turns that into a failure. The
+equalities catch a change that skips or samples health or attribution
+payloads, which would measure a different program.
 
 Usage::
 
@@ -54,6 +60,13 @@ LAYERS = {
 }
 
 
+#: (telemetry layer, the layer it must match call for call).
+PER_GENERATION = (
+    ("obs.health", "core.evalstack.evaluate_many"),
+    ("obs.attribution", "core.operators.breed"),
+)
+
+
 def main(argv: list[str]) -> int:
     workload = argv[0] if argv else "replay"
     if len(argv) > 1 or workload not in LAYERS:
@@ -77,12 +90,23 @@ def main(argv: list[str]) -> int:
     except (json.JSONDecodeError, KeyError):
         metrics = {}
         failures.append("the last line is not perfbench's result JSON")
+
+    def calls(layer: str) -> int:
+        return metrics.get(f"{layer}.calls", {}).get("value", 0)
+
     for layer in LAYERS[workload]:
-        calls = metrics.get(f"{layer}.calls", {}).get("value", 0)
-        if not calls:
-            failures.append(f"{layer}.calls is {calls}")
+        if not calls(layer):
+            failures.append(f"{layer}.calls is {calls(layer)}")
         else:
-            print(f"ok {layer}.calls = {calls}")
+            print(f"ok {layer}.calls = {calls(layer)}")
+    for telemetry, layer in PER_GENERATION:
+        if calls(telemetry) != calls(layer):
+            failures.append(
+                f"{telemetry}.calls is {calls(telemetry)}, "
+                f"not {layer}.calls = {calls(layer)}"
+            )
+        else:
+            print(f"ok {telemetry}.calls = {layer}.calls = {calls(layer)}")
     if failures:
         print("trace ledger check failed: " + "; ".join(failures))
         return 1
