@@ -9,7 +9,11 @@ exposes:
   *not* ``repro.obs.parse_prometheus``, so a bug in the library parser
   cannot hide a bug in the renderer) and covers the evaluation-stack,
   scheduler, and kernel metric families;
-* the JSON ``GET /metrics`` snapshot still carries the per-campaign keys;
+* the JSON ``GET /metrics`` snapshot still carries the per-campaign keys,
+  and the campaign's ``campaign_operator_time_s`` holds ``init``,
+  ``selection`` and ``mutation`` — operator timings come from the
+  kernel's running totals alone;
+* ``GET /campaigns/<id>/trace`` holds no ``operator-applied`` event;
 * ``GET /campaigns/<id>/hints`` reports per-channel attribution with
   non-zero proposals;
 * the campaign status carries a ``health`` block with a stall-risk score.
@@ -112,6 +116,22 @@ def main() -> int:
                         "evaluations_total", "cache_hit_rate"):
                 if key not in snapshot:
                     failures.append(f"JSON snapshot missing {key!r}")
+            operators = snapshot.get("campaign_operator_time_s", {}).get(cid, {})
+            for operator in ("init", "selection", "mutation"):
+                if operator not in operators:
+                    failures.append(
+                        f"campaign_operator_time_s[{cid!r}] missing {operator!r}"
+                    )
+            print(f"operator timings: {sorted(operators)}")
+
+            with urllib.request.urlopen(f"{base}/campaigns/{cid}/trace") as r:
+                events = json.loads(r.read())
+            kinds = {event.get("kind") for event in events}
+            if not events:
+                failures.append("campaign trace is empty")
+            if "operator-applied" in kinds:
+                failures.append("campaign trace holds operator-applied events")
+            print(f"trace: {len(events)} events, kinds {sorted(kinds)}")
 
             with urllib.request.urlopen(f"{base}/campaigns/{cid}/hints") as r:
                 hints = json.loads(r.read())

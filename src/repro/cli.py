@@ -504,9 +504,11 @@ def _cmd_archive_export_hints(args: argparse.Namespace) -> int:
 def _cmd_archive_import(args: argparse.Namespace) -> int:
     from .archive import DesignArchive
 
-    report = DesignArchive(args.dir).import_cache(
-        args.source, campaign=args.campaign
-    )
+    archive = DesignArchive(args.dir)
+    try:
+        report = archive.import_cache(args.source, campaign=args.campaign)
+    finally:
+        archive.store.close()
     print(
         f"imported {report['imported']} row(s) from {report['files']} store "
         f"file(s) ({report['skipped']} skipped) into {args.dir}"

@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence, TYPE_CHECKING
 
 from .errors import InfeasibleDesignError, NautilusError
-from .fileio import append_lines, dumps
+from .fileio import KeptAppender, dumps
 from .fitness import Metrics
 from .genome import Genome
 from .params import values_key
@@ -605,6 +605,25 @@ def _encode_rows(rows: dict[tuple, tuple[dict | None, str]]) -> str:
     )
 
 
+def _first_rows(rows: Iterable[tuple]) -> dict[tuple, tuple[dict | None, str]]:
+    """``(values key, metrics, campaign)`` rows keyed by values, the first
+    row of each design winning, in file order."""
+    kept: dict[tuple, tuple[dict | None, str]] = {}
+    for key, metrics, campaign in rows:
+        kept.setdefault(key, (metrics, campaign))
+    return kept
+
+
+def _rewrite(path: Path, header: Any, rows: dict[tuple, tuple[dict | None, str]]) -> None:
+    """Replace a store file, atomically (tmp + rename), with ``header``
+    and ``rows``."""
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as out:
+        out.write(dumps(header) + "\n")
+        out.write(_encode_rows(rows))
+    tmp.replace(path)
+
+
 class PersistentCache:
     """The one store of paid-for evaluations, append-only and shared
     across runs.
@@ -629,13 +648,18 @@ class PersistentCache:
     synthesis attempt still consumed a job, and replaying it must fail the
     same way. The first row stored for a design wins: two evaluators
     sharing a fingerprint return identical metrics. A batch's rows are
-    appended together, and enter the in-memory index only once written
-    (see :func:`~repro.core.fileio.append_lines`). A line that does not
-    parse, or is not a row object, is skipped on load — a torn trailing
-    line from a killed daemon among them; the next append starts on a line
-    of its own, and a file left empty gets its header (see
-    :func:`~repro.core.fileio.open_append`). So the store survives crashes
-    without any locking protocol beyond append.
+    appended with one write and flushed, and enter the in-memory index only
+    once written. Each file is appended to through one handle kept open
+    across puts (:class:`~repro.core.fileio.KeptAppender`), whose guard
+    reopens the file whenever it was deleted, replaced or appended to by
+    another writer since this store's last write; :meth:`close` closes the
+    handles. A line that does not parse, or is not a row object, is
+    skipped on load — a torn trailing line from a killed daemon among
+    them; the next append starts on a line of its own, and a file left
+    empty gets its header (see :func:`~repro.core.fileio.open_append`). A
+    file whose header was lost (torn, then followed by rows) is rewritten
+    with its header before the first put into it. So the store survives
+    crashes without any locking protocol beyond append.
 
     Thread safety: one lock guards the in-memory index and file appends,
     so every campaign stack of a daemon shares one instance.
@@ -646,6 +670,10 @@ class PersistentCache:
         self._lock = threading.Lock()
         #: (space, fingerprint) -> (params, {values key: (metrics | None, campaign)})
         self._index: dict[tuple[str, str], tuple[tuple[str, ...], dict]] = {}
+        #: One kept append handle per store file written to.
+        self._appenders: dict[Path, KeptAppender] = {}
+        #: (space, fingerprint) whose file loaded rows but no header.
+        self._headerless: set[tuple[str, str]] = set()
 
     # -- file mapping -----------------------------------------------------------
 
@@ -686,8 +714,9 @@ class PersistentCache:
                     f"store file {path} does not match space {space_name!r} "
                     f"/ parameters {params!r} / fingerprint {fingerprint!r}"
                 )
-            for key, metrics, campaign in parsed:
-                rows.setdefault(key, (metrics, campaign))  # first writer wins
+            if header is None and parsed:
+                self._headerless.add((space_name, fingerprint))
+            rows = _first_rows(parsed)
         self._index[(space_name, fingerprint)] = (params, rows)
         return rows
 
@@ -741,8 +770,10 @@ class PersistentCache:
         """Append the ``(values key, metrics, campaign)`` rows of one file
         that the store lacks; returns rows written.
 
-        The new lines are encoded first, then written together, and only
-        then indexed: a row that fails to encode or write is not stored.
+        The new lines are encoded first, then written together and
+        flushed, and only then indexed: a row that fails to encode or write
+        is not stored. The first put into a file that loaded without a
+        header rewrites it first, as :meth:`compact` would with one.
         """
         params = tuple(params)
         with self._lock:
@@ -753,15 +784,22 @@ class PersistentCache:
                     fresh.setdefault(key, (metrics, campaign))
             if not fresh:
                 return 0
-            append_lines(
-                self._path(space_name, fingerprint),
-                _encode_rows(fresh),
-                header={
-                    "space": space_name,
-                    "params": list(params),
-                    "fingerprint": fingerprint,
-                },
-            )
+            lines = _encode_rows(fresh)
+            path = self._path(space_name, fingerprint)
+            header = {
+                "space": space_name,
+                "params": list(params),
+                "fingerprint": fingerprint,
+            }
+            if (space_name, fingerprint) in self._headerless:
+                found, parsed, __ = _read_file(path)
+                if found is None:  # no other writer restored it since
+                    _rewrite(path, header, _first_rows(parsed))
+                self._headerless.discard((space_name, fingerprint))
+            appender = self._appenders.get(path)
+            if appender is None:
+                appender = self._appenders[path] = KeptAppender(path)
+            appender.append(lines, header)
             index.update(fresh)
             return len(fresh)
 
@@ -815,20 +853,15 @@ class PersistentCache:
         """
         report: dict[str, Any] = {"files": {}, "rows": 0, "reclaimed": 0}
         with self._lock:
+            self._close_appenders()
             for path in self._paths():
                 header, rows, dropped = _read_file(path)
                 if header is None:
                     continue  # empty or headerless file; nothing to keep
-                kept: dict[tuple, tuple[dict | None, str]] = {}
-                for key, metrics, campaign in rows:
-                    kept.setdefault(key, (metrics, campaign))
+                kept = _first_rows(rows)
                 dropped += len(rows) - len(kept)
                 if dropped:
-                    tmp = path.with_suffix(path.suffix + ".tmp")
-                    with open(tmp, "w", encoding="utf-8") as out:
-                        out.write(dumps(header) + "\n")
-                        out.write(_encode_rows(kept))
-                    tmp.replace(path)
+                    _rewrite(path, header, kept)
                 report["files"][path.name] = {
                     "rows": len(kept),
                     "reclaimed": dropped,
@@ -836,7 +869,18 @@ class PersistentCache:
                 report["rows"] += len(kept)
                 report["reclaimed"] += dropped
             self._index.clear()
+            self._headerless.clear()
         return report
+
+    def close(self) -> None:
+        """Close every kept append handle; a later put reopens its file."""
+        with self._lock:
+            self._close_appenders()
+
+    def _close_appenders(self) -> None:
+        appenders, self._appenders = self._appenders, {}
+        for appender in appenders.values():
+            appender.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PersistentCache({str(self.root)!r})"

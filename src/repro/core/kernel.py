@@ -22,11 +22,13 @@ three things the engines used to re-implement independently:
   capture every stream either way.
 
 * **Structured trace** — every run emits :class:`RunEvent` records
-  (``generation-start`` / ``eval-batch`` / ``operator-applied`` /
-  ``best-improved`` / ``generation-end`` / ``stop``) through pluggable
-  :class:`TraceSink`\\ s. Every :class:`GenerationRecord` is emitted as a
-  ``generation-end`` event when the kernel appends it to its record list,
-  and the service persists the same events per campaign as a JSONL log.
+  (``generation-start`` / ``eval-batch`` / ``best-improved`` /
+  ``generation-end`` / ``stop``) through pluggable :class:`TraceSink`\\ s.
+  Every :class:`GenerationRecord` is emitted as a ``generation-end`` event
+  when the kernel appends it to its record list, and the service persists
+  the same events per campaign as a JSONL log. Per-operator call counts
+  and wall time are not events: the kernel charges them into one running
+  total (:meth:`SearchKernel.operator_timings`).
 
 :class:`GenerationalEngine` specializes the kernel for population-based
 searches (propose → evaluate → select survivors → record) and owns their
@@ -46,7 +48,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from ..obs.attribution import BreedingObserver, summarize_generation
 from ..obs.clock import DEFAULT_CLOCK
@@ -88,7 +90,6 @@ RUN_EVENT_KINDS = (
     "generation-end",
     "eval-batch",
     "best-improved",
-    "operator-applied",
     "hint-attribution",
     "health",
     "phase-budget",
@@ -301,36 +302,23 @@ class CappedJsonlTraceSink(JsonlTraceSink):
         self._lines = len(head) + 1 + len(tail)
 
 
-def fold_operator_events(
-    totals: dict[str, dict[str, float]], events: Iterable[RunEvent]
+def _copy_timings(
+    timings: Mapping[str, Mapping[str, float]],
 ) -> dict[str, dict[str, float]]:
-    """Add ``operator-applied`` events into ``{operator: {calls, time_s}}``."""
-    for event in events:
-        if event.kind != "operator-applied":
-            continue
-        entry = totals.setdefault(
-            str(event.payload.get("operator", "?")),
-            {"calls": 0, "time_s": 0.0},
-        )
-        entry["calls"] += int(event.payload.get("calls", 0))
-        entry["time_s"] += float(event.payload.get("time_s", 0.0))
-    return totals
+    return {name: dict(totals) for name, totals in timings.items()}
 
 
 class RunTrace:
     """The in-memory event stream of one search run.
 
-    Owns the monotonically increasing sequence numbers, fans events out to
-    attached sinks, and aggregates per-operator call counts and wall time
-    from ``operator-applied`` events (surfaced by ``/metrics`` and
-    ``nautilus status``).
+    Owns the monotonically increasing sequence numbers and fans events out
+    to attached sinks.
     """
 
     def __init__(self, sinks: Sequence[TraceSink] = ()):
         self.events: list[RunEvent] = []
         self._sinks: list[TraceSink] = list(sinks)
         self._seq = 0
-        self._operators: dict[str, dict[str, float]] = {}
 
     def attach(self, sink: TraceSink) -> None:
         self._sinks.append(sink)
@@ -348,16 +336,10 @@ class RunTrace:
         event = RunEvent(self._seq, kind, generation, dict(payload or {}))
         self._seq += 1
         self.events.append(event)
-        if kind == "operator-applied":
-            fold_operator_events(self._operators, (event,))
         if notify:
             for sink in self._sinks:
                 sink.emit(event)
         return event
-
-    def operator_timings(self) -> dict[str, dict[str, float]]:
-        """Cumulative {operator: {calls, time_s}} over the whole run."""
-        return {name: dict(totals) for name, totals in self._operators.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +518,7 @@ class SearchResult:
         stop_reason: str = "horizon",
         eval_stats: EvalStats | None = None,
         events: Sequence[RunEvent] | None = None,
+        operator_timings: Mapping[str, Mapping[str, float]] | None = None,
     ):
         self.objective = objective
         self.records = list(records)
@@ -548,6 +531,7 @@ class SearchResult:
         self.eval_stats = eval_stats or EvalStats()
         #: The structured trace of the run (empty for hand-built results).
         self.events = list(events or ())
+        self._operator_timings = _copy_timings(operator_timings or {})
 
     @property
     def best_raw(self) -> float:
@@ -568,8 +552,9 @@ class SearchResult:
         return [(r.generation, r.best_raw) for r in self.records]
 
     def operator_timings(self) -> dict[str, dict[str, float]]:
-        """{operator: {calls, time_s}} aggregated from the run's trace."""
-        return fold_operator_events({}, self.events)
+        """{operator: {calls, time_s}} over the run, as the search's
+        :meth:`SearchKernel.operator_timings` read at result time."""
+        return _copy_timings(self._operator_timings)
 
     def evals_to_reach(self, threshold: float) -> int | None:
         """Distinct evaluations needed to first reach a raw-metric threshold.
@@ -672,6 +657,9 @@ class SearchKernel:
         self.latest_health: dict[str, Any] | None = None
         self._counter = EvaluationStack.wrap(evaluator)
         self._trace = RunTrace(sinks)
+        #: {operator: {"calls", "time_s"}}, charged once per generation;
+        #: keys keep the order of their first charge.
+        self._operators: dict[str, dict[str, float]] = {}
         #: The guidance provider steering this search (None for unguided
         #: engines) and the per-generation state it last produced. The
         #: kernel owns the provider's lifecycle: ``start()`` at generation
@@ -760,8 +748,8 @@ class SearchKernel:
         self._trace.attach(sink)
 
     def operator_timings(self) -> dict[str, dict[str, float]]:
-        """Cumulative per-operator call counts and wall time."""
-        return self._trace.operator_timings()
+        """Cumulative per-operator call counts and wall time (copy)."""
+        return _copy_timings(self._operators)
 
     @property
     def tracer(self) -> SpanRecorder | None:
@@ -841,6 +829,7 @@ class SearchKernel:
             stop_reason=self._stop_reason or "cancelled",
             eval_stats=self._counter.stats(),
             events=self.trace_events,
+            operator_timings=self._operators,
         )
 
     # -- kernel plumbing ---------------------------------------------------------
@@ -860,6 +849,13 @@ class SearchKernel:
         ):
             return "stall"
         return None
+
+    def _charge_operator(self, operator: str, calls, time_s) -> None:
+        """Add one generation's calls and seconds of ``operator`` to the
+        run's totals."""
+        entry = self._operators.setdefault(operator, {"calls": 0, "time_s": 0.0})
+        entry["calls"] += int(calls)
+        entry["time_s"] += float(time_s)
 
     def _finish(self, reason: str) -> None:
         self._stop_reason = reason
@@ -1019,11 +1015,7 @@ class GenerationalEngine(SearchKernel):
         t0 = self._clock()
         genomes = self._initial_genomes()
         t1 = self._clock()
-        self._trace.emit(
-            "operator-applied",
-            0,
-            {"operator": "init", "calls": len(genomes), "time_s": t1 - t0},
-        )
+        self._charge_operator("init", len(genomes), t1 - t0)
         if tr is not None:
             # Phase spans tile the generation window edge to edge via
             # shared boundary timestamps, so the phase budget covers the
@@ -1071,11 +1063,7 @@ class GenerationalEngine(SearchKernel):
         timings: dict[str, list[float]] = {}
         genomes = self._propose(generation, timings)
         for operator, (calls, time_s) in timings.items():
-            self._trace.emit(
-                "operator-applied",
-                generation,
-                {"operator": operator, "calls": int(calls), "time_s": time_s},
-            )
+            self._charge_operator(operator, calls, time_s)
         if tr is not None:
             b1 = self._clock()
             self._record_breed_phases(gen_span, gen_span.start_s, b1, timings)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from .checkpoint import SearchCheckpoint
 from .engine import GAConfig
@@ -45,12 +45,7 @@ from .fitness import Objective
 from .genome import Genome
 from .guidance import GuidanceProvider
 from .hints import HintSet
-from .kernel import (
-    GenerationalEngine,
-    GenerationRecord,
-    RunEvent,
-    fold_operator_events,
-)
+from .kernel import GenerationalEngine, GenerationRecord, RunEvent, _copy_timings
 from .selection import Individual
 from .space import DesignSpace
 
@@ -236,6 +231,7 @@ class ParetoResult:
         stop_reason: str = "horizon",
         records: Sequence[GenerationRecord] = (),
         events: Sequence[RunEvent] = (),
+        operator_timings: Mapping[str, Mapping[str, float]] | None = None,
     ):
         self.objectives = list(objectives)
         self.front = front
@@ -249,6 +245,7 @@ class ParetoResult:
         self.records = list(records)
         #: The structured trace of the run (empty for hand-built results).
         self.events = list(events)
+        self._operator_timings = _copy_timings(operator_timings or {})
 
     def front_raws(self) -> list[tuple[float, ...]]:
         """Raw metric tuples of the non-dominated set, sorted by the first."""
@@ -263,8 +260,10 @@ class ParetoResult:
         return [(r.distinct_evaluations, r.best_raw) for r in self.records]
 
     def operator_timings(self) -> dict[str, dict[str, float]]:
-        """{operator: {calls, time_s}} aggregated from the run's trace."""
-        return fold_operator_events({}, self.events)
+        """{operator: {calls, time_s}} over the run, as the search's
+        :meth:`~repro.core.kernel.SearchKernel.operator_timings` read at
+        result time."""
+        return _copy_timings(self._operator_timings)
 
     def hypervolume(self, reference_raws: tuple[float, float]) -> float:
         """2-objective hypervolume against a reference point in raw units."""
@@ -549,6 +548,7 @@ class ParetoSearch(GenerationalEngine):
             stop_reason=self.stop_reason or "cancelled",
             records=self.records,
             events=self.trace_events,
+            operator_timings=self._operators,
         )
 
     def run(self) -> ParetoResult:

@@ -159,8 +159,8 @@ class MultiRunResult:
         """Per-operator call counts and wall time summed across all runs.
 
         Each run's :meth:`SearchResult.operator_timings` is already
-        cumulative over that run's trace; summing them describes where the
-        whole experiment spent its breeding time.
+        cumulative over that run; summing them describes where the whole
+        experiment spent its breeding time.
         """
         merged: dict[str, dict[str, float]] = {}
         for result in self.results:

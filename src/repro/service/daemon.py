@@ -193,7 +193,8 @@ class SearchService:
             self.stop()
 
     def stop(self) -> None:
-        """Graceful shutdown: stop HTTP, drain the in-flight generation."""
+        """Graceful shutdown: stop HTTP, drain the in-flight generation,
+        then close the store's append handles."""
         if self._http_thread is not None:
             # shutdown() blocks on the serve_forever loop, so only call it
             # when that loop is actually running in our background thread.
@@ -206,3 +207,8 @@ class SearchService:
             # After the scheduler: a mid-generation fleet batch must drain
             # before the coordinator tears its worker connections down.
             self.fleet.stop()
+        # With the archive on, the eval cache (if any) is its store.
+        if self.archive is not None:
+            self.archive.store.close()
+        elif self.eval_cache is not None:
+            self.eval_cache.close()

@@ -263,8 +263,8 @@ def test_generation_breed_equals_per_child_sequence(case):
     assert generation[0] == reference[0]
     assert generation[1] == reference[1]
     assert generation[2] == reference[2]
-    # Same keys in the same order (the order operator-applied events are
-    # emitted in), same call counts, same float sums.
+    # Same keys in the same order (the order the kernel charges its
+    # operator totals in), same call counts, same float sums.
     assert generation[3] == reference[3]
     assert generation[4] == reference[4]
     if not case["timed"]:

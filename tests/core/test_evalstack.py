@@ -728,6 +728,33 @@ class TestPersistentCache:
         assert fresh.get(space.genome(a=1), "fp") == (True, {"m": 1.0})
         assert fresh.entries(space, "fp") == 1
 
+    def test_a_headerless_file_gets_its_header_at_the_first_put(
+        self, space, tmp_path
+    ):
+        """A torn header followed by rows alone: the first put rewrites the
+        file as compact() would with a header, so listings, compaction
+        and imports see its rows."""
+        cache = PersistentCache(tmp_path)
+        path = cache._path("stk", "fp")
+        path.write_text(
+            '{"space": "stk", "par\n'
+            '{"values": [1], "metrics": {"m": 1.0}, "campaign": "c1"}\n'
+            '{"values": [1], "metrics": {"m": 9.0}, "campaign": "c2"}\n'
+        )
+        assert cache.files() == []
+        assert cache.put_many([(space.genome(a=2), {"m": 2.0})], "fp", "c3") == 1
+        assert cache.files() == [("stk", ("a",), "fp")]
+        assert [json.loads(line) for line in path.read_text().splitlines()] == [
+            {"space": "stk", "params": ["a"], "fingerprint": "fp"},
+            {"values": [1], "metrics": {"m": 1.0}, "campaign": "c1"},
+            {"values": [2], "metrics": {"m": 2.0}, "campaign": "c3"},
+        ]
+        report = PersistentCache(tmp_path).compact()
+        assert report["files"][path.name] == {"rows": 2, "reclaimed": 0}
+        fresh = PersistentCache(tmp_path)
+        assert fresh.get(space.genome(a=1), "fp") == (True, {"m": 1.0})
+        assert fresh.get(space.genome(a=2), "fp") == (True, {"m": 2.0})
+
     def test_files_lists_a_file_whose_header_follows_a_torn_line(
         self, space, tmp_path
     ):
@@ -796,6 +823,135 @@ class TestPersistentCache:
             t.join()
         assert not errors
         assert cache.entries(space, "fp") == 8
+
+
+class TestKeptHandle:
+    """Appends go through one handle per file, kept open across puts; its
+    guard keeps every guarantee of opening the file per put."""
+
+    def put(self, cache, space, a, campaign=""):
+        return cache.put_many([(space.genome(a=a), {"m": float(a)})], "fp", campaign)
+
+    def assert_rows(self, tmp_path, space, values):
+        fresh = PersistentCache(tmp_path)
+        assert ("stk", ("a",), "fp") in fresh.files()
+        for a in values:
+            assert fresh.get(space.genome(a=a), "fp") == (True, {"m": float(a)})
+        assert fresh.entries(space, "fp") == len(values)
+
+    def test_one_handle_per_file_across_puts(self, space, tmp_path):
+        cache = PersistentCache(tmp_path)
+        self.put(cache, space, 1)
+        (appender,) = cache._appenders.values()
+        handle = appender._handle
+        self.put(cache, space, 2)
+        assert appender._handle is handle and not handle.closed
+        self.assert_rows(tmp_path, space, [1, 2])
+
+    def test_compact_from_another_store_replaces_the_file(self, space, tmp_path):
+        cache = PersistentCache(tmp_path)
+        other = PersistentCache(tmp_path)
+        assert other.entries(space, "fp") == 0  # loaded before the first put
+        self.put(cache, space, 1)
+        self.put(other, space, 1)  # a duplicate row, as two daemons leave
+        self.put(cache, space, 2)
+        inode = cache._path("stk", "fp").stat().st_ino
+        assert PersistentCache(tmp_path).compact()["reclaimed"] == 1
+        assert cache._path("stk", "fp").stat().st_ino != inode
+        self.put(cache, space, 3)
+        self.assert_rows(tmp_path, space, [1, 2, 3])
+
+    def test_a_same_size_replacement_is_a_new_file(self, space, tmp_path):
+        cache = PersistentCache(tmp_path)
+        self.put(cache, space, 1)
+        path = cache._path("stk", "fp")
+        copy = path.with_name("copy.tmp")
+        copy.write_bytes(path.read_bytes())
+        copy.replace(path)
+        self.put(cache, space, 2)
+        self.assert_rows(tmp_path, space, [1, 2])
+
+    def test_compact_closes_the_handles_before_it_rewrites(self, space, tmp_path):
+        cache = PersistentCache(tmp_path)
+        self.put(cache, space, 1)
+        with open(cache._path("stk", "fp"), "a", encoding="utf-8") as fh:
+            fh.write('{"values": [1], "metrics": {"m": 5.0}, "campaign": ""}\n')
+        (appender,) = cache._appenders.values()
+        handle = appender._handle
+        assert cache.compact()["reclaimed"] == 1
+        assert handle.closed
+        self.put(cache, space, 2)
+        self.assert_rows(tmp_path, space, [1, 2])
+
+    def test_a_torn_tail_from_another_writer(self, space, tmp_path):
+        cache = PersistentCache(tmp_path)
+        self.put(cache, space, 1)
+        path = cache._path("stk", "fp")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"values": [7], "met')  # another writer, killed
+        self.put(cache, space, 2)
+        assert path.read_text().splitlines()[-1] == (
+            '{"values": [2], "metrics": {"m": 2.0}, "campaign": ""}'
+        )
+        self.assert_rows(tmp_path, space, [1, 2])
+
+    def test_a_deleted_file_comes_back_with_its_header(self, space, tmp_path):
+        cache = PersistentCache(tmp_path)
+        self.put(cache, space, 1)
+        cache._path("stk", "fp").unlink()
+        self.put(cache, space, 2)
+        self.assert_rows(tmp_path, space, [2])
+
+    def test_a_failed_write_drops_the_handle(self, space, tmp_path):
+        cache = PersistentCache(tmp_path)
+        self.put(cache, space, 1)
+        (appender,) = cache._appenders.values()
+        real = appender._handle
+
+        class Tearing:
+            """Writes half of what it is given, then fails."""
+
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+            def write(self, text):
+                real.write(text[: len(text) // 2])
+                real.flush()
+                raise OSError("disk full")
+
+        appender._handle = Tearing()
+        with pytest.raises(OSError, match="disk full"):
+            self.put(cache, space, 2)
+        assert appender._handle is None and real.closed
+        assert cache.get(space.genome(a=2), "fp") == (False, None)
+        assert self.put(cache, space, 2) == 1
+        self.assert_rows(tmp_path, space, [1, 2])
+
+    def test_close_releases_every_handle(self, space, tmp_path):
+        cache = PersistentCache(tmp_path)
+        self.put(cache, space, 1)
+        cache.put_many([(space.genome(a=1), {"m": 1.0})], "fp2")
+        handles = [a._handle for a in cache._appenders.values()]
+        assert len(handles) == 2
+        cache.close()
+        assert all(handle.closed for handle in handles)
+        assert cache._appenders == {}
+        self.put(cache, space, 2)  # a later put reopens
+        cache.close()
+        self.assert_rows(tmp_path, space, [1, 2])
+
+    def test_service_stop_closes_the_store(self, space, tmp_path):
+        from repro.service import SearchService
+
+        service = SearchService(tmp_path, port=0, eval_cache=True, archive=True)
+        store = service.archive.store
+        assert service.eval_cache is store
+        store.put_many([(space.genome(a=1), {"m": 1.0})], "fp")
+        (appender,) = store._appenders.values()
+        handle = appender._handle
+        service.start(run_scheduler=False)
+        service.stop()
+        assert handle.closed and store._appenders == {}
 
 
 class TestSharedStore:

@@ -27,6 +27,7 @@ from repro.core import (
     SearchCheckpoint,
     maximize,
 )
+from repro.obs import FakeClock
 
 ENGINES = ("baseline", "nautilus", "adaptive", "random", "pareto")
 
@@ -166,6 +167,62 @@ class TestTraceInvariants:
         for operator in ("init", "selection", "mutation"):
             assert timings[operator]["calls"] > 0
             assert timings[operator]["time_s"] >= 0.0
+
+
+class TestOperatorTotals:
+    """Operator timings are charged into one running total per search,
+    and a result carries the total it was taken with."""
+
+    @pytest.mark.parametrize("engine_name", ["baseline", "pareto"])
+    def test_totals_are_the_sum_of_each_generations_timings(
+        self, engine_name, toy_space, toy_evaluator
+    ):
+        config = GAConfig(population_size=8, generations=6, seed=4, elitism=1)
+        clock = FakeClock(start=10.0, tick=0.125)
+        if engine_name == "pareto":
+            search = ParetoSearch(
+                toy_space, toy_evaluator, [maximize("m"), maximize("inverse")],
+                config, clock=clock,
+            )
+        else:
+            search = GeneticSearch(
+                toy_space, toy_evaluator, maximize("m"), config, clock=clock,
+            )
+        bred = []
+        breed = search.pipeline.breed
+
+        def spy(population, guidance, rngs, count, timings=None):
+            children = breed(population, guidance, rngs, count, timings)
+            bred.append({op: list(entry) for op, entry in timings.items()})
+            return children
+
+        search.pipeline.breed = spy
+        result = search.run()
+        # The init charge spans one clock tick: no read happens in between.
+        expected = {"init": {"calls": 8, "time_s": 0.125}}
+        for timings in bred:
+            for operator, (calls, time_s) in timings.items():
+                entry = expected.setdefault(operator, {"calls": 0, "time_s": 0.0})
+                entry["calls"] += calls
+                entry["time_s"] += time_s
+        assert len(bred) == 6
+        assert result.operator_timings() == search.operator_timings() == expected
+        assert list(result.operator_timings()) == list(expected)
+        assert not any(e.kind == "operator-applied" for e in result.events)
+
+    def test_a_result_keeps_the_totals_it_was_taken_with(
+        self, toy_space, toy_evaluator
+    ):
+        search = make_engine("baseline", toy_space, toy_evaluator)
+        search.start()
+        search.step()
+        early = search.result()
+        taken = early.operator_timings()
+        search.step()
+        assert early.operator_timings() == taken
+        assert search.operator_timings()["mutation"]["calls"] > (
+            taken["mutation"]["calls"]
+        )
 
 
 class TestStopPrecedence:

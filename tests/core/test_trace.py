@@ -12,6 +12,8 @@ from repro.core import (
     RecordingTraceSink,
     RunEvent,
     RunTrace,
+    SearchKernel,
+    maximize,
 )
 
 
@@ -35,18 +37,6 @@ class TestRunTrace:
         with pytest.raises(NautilusError, match="unknown run-event kind"):
             RunTrace().emit("telemetry", 0)
 
-    def test_operator_aggregation(self):
-        trace = RunTrace()
-        trace.emit("operator-applied", 1,
-                   {"operator": "mutation", "calls": 8, "time_s": 0.25})
-        trace.emit("operator-applied", 2,
-                   {"operator": "mutation", "calls": 8, "time_s": 0.5})
-        trace.emit("operator-applied", 2,
-                   {"operator": "selection", "calls": 16, "time_s": 0.125})
-        timings = trace.operator_timings()
-        assert timings["mutation"] == {"calls": 16, "time_s": 0.75}
-        assert timings["selection"] == {"calls": 16, "time_s": 0.125}
-
     def test_notify_false_skips_sinks_but_keeps_event(self):
         trace = RunTrace()
         sink = RecordingTraceSink()
@@ -55,6 +45,23 @@ class TestRunTrace:
         trace.emit("generation-start", 1)
         assert [e.generation for e in trace.events] == [0, 1]
         assert [e.generation for e in sink.events()] == [1]
+
+
+class TestOperatorTimings:
+    """Operator timings are one running total per search, not events."""
+
+    def test_operator_aggregation(self, toy_space, toy_evaluator):
+        kernel = SearchKernel(toy_space, toy_evaluator, maximize("m"))
+        kernel._charge_operator("mutation", 8, 0.25)
+        kernel._charge_operator("mutation", 8, 0.5)
+        kernel._charge_operator("selection", 16, 0.125)
+        timings = kernel.operator_timings()
+        assert timings["mutation"] == {"calls": 16, "time_s": 0.75}
+        assert timings["selection"] == {"calls": 16, "time_s": 0.125}
+        assert list(timings) == ["mutation", "selection"]
+        timings["mutation"]["calls"] = 0  # a copy
+        assert kernel.operator_timings()["mutation"]["calls"] == 16
+        assert kernel.trace_events == []
 
 
 class TestRecordingTraceSink:
