@@ -569,6 +569,14 @@ def _read_file(path: Path) -> tuple[Any, list[tuple], int]:
     return header, rows, skipped
 
 
+def _holds_a_line(path: Path) -> bool:
+    """Whether a file holds a complete line. A headerless file that holds
+    none gets its header from :func:`~repro.core.fileio.open_append`; one
+    that does (a torn header ended by a newline) needs a rewrite."""
+    with open(path, "rb") as fh:
+        return fh.readline().endswith(b"\n")
+
+
 def _first_header(lines: Iterable[str]) -> Any:
     """The header :func:`_read_file` finds, reading no further than it."""
     for line in lines:
@@ -657,9 +665,10 @@ class PersistentCache:
     skipped on load — a torn trailing line from a killed daemon among
     them; the next append starts on a line of its own, and a file left
     empty gets its header (see :func:`~repro.core.fileio.open_append`). A
-    file whose header was lost (torn, then followed by rows) is rewritten
-    with its header before the first put into it. So the store survives
-    crashes without any locking protocol beyond append.
+    file whose header was lost (torn, then ended by a newline, with or
+    without rows after it) is rewritten with its header before the first
+    put into it. So the store survives crashes without any locking
+    protocol beyond append.
 
     Thread safety: one lock guards the in-memory index and file appends,
     so every campaign stack of a daemon shares one instance.
@@ -672,7 +681,8 @@ class PersistentCache:
         self._index: dict[tuple[str, str], tuple[tuple[str, ...], dict]] = {}
         #: One kept append handle per store file written to.
         self._appenders: dict[Path, KeptAppender] = {}
-        #: (space, fingerprint) whose file loaded rows but no header.
+        #: (space, fingerprint) whose file loaded no header but holds rows
+        #: or a complete line.
         self._headerless: set[tuple[str, str]] = set()
 
     # -- file mapping -----------------------------------------------------------
@@ -714,7 +724,7 @@ class PersistentCache:
                     f"store file {path} does not match space {space_name!r} "
                     f"/ parameters {params!r} / fingerprint {fingerprint!r}"
                 )
-            if header is None and parsed:
+            if header is None and (parsed or _holds_a_line(path)):
                 self._headerless.add((space_name, fingerprint))
             rows = _first_rows(parsed)
         self._index[(space_name, fingerprint)] = (params, rows)

@@ -9,6 +9,8 @@ and span logs for the life of their sink.
 
 :func:`dumps` encodes every event line, journal line and store row: the
 bytes of ``json.dumps``, through one C encoder built once.
+:func:`dumps_sorted` is its ``sort_keys=True`` twin, which a dataset's
+content fingerprint hashes.
 """
 
 from __future__ import annotations
@@ -19,14 +21,15 @@ import os
 from pathlib import Path
 from typing import Any, Callable, TextIO
 
-__all__ = ["KeptAppender", "dumps", "open_append"]
+__all__ = ["KeptAppender", "dumps", "dumps_sorted", "open_append"]
 
 
-def _make_dumps() -> Callable[[Any], str]:
-    """``json.dumps`` with default arguments, minus the circular-reference
-    check: one C encoder, made as ``JSONEncoder.encode`` makes one on
-    every call, and reused. Without the C accelerator, that ``encode``."""
-    encoder = json.JSONEncoder(check_circular=False)
+def _make_dumps(sort_keys: bool = False) -> Callable[[Any], str]:
+    """``json.dumps`` with default arguments but ``sort_keys``, minus the
+    circular-reference check: one C encoder, made as
+    ``JSONEncoder.encode`` makes one on every call, and reused. Without
+    the C accelerator, that ``encode``."""
+    encoder = json.JSONEncoder(check_circular=False, sort_keys=sort_keys)
     make_encoder = json.encoder.c_make_encoder
     if make_encoder is None:
         return encoder.encode
@@ -50,6 +53,9 @@ def _make_dumps() -> Callable[[Any], str]:
 
 #: The same bytes as ``json.dumps(obj)`` for every input it encodes.
 dumps = _make_dumps()
+#: The same bytes as ``json.dumps(obj, sort_keys=True)``: the encoding of
+#: a dataset's content fingerprint.
+dumps_sorted = _make_dumps(sort_keys=True)
 
 
 def open_append(path: str | Path) -> tuple[TextIO, bool]:

@@ -16,10 +16,12 @@ import gzip
 import hashlib
 import json
 import math
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 from ..core.errors import DatasetError, InfeasibleDesignError
+from ..core.fileio import dumps_sorted
 from ..core.fitness import Objective
 from ..core.genome import Genome
 from ..core.space import DesignSpace
@@ -35,6 +37,18 @@ def _freeze_config(space: DesignSpace, config: Mapping[str, Any]) -> tuple:
     # a 30k-row characterized dataset.
     codec = space.codec
     return codec.genome_key(codec.encode_mapping(config))
+
+
+#: Rows per sha1 update of the content fingerprint: bounds the joined string.
+_FINGERPRINT_CHUNK = 4096
+
+
+def _own_metrics(metrics: Any) -> dict[str, float] | None:
+    """A parsed row's metrics as :meth:`Dataset.record` stores them; a
+    parsed JSON object is kept, not copied."""
+    if type(metrics) is dict or metrics is None:
+        return metrics
+    return dict(metrics)
 
 
 class Dataset:
@@ -70,12 +84,21 @@ class Dataset:
         invalidates it.
         """
         if self._fingerprint is None:
+            # The bytes are fixed: store file names, fleet task ids and every
+            # eval cache and archive on disk derive from them. They are each
+            # row's key repr and its metrics as ``json.dumps(..., sort_keys=
+            # True)`` writes them, rows sorted by key repr, hashed a few
+            # thousand rows at a time. The reprs are made again per chunk
+            # rather than kept from the sort, so the sort's own transient
+            # stays the fingerprint's peak memory.
+            rows = self._rows
+            keys = sorted(rows, key=repr)
             digest = hashlib.sha1()
-            for key in sorted(self._rows, key=repr):
-                metrics = self._rows[key]
-                digest.update(repr(key).encode("utf-8"))
+            for start in range(0, len(keys), _FINGERPRINT_CHUNK):
+                chunk = keys[start:start + _FINGERPRINT_CHUNK]
                 digest.update(
-                    json.dumps(metrics, sort_keys=True).encode("utf-8")
+                    "".join([repr(key) + dumps_sorted(rows[key]) for key in chunk])
+                    .encode("utf-8")
                 )
             self._fingerprint = digest.hexdigest()[:16]
         return self._fingerprint
@@ -227,8 +250,15 @@ class Dataset:
         if tuple(payload.get("params", ())) != space.param_names:
             raise DatasetError(f"dataset {path} has mismatched parameter names")
         dataset = cls(payload.get("name", space.name), space)
-        for row in payload["rows"]:
-            dataset.record(row["config"], row["metrics"])
+        rows = payload["rows"]
+        keys = space.codec.mapping_keys([row["config"] for row in rows])
+        # The parsed metrics dicts are private to this call, so they are
+        # kept rather than copied as record() copies; a later duplicate row
+        # wins at the first row's position, as with record().
+        dataset._rows = dict(zip(
+            zip(repeat(space.name), keys),
+            [_own_metrics(row["metrics"]) for row in rows],
+        ))
         return dataset
 
     def write_csv(self, path: str | Path) -> None:

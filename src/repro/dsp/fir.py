@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Any, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..synth.netlist import Module
 from ..synth.primitives import (
@@ -43,6 +41,9 @@ from ..synth.primitives import (
     Rom,
     ShiftRegister,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = [
     "STRUCTURES",
@@ -132,6 +133,8 @@ class FirConfig:
 @functools.lru_cache(maxsize=32)
 def ideal_lowpass_taps(taps: int = 63, cutoff: float = _CUTOFF) -> tuple[float, ...]:
     """Hamming-windowed sinc prototype (linear phase, symmetric)."""
+    import numpy as np
+
     n = np.arange(taps) - (taps - 1) / 2.0
     sinc = np.sinc(cutoff * n) * cutoff
     window = np.hamming(taps)
@@ -143,6 +146,8 @@ def quantize_taps(
     coefficients: tuple[float, ...], coeff_width: int
 ) -> np.ndarray:
     """Round coefficients to ``coeff_width``-bit two's-complement."""
+    import numpy as np
+
     scale = float(1 << (coeff_width - 1))
     peak = max(abs(c) for c in coefficients)
     quantized = np.round(np.asarray(coefficients) / peak * (scale - 1))
@@ -160,6 +165,8 @@ def stopband_attenuation_db(
     to the passband. Coefficient quantization is the dominant quality
     limit, so this is a pure function of ``coeff_width`` (and the spec).
     """
+    import numpy as np
+
     prototype = ideal_lowpass_taps(taps)
     quantized = quantize_taps(prototype, coeff_width)
     spectrum = np.abs(np.fft.rfft(quantized, n=2 * points))

@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["SCALING_MODES", "fixed_point_fft", "snr_db"]
 
@@ -36,6 +38,8 @@ SCALING_MODES = ("unscaled", "per_stage", "block_fp")
 
 def _quantize(values: np.ndarray, bit_width: int, frac_bits: int) -> np.ndarray:
     """Round to ``frac_bits`` fractional bits and saturate to ``bit_width``."""
+    import numpy as np
+
     scale = float(1 << frac_bits)
     ints = np.round(values * scale)
     limit = float(1 << (bit_width - 1))
@@ -70,6 +74,8 @@ def fixed_point_fft(
         of power-of-two scalings applied (so the reference is
         ``fft(x) / 2**block_exponent``).
     """
+    import numpy as np
+
     if scaling not in SCALING_MODES:
         raise ValueError(f"unknown scaling mode {scaling!r}")
     n = len(x)
@@ -137,6 +143,8 @@ def snr_db(
     Deterministic for a given argument tuple (seeded RNG + LRU cache), which
     the offline characterization step relies on.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     signal_power = 0.0
     error_power = 0.0

@@ -31,8 +31,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-import networkx as nx
-
 from ..core.errors import NautilusError
 from .router import RouterConfig, router_latency_cycles
 from .topology import Topology, build_topology
@@ -115,6 +113,8 @@ class NetworkSimulator:
         self.config = config
         self.hop_latency = router_latency_cycles(config)
         self.queue_capacity = max(config.buffer_depth * config.num_vcs, 1)
+        import networkx as nx
+
         graph = topology.graph
         # Undirected simple view with per-link channel multiplicity.
         self._nodes = list(graph.nodes())

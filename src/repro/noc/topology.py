@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..core.errors import NautilusError
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = [
     "Channel",
@@ -124,6 +126,8 @@ def _ring_family(
     ``lanes`` is 1 for single rings, 2 for double rings (an extra pair of
     ring links per neighbor, modeled as parallel channels).
     """
+    import networkx as nx
+
     num_routers = endpoints // concentration
     graph = nx.MultiGraph() if lanes > 1 else nx.Graph()
     nodes = [f"r{i}" for i in range(num_routers)]
@@ -173,6 +177,8 @@ def concentrated_double_ring(endpoints: int = 64, concentration: int = 4) -> Top
 
 def mesh(endpoints: int = 64) -> Topology:
     """2D mesh, one endpoint per router."""
+    import networkx as nx
+
     side = int(math.isqrt(endpoints))
     if side * side != endpoints:
         raise NautilusError(f"mesh needs a square endpoint count, got {endpoints}")
@@ -252,6 +258,8 @@ def fat_tree(endpoints: int = 64, arity: int = 4) -> Topology:
             f"fat tree needs endpoints to be a power of arity; "
             f"got {endpoints} with arity {arity}"
         )
+    import networkx as nx
+
     per_level = endpoints // arity
     graph = nx.MultiGraph()
     positions = {}
@@ -300,6 +308,8 @@ def butterfly(endpoints: int = 64, arity: int = 4) -> Topology:
             f"butterfly needs endpoints to be a power of arity; "
             f"got {endpoints} with arity {arity}"
         )
+    import networkx as nx
+
     per_stage = endpoints // arity
     graph = nx.MultiDiGraph()
     positions = {}

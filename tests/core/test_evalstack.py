@@ -755,6 +755,27 @@ class TestPersistentCache:
         assert fresh.get(space.genome(a=1), "fp") == (True, {"m": 1.0})
         assert fresh.get(space.genome(a=2), "fp") == (True, {"m": 2.0})
 
+    def test_a_torn_header_line_alone_gets_its_header_at_the_first_put(
+        self, space, tmp_path
+    ):
+        """A torn header ended by a newline, with no rows after it (two
+        kills in a row inside the header): the first put rewrites the file
+        with its header, so it is listed, compacted and read like any."""
+        cache = PersistentCache(tmp_path)
+        path = cache._path("stk", "fp")
+        path.write_text('{"space": "stk", "par\n')
+        assert cache.put_many([(space.genome(a=1), {"m": 1.0})], "fp", "c1") == 1
+        assert [json.loads(line) for line in path.read_text().splitlines()] == [
+            {"space": "stk", "params": ["a"], "fingerprint": "fp"},
+            {"values": [1], "metrics": {"m": 1.0}, "campaign": "c1"},
+        ]
+        assert cache.files() == [("stk", ("a",), "fp")]
+        assert PersistentCache(tmp_path).files() == [("stk", ("a",), "fp")]
+        report = PersistentCache(tmp_path).compact()
+        assert report["files"][path.name] == {"rows": 1, "reclaimed": 0}
+        fresh = PersistentCache(tmp_path)
+        assert fresh.get(space.genome(a=1), "fp") == (True, {"m": 1.0})
+
     def test_files_lists_a_file_whose_header_follows_a_torn_line(
         self, space, tmp_path
     ):
