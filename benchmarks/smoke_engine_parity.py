@@ -11,6 +11,13 @@ against the checked-in baseline in
 final non-dominated front: sorted raw metric tuples and sorted parameter
 assignments.
 
+Every run a ``CampaignSpec`` can name (baseline, nautilus, random and
+Pareto) is built by ``repro.service.campaign.build_search``, the one
+builder that the daemon, perfbench, ``nautilus optimize`` and the figure
+builders use, so the pins cover the path that ships. The adaptive runs,
+the observability-off pass and the explicit-``StaticHints`` pass build
+their engines directly, because no spec can express them.
+
 Where ``smoke_eval_counts.py`` pins only the end-of-run distinct-evaluation
 count, this check pins every point of every curve: generation index,
 distinct evaluations, best raw metric and best internal score. Any engine
@@ -55,7 +62,6 @@ from repro.core import (
     GAConfig,
     GeneticSearch,
     ParetoSearch,
-    RandomSearch,
 )
 from repro.queries import (
     MULTI_QUERIES,
@@ -65,6 +71,7 @@ from repro.queries import (
     resolve_multi_objectives,
     resolve_objective,
 )
+from repro.service.campaign import CampaignSpec, build_search
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "engine_parity.json"
 PAYLOADS_PATH = Path(__file__).parent / "baselines" / "obs_payloads.json"
@@ -78,27 +85,27 @@ PARETO_POPULATION = 24
 PARETO_GENERATIONS = 80
 
 
-def _build(
-    engine: str, dataset, objective, hint_kind: str, seed: int,
-    tracing: bool = False,
-):
-    evaluator = DatasetEvaluator(dataset)
-    config = GAConfig(generations=GENERATIONS, seed=seed, tracing=tracing)
-    if engine == "random":
-        return RandomSearch(
-            dataset.space, evaluator, objective, budget=RANDOM_BUDGET,
-            seed=seed, tracing=tracing,
+def _build(query_name: str, engine: str, dataset, seed: int, tracing: bool = False):
+    """One matrix run. Every engine a spec can name is built by
+    ``build_search``, the builder the daemon, perfbench, ``nautilus
+    optimize`` and the figures use; the adaptive run has no spec."""
+    if engine != "adaptive":
+        spec = CampaignSpec(
+            query_name,
+            engine=engine,
+            generations=PARETO_GENERATIONS if engine == "pareto" else GENERATIONS,
+            seed=seed,
+            budget=RANDOM_BUDGET,
+            tracing=tracing,
         )
-    if engine == "baseline":
-        return GeneticSearch(dataset.space, evaluator, objective, config)
-    hints = build_hints(hint_kind)
-    if engine == "nautilus":
-        return GeneticSearch(
-            dataset.space, evaluator, objective, config, hints=hints
-        )
+        return build_search(spec, dataset)
+    objective, hint_kind = resolve_objective(QUERIES[query_name])
     return GeneticSearch(
-        dataset.space, evaluator, objective, config,
-        guidance=AdaptiveConfidence(hints),
+        dataset.space,
+        DatasetEvaluator(dataset),
+        objective,
+        GAConfig(generations=GENERATIONS, seed=seed, tracing=tracing),
+        guidance=AdaptiveConfidence(build_hints(hint_kind)),
     )
 
 
@@ -134,16 +141,12 @@ def run_workload(
     pin of every run that emits telemetry."""
     results = {}
     for query_name in WORKLOADS:
-        query = QUERIES[query_name]
-        dataset = load_dataset(query.space)
-        objective, hint_kind = resolve_objective(query)
+        dataset = load_dataset(QUERIES[query_name].space)
         for engine in ENGINES:
             for seed in SEEDS:
-                search = _build(
-                    engine, dataset, objective, hint_kind, seed,
-                    tracing=tracing,
-                )
-                result = search.run()
+                result = _build(
+                    query_name, engine, dataset, seed, tracing=tracing
+                ).run()
                 key = f"{query_name}/{engine}/{seed}"
                 results[key] = {
                     "stop_reason": result.stop_reason,
@@ -153,18 +156,9 @@ def run_workload(
                 _pin_telemetry(payloads, key, result)
     for multi_name, multi in MULTI_QUERIES.items():
         dataset = load_dataset(multi.space)
-        objectives, __ = resolve_multi_objectives(multi)
         for seed in SEEDS:
-            result = ParetoSearch(
-                dataset.space,
-                DatasetEvaluator(dataset),
-                objectives,
-                GAConfig(
-                    population_size=PARETO_POPULATION,
-                    generations=PARETO_GENERATIONS,
-                    seed=seed,
-                    tracing=tracing,
-                ),
+            result = _build(
+                multi_name, "pareto", dataset, seed, tracing=tracing
             ).run()
             key = f"{multi_name}/pareto/{seed}"
             _pin_telemetry(payloads, key, result)
@@ -247,7 +241,7 @@ def check_observability_identity() -> list[str]:
             DatasetEvaluator(dataset),
             objectives,
             GAConfig(
-                population_size=24,
+                population_size=PARETO_POPULATION,
                 generations=GENERATIONS,
                 seed=0,
                 observability=enabled,
@@ -281,12 +275,8 @@ def check_tracing_identity() -> list[str]:
         failures.extend(f"  {key}: tracing perturbed the curve" for key in drifted)
     else:
         print(f"  ok tracing: all {len(expected)} traced runs match baseline")
-    query = QUERIES["noc-frequency"]
-    dataset = load_dataset(query.space)
-    objective, hint_kind = resolve_objective(query)
-    search = _build(
-        "nautilus", dataset, objective, hint_kind, seed=0, tracing=True
-    )
+    dataset = load_dataset(QUERIES["noc-frequency"].space)
+    search = _build("noc-frequency", "nautilus", dataset, seed=0, tracing=True)
     search.run()
     report = validate_accounting(search.spans())
     if not report["ok"] or report["open_spans"]:
@@ -354,11 +344,9 @@ def check_encoded_identity() -> list[str]:
     from repro.core.params import values_key
 
     failures = []
-    query = QUERIES["noc-frequency"]
-    dataset = load_dataset(query.space)
+    dataset = load_dataset(QUERIES["noc-frequency"].space)
     space = dataset.space
-    objective, hint_kind = resolve_objective(query)
-    search = _build("nautilus", dataset, objective, hint_kind, seed=0)
+    search = _build("noc-frequency", "nautilus", dataset, seed=0)
     result = search.run()
     genomes = [ind.genome for ind in search._population]
     genomes.append(space.genome(result.best_config))

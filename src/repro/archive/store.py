@@ -10,11 +10,9 @@ space's :class:`~repro.core.codec.SpaceCodec`, answering the retrieval
 questions new searches ask:
 
 * top-k designs by an objective (warm-start seeding),
-* nearest neighbors in ordinal code space,
-* per-parameter marginal statistics (spread / rank correlation — the raw
-  material :class:`~repro.archive.guidance.ArchiveGuidance` mines hints
-  from),
-* the cross-campaign Pareto front over any metric set.
+* scored rows in code space, which
+  :func:`~repro.archive.guidance.mine_hints` turns into hints for
+  :class:`~repro.archive.guidance.ArchiveGuidance`.
 
 The archive opens no file itself: the store owns the file layout, the
 first-writer-wins index, torn-line tolerance and the lock, so a daemon
@@ -25,11 +23,10 @@ both cache hits and these queries.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Mapping, Sequence, TYPE_CHECKING
+from typing import Any, TYPE_CHECKING
 
-from ..core.errors import EvaluationError, NautilusError
+from ..core.errors import EvaluationError
 from ..core.evalstack import PersistentCache
-from ..core.pareto import dominates
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.fitness import Objective
@@ -124,34 +121,6 @@ class DesignArchive:
         """Number of archived rows for one (space, fingerprint)."""
         return self.store.entries(space, fingerprint)
 
-    def _indexed_rows(
-        self, space: "DesignSpace", fingerprint: str
-    ) -> list[tuple[tuple[int, ...], tuple, dict | None, str]]:
-        """``(codes, values key, metrics, campaign)`` for the rows that
-        still decode against ``space``.
-
-        Rows whose values fell out of the live space's domains (the IP
-        generator evolved) are silently excluded from queries — they stay
-        on disk, but no retrieval path can hand a stale design to a search.
-        """
-        rows = self.store.rows(space.name, space.param_names, fingerprint)
-        codec = space.codec
-        index_maps = codec.index_maps
-        num_params = codec.num_params
-        out = []
-        for row_key, (metrics, campaign) in rows:
-            if len(row_key) != num_params:
-                continue
-            codes = []
-            for pos, value in enumerate(row_key):
-                code = index_maps[pos].get(value)
-                if code is None:
-                    break
-                codes.append(code)
-            else:
-                out.append((tuple(codes), row_key, metrics, campaign))
-        return out
-
     def scored_rows(
         self, space: "DesignSpace", fingerprint: str, objective: "Objective"
     ) -> list[tuple[tuple[int, ...], float, dict[str, Any]]]:
@@ -159,13 +128,22 @@ class DesignArchive:
 
         Scores come from :meth:`Objective.score` — the engine's internal
         maximized orientation — so every consumer (top-k, hint mining)
-        ranks consistently regardless of the metric's direction.
+        ranks consistently regardless of the metric's direction. Rows whose
+        values fell out of the live space's domains (the IP generator
+        evolved) are silently excluded — they stay on disk, but no
+        retrieval path can hand a stale design to a search.
         """
+        index_maps = space.codec.index_maps
         out = []
-        for codes, row_key, metrics, campaign in self._indexed_rows(
-            space, fingerprint
+        for row_key, (metrics, campaign) in self.store.rows(
+            space.name, space.param_names, fingerprint
         ):
-            if metrics is None:
+            if metrics is None or len(row_key) != len(index_maps):
+                continue
+            codes = tuple(
+                index_maps[pos].get(value) for pos, value in enumerate(row_key)
+            )
+            if None in codes:
                 continue
             try:
                 score = objective.score(metrics)
@@ -210,131 +188,6 @@ class DesignArchive:
     ) -> list[dict[str, Any]]:
         """Top-k archived configs, best first — ``GAConfig.warm_start`` food."""
         return [entry["config"] for entry in self.top_k(space, fingerprint, objective, k)]
-
-    def nearest(
-        self,
-        space: "DesignSpace",
-        fingerprint: str,
-        config: "Mapping[str, Any] | Genome",
-        k: int = 5,
-    ) -> list[dict[str, Any]]:
-        """The k archived rows closest to a design in ordinal code space.
-
-        Distance is L1 over the code vector — one unit per ordinal step,
-        the same axis guided mutation moves along.
-        """
-        if hasattr(config, "codes"):
-            target = tuple(config.codes)
-        else:
-            target = space.genome(dict(config)).codes
-        ranked = []
-        for codes, __, metrics, campaign in self._indexed_rows(space, fingerprint):
-            distance = sum(abs(a - b) for a, b in zip(codes, target))
-            ranked.append((distance, codes, metrics, campaign))
-        ranked.sort(key=lambda item: (item[0], item[1]))
-        codec = space.codec
-        return [
-            {
-                "distance": distance,
-                "config": dict(zip(codec.names, codec.decode(codes))),
-                "metrics": None if metrics is None else dict(metrics),
-                "campaign": campaign,
-            }
-            for distance, codes, metrics, campaign in ranked[: max(k, 0)]
-        ]
-
-    def marginals(
-        self, space: "DesignSpace", fingerprint: str, objective: "Objective"
-    ) -> dict[str, dict[str, Any]]:
-        """Per-parameter marginal statistics over the archived feasible rows.
-
-        For each parameter: how many distinct codes were observed, the
-        spread of per-code mean scores (the importance signal), the
-        Spearman rank correlation of code vs score for ordered parameters
-        (the bias signal), and the best code's decoded value.
-        """
-        from ..core.estimation import _pearson, _ranks
-
-        rows = self.scored_rows(space, fingerprint, objective)
-        codec = space.codec
-        scores = [score for __, score, __ in rows]
-        result: dict[str, dict[str, Any]] = {}
-        for pos, name in enumerate(codec.names):
-            by_code: dict[int, list[float]] = {}
-            for codes, score, __ in rows:
-                by_code.setdefault(codes[pos], []).append(score)
-            means = {
-                code: sum(values) / len(values) for code, values in by_code.items()
-            }
-            spread = (
-                max(means.values()) - min(means.values()) if len(means) >= 2 else 0.0
-            )
-            correlation = 0.0
-            if codec.ordered[pos] and len(rows) >= 2:
-                xs = [codes[pos] for codes, __, __ in rows]
-                if len(set(xs)) > 1 and len(set(scores)) > 1:
-                    correlation = _pearson(_ranks(xs), _ranks(scores))
-            best_code = (
-                max(means, key=lambda code: (means[code], -code)) if means else None
-            )
-            result[name] = {
-                "rows": len(rows),
-                "codes_observed": len(means),
-                "spread": spread,
-                "correlation": correlation,
-                "best_value": (
-                    codec.domains[pos][best_code] if best_code is not None else None
-                ),
-            }
-        return result
-
-    def pareto_front(
-        self,
-        space: "DesignSpace",
-        fingerprint: str,
-        metrics: Sequence[str],
-        directions: Sequence[str],
-    ) -> list[dict[str, Any]]:
-        """The cross-campaign non-dominated front over a metric set.
-
-        ``directions`` is ``"max"``/``"min"`` per metric. Rows missing any
-        of the metrics are excluded; the front spans every campaign that
-        ever touched this (space, fingerprint).
-        """
-        if len(metrics) != len(directions):
-            raise NautilusError("metrics and directions must align")
-        signs = [1.0 if direction == "max" else -1.0 for direction in directions]
-        points = []
-        for codes, __, values, campaign in self._indexed_rows(space, fingerprint):
-            if values is None:
-                continue
-            try:
-                point = tuple(
-                    sign * float(values[name]) for sign, name in zip(signs, metrics)
-                )
-            except (KeyError, TypeError, ValueError):
-                continue
-            points.append((point, codes, values, campaign))
-
-        front = [
-            entry
-            for entry in points
-            if not any(
-                dominates(other[0], entry[0])
-                for other in points
-                if other is not entry
-            )
-        ]
-        front.sort(key=lambda entry: (tuple(-v for v in entry[0]), entry[1]))
-        codec = space.codec
-        return [
-            {
-                "config": dict(zip(codec.names, codec.decode(codes))),
-                "metrics": dict(values),
-                "campaign": campaign,
-            }
-            for __, codes, values, campaign in front
-        ]
 
     # -- global readout ----------------------------------------------------------
 

@@ -52,23 +52,12 @@ import sys
 from .analysis import ascii_plot
 from .core import (
     DatasetEvaluator,
-    GAConfig,
-    GeneticSearch,
     NautilusError,
-    RandomSearch,
     estimate_hints,
-    hintset_from_json,
     hintset_to_json,
-    maximize,
-    minimize,
+    objective_from_expression,
 )
-from .queries import (
-    MULTI_QUERIES,
-    QUERIES,
-    build_hints,
-    load_dataset,
-    resolve_objective,
-)
+from .queries import MULTI_QUERIES, QUERIES, load_dataset, resolve_objective
 
 __all__ = ["main"]
 
@@ -107,34 +96,29 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    from .service.campaign import CampaignSpec, build_search
+
     query = QUERIES[args.query]
+    objective = None
+    if args.metric:
+        objective = objective_from_expression(
+            args.metric, args.direction or query.direction
+        )
+    elif args.direction:
+        raise NautilusError("--direction requires --metric")
+    spec = CampaignSpec(
+        args.query,
+        engine=args.engine,
+        generations=args.generations,
+        seed=args.seed,
+        confidence=args.confidence,
+        budget=args.budget,
+        hints=None if args.hints is None else _read_hints_file(args.hints),
+    )
     dataset = load_dataset(query.space)
-    objective, hint_kind = resolve_objective(query, args.metric, args.direction)
-    evaluator = DatasetEvaluator(dataset)
-    if args.hints is not None and args.engine != "nautilus":
-        raise NautilusError(
-            f"--hints requires the nautilus engine, not {args.engine!r}"
-        )
-    if args.engine == "random":
-        search = RandomSearch(
-            dataset.space, evaluator, objective, budget=args.budget, seed=args.seed
-        )
-    else:
-        hints = None
-        if args.hints is not None:
-            hints = hintset_from_json(_read_hints_file(args.hints), dataset.space)
-            if args.confidence is not None:
-                hints = hints.with_confidence(args.confidence)
-        elif args.engine == "nautilus" and hint_kind is not None:
-            hints = build_hints(hint_kind, args.confidence)
-        search = GeneticSearch(
-            dataset.space,
-            evaluator,
-            objective,
-            GAConfig(generations=args.generations, seed=args.seed),
-            hints=hints,
-        )
+    search = build_search(spec, dataset, objective=objective)
     result = search.run()
+    objective = search.objective
     best = dataset.best_value(objective)
     print(
         f"query      : {args.query} "
@@ -183,11 +167,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     query = QUERIES[args.query]
     dataset = load_dataset(query.space)
-    objective = (
-        maximize(query.metric)
-        if query.direction == "max"
-        else minimize(query.metric)
-    )
+    objective, __ = resolve_objective(query)
     hints, used = estimate_hints(
         dataset.space,
         DatasetEvaluator(dataset),
@@ -397,11 +377,7 @@ def _archive_objective(query_name: str):
     """(query, dataset, objective, fingerprint) for an offline archive command."""
     query = QUERIES[query_name]
     dataset = load_dataset(query.space)
-    objective = (
-        maximize(query.metric)
-        if query.direction == "max"
-        else minimize(query.metric)
-    )
+    objective, __ = resolve_objective(query)
     evaluator = DatasetEvaluator(dataset)
     return query, dataset, objective, evaluator.fingerprint
 
@@ -872,7 +848,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="composite metric expression overriding the query's default, "
         "e.g. 'fmax_mhz / (luts + 8 * brams)'",
     )
-    p.add_argument("--direction", choices=("max", "min"), default=None)
+    p.add_argument(
+        "--direction",
+        choices=("max", "min"),
+        default=None,
+        help="optimize --metric upward or downward (default: the query's)",
+    )
     p.add_argument("--confidence", type=float, default=None)
     p.add_argument(
         "--hints",

@@ -4,14 +4,13 @@ The paper's methodology (Section 4.1) characterizes each IP's design space
 *offline* ("a dedicated cluster with 200+ cores running non-stop for about 2
 weeks") and runs every search against the resulting dataset. A
 :class:`Dataset` is that artifact: one metrics dict per feasible design
-point, with JSON/CSV persistence and the summary statistics the evaluation
+point, with gzipped JSON persistence and the summary statistics the evaluation
 needs (reference optimum, percentile thresholds, quality-of-results
 scoring).
 """
 
 from __future__ import annotations
 
-import csv
 import gzip
 import hashlib
 import json
@@ -260,25 +259,6 @@ class Dataset:
             [_own_metrics(row["metrics"]) for row in rows],
         ))
         return dataset
-
-    def write_csv(self, path: str | Path) -> None:
-        """Export feasible rows as CSV (one column per param and metric)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        metric_names = sorted(
-            {name for row in self.iter_metrics() for name in row}
-        )
-        names = self.space.param_names
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(names) + metric_names)
-            for key, metrics in self._rows.items():
-                if metrics is None:
-                    continue
-                __, values = key
-                writer.writerow(
-                    list(values) + [metrics.get(m, "") for m in metric_names]
-                )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -10,8 +10,6 @@ from .figures import (
     figure5,
     figure6,
     figure7,
-    ga_config,
-    search_variants,
 )
 
 __all__ = [
@@ -25,7 +23,5 @@ __all__ = [
     "figure5",
     "figure6",
     "figure7",
-    "ga_config",
-    "search_variants",
     "generate_report",
 ]

@@ -6,6 +6,10 @@ axes and whose ``notes`` carry the headline numbers quoted in the text
 (speedup factors, eval counts, thresholds). Builders take ``runs`` /
 ``generations`` arguments so tests can run scaled-down versions while the
 benchmarks run at paper scale (40 runs, 80 generations — Section 4.1).
+Every search in Figures 3-7 is a
+:class:`~repro.service.campaign.CampaignSpec` on a named query, built by
+:func:`~repro.service.campaign.build_search` with its seed replaced per
+run: the engine a daemon campaign with that spec runs.
 
 Figure index (see DESIGN.md for the full experiment table):
 
@@ -23,29 +27,26 @@ Figure index (see DESIGN.md for the full experiment table):
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from typing import Sequence
 
 from ..analysis.series import FigureSeries
-from ..core.engine import GAConfig, GeneticSearch
-from ..core.evaluator import DatasetEvaluator
-from ..core.fitness import Objective, maximize, minimize
+from ..core.guidance import hintset_to_json
 from ..core.hints import HintSet, ParamHints
 from ..dataset.cache import fft_dataset, router_dataset
 from ..dataset.dataset import Dataset
 from ..fft.hints import (
     STRONG_CONFIDENCE as FFT_STRONG,
     WEAK_CONFIDENCE as FFT_WEAK,
-    lut_hints,
-    throughput_per_lut_hints,
 )
 from ..noc.hints import (
     STRONG_CONFIDENCE as NOC_STRONG,
     WEAK_CONFIDENCE as NOC_WEAK,
-    area_delay_hints,
-    frequency_hints,
 )
 from ..noc.network import NetworkGenerator
 from ..noc.topology import TOPOLOGY_FAMILIES
+from ..queries import QUERIES, resolve_objective
+from ..service.campaign import CampaignSpec, build_search
 from .runner import MultiRunResult, run_many
 
 __all__ = [
@@ -56,69 +57,19 @@ __all__ = [
     "figure5",
     "figure6",
     "figure7",
-    "ga_config",
-    "search_variants",
 ]
 
 
-def ga_config(generations: int = 80, seed: int = 0) -> GAConfig:
-    """The paper's GA configuration (population 10, mutation 0.1)."""
-    return GAConfig(
-        population_size=10,
-        generations=generations,
-        mutation_rate=0.1,
-        seed=seed,
+def _run_spec(
+    spec: CampaignSpec, dataset: Dataset, runs: int, label: str = ""
+) -> MultiRunResult:
+    """``runs`` searches of one spec, run ``i`` seeded ``spec.seed + i``."""
+    return run_many(
+        lambda seed: build_search(replace(spec, seed=seed), dataset),
+        runs,
+        base_seed=spec.seed,
+        label=label,
     )
-
-
-def search_variants(
-    dataset: Dataset,
-    objective: Objective,
-    hints: HintSet,
-    weak_confidence: float,
-    strong_confidence: float,
-    runs: int,
-    generations: int,
-    seed: int,
-) -> dict[str, MultiRunResult]:
-    """Run the paper's three-way comparison on a dataset-backed space.
-
-    Returns baseline / weakly guided / strongly guided multi-run results.
-    The weak and strong variants share the same hint vector and differ only
-    in confidence (paper footnote 2).
-    """
-    space = dataset.space
-
-    def factory(hint_set: HintSet | None, label: str):
-        def build(seed_value: int) -> GeneticSearch:
-            return GeneticSearch(
-                space,
-                DatasetEvaluator(dataset),
-                objective,
-                ga_config(generations, seed_value),
-                hints=hint_set,
-                label=label,
-            )
-
-        return build
-
-    return {
-        "baseline": run_many(
-            factory(None, "baseline"), runs, base_seed=seed, label="baseline"
-        ),
-        "weak": run_many(
-            factory(hints.with_confidence(weak_confidence), "nautilus-weak"),
-            runs,
-            base_seed=seed,
-            label="nautilus (weakly guided)",
-        ),
-        "strong": run_many(
-            factory(hints.with_confidence(strong_confidence), "nautilus-strong"),
-            runs,
-            base_seed=seed,
-            label="nautilus (strongly guided)",
-        ),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +182,7 @@ def figure3(
     pass ``top_percent=1.0`` for the literal top-1% reading.
     """
     dataset = dataset or fft_dataset()
-    objective = minimize("luts")
-    space = dataset.space
+    objective, __ = resolve_objective(QUERIES["fft-luts"])
     one_hint = HintSet(
         {"streaming_width": ParamHints(bias=1.0)}, confidence=FFT_STRONG
     )
@@ -243,24 +193,21 @@ def figure3(
         },
         confidence=FFT_STRONG,
     )
-
-    def factory(hint_set: HintSet | None, label: str):
-        def build(seed_value: int) -> GeneticSearch:
-            return GeneticSearch(
-                space,
-                DatasetEvaluator(dataset),
-                objective,
-                ga_config(generations, seed_value),
-                hints=hint_set,
-                label=label,
-            )
-
-        return build
-
+    baseline = CampaignSpec(
+        "fft-luts",
+        engine="baseline",
+        generations=generations,
+        seed=seed,
+        label="baseline",
+    )
+    bias1 = replace(
+        baseline, engine="nautilus", hints=hintset_to_json(one_hint), label="bias1"
+    )
+    bias2 = replace(bias1, hints=hintset_to_json(two_hints), label="bias2")
     variants = {
-        "Baseline GA": run_many(factory(None, "baseline"), runs, seed),
-        'Nautilus w/ 1 "Bias" Hint': run_many(factory(one_hint, "bias1"), runs, seed),
-        'Nautilus w/ 2 "Bias" Hints': run_many(factory(two_hints, "bias2"), runs, seed),
+        "Baseline GA": _run_spec(baseline, dataset, runs),
+        'Nautilus w/ 1 "Bias" Hint': _run_spec(bias1, dataset, runs),
+        'Nautilus w/ 2 "Bias" Hints': _run_spec(bias2, dataset, runs),
     }
     figure = FigureSeries(
         "fig3",
@@ -292,8 +239,7 @@ def _query_figure(
     title: str,
     ylabel: str,
     dataset: Dataset,
-    objective: Objective,
-    hints: HintSet,
+    query: str,
     weak_confidence: float,
     strong_confidence: float,
     runs: int,
@@ -304,19 +250,34 @@ def _query_figure(
 ) -> tuple[FigureSeries, dict[str, MultiRunResult]]:
     """Shared machinery for the Figure 4-7 quality-vs-cost plots.
 
+    Runs the paper's three-way comparison on a named query: the baseline GA
+    and the query's hints at a weak and a strong confidence (the two guided
+    variants "differ only in the confidence hint", paper footnote 2).
     Returns the figure plus the raw multi-run results so callers can derive
     extra headline numbers without re-running the searches.
     """
-    variants = search_variants(
-        dataset,
-        objective,
-        hints,
-        weak_confidence,
-        strong_confidence,
-        runs,
-        generations,
-        seed,
-    )
+    objective, __ = resolve_objective(QUERIES[query])
+    spec = CampaignSpec(query, generations=generations, seed=seed)
+    variants = {
+        "baseline": _run_spec(
+            replace(spec, engine="baseline", label="baseline"),
+            dataset,
+            runs,
+            "baseline",
+        ),
+        "weak": _run_spec(
+            replace(spec, confidence=weak_confidence, label="nautilus-weak"),
+            dataset,
+            runs,
+            "nautilus (weakly guided)",
+        ),
+        "strong": _run_spec(
+            replace(spec, confidence=strong_confidence, label="nautilus-strong"),
+            dataset,
+            runs,
+            "nautilus (strongly guided)",
+        ),
+    }
     figure = FigureSeries(name, title, "# Designs Evaluated", ylabel)
     figure.add("Baseline", variants["baseline"].mean_curve())
     if include_weak:
@@ -376,8 +337,7 @@ def figure4(
         "NoC: Maximize Frequency",
         "Frequency (MHz)",
         dataset,
-        maximize("fmax_mhz"),
-        frequency_hints(),
+        "noc-frequency",
         NOC_WEAK,
         NOC_STRONG,
         runs,
@@ -408,8 +368,7 @@ def figure5(
         "NoC: Minimize Area-Delay Product",
         "Area-Delay Product (clock period x LUTs)",
         dataset,
-        minimize("area_delay"),
-        area_delay_hints(),
+        "noc-area-delay",
         NOC_WEAK,
         NOC_STRONG,
         runs,
@@ -435,14 +394,12 @@ def figure6(
     ~11,921 draws for the relaxed goal.
     """
     dataset = dataset or fft_dataset()
-    objective = minimize("luts")
     figure, variants = _query_figure(
         "fig6",
         "FFT: Minimize # LUTs",
         "LUTs",
         dataset,
-        objective,
-        lut_hints(),
+        "fft-luts",
         FFT_WEAK,
         FFT_STRONG,
         runs,
@@ -451,6 +408,7 @@ def figure6(
         within_percent=1.0,
     )
     # Relaxed goal: twice the minimum (the paper's 1,071-LUT bar).
+    objective = variants["baseline"].objective
     best = dataset.best_value(objective)
     relaxed = 2.0 * best
     for key, result in variants.items():
@@ -488,14 +446,12 @@ def figure7(
     >1.5 MSPS/LUT region.
     """
     dataset = dataset or fft_dataset()
-    objective = maximize("msps_per_lut")
     figure, variants = _query_figure(
         "fig7",
         "FFT: Maximize Throughput per LUT",
         "Throughput per LUT (MSPS/LUTs)",
         dataset,
-        objective,
-        throughput_per_lut_hints(),
+        "fft-throughput-per-lut",
         FFT_WEAK,
         FFT_STRONG,
         runs,
@@ -503,6 +459,7 @@ def figure7(
         seed,
         within_percent=7.0,
     )
+    objective = variants["baseline"].objective
     best = dataset.best_value(objective)
     # The "only Nautilus gets here" elite region (paper: >1.5 MSPS/LUT on a
     # ~1.55 max, i.e. ~97% of the space optimum).

@@ -82,20 +82,6 @@ class MultiRunResult:
             curve.append((sum(evals) / len(evals), sum(raws) / len(raws)))
         return curve
 
-    def mean_generation_curve(self) -> list[tuple[int, float]]:
-        """(generation, mean best raw) per generation index."""
-        generations = min(len(r.records) for r in self.results)
-        curve = []
-        for g in range(generations):
-            raws = [
-                r.records[g].best_raw
-                for r in self.results
-                if not math.isnan(r.records[g].best_raw)
-            ]
-            if raws:
-                curve.append((g, sum(raws) / len(raws)))
-        return curve
-
     def mean_score_curve(
         self, score: Callable[[float], float]
     ) -> list[tuple[int, float]]:

@@ -2,10 +2,13 @@
 
 A *query* bundles everything needed to run one of the paper's searches
 against a bundled dataset: which IP space, which metric and direction, and
-which IP-author hint set guides the Nautilus engine. The CLI's ``optimize``
-/ ``estimate`` subcommands and the campaign service both resolve specs
-through this module, so a campaign submitted over HTTP runs exactly the
-search the CLI would.
+which IP-author hint set guides the Nautilus engine. Every search is built
+from a query by one function,
+:func:`repro.service.campaign.build_search`: the daemon, ``nautilus
+optimize``, the paper's figure builders and the engine-parity smoke all
+call it, so a campaign submitted over HTTP runs exactly the search the CLI
+would. The CLI's ``estimate`` and ``archive`` commands read a query's
+objective through :func:`resolve_objective` too.
 """
 
 from __future__ import annotations
@@ -114,25 +117,9 @@ def build_hints(kind: str, confidence: float | None = None) -> HintSet:
     return hintset_from_json(hintset_to_json(authored))
 
 
-def resolve_objective(
-    query: Query, metric: str | None = None, direction: str | None = None
-) -> tuple[Objective, str | None]:
-    """The objective for a query, honoring a composite-metric override.
-
-    Returns ``(objective, hint_kind)``; the hint kind is ``None`` when a
-    custom metric expression overrides the query default (the bundled hints
-    describe the default metric, not arbitrary expressions).
-    """
-    if metric:
-        from .core import objective_from_expression
-
-        return objective_from_expression(metric, direction or query.direction), None
-    objective = (
-        maximize(query.metric)
-        if query.direction == "max"
-        else minimize(query.metric)
-    )
-    return objective, query.hint_kind
+def resolve_objective(query: Query) -> tuple[Objective, str]:
+    """The objective for a query and its bundled hint kind: ``(objective, hint_kind)``."""
+    return _objective(query.metric, query.direction), query.hint_kind
 
 
 def resolve_multi_objectives(
@@ -140,7 +127,11 @@ def resolve_multi_objectives(
 ) -> tuple[list[Objective], str | None]:
     """The objective list for a multi-objective query: ``(objectives, hint_kind)``."""
     objectives = [
-        maximize(metric) if direction == "max" else minimize(metric)
+        _objective(metric, direction)
         for metric, direction in zip(query.metrics, query.directions)
     ]
     return objectives, query.hint_kind
+
+
+def _objective(metric: str, direction: str) -> Objective:
+    return maximize(metric) if direction == "max" else minimize(metric)

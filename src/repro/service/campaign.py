@@ -246,8 +246,13 @@ def build_search(
     archive=None,
     campaign_id: str = "",
     executor=None,
+    objective=None,
 ):
     """Instantiate the engine a spec describes, against a shared dataset.
+
+    This is the one place an engine is built from a query: the daemon,
+    perfbench, ``nautilus optimize``, the paper's figure builders and the
+    engine-parity smoke all call it.
 
     GA engines journal a checkpoint line every generation under
     ``campaign_dir`` so the scheduler can resume them after a daemon
@@ -274,6 +279,12 @@ def build_search(
     ``persistent``, it must be ``archive.store``), and a spec with
     ``warm_start`` gets the archive's top designs injected into its
     initial population (single-objective GA engines only).
+
+    ``objective`` replaces the query's objective for the ``nautilus``,
+    ``baseline`` and ``random`` engines (``nautilus optimize --metric``).
+    The query's bundled hint kind describes the query's own metric, so a
+    ``nautilus`` spec built this way is guided by its inline ``hints``
+    alone.
     """
     effective_workers = spec.workers or workers
     if fleet is not None:
@@ -323,8 +334,9 @@ def build_search(
             label=spec.label or "pareto",
             checkpoint_path=checkpoint_path,
         )
-    query = QUERIES[spec.query]
-    objective, hint_kind = resolve_objective(query)
+    hint_kind = None
+    if objective is None:
+        objective, hint_kind = resolve_objective(QUERIES[spec.query])
     if spec.engine == "random":
         return RandomSearch(
             dataset.space,
@@ -339,7 +351,7 @@ def build_search(
     if spec.engine == "nautilus":
         if spec.hints is not None:
             hints = _inline_hints(spec, dataset)
-        else:
+        elif hint_kind is not None:
             hints = build_hints(hint_kind, spec.confidence)
     warm_start: tuple = ()
     if spec.warm_start and archive is not None:

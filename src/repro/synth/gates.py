@@ -17,7 +17,7 @@ the "same" gate twice returns the same node — the classic strash.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..core.errors import SynthesisError
 
@@ -256,17 +256,6 @@ class GateNetwork:
         else:
             high = low
         return self.mux_words(selects[-1], high, low)
-
-    def equals_const(self, bits: Sequence[Gate], value: int) -> Gate:
-        """Comparator against a constant (AND-tree of bit matches)."""
-        terms = []
-        for i, bit in enumerate(bits):
-            expected = (value >> i) & 1
-            terms.append(bit if expected else self.NOT(bit))
-        result = terms[0]
-        for term in terms[1:]:
-            result = self.AND(result, term)
-        return result
 
     # -- access ---------------------------------------------------------------------
 

@@ -198,8 +198,10 @@ class TestImport:
         report = second.import_cache(tmp_path / "archive", campaign="import")
         assert report == {"files": 2, "imported": 25, "skipped": 0}
         assert second.stats()["campaigns"] == {"alpha": 24, "import": 1}
-        (row,) = second.nearest(space, FP, g, k=1)
-        assert row["distance"] == 0
+        (row,) = [
+            row for row in second.top_k(space, FP, maximize("m"), k=24)
+            if row["config"] == g.as_dict()
+        ]
         assert (row["metrics"], row["campaign"]) == (metrics_for(g), "alpha")
         again = second.import_cache(tmp_path / "archive")
         assert again == {"files": 2, "imported": 0, "skipped": 25}
@@ -232,41 +234,6 @@ class TestRetrieval:
         assert len(configs) == 2
         assert all(space.is_feasible(space.genome(c)) for c in configs)
         assert configs[0]["a"] == 3
-
-    def test_nearest_in_code_space(self, tmp_path, space):
-        archive = DesignArchive(tmp_path)
-        fill(archive, space)
-        probe = {"a": 2, "o": "mid", "c": "p"}
-        rows = archive.nearest(space, FP, probe, k=3)
-        assert rows[0]["distance"] == 0
-        assert rows[0]["config"] == probe
-        assert rows[1]["distance"] == 1
-
-    def test_marginals(self, tmp_path, space):
-        archive = DesignArchive(tmp_path)
-        fill(archive, space)
-        marginals = archive.marginals(space, FP, maximize("m"))
-        assert marginals["a"]["codes_observed"] == 4
-        assert marginals["a"]["correlation"] > 0.9  # m grows with a
-        assert marginals["a"]["best_value"] == 3
-        assert marginals["o"]["best_value"] == "mid"
-        assert marginals["c"]["spread"] == 0.0  # c never moves the score
-
-    def test_pareto_front(self, tmp_path, space):
-        archive = DesignArchive(tmp_path)
-        fill(archive, space)
-        front = archive.pareto_front(space, FP, ("m", "n"), ("max", "max"))
-        # m wants a=3, n wants a=0: every a survives, always at o=mid
-        # (which dominates lo/hi). c never moves a metric, so the two tied
-        # points per a are mutually non-dominating and both stay.
-        assert sorted({row["config"]["a"] for row in front}) == [0, 1, 2, 3]
-        assert all(row["config"]["o"] == "mid" for row in front)
-        assert len(front) == 8
-
-    def test_pareto_front_validates_directions(self, tmp_path, space):
-        archive = DesignArchive(tmp_path)
-        with pytest.raises(NautilusError):
-            archive.pareto_front(space, FP, ("m", "n"), ("max",))
 
     def test_stale_rows_excluded_from_queries(self, tmp_path, space):
         archive = DesignArchive(tmp_path)

@@ -114,13 +114,6 @@ class TestPersistence:
         with pytest.raises(InfeasibleDesignError):
             loaded.lookup({"a": 0, "b": 0})
 
-    def test_csv_export(self, dataset, tmp_path):
-        path = tmp_path / "toy.csv"
-        dataset.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "a,b,m"
-        assert len(lines) == 21  # header + 20 rows
-
 
 class TestCache:
     def test_load_or_characterize(self, space, tmp_path, monkeypatch):

@@ -8,7 +8,9 @@ from repro.core import (
     NautilusError,
     RandomSearch,
     hintset_to_json,
+    objective_from_expression,
 )
+from repro.queries import build_hints
 from repro.service import (
     CampaignSpec,
     CampaignState,
@@ -144,6 +146,25 @@ class TestBuildSearch:
         with pytest.raises(HintSpecError) as excinfo:
             build_search(spec, tiny_dataset)
         assert {e["field"] for e in excinfo.value.errors} == {"params.num_vcs"}
+
+    def test_objective_override_drops_the_bundled_hints(self, noc_dataset):
+        """An ``objective`` replaces the query's objective and its bundled
+        hint kind: a nautilus spec without inline hints then runs the
+        baseline's search, and inline hints still guide it."""
+        objective = objective_from_expression("fmax_mhz/(luts+64*brams)", "max")
+
+        def curve(**fields):
+            spec = CampaignSpec(
+                query="noc-frequency", generations=6, seed=4, **fields
+            )
+            search = build_search(spec, noc_dataset, objective=objective)
+            assert search.objective is objective
+            return search.run().curve()
+
+        baseline = curve(engine="baseline")
+        assert curve(engine="nautilus") == baseline
+        hints = hintset_to_json(build_hints("frequency"))
+        assert curve(engine="nautilus", hints=hints) != baseline
 
     def test_spec_seed_determinism(self, tiny_dataset):
         spec = CampaignSpec(query="noc-frequency", engine="baseline",

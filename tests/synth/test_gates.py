@@ -120,13 +120,6 @@ class TestWordHelpers:
             out = g.simulate_word({"sel": select, **values}, widths)
             assert out["out"] == select + 3
 
-    def test_equals_const(self):
-        g = GateNetwork()
-        bits = g.word("x", 4)
-        g.po("hit", g.equals_const(bits, 9))
-        assert g.simulate_word({"x": 9}, {"x": 4})["hit"] == 1
-        assert g.simulate_word({"x": 8}, {"x": 4})["hit"] == 0
-
     def test_width_mismatch(self):
         g = GateNetwork()
         with pytest.raises(SynthesisError):
