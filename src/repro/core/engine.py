@@ -97,7 +97,9 @@ class GAConfig:
             ``health`` trace events (see :mod:`repro.obs`). On by default;
             the telemetry is derived from already-computed state and
             consumes no RNG draws, so seeded curves are identical with it
-            on or off — disabling merely slims the trace.
+            on or off. Each payload is built the first time something
+            reads the event, so turning this off saves only the breeding
+            observer's hooks and the capture of each event's inputs.
         tracing: Record a span tree for the run (see
             :mod:`repro.obs.tracing`): run → generation → phase →
             eval-batch → task, plus a per-generation ``phase-budget``
@@ -323,13 +325,10 @@ class GeneticSearch(GenerationalEngine):
         )
         return genomes
 
-    def _offspring_attribution(self, offspring) -> list:
+    def _offspring_attribution(self, offspring) -> tuple[float, ...]:
         # The first ``elitism`` offspring are copied elites, not bred —
         # attribution aligns with the children the pipeline produced.
-        bred = offspring[self.config.elitism:]
-        return [
-            (ind.score, ind.score != float("-inf")) for ind in bred
-        ]
+        return offspring.scores[self.config.elitism:]
 
     def _observe_start(self) -> None:
         self._best = max(self._population, key=lambda ind: ind.score)

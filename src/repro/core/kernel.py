@@ -47,6 +47,7 @@ import struct
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -106,14 +107,57 @@ _HEALTH_WINDOW = 8
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RunEvent:
-    """One structured trace event; ``payload`` is always JSON-serializable."""
+    """One structured, immutable trace event; ``payload`` is always
+    JSON-serializable.
 
-    seq: int
-    kind: str
-    generation: int
-    payload: dict[str, Any] = field(default_factory=dict)
+    ``RunEvent(seq, kind, generation, payload)`` holds its payload. An
+    event made by :meth:`deferred` holds a zero-argument ``build`` instead
+    and makes its payload the first time anything reads it (``payload``,
+    :meth:`as_dict`, ``==``, ``repr``); the dict is then kept and
+    ``build`` dropped, and with it the inputs it captured. The kernel's
+    ``health`` and ``hint-attribution`` events are deferred, so a run
+    whose trace nobody reads never builds them.
+    """
+
+    __slots__ = ("seq", "kind", "generation", "_payload", "_build")
+
+    def __init__(
+        self,
+        seq: int,
+        kind: str,
+        generation: int,
+        payload: dict[str, Any] | None = None,
+    ):
+        init = object.__setattr__
+        init(self, "seq", seq)
+        init(self, "kind", kind)
+        init(self, "generation", generation)
+        init(self, "_payload", {} if payload is None else payload)
+        init(self, "_build", None)
+
+    @classmethod
+    def deferred(
+        cls,
+        seq: int,
+        kind: str,
+        generation: int,
+        build: Callable[[], dict[str, Any]],
+    ) -> "RunEvent":
+        """An event whose payload is ``build()``, called on first read."""
+        event = cls(seq, kind, generation)
+        object.__setattr__(event, "_build", build)
+        return event
+
+    @property
+    def payload(self) -> dict[str, Any]:
+        # Two threads reading at once may both build; a builder reads only
+        # its own immutable inputs, so either dict is the payload.
+        build = self._build
+        if build is not None:
+            object.__setattr__(self, "_payload", build())
+            object.__setattr__(self, "_build", None)
+        return self._payload
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -122,6 +166,27 @@ class RunEvent:
             "generation": self.generation,
             **self.payload,
         }
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"RunEvent is immutable (cannot set {name!r})")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.seq, self.kind, self.generation, self.payload) == (
+            other.seq, other.kind, other.generation, other.payload
+        )
+
+    __hash__ = None  # type: ignore[assignment]  # the payload is a dict
+
+    def __repr__(self) -> str:
+        return (
+            f"RunEvent(seq={self.seq!r}, kind={self.kind!r}, "
+            f"generation={self.generation!r}, payload={self.payload!r})"
+        )
+
+    def __reduce__(self):
+        return (RunEvent, (self.seq, self.kind, self.generation, self.payload))
 
 
 class TraceSink:
@@ -329,11 +394,21 @@ class RunTrace:
         generation: int,
         payload: dict[str, Any] | None = None,
         notify: bool = True,
+        *,
+        build: Callable[[], dict[str, Any]] | None = None,
     ) -> RunEvent:
-        """Record one event; ``notify=False`` keeps replays out of sinks."""
+        """Record one event; ``notify=False`` keeps replays out of sinks.
+
+        With ``build`` (instead of ``payload``) the event is
+        :meth:`RunEvent.deferred`: the payload is ``build()``, made when
+        something first reads it.
+        """
         if kind not in RUN_EVENT_KINDS:
             raise NautilusError(f"unknown run-event kind {kind!r}")
-        event = RunEvent(self._seq, kind, generation, dict(payload or {}))
+        if build is not None:
+            event = RunEvent.deferred(self._seq, kind, generation, build)
+        else:
+            event = RunEvent(self._seq, kind, generation, dict(payload or {}))
         self._seq += 1
         self.events.append(event)
         if notify:
@@ -652,9 +727,8 @@ class SearchKernel:
         self._tracer = SpanRecorder(clock=self._clock) if tracing else None
         self._run_span = None
         self._eval_phase = None
-        #: The most recent ``health`` event payload (``None`` until one
-        #: is emitted); surfaced by campaign status and ``nautilus top``.
-        self.latest_health: dict[str, Any] | None = None
+        #: The most recent ``health`` event (see :attr:`latest_health`).
+        self._health_event: RunEvent | None = None
         self._counter = EvaluationStack.wrap(evaluator)
         self._trace = RunTrace(sinks)
         #: {operator: {"calls", "time_s"}}, charged once per generation;
@@ -704,6 +778,14 @@ class SearchKernel:
     def distinct_evaluations(self) -> int:
         """Distinct designs evaluated so far (synthesis jobs paid)."""
         return self._counter.distinct_evaluations
+
+    @property
+    def latest_health(self) -> dict[str, Any] | None:
+        """The last ``health`` event's payload (built on read), or ``None``
+        before one is emitted; surfaced by campaign status and ``nautilus
+        top``."""
+        event = self._health_event
+        return event.payload if event is not None else None
 
     @property
     def best_score(self) -> float | None:
@@ -896,6 +978,41 @@ class SearchKernel:
         checkpoints); a later journal line reopens them."""
 
 
+#: The score of an infeasible offspring.
+_INFEASIBLE = float("-inf")
+
+
+def _health_payload(
+    codes, cardinalities, best_history, stalled, patience, batch_size,
+    batch_infeasible,
+) -> dict[str, Any]:
+    """A deferred ``health`` event's payload, from the inputs
+    :meth:`GenerationalEngine._emit_health` captured."""
+    return population_health(
+        codes,
+        cardinalities=cardinalities,
+        best_history=best_history,
+        stalled_generations=stalled,
+        stall_patience=patience,
+        batch_size=batch_size,
+        batch_infeasible=batch_infeasible,
+    )
+
+
+def _attribution_payload(
+    children, scores, confidence, hinted, importance
+) -> dict[str, Any]:
+    """A deferred ``hint-attribution`` event's payload: the drained
+    children joined with their scores."""
+    return summarize_generation(
+        children,
+        [(score, score != _INFEASIBLE) for score in scores],
+        confidence=confidence,
+        hinted=hinted,
+        effective_importance=importance,
+    )
+
+
 class GenerationalEngine(SearchKernel):
     """A kernel specialization for population-based generational searches.
 
@@ -1021,10 +1138,14 @@ class GenerationalEngine(SearchKernel):
             # shared boundary timestamps, so the phase budget covers the
             # wall-clock by construction (the "init" segment absorbs
             # guidance start and event emission alongside sampling).
-            tr.record("phase", gen_span.start_s, t1, parent=gen_span, phase="init")
+            phases = [
+                tr.record("phase", gen_span.start_s, t1, parent=gen_span,
+                          phase="init")
+            ]
             self._eval_phase = tr.begin(
                 "phase", parent=gen_span, at=t1, phase="evaluate"
             )
+            phases.append(self._eval_phase)
         self._population = self._assess_population(genomes, 0)
         if tr is not None:
             b2 = self._clock()
@@ -1038,9 +1159,11 @@ class GenerationalEngine(SearchKernel):
         self._push_record(record)
         if tr is not None:
             b3 = self._clock()
-            tr.record("phase", b2, b3, parent=gen_span, phase="observe")
+            phases.append(
+                tr.record("phase", b2, b3, parent=gen_span, phase="observe")
+            )
             tr.end(gen_span, at=b3)
-            self._emit_phase_budget(0, gen_span)
+            self._emit_phase_budget(0, gen_span, phases)
         return record
 
     def _do_step(self) -> GenerationRecord:
@@ -1066,10 +1189,13 @@ class GenerationalEngine(SearchKernel):
             self._charge_operator(operator, calls, time_s)
         if tr is not None:
             b1 = self._clock()
-            self._record_breed_phases(gen_span, gen_span.start_s, b1, timings)
+            phases = self._record_breed_phases(
+                gen_span, gen_span.start_s, b1, timings
+            )
             self._eval_phase = tr.begin(
                 "phase", parent=gen_span, at=b1, phase="evaluate"
             )
+            phases.append(self._eval_phase)
         offspring = self._assess_population(genomes, generation)
         if tr is not None:
             b2 = self._clock()
@@ -1095,14 +1221,18 @@ class GenerationalEngine(SearchKernel):
         self._push_record(record)
         if tr is not None:
             b3 = self._clock()
-            tr.record("phase", b2, b3, parent=gen_span, phase="observe")
+            phases.append(
+                tr.record("phase", b2, b3, parent=gen_span, phase="observe")
+            )
         if self._journal is not None:
             self._snapshot()
         if tr is not None:
             b4 = self._clock()
-            tr.record("phase", b3, b4, parent=gen_span, phase="checkpoint")
+            phases.append(
+                tr.record("phase", b3, b4, parent=gen_span, phase="checkpoint")
+            )
             tr.end(gen_span, at=b4)
-            self._emit_phase_budget(generation, gen_span)
+            self._emit_phase_budget(generation, gen_span, phases)
         return record
 
     def _assess_population(self, genomes: Sequence[Genome], generation: int):
@@ -1310,8 +1440,9 @@ class GenerationalEngine(SearchKernel):
         start_s: float,
         end_s: float,
         timings: dict[str, list[float]],
-    ) -> None:
-        """Tile the breeding window into select/crossover/mutate phases.
+    ) -> list:
+        """Tile the breeding window into select/crossover/mutate phases
+        (returned in order).
 
         The window (generation start → evaluation start) also contains
         guidance advance and event emission; the operator timings say how
@@ -1327,24 +1458,31 @@ class GenerationalEngine(SearchKernel):
         total = sum(w for _, w in weights)
         window = end_s - start_s
         if total <= 0 or window <= 0:
-            self._tracer.record(
-                "phase", start_s, end_s, parent=gen_span, phase="select"
-            )
-            return
+            return [
+                self._tracer.record(
+                    "phase", start_s, end_s, parent=gen_span, phase="select"
+                )
+            ]
+        spans = []
         edge = start_s
         for i, (label, weight) in enumerate(weights):
             nxt = end_s if i == len(weights) - 1 else edge + window * (weight / total)
-            self._tracer.record("phase", edge, nxt, parent=gen_span, phase=label)
+            spans.append(
+                self._tracer.record("phase", edge, nxt, parent=gen_span, phase=label)
+            )
             edge = nxt
+        return spans
 
-    def _emit_phase_budget(self, generation: int, gen_span) -> None:
+    def _emit_phase_budget(self, generation: int, gen_span, spans: list) -> None:
         """One ``phase-budget`` event (and Prometheus observation) per
-        generation: where its wall-clock went, by phase."""
+        generation: where its wall-clock went, by phase. ``spans`` are the
+        generation's phase spans in creation order, kept as they were
+        recorded: finding them in the tracer would walk every span of the
+        run at every generation."""
         phases: dict[str, float] = {}
-        for span in self._tracer.spans():
-            if span.parent_id == gen_span.span_id and span.name == "phase":
-                label = str(span.attrs.get("phase", "?"))
-                phases[label] = phases.get(label, 0.0) + (span.duration_s or 0.0)
+        for span in spans:
+            label = str(span.attrs.get("phase", "?"))
+            phases[label] = phases.get(label, 0.0) + (span.duration_s or 0.0)
         wall = gen_span.duration_s or 0.0
         payload = {
             "phases": phases,
@@ -1436,54 +1574,67 @@ class GenerationalEngine(SearchKernel):
 
     # -- observability (see repro.obs; read-only w.r.t. the RNG streams) ---------
 
+    # Both events are deferred (RunEvent.deferred): each captures only
+    # flat, immutable inputs — tuples, numbers and the run's own mappings,
+    # never a Population, an Individual or the offspring list, whose
+    # object graphs would stay alive in the trace and be walked by the
+    # cyclic GC — and builds its payload on first read.
+
     def _emit_attribution(self, generation: int, offspring: Sequence[Any]) -> None:
         """One ``hint-attribution`` event joining breeding provenance with
-        the offspring's freshly computed scores."""
+        the offspring's freshly computed scores (when a child was bred)."""
         observer = self._breeding_observer()
         if observer is None or not self.observability:
             return
         children = observer.drain()
+        if not children:
+            return
         confidence, hinted, importance = self._attribution_context(generation)
-        payload = summarize_generation(
-            children,
-            self._offspring_attribution(offspring),
-            confidence=confidence,
-            hinted=hinted,
-            effective_importance=importance,
+        self._trace.emit(
+            "hint-attribution",
+            generation,
+            build=partial(
+                _attribution_payload,
+                children,
+                self._offspring_attribution(offspring),
+                confidence,
+                hinted,
+                importance,
+            ),
         )
-        if payload is not None:
-            self._trace.emit("hint-attribution", generation, payload)
 
     def _emit_health(self, generation: int) -> None:
         """One ``health`` event summarizing the surviving population."""
         if not self.observability or not self._population:
             return
-        batch_size, batch_infeasible = self._last_batch
         population = self._population
-        payload = population_health(
-            population.codes
-            if isinstance(population, Population)
-            else [ind.genome.codes for ind in population],
-            cardinalities=self._cardinalities,
-            best_history=list(self._best_window),
-            stalled_generations=self._stalled_generations,
-            stall_patience=self.stall_generations,
-            batch_size=batch_size,
-            batch_infeasible=batch_infeasible,
+        batch_size, batch_infeasible = self._last_batch
+        self._health_event = self._trace.emit(
+            "health",
+            generation,
+            build=partial(
+                _health_payload,
+                population.codes
+                if isinstance(population, Population)
+                else tuple(ind.genome.codes for ind in population),
+                self._cardinalities,
+                tuple(self._best_window),
+                self._stalled_generations,
+                self.stall_generations,
+                batch_size,
+                batch_infeasible,
+            ),
         )
-        self.latest_health = payload
-        self._trace.emit("health", generation, payload)
 
     def _breeding_observer(self):
         """The engine's breeding observer, when attribution is wired up."""
         operators = getattr(self, "operators", None)
         return getattr(operators, "observer", None)
 
-    def _offspring_attribution(
-        self, offspring: Sequence[Any]
-    ) -> list[tuple[float, bool]]:
-        """Aligned ``(score, feasible)`` per *bred* child, breeding order."""
-        return []
+    def _offspring_attribution(self, offspring: Sequence[Any]) -> tuple[float, ...]:
+        """The score of each *bred* child, breeding order (a child is
+        feasible when its score is not ``-inf``)."""
+        return ()
 
     def _attribution_context(
         self, generation: int

@@ -418,13 +418,11 @@ class ParetoSearch(GenerationalEngine):
             timings,
         )
 
-    def _offspring_attribution(self, offspring) -> list:
+    def _offspring_attribution(self, offspring) -> tuple[float, ...]:
         # Every offspring is bred (NSGA-II elitism lives in the survivor
         # rule); attribution projects onto the first objective like the
         # record/curve bookkeeping.
-        return [
-            (ind.scores[0], ind.scores[0] != float("-inf")) for ind in offspring
-        ]
+        return tuple(ind.scores[0] for ind in offspring)
 
     def _survivors(self, offspring: list[ParetoIndividual]) -> list[ParetoIndividual]:
         # Environmental selection over the combined parent+offspring pool.

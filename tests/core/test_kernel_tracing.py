@@ -2,9 +2,18 @@
 
 import pytest
 
-from repro.core import GAConfig, GeneticSearch, RandomSearch, maximize
+from repro.core import (
+    EvaluationStack,
+    GAConfig,
+    GeneticSearch,
+    ParetoSearch,
+    RandomSearch,
+    maximize,
+    minimize,
+)
 from repro.obs import (
     FakeClock,
+    MetricsRegistry,
     phase_budget,
     span_tree,
     validate_accounting,
@@ -144,3 +153,63 @@ class TestBitIdentity:
             assert event.payload["coverage"] >= 0.95
             assert event.payload["wall_time_s"] >= 0
         assert events(False) == []
+
+
+class TestPhaseBudgetFold:
+    """Every ``phase-budget`` payload, and every ``nautilus_phase_seconds``
+    observation, equals a fold over the whole span list: the generation's
+    phase spans, by parent id, in creation order."""
+
+    @pytest.mark.parametrize("engine", ["genetic", "pareto"])
+    def test_payloads_equal_a_fold_over_every_span(
+        self, toy_space, toy_evaluator, engine
+    ):
+        registry = MetricsRegistry()
+        stack = EvaluationStack(toy_evaluator, registry=registry)
+        config = GAConfig(seed=9, generations=15, tracing=True)
+        # An uneven tick makes every duration an inexact float, so the
+        # fold's order shows in the sums.
+        clock = FakeClock(start=0.0, tick=0.0013)
+        if engine == "genetic":
+            search = GeneticSearch(
+                toy_space, stack, maximize("m"), config, clock=clock
+            )
+        else:
+            search = ParetoSearch(
+                toy_space, stack, (maximize("m"), minimize("inverse")),
+                config, clock=clock,
+            )
+        result = search.run()
+        spans = search.tracer.spans()
+        generations = {
+            s.attrs["generation"]: s for s in spans if s.name == "generation"
+        }
+        budgets = [e for e in result.events if e.kind == "phase-budget"]
+        assert [e.generation for e in budgets] == sorted(generations)
+        observed: dict[str, list] = {}
+        for event in budgets:
+            gen_span = generations[event.generation]
+            phases: dict[str, float] = {}
+            for span in spans:
+                if span.parent_id == gen_span.span_id and span.name == "phase":
+                    label = str(span.attrs.get("phase", "?"))
+                    phases[label] = phases.get(label, 0.0) + (
+                        span.duration_s or 0.0
+                    )
+            wall = gen_span.duration_s or 0.0
+            assert list(event.payload["phases"].items()) == list(phases.items())
+            assert event.payload["wall_time_s"] == wall
+            assert event.payload["coverage"] == (
+                sum(phases.values()) / wall if wall > 0 else 1.0
+            )
+            for label, seconds in phases.items():
+                total = observed.setdefault(label, [0.0, 0])
+                total[0] += seconds
+                total[1] += 1
+        histogram = registry.histogram(
+            "nautilus_phase_seconds", labelnames=("phase",)
+        )
+        assert observed
+        for label, (seconds, count) in observed.items():
+            snapshot = histogram.snapshot(phase=label)
+            assert (snapshot["sum"], snapshot["count"]) == (seconds, count)

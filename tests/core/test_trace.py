@@ -1,20 +1,30 @@
 """Unit tests for the structured run trace: events, sinks, aggregation."""
 
 import json
+import pickle
+import sys
+import threading
 
 import pytest
 
 from repro.analysis import trace_summary
 from repro.core import (
     CappedJsonlTraceSink,
+    GAConfig,
+    GeneticSearch,
+    HintSet,
     JsonlTraceSink,
     NautilusError,
+    ParamHints,
+    ParetoSearch,
     RecordingTraceSink,
     RunEvent,
     RunTrace,
     SearchKernel,
     maximize,
+    minimize,
 )
+from repro.core.fileio import dumps
 
 
 class TestRunEvent:
@@ -24,6 +34,73 @@ class TestRunEvent:
             "seq": 3, "kind": "eval-batch", "generation": 1,
             "size": 10, "distinct": 4,
         }
+
+    def test_deferred_payload_is_built_once_on_first_read(self):
+        calls = []
+
+        def build():
+            calls.append(1)
+            return {"size": 10, "distinct": 4}
+
+        event = RunEvent.deferred(3, "eval-batch", 1, build)
+        assert calls == []
+        eager = RunEvent(3, "eval-batch", 1, {"size": 10, "distinct": 4})
+        assert event == eager
+        assert repr(event) == repr(eager)
+        assert event.as_dict() == eager.as_dict()
+        assert event.payload is event.payload
+        assert calls == [1]
+
+    def test_concurrent_first_reads_all_get_the_payload(self):
+        # A status request may read an event while the scheduler thread
+        # does: every reader gets the same payload, and one is kept.
+        def build():
+            return {"total": sum(range(2_000))}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                event = RunEvent.deferred(0, "health", 0, build)
+                barrier = threading.Barrier(8)
+                seen, errors = [], []
+
+                def read():
+                    try:
+                        barrier.wait(timeout=5)
+                        seen.append(event.payload)
+                    except Exception as exc:  # reported below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=read) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=5)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert seen == [build()] * 8
+                assert event.payload is event.payload
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_events_are_immutable_and_pickle_with_their_payload(self):
+        event = RunEvent.deferred(0, "health", 0, lambda: {"population": 4})
+        with pytest.raises(AttributeError):
+            event.seq = 5
+        copy = pickle.loads(pickle.dumps(event))
+        assert copy == RunEvent(0, "health", 0, {"population": 4})
+
+    def test_emit_with_build_defers_the_payload(self):
+        trace = RunTrace()
+        calls = []
+        trace.emit("health", 0, build=lambda: calls.append(1) or {"x": 1})
+        (event,) = trace.events
+        assert calls == []
+        assert event.as_dict() == {
+            "seq": 0, "kind": "health", "generation": 0, "x": 1,
+        }
+        assert calls == [1]
 
 
 class TestRunTrace:
@@ -164,6 +241,64 @@ class TestJsonlTraceSink:
         sink.close()
         marker = [l for l in lines if l["kind"] == "trace-truncated"]
         assert marker and marker[0]["dropped"] > 0
+
+
+class TestJsonlFilesHoldTheTrace:
+    """A run's ``events.jsonl`` lines (the daemon's file) are the bytes of
+    its in-memory events, in order, deferred payloads included."""
+
+    @pytest.mark.parametrize("engine", ["genetic", "pareto"])
+    def test_every_line_is_an_in_memory_event(
+        self, toy_space, toy_evaluator, tmp_path, engine
+    ):
+        config = GAConfig(seed=6, generations=10)
+        hints = HintSet(
+            {"a": ParamHints(importance=80, bias=0.7)}, confidence=0.8
+        )
+        if engine == "genetic":
+            search = GeneticSearch(
+                toy_space, toy_evaluator, maximize("m"), config, hints=hints
+            )
+        else:
+            search = ParetoSearch(
+                toy_space, toy_evaluator,
+                (maximize("m"), minimize("inverse")), config, hints=hints,
+            )
+        sinks = {
+            "plain": JsonlTraceSink(tmp_path / "plain.jsonl"),
+            "capped": CappedJsonlTraceSink(
+                tmp_path / "capped.jsonl", max_events=10_000
+            ),
+            "small": CappedJsonlTraceSink(
+                tmp_path / "small.jsonl", max_events=16
+            ),
+        }
+        for sink in sinks.values():
+            search.attach_sink(sink)
+        result = search.run()
+        for sink in sinks.values():
+            sink.close()
+        expected = [dumps(event.as_dict()) for event in result.events]
+        kinds = {json.loads(line)["kind"] for line in expected}
+        assert {"health", "hint-attribution"} <= kinds
+
+        def lines(name):
+            return (tmp_path / f"{name}.jsonl").read_text().splitlines()
+
+        assert lines("plain") == expected
+        assert lines("capped") == expected
+        # The compacting sink keeps a head and a tail of the same lines.
+        small = lines("small")
+        (at,) = [
+            i for i, line in enumerate(small)
+            if json.loads(line)["kind"] == CappedJsonlTraceSink.MARKER_KIND
+        ]
+        head, tail = small[:at], small[at + 1:]
+        assert head == expected[: len(head)]
+        assert tail == expected[len(expected) - len(tail):]
+        assert json.loads(small[at])["dropped"] == (
+            len(expected) - len(head) - len(tail)
+        )
 
 
 class TestTraceSummary:

@@ -195,6 +195,42 @@ class TestKernelHealthEvents:
             assert payload["population"] == search.config.population_size
         assert search.latest_health == healths[-1].payload
 
+    def test_health_payload_is_built_on_first_read(
+        self, toy_space, toy_evaluator, monkeypatch
+    ):
+        import repro.core.kernel as kernel
+
+        calls = []
+        real = kernel.population_health
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, "population_health", counted)
+        search = GeneticSearch(
+            toy_space, toy_evaluator, maximize("m"),
+            GAConfig(generations=5, seed=2, stall_generations=4),
+        )
+        result = search.run()
+        assert calls == []
+        healths = [e for e in result.events if e.kind == "health"]
+        last = search.latest_health
+        assert len(calls) == 1
+        assert [e.payload for e in healths][-1] is last
+        assert len(calls) == len(healths) == len(result.records)
+        # The payload an eager call on the run's final state gives.
+        size, infeasible = search._last_batch
+        assert last == population_health(
+            search._population.codes,
+            cardinalities={p.name: p.cardinality for p in toy_space.params},
+            best_history=list(search._best_window),
+            stalled_generations=search._stalled_generations,
+            stall_patience=4,
+            batch_size=size,
+            batch_infeasible=infeasible,
+        )
+
     def test_latest_health_mirrors_status(self, toy_space, toy_evaluator):
         search = GeneticSearch(
             toy_space, toy_evaluator, maximize("m"),
