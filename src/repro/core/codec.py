@@ -129,33 +129,6 @@ class SpaceCodec:
                 ) from None
         return tuple(codes)
 
-    def mapping_keys(self, configs: Sequence[Mapping[str, Any]]) -> list[tuple]:
-        """The values keys of many ``{name: value}`` configs, validated.
-
-        One pass per parameter column instead of one :meth:`encode_mapping`
-        call per config: each value is looked up in its parameter's index
-        map and replaced by the canonical frozen domain value, so ``1.0``,
-        ``true`` and ``[2, 4]`` spellings land on the keys they land on one
-        at a time. When any config fails, the configs go through
-        :meth:`encode_mapping` in order, so the first bad one raises its
-        :class:`GenomeError`; validation has that one rule.
-        """
-        names = self._name_set
-        try:
-            if all(config.keys() == names for config in configs):
-                columns = []
-                for pos, name in enumerate(self.names):
-                    frozen = self.frozen[pos]
-                    column = [config[name] for config in configs]
-                    if any(isinstance(value, tuple) for value in frozen):
-                        column = map(freeze_value, column)
-                    index = self.index_maps[pos]
-                    columns.append([frozen[index[value]] for value in column])
-                return list(zip(*columns))
-        except Exception:
-            pass  # the per-config path below raises the first bad config's error
-        return [self.values_key(self.encode_mapping(c)) for c in configs]
-
     def recode(
         self, codes: Sequence[int], changes: Mapping[str, Any]
     ) -> tuple[int, ...]:

@@ -82,6 +82,8 @@ class DatasetEvaluator:
         return f"dataset:{self._dataset.content_fingerprint()}:{mode}"
 
     def evaluate(self, genome: Genome) -> Metrics:
+        """The genome's row, looked up by its mixed-radix position, as a
+        fresh dict the caller may keep or mutate."""
         try:
             return self._dataset.lookup(genome)
         except DatasetError:

@@ -10,8 +10,10 @@ cache (gzipped JSON under ``data/`` by default, overridable via
 from __future__ import annotations
 
 import os
+import zlib
 from pathlib import Path
 
+from ..core.errors import DatasetError, GenomeError
 from ..core.space import DesignSpace
 from ..dsp.space import FirEvaluator, fir_space
 from ..fft.space import FftEvaluator, fft_space
@@ -29,6 +31,12 @@ __all__ = [
 #: Bump when a generator/flow change invalidates old characterizations.
 DATASET_VERSION = "v1"
 
+#: What ``Dataset.load`` raises for a stale, foreign or corrupt file: a
+#: payload of the wrong shape or for another space, a config outside the
+#: space, bad JSON (``ValueError``) and a truncated or damaged gzip stream.
+#: Anything else is a fault in the loader and propagates.
+_STALE = (DatasetError, GenomeError, ValueError, EOFError, OSError, zlib.error)
+
 
 def data_dir() -> Path:
     """Directory for cached datasets (created on demand)."""
@@ -41,13 +49,14 @@ def data_dir() -> Path:
 def load_or_characterize(
     space: DesignSpace, evaluator, tag: str, refresh: bool = False
 ) -> Dataset:
-    """Load a cached dataset or characterize the space and cache it."""
+    """Load a cached dataset, or characterize the space and cache it when
+    there is no file or the file is stale, foreign or corrupt."""
     path = data_dir() / f"{tag}_{DATASET_VERSION}.json.gz"
     if path.exists() and not refresh:
         try:
             return Dataset.load(path, space)
-        except Exception:
-            pass  # stale or corrupt cache: recharacterize below
+        except _STALE:
+            pass  # recharacterize below
     dataset = Dataset.characterize(space, evaluator, name=tag)
     dataset.save(path)
     return dataset

@@ -394,8 +394,9 @@ class Campaign:
     cancel_requested: bool = False
     search: Any = field(default=None, repr=False)
     result: Any = field(default=None, repr=False)
-    #: Terminal outcome reloaded from the store after a daemon restart —
-    #: served when no live engine object exists for this campaign.
+    #: A terminal campaign's ``result.json``, read back when the scheduler
+    #: finalizes it (or when a restarted daemon recovers it), which then
+    #: drops ``search`` and ``result``: what it serves.
     stored_result: dict[str, Any] | None = field(default=None, repr=False)
 
     @property
@@ -414,13 +415,11 @@ class Campaign:
             payload["error"] = self.error
         source = self.result or self.search
         if source is None:
-            if self.stored_result:
-                for key in (
-                    "best_raw", "best_score", "best_config",
-                    "distinct_evaluations", "stop_reason", "front", "health",
-                ):
-                    if key in self.stored_result:
-                        payload[key] = self.stored_result[key]
+            # The stored payload was this method's output at finalize, so
+            # its keys come back in the order the live campaign wrote them.
+            for key, value in (self.stored_result or {}).items():
+                if key not in payload and key != "curve":
+                    payload[key] = value
             return payload
         records = source.records
         if records:

@@ -406,6 +406,11 @@ class Scheduler:
             sink.close()
         if campaign.search is not None:
             campaign.search.close()
+        # Serve the campaign from what save_result wrote, as a restarted
+        # daemon does: the engine, its result and their event payloads go.
+        campaign.stored_result = self.store.load_result(campaign.id)
+        campaign.search = None
+        campaign.result = None
 
     # -- structured trace ---------------------------------------------------------
 

@@ -9,6 +9,7 @@ import pytest
 from repro.archive import DesignArchive
 from repro.core import EvalStats, NautilusError
 from repro.service import (
+    Campaign,
     CampaignSpec,
     CampaignState,
     CampaignStore,
@@ -39,6 +40,23 @@ def _drain(scheduler, limit=10_000):
     raise AssertionError("scheduler did not drain")
 
 
+def _bodies(campaign):
+    """The status and curve bodies the daemon serves for a campaign."""
+    return json.dumps(campaign.status_payload()), json.dumps(campaign.curve_payload())
+
+
+def _sequential_bodies(campaign, dataset):
+    """The bodies of the same spec run in process to its end, served from
+    the live engine and result."""
+    search = build_search(campaign.spec, dataset)
+    result = search.run()
+    live = Campaign(
+        id=campaign.id, spec=campaign.spec, state=CampaignState.DONE,
+        generations_done=search.generation, search=search, result=result,
+    )
+    return _bodies(live)
+
+
 class TestScheduling:
     def test_idle_tick_returns_false(self, scheduler):
         assert scheduler.tick() is False
@@ -47,7 +65,8 @@ class TestScheduling:
         campaign = scheduler.submit(_spec())
         _drain(scheduler)
         assert campaign.state == CampaignState.DONE
-        assert campaign.result.stop_reason == "horizon"
+        assert campaign.search is None and campaign.result is None
+        assert campaign.status_payload()["stop_reason"] == "horizon"
         assert campaign.generations_done == 4
 
     def test_round_robin_interleaves_fairly(self, scheduler):
@@ -73,10 +92,8 @@ class TestScheduling:
         specs = [_spec(seed=s, generations=5) for s in (3, 4, 5)]
         campaigns = [scheduler.submit(spec) for spec in specs]
         _drain(scheduler)
-        for spec, campaign in zip(specs, campaigns):
-            sequential = build_search(spec, tiny_dataset).run()
-            assert campaign.result.best_raw == sequential.best_raw
-            assert campaign.result.curve() == sequential.curve()
+        for campaign in campaigns:
+            assert _bodies(campaign) == _sequential_bodies(campaign, tiny_dataset)
 
     def test_cancel_queued_is_immediate(self, scheduler):
         campaign = scheduler.submit(_spec())
@@ -92,7 +109,7 @@ class TestScheduling:
         scheduler.tick()
         assert campaign.state == CampaignState.CANCELLED
         # A cancelled campaign still reports its partial progress.
-        assert campaign.result.stop_reason == "cancelled"
+        assert campaign.status_payload()["stop_reason"] == "cancelled"
         assert campaign.generations_done >= 1
 
     def test_unknown_campaign_rejected(self, scheduler):
@@ -148,15 +165,13 @@ class TestRecovery:
         resumed = second.get(campaign.id)
         assert resumed.state == CampaignState.DONE
 
-        sequential = build_search(spec, tiny_dataset).run()
-        assert resumed.result.best_raw == sequential.best_raw
-        assert resumed.result.curve() == sequential.curve()
-        # The restored evaluation cache keeps pre-crash designs paid for.
-        assert resumed.result.distinct_evaluations == sequential.distinct_evaluations
-        assert paid_before <= sequential.distinct_evaluations
+        # The restored evaluation cache keeps pre-crash designs paid for:
+        # the same distinct evaluations as the uninterrupted run.
+        assert _bodies(resumed) == _sequential_bodies(resumed, tiny_dataset)
+        assert paid_before <= resumed.status_payload()["distinct_evaluations"]
 
     def test_resumed_campaign_archives_its_restored_rows(
-        self, tmp_path, tiny_provider
+        self, tmp_path, tiny_provider, tiny_dataset
     ):
         """Checkpointed by a daemon without an archive, resumed by one with
         a fresh archive: every memo row ends up archived under the
@@ -178,14 +193,19 @@ class TestRecovery:
         _drain(second)
         resumed = second.get(campaign.id)
         assert resumed.state == CampaignState.DONE
-        memo = [list(values) for (__, values), __ in resumed.search.stack.memo_items()]
+        # The resumed campaign paid for the designs its uninterrupted twin
+        # paid for (its served body equals the twin's).
+        assert _bodies(resumed) == _sequential_bodies(resumed, tiny_dataset)
+        sequential = build_search(campaign.spec, tiny_dataset)
+        sequential.run()
+        memo = [list(values) for (__, values), __ in sequential.stack.memo_items()]
         assert len(memo) >= len(restored)
         (path,) = (tmp_path / "archive").glob("*.jsonl")
         rows = [json.loads(line) for line in path.read_text().splitlines()[1:]]
         assert sorted(row["values"] for row in rows) == sorted(memo)
         assert {row["campaign"] for row in rows} == {campaign.id}
 
-    def test_recover_skips_terminal(self, tmp_path, tiny_provider):
+    def test_recover_skips_terminal(self, tmp_path, tiny_provider, tiny_dataset):
         store_root = tmp_path / "campaigns"
         first = Scheduler(CampaignStore(store_root), dataset_provider=tiny_provider)
         done = first.submit(_spec(seed=1))
@@ -196,9 +216,11 @@ class TestRecovery:
         assert second.recover() == []
         loaded = second.get(done.id)
         assert loaded.state == CampaignState.DONE
-        # Terminal campaigns answer status/curve queries from the stored result.
-        assert loaded.status_payload()["best_raw"] == done.result.best_raw
-        assert loaded.curve_payload() == done.curve_payload()
+        # Terminal campaigns answer status/curve queries from the stored
+        # result, byte for byte what the first daemon and the in-process
+        # run serve.
+        assert _bodies(loaded) == _bodies(done)
+        assert _bodies(loaded) == _sequential_bodies(done, tiny_dataset)
 
 
 class TestPersistedLines:
@@ -279,6 +301,16 @@ class TestSharedEvaluationPool:
             tmp_path / "campaigns", workers=4,
             dataset_provider=lambda name: datasets[name],
         )
+        # Each campaign's evaluation counters, read as it is finalized (the
+        # scheduler then drops its engine).
+        closing_stats = {}
+        finalize = service.scheduler._finalize
+
+        def finalize_and_record(campaign, state):
+            closing_stats[campaign.id] = campaign.search.stack.stats()
+            finalize(campaign, state)
+
+        service.scheduler._finalize = finalize_and_record
         others = set(_eval_threads())
         switch_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # interleave the threads harder
@@ -295,13 +327,11 @@ class TestSharedEvaluationPool:
         assert _eval_threads(others) == []
         for spec, cid, final in zip(specs, ids, finals):
             assert final["state"] == CampaignState.DONE, final
-            result = service.scheduler.get(cid).result
+            campaign = service.scheduler.get(cid)
             dataset = datasets["noc" if spec.query.startswith("noc") else "fft"]
-            sequential = build_search(spec, dataset).run()
-            assert result.records == sequential.records
-            assert result.best_config == sequential.best_config
-            assert result.distinct_evaluations == sequential.distinct_evaluations
-            stats = result.eval_stats
+            assert _bodies(campaign) == _sequential_bodies(campaign, dataset)
+            assert json.dumps(final) == _bodies(campaign)[0]
+            stats = closing_stats[cid]
             assert stats.requests == (
                 stats.distinct + stats.memo_hits + stats.persistent_hits
                 + stats.batch_dedup_hits

@@ -9,7 +9,10 @@ in-flight campaigns from the store without re-paying for cached
 evaluations.
 """
 
+import gc
 import json
+import tracemalloc
+import urllib.request
 
 import pytest
 
@@ -17,6 +20,7 @@ from repro.cli import main
 from repro.core import hintset_to_json
 from repro.queries import build_hints
 from repro.service import (
+    Campaign,
     CampaignSpec,
     SearchService,
     ServiceClient,
@@ -283,3 +287,114 @@ class TestDaemonRestart:
             assert client2.curve(cid)  # served from the stored result
         finally:
             second.stop()
+
+
+def _get_bytes(port: int, path: str) -> bytes:
+    with urllib.request.urlopen(f"http://127.0.0.1:{port}{path}", timeout=30) as resp:
+        return resp.read()
+
+
+def _drain(scheduler) -> None:
+    while scheduler.tick():
+        pass
+
+
+class TestFinishedCampaigns:
+    """A finished campaign is served from its ``result.json``: the daemon
+    drops its engine and result at finalize, as a restarted daemon never
+    had them."""
+
+    SPECS = [
+        CampaignSpec(query="noc-frequency", engine="nautilus", generations=12, seed=3),
+        CampaignSpec(query="fft-luts-vs-throughput", engine="pareto",
+                     generations=6, seed=4),
+    ]
+
+    def test_bodies_stay_byte_identical(self, tmp_path, provider):
+        """GET /campaigns, /campaigns/<id>, /curve, /hints and /trace of a
+        finished campaign: the bytes its live engine and result served,
+        then after a daemon restart."""
+        root = tmp_path / "campaigns"
+        first = SearchService(root, port=0, dataset_provider=provider)
+        first.start(run_scheduler=False)
+        live = {}
+        save_result = first.scheduler.store.save_result
+
+        def keep_live(campaign):
+            live[campaign.id] = (campaign.search, campaign.result)
+            save_result(campaign)
+
+        first.scheduler.store.save_result = keep_live
+        client = ServiceClient(port=first.port)
+        ids = [client.submit(spec) for spec in self.SPECS]
+        _drain(first.scheduler)
+        paths = ["/campaigns"] + [
+            f"/campaigns/{cid}{tail}" for cid in ids
+            for tail in ("", "/curve", "/hints", "/trace")
+        ]
+        try:
+            served = {path: _get_bytes(first.port, path) for path in paths}
+            expected = {}
+            for cid in ids:
+                campaign = first.scheduler.get(cid)
+                assert campaign.state == "done"
+                assert campaign.search is None and campaign.result is None
+                search, result = live[cid]
+                held = Campaign(
+                    id=cid, spec=campaign.spec, state=campaign.state,
+                    generations_done=campaign.generations_done,
+                    search=search, result=result,
+                )
+                expected[f"/campaigns/{cid}"] = json.dumps(held.status_payload())
+                expected[f"/campaigns/{cid}/curve"] = json.dumps(held.curve_payload())
+            expected["/campaigns"] = "[" + ", ".join(
+                expected[f"/campaigns/{cid}"] for cid in ids) + "]"
+        finally:
+            first.stop()
+        for path, body in expected.items():
+            assert served[path] == body.encode(), path
+        assert json.loads(served[f"/campaigns/{ids[1]}"])["front"]
+        assert json.loads(served[f"/campaigns/{ids[0]}"])["health"]
+
+        second = SearchService(root, port=0, dataset_provider=provider).start()
+        try:
+            for path in paths:
+                assert _get_bytes(second.port, path) == served[path], path
+        finally:
+            second.stop()
+
+    def test_memory_per_finished_campaign_is_bounded(self, tmp_path, provider):
+        """Traced Python memory a tick-stepped daemon keeps per finished
+        40-generation campaign: 37.7 KiB measured (its stored result, its
+        metrics entries and a share of the spaces' feasibility memos);
+        325 KiB while it kept the engine, the result and their events."""
+        service = SearchService(tmp_path / "campaigns", port=0,
+                                dataset_provider=provider)
+        service.start(run_scheduler=False)
+        scheduler = service.scheduler
+        queries = ["noc-frequency", "fft-luts"]
+
+        def battery(first_seed, count):
+            for k in range(count):
+                scheduler.submit(CampaignSpec(
+                    query=queries[k % 2], engine="nautilus",
+                    generations=40, seed=first_seed + k,
+                ))
+            _drain(scheduler)
+
+        try:
+            battery(1, 4)  # warm-up: memos, pools and first-use state
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                battery(100, 10)
+                gc.collect()
+                after = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        finally:
+            service.stop()
+        assert all(c.terminal and c.search is None
+                   for c in scheduler.list_campaigns())
+        assert (after - before) / 10 < 100 * 1024
