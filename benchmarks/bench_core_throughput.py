@@ -52,7 +52,7 @@ from repro.core.operators import (  # noqa: E402
     single_point_crossover,
 )
 from repro.core.population import Population  # noqa: E402
-from repro.core.selection import SELECTION_STRATEGIES, Individual  # noqa: E402
+from repro.core.selection import Individual, roulette_selection  # noqa: E402
 from repro.queries import QUERIES, build_hints, load_dataset  # noqa: E402
 
 BASELINE = Path(__file__).resolve().parent / "baselines" / "core_throughput_pre.json"
@@ -190,7 +190,7 @@ def micro_bench(space, objective, hints, dataset, breeds, repeats):
             "current",
             BreedingPipeline,
             GeneticOperators,
-            SELECTION_STRATEGIES["roulette"],
+            roulette_selection,
             single_point_crossover,
         ),
         (

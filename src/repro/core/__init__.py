@@ -65,15 +65,8 @@ from .operators import (
     GeneticOperators,
     scalar_score,
     single_point_crossover,
-    two_point_crossover,
-    uniform_crossover,
 )
-from .selection import (
-    Individual,
-    rank_selection,
-    roulette_selection,
-    tournament_selection,
-)
+from .selection import Individual, roulette_selection
 from .fitness import Metrics, Objective, maximize, minimize
 from .evalstack import (
     EvalStats,
@@ -162,12 +155,8 @@ __all__ = [
     "GeneticOperators",
     "BreedingPipeline",
     "scalar_score",
-    "uniform_crossover",
     "single_point_crossover",
-    "two_point_crossover",
     "Individual",
-    "rank_selection",
-    "tournament_selection",
     "roulette_selection",
     # fitness / evaluation
     "Objective",

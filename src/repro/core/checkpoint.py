@@ -31,15 +31,9 @@ line (a writer killed mid-line) is ignored — the resumed
 search finishes, the journal is compacted into one full line through
 :meth:`SearchCheckpoint.save` (tmp + replace).
 
-Formats 4 and 5 still load. Both write each RNG state as a list of 625
-ints, which the decoder tells apart from packed words by its shape; a
-format-5 line differs from a format-6 one in nothing else, so a format-5
-journal continued by this version simply gains format-6 lines. An older
-reader rejects a format-6 line as an unsupported format. A format-4 file
-is one line with the same keys, so it loads as a one-line journal; it
-carries no counters, so its rows count as distinct evaluations, as they
-did in format 4. A malformed RNG state of any format raises
-:class:`~repro.core.errors.NautilusError` when a search resumes from it.
+A line of any other format is rejected as unsupported, and a malformed
+RNG state raises :class:`~repro.core.errors.NautilusError` when a search
+resumes from it.
 
 This module holds only the format. The journal's writer and reader is
 :class:`~repro.core.kernel.GenerationalEngine`: an engine built with
@@ -62,8 +56,6 @@ from .space import DesignSpace
 __all__ = ["SearchCheckpoint", "CheckpointJournal"]
 
 _FORMAT_VERSION = 6
-#: Formats a journal line may carry (a format-4 file is a one-line journal).
-_READABLE_FORMATS = (4, 5, _FORMAT_VERSION)
 
 
 class SearchCheckpoint:
@@ -99,7 +91,7 @@ class SearchCheckpoint:
         #: :meth:`GuidanceProvider.state_dict` payload at snapshot time;
         #: ``None`` for unguided runs.
         self.guidance = guidance
-        #: :meth:`EvalStats.counts` at snapshot time; ``None`` for format 4.
+        #: :meth:`EvalStats.counts` at snapshot time.
         self.eval_stats = eval_stats
         #: Byte length of the journal prefix this checkpoint was folded
         #: from — where a resumed :class:`CheckpointJournal` continues.
@@ -168,7 +160,7 @@ class SearchCheckpoint:
                     f"corrupt checkpoint journal line in {path}"
                 ) from None
             version = payload.get("format") if isinstance(payload, dict) else None
-            if version not in _READABLE_FORMATS:
+            if version != _FORMAT_VERSION:
                 raise NautilusError(f"unsupported checkpoint format {version!r}")
             try:
                 records.extend(payload["records"])
@@ -183,7 +175,7 @@ class SearchCheckpoint:
                     stalled=payload["stalled"],
                     guidance=payload["guidance"],
                     params=payload["params"],
-                    eval_stats=payload.get("eval_stats"),
+                    eval_stats=payload["eval_stats"],
                 )
             except KeyError as exc:
                 raise NautilusError(

@@ -43,9 +43,8 @@ from .kernel import (
     SearchKernel,
     SearchResult,
 )
-from .operators import _CROSSOVERS
 from .population import Population
-from .selection import SELECTION_STRATEGIES, Individual
+from .selection import Individual, roulette_selection
 from .space import DesignSpace
 
 __all__ = [
@@ -57,12 +56,14 @@ __all__ = [
     "exhaustive_best",
 ]
 
-_RNG_STREAM_MODES = ("shared", "split")
-
 
 @dataclass(frozen=True)
 class GAConfig:
     """Hyper-parameters of the generational GA (paper Section 4.1 defaults).
+
+    The operators are fixed, as in the PyEvolve GA the paper built on:
+    roulette-wheel parent selection, single-point crossover, and one
+    seeded generator behind every named RNG stream.
 
     Attributes:
         population_size: Individuals per generation (paper: 10).
@@ -70,10 +71,6 @@ class GAConfig:
         mutation_rate: Per-gene mutation probability (paper: 0.1).
         crossover_rate: Probability an offspring is bred from two parents
             rather than cloned from one.
-        crossover: ``"uniform"``, ``"single_point"`` or ``"two_point"``.
-            Default follows the PyEvolve defaults the paper built on.
-        selection: ``"rank"``, ``"tournament"`` or ``"roulette"``
-            (PyEvolve-style default).
         elitism: Number of top individuals copied unchanged into the next
             generation (keeps the best-of-population curve monotone).
         seed: RNG seed; ``None`` draws from the global entropy pool.
@@ -86,13 +83,6 @@ class GAConfig:
             this many consecutive generations without best-so-far
             improvement. ``None`` (default) always runs the full horizon,
             as the paper's experiments do.
-        rng_streams: ``"shared"`` (default) draws init/selection/crossover/
-            mutation from one seeded generator — bit-identical to the
-            historical single-RNG engines, which is what the engine-parity
-            CI baseline pins. ``"split"`` derives an independent named
-            stream per concern from the same seed, so adding draws to one
-            operator never perturbs another's sequence (at the cost of
-            changing seeded curves relative to the shared mode).
         observability: Emit per-generation ``hint-attribution`` and
             ``health`` trace events (see :mod:`repro.obs`). On by default;
             the telemetry is derived from already-computed state and
@@ -131,13 +121,10 @@ class GAConfig:
     generations: int = 80
     mutation_rate: float = 0.1
     crossover_rate: float = 0.9
-    crossover: str = "single_point"
-    selection: str = "roulette"
     elitism: int = 1
     seed: int | None = None
     max_evaluations: int | None = None
     stall_generations: int | None = None
-    rng_streams: str = "shared"
     observability: bool = True
     tracing: bool = False
     warm_start: tuple = ()
@@ -151,16 +138,10 @@ class GAConfig:
             raise NautilusError("crossover_rate must be in [0, 1]")
         if self.elitism < 0 or self.elitism >= self.population_size:
             raise NautilusError("elitism must be in [0, population_size)")
-        if self.crossover not in _CROSSOVERS:
-            raise NautilusError(f"unknown crossover {self.crossover!r}")
-        if self.selection not in SELECTION_STRATEGIES:
-            raise NautilusError(f"unknown selection {self.selection!r}")
         if self.max_evaluations is not None and self.max_evaluations < 1:
             raise NautilusError("max_evaluations must be >= 1")
         if self.stall_generations is not None and self.stall_generations < 1:
             raise NautilusError("stall_generations must be >= 1")
-        if self.rng_streams not in _RNG_STREAM_MODES:
-            raise NautilusError(f"unknown rng_streams mode {self.rng_streams!r}")
         if self.warm_start:
             seeds = []
             for entry in self.warm_start:
@@ -231,7 +212,7 @@ class GeneticSearch(GenerationalEngine):
             objective,
             config,
             label=label or ("nautilus" if guided else "baseline"),
-            selection=SELECTION_STRATEGIES[config.selection],
+            selection=roulette_selection,
             bind_objective=objective,
             hints=hints,
             guidance=guidance,

@@ -22,8 +22,8 @@ pipeline instead of four divergent implementations::
     Instrumentation    charges distinct evaluations, times the backend,
         │              counts infeasible results and batch sizes
         ▼
-    Backend            inline | thread pool | process pool — the layer
-                       that actually runs the inner evaluator
+    Backend            inline | thread pool | fleet — the layer that
+                       actually runs the inner evaluator
 
 ``evaluate_many`` is the primitive; ``evaluate`` is a batch of one. Every
 layer preserves submission order and returns one outcome (a metrics dict or
@@ -71,7 +71,7 @@ __all__ = [
 #: An evaluation outcome: the metrics dict, or the exception the run raised.
 Outcome = Any
 
-_BACKENDS = ("inline", "thread", "process", "fleet")
+_BACKENDS = ("inline", "thread", "fleet")
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +300,7 @@ class _SharedBatch:
 
 
 class _PoolBackend:
-    """Fan a batch out to a thread or process pool, preserving order.
+    """Fan a batch out to a thread pool, preserving order.
 
     Per-design exceptions are captured and returned in place rather than
     aborting the batch — exactly how a cluster of synthesis jobs behaves
@@ -308,55 +308,32 @@ class _PoolBackend:
 
     ``executor`` is an optional caller-owned pool (see
     :class:`EvaluationStack`). A batch of one design runs on the calling
-    thread: a pool cannot parallelize a single job. A thread batch is
+    thread: a pool cannot parallelize a single job. A larger batch is
     worked by the calling thread alongside up to ``workers - 1`` pool
     helpers, all taking designs from one queue: a batch of cheap designs
     is done before a helper wakes, and a saturated pool cannot stall a
-    batch, since the calling thread always makes progress. A process
-    pool cannot share the queue, so it gets one task per design.
+    batch, since the calling thread always makes progress.
     """
 
-    def __init__(self, inner: "Evaluator", workers: int, kind: str, executor=None):
-        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
+    def __init__(self, inner: "Evaluator", workers: int, executor=None):
         if workers < 1:
             raise NautilusError("workers must be >= 1")
         self.inner = inner
         self.workers = workers
-        self.kind = kind
         self._executor = executor
-        self._executor_cls = (
-            ProcessPoolExecutor if kind == "process" else ThreadPoolExecutor
-        )
         self._inline = _InlineBackend(inner)
 
     def evaluate_many(self, genomes: Sequence[Genome]) -> list[Outcome]:
         if len(genomes) < 2:
             return self._inline.evaluate_many(genomes)
-        if self.kind == "thread":
-            return self._share(genomes)
-        if self._executor is not None:
-            return self._collect(self._executor, genomes)
-        with self._executor_cls(max_workers=self.workers) as pool:
-            return self._collect(pool, genomes)
-
-    def _share(self, genomes: Sequence[Genome]) -> list[Outcome]:
         batch = _SharedBatch(self.inner.evaluate, genomes)
         helpers = min(self.workers, len(genomes)) - 1
         if self._executor is None and helpers:
-            with self._executor_cls(max_workers=helpers) as pool:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=helpers) as pool:
                 return batch.work(pool, helpers)
         return batch.work(self._executor, helpers)
-
-    def _collect(self, pool, genomes: Sequence[Genome]) -> list[Outcome]:
-        futures = [pool.submit(self.inner.evaluate, g) for g in genomes]
-        results: list[Outcome] = []
-        for future in futures:
-            try:
-                results.append(future.result())
-            except Exception as exc:
-                results.append(exc)
-        return results
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +366,15 @@ class _Instrumentation:
 
 
 class _Batcher:
-    """Coalesce duplicate keys within one batch; optionally chunk huge ones.
+    """Coalesce duplicate keys within one batch.
 
     Duplicates cost nothing extra — a generation that breeds the same
     genome twice pays for one synthesis job.
     """
 
-    def __init__(self, next_layer, counters: _Counters, batch_size: int | None = None):
-        if batch_size is not None and batch_size < 1:
-            raise NautilusError("batch_size must be >= 1")
+    def __init__(self, next_layer, counters: _Counters):
         self.next = next_layer
         self._counters = counters
-        self._batch_size = batch_size
 
     def evaluate_many(self, genomes: Sequence[Genome]) -> list[Outcome]:
         unique: list[Genome] = []
@@ -410,15 +384,7 @@ class _Batcher:
                 index[genome.key] = len(unique)
                 unique.append(genome)
         self._counters.batch_dedup_hits += len(genomes) - len(unique)
-        outcomes: list[Outcome] = []
-        if self._batch_size is None:
-            if unique:
-                outcomes = self.next.evaluate_many(unique)
-        else:
-            for start in range(0, len(unique), self._batch_size):
-                outcomes.extend(
-                    self.next.evaluate_many(unique[start : start + self._batch_size])
-                )
+        outcomes = self.next.evaluate_many(unique) if unique else []
         return [outcomes[index[g.key]] for g in genomes]
 
 
@@ -963,15 +929,15 @@ class EvaluationStack:
     Args:
         inner: The base evaluator that actually scores designs.
         backend: ``"inline"`` (default: one design at a time on the calling
-            thread), ``"thread"`` or ``"process"`` (pool fan-out, results
-            in submission order, each design's exception returned in its
+            thread), ``"thread"`` (thread-pool fan-out, results in
+            submission order, each design's exception returned in its
             place; the useful pool size is the GA population — the paper's
-            parallelism cap; a ``"process"`` evaluator must be picklable),
-            or ``"fleet"`` (dispatch batches to the distributed worker
-            fleet of ``fleet``, degrading to inline execution when no
-            worker can serve the space — see :mod:`repro.distributed`).
-        workers: Pool size for the thread/process backends.
-        executor: Optional pool the thread/process backend submits to,
+            parallelism cap), or ``"fleet"`` (dispatch batches to the
+            distributed worker fleet of ``fleet``, degrading to inline
+            execution when no worker can serve the space — see
+            :mod:`repro.distributed`).
+        workers: Pool size for the thread backend.
+        executor: Optional pool the thread backend submits to,
             owned by the caller (the service scheduler shares one per
             worker count among every campaign). The stack never shuts it
             down. Without one, each batch starts and joins its own pool.
@@ -981,9 +947,6 @@ class EvaluationStack:
             cache) that serves hits; campaigns over the same space then
             never re-pay a synthesis job, across processes and daemon
             restarts. Given with ``archive``, it must be ``archive.store``.
-        batch_size: Optional chunking of huge batches (the dataset
-            characterization pipeline streams a whole space through one
-            stack this way).
         fingerprint: Evaluator-content fingerprint override; defaults to
             :func:`evaluator_fingerprint` of ``inner``, computed on first
             read of :attr:`fingerprint`.
@@ -1010,7 +973,6 @@ class EvaluationStack:
         backend: str = "inline",
         workers: int = 1,
         persistent: PersistentCache | None = None,
-        batch_size: int | None = None,
         fingerprint: str | None = None,
         clock=time.perf_counter,
         registry=None,
@@ -1053,15 +1015,13 @@ class EvaluationStack:
             from ..distributed.fleetbackend import FleetBackend
 
             tail = FleetBackend(inner, fleet, self.fingerprint)
-        elif backend in ("thread", "process"):
-            tail = _PoolBackend(
-                inner, workers=workers, kind=backend, executor=executor
-            )
+        elif backend == "thread":
+            tail = _PoolBackend(inner, workers=workers, executor=executor)
         else:
             tail = _InlineBackend(inner)
         self._tail = tail
         layer = _Instrumentation(tail, self._counters, clock=clock)
-        layer = _Batcher(layer, self._counters, batch_size=batch_size)
+        layer = _Batcher(layer, self._counters)
         self._store_layer: _StoreLayer | None = None
         if archive is not None or persistent is not None:
             layer = self._store_layer = _StoreLayer(

@@ -12,14 +12,11 @@ three things the engines used to re-implement independently:
   then generation *horizon*, then *stall* patience — checked between
   generations, first match wins).
 
-* **Named RNG streams** — :class:`RngStreams` hands each genetic concern
-  (``init`` / ``selection`` / ``crossover`` / ``mutation``) a named
-  ``random.Random``. In the default ``"shared"`` mode every name aliases
-  one seeded generator, which is bit-identical to the single-RNG engines
-  this kernel replaced (and to the paper's PyEvolve lineage); ``"split"``
-  mode derives an independent stream per name from the one seed, so adding
-  draws to one operator never perturbs another's sequence. Checkpoints
-  capture every stream either way.
+* **Named RNG streams** — :class:`RngStreams` names the ``random.Random``
+  each genetic concern (``init`` / ``selection`` / ``crossover`` /
+  ``mutation``) draws from. Every name aliases one seeded generator, which
+  is bit-identical to the single-RNG engines this kernel replaced (and to
+  the paper's PyEvolve lineage); checkpoints capture its state.
 
 * **Structured trace** — every run emits :class:`RunEvent` records
   (``generation-start`` / ``eval-batch`` / ``best-improved`` /
@@ -63,7 +60,7 @@ from .fitness import Objective
 from .genome import Genome
 from .guidance import GuidanceProvider, GuidanceState, StaticHints
 from .hints import HintSet
-from .operators import _CROSSOVERS, BreedingPipeline, GeneticOperators
+from .operators import BreedingPipeline, GeneticOperators, single_point_crossover
 from .population import Population
 from .selection import Individual
 
@@ -435,97 +432,51 @@ def _rng_state_to_json(state) -> list:
 
 
 def _rng_state_from_json(payload) -> tuple:
-    """Inverse of :func:`_rng_state_to_json`. A list of ints in place of
-    the packed words (checkpoint formats 4 and 5) is read as is."""
-    version, internal, gauss = payload
-    if isinstance(internal, str):
-        internal = _MT_STATE.unpack(base64.b64decode(internal, validate=True))
-    return (version, tuple(internal), gauss)
+    """Inverse of :func:`_rng_state_to_json`."""
+    version, packed, gauss = payload
+    internal = _MT_STATE.unpack(base64.b64decode(packed, validate=True))
+    return (version, internal, gauss)
 
 
 class RngStreams:
     """Named ``random.Random`` streams for the genetic concerns of a search.
 
-    ``"shared"`` mode (the default): every name aliases one generator seeded
-    with the configured seed — the draw sequence is bit-identical to the
-    single-RNG engines the kernel replaced, which is what the engine-parity
-    CI job pins. ``"split"`` mode derives an independent stream per name
-    from the same seed (``Random(f"{seed}:{name}")``), so an operator that
-    starts consuming more randomness never shifts another operator's
-    sequence. A seed of ``0`` is a real seed in both modes — only ``None``
-    draws from the entropy pool.
+    Every name aliases one generator seeded with the configured seed: the
+    draw sequence is bit-identical to the single-RNG engines the kernel
+    replaced, which is what the engine-parity CI job pins. A seed of ``0``
+    is a real seed — only ``None`` draws from the entropy pool.
     """
 
     NAMES = ("init", "selection", "crossover", "mutation")
 
-    def __init__(self, seed: int | None = None, split: bool = False):
-        self.split = split
-        if split:
-            self._streams = {
-                name: random.Random(None if seed is None else f"{seed}:{name}")
-                for name in self.NAMES
-            }
-        else:
-            master = random.Random(seed)
-            self._streams = {name: master for name in self.NAMES}
+    def __init__(self, seed: int | None = None):
+        self._rng = random.Random(seed)
 
     # -- access -----------------------------------------------------------------
 
     def stream(self, name: str) -> random.Random:
-        try:
-            return self._streams[name]
-        except KeyError:
-            raise NautilusError(f"unknown RNG stream {name!r}") from None
+        if name not in self.NAMES:
+            raise NautilusError(f"unknown RNG stream {name!r}")
+        return self._rng
 
-    @property
-    def init(self) -> random.Random:
-        return self._streams["init"]
-
-    @property
-    def selection(self) -> random.Random:
-        return self._streams["selection"]
-
-    @property
-    def crossover(self) -> random.Random:
-        return self._streams["crossover"]
-
-    @property
-    def mutation(self) -> random.Random:
-        return self._streams["mutation"]
+    #: Each concern's stream: the one generator.
+    init = selection = crossover = mutation = property(lambda self: self._rng)
 
     # -- checkpointing ----------------------------------------------------------
 
     def getstate(self) -> dict[str, Any]:
-        """JSON-serializable snapshot of every stream."""
-        if self.split:
-            streams = {
-                name: _rng_state_to_json(rng.getstate())
-                for name, rng in self._streams.items()
-            }
-            return {"mode": "split", "streams": streams}
+        """JSON-serializable snapshot of the generator behind every name."""
         return {
             "mode": "shared",
-            "streams": {
-                "shared": _rng_state_to_json(self._streams["init"].getstate())
-            },
+            "streams": {"shared": _rng_state_to_json(self._rng.getstate())},
         }
 
     def setstate(self, payload: dict[str, Any]) -> None:
         mode = payload.get("mode")
-        if mode not in ("shared", "split"):
+        if mode != "shared":
             raise NautilusError(f"unknown RNG-stream mode {mode!r}")
-        if (mode == "split") != self.split:
-            raise NautilusError(
-                f"checkpoint was taken in {mode!r} RNG mode, this search is "
-                f"configured for {'split' if self.split else 'shared'!r}"
-            )
-        if self.split:
-            targets = [(name, self._streams[name]) for name in self.NAMES]
-        else:
-            targets = [("shared", self._streams["init"])]
         try:
-            for name, rng in targets:
-                rng.setstate(_rng_state_from_json(payload["streams"][name]))
+            self._rng.setstate(_rng_state_from_json(payload["streams"]["shared"]))
         except (KeyError, TypeError, ValueError, struct.error) as exc:
             # A checkpoint is read back from disk: a damaged state is an
             # error of the file, not a crash inside random.setstate.
@@ -533,7 +484,7 @@ class RngStreams:
 
     @classmethod
     def from_state(cls, payload: dict[str, Any]) -> "RngStreams":
-        streams = cls(seed=0, split=payload.get("mode") == "split")
+        streams = cls(seed=0)
         streams.setstate(payload)
         return streams
 
@@ -696,7 +647,6 @@ class SearchKernel:
         max_evaluations: int | None = None,
         horizon: int | None = None,
         stall_generations: int | None = None,
-        split_rngs: bool = False,
         sinks: Sequence[TraceSink] = (),
         observability: bool = True,
         tracing: bool = False,
@@ -709,7 +659,6 @@ class SearchKernel:
         self.max_evaluations = max_evaluations
         self.horizon = horizon
         self.stall_generations = stall_generations
-        self.split_rngs = split_rngs
         #: Whether the kernel emits ``hint-attribution`` / ``health``
         #: events. Purely additive telemetry: enabling it consumes no RNG
         #: draws, so seeded runs are bit-identical either way (the
@@ -852,7 +801,7 @@ class SearchKernel:
         for engines without one, like the random baseline)."""
         if self.started:
             raise NautilusError("search already started")
-        self._rngs = RngStreams(self.seed, split=self.split_rngs)
+        self._rngs = RngStreams(self.seed)
         if self._tracer is not None:
             self._run_span = self._tracer.begin(
                 "run", label=self.label, seed=self.seed
@@ -1067,7 +1016,6 @@ class GenerationalEngine(SearchKernel):
             max_evaluations=config.max_evaluations,
             horizon=config.generations,
             stall_generations=config.stall_generations,
-            split_rngs=config.rng_streams == "split",
             observability=config.observability,
             tracing=config.tracing,
             clock=clock,
@@ -1090,7 +1038,7 @@ class GenerationalEngine(SearchKernel):
             space,
             self.operators,
             selection,
-            _CROSSOVERS[config.crossover],
+            single_point_crossover,
             config.crossover_rate,
             clock=self._clock,
         )
@@ -1368,17 +1316,13 @@ class GenerationalEngine(SearchKernel):
                 f"not match space {self.space.name!r} parameters "
                 f"{self.space.param_names!r}"
             )
-        rngs = RngStreams(self.seed, split=self.split_rngs)
+        rngs = RngStreams(self.seed)
         rngs.setstate(checkpoint.rng_streams)
         self._counter.preload(
             (self.space.genome(config), metrics)
             for config, metrics in checkpoint.cache_configs(self.space)
         )
-        self._counter.restore_counts(
-            checkpoint.eval_stats
-            if checkpoint.eval_stats is not None
-            else {"distinct": len(checkpoint.cache)}
-        )
+        self._counter.restore_counts(checkpoint.eval_stats)
         if (
             self.checkpoint_path is not None
             and path.resolve() == self.checkpoint_path.resolve()

@@ -14,8 +14,8 @@ genetic operation (Section 3):
    of the paper: hints "are incorporated in a probabilistic manner ... still
    free to explore the full design space").
 
-Crossover is unguided (the paper's hints act on mutation), and both uniform
-and single-point variants are provided.
+Crossover is unguided (the paper's hints act on mutation) and single-point,
+as in the PyEvolve GA the paper built on.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ __all__ = [
     "GeneticOperators",
     "BreedingPipeline",
     "scalar_score",
-    "uniform_crossover",
     "single_point_crossover",
-    "two_point_crossover",
 ]
 
 
@@ -273,45 +271,12 @@ def _mutate_code(
     return guide.axis_to_code[new_axis], channel
 
 
-def uniform_crossover(a: Genome, b: Genome, rng: random.Random) -> Genome:
-    """Combine two parents gene-by-gene with independent fair coin flips.
-
-    Operates on code vectors: one draw per gene (the historical sequence),
-    recombined codes wrapped through the trusted fast path — both parents'
-    codes are in-domain, so the child needs no re-validation.
-    """
-    ac, bc = a.codes, b.codes
-    codes = tuple(
-        ac[i] if rng.random() < 0.5 else bc[i] for i in range(len(ac))
-    )
-    return Genome.from_codes(a.space, codes)
-
-
 def single_point_crossover(a: Genome, b: Genome, rng: random.Random) -> Genome:
     """Take a prefix of genes from one parent and the suffix from the other."""
     ac, bc = a.codes, b.codes
     n = len(ac)
     point = rng.randrange(1, n) if n > 1 else 0
     return Genome.from_codes(a.space, ac[:point] + bc[point:])
-
-
-def two_point_crossover(a: Genome, b: Genome, rng: random.Random) -> Genome:
-    """Take a middle slice of genes from parent ``b``, the rest from ``a``."""
-    ac, bc = a.codes, b.codes
-    n = len(ac)
-    if n < 3:
-        return uniform_crossover(a, b, rng)
-    lo = rng.randrange(0, n - 1)
-    hi = rng.randrange(lo + 1, n)
-    return Genome.from_codes(a.space, ac[:lo] + bc[lo : hi + 1] + ac[hi + 1:])
-
-
-#: ``GAConfig.crossover`` name -> operator.
-_CROSSOVERS = {
-    "uniform": uniform_crossover,
-    "single_point": single_point_crossover,
-    "two_point": two_point_crossover,
-}
 
 
 def _no_clock() -> float:
@@ -335,7 +300,7 @@ class BreedingPipeline:
 
     The draw order is pinned — per child: parent selection, crossover-rate
     draw, mate selection, up to 8 feasible-crossover attempts, then
-    mutation — because with shared RNG streams (the default) it is the
+    mutation — because the named streams share one generator, so it is the
     sequence the engine-parity baseline captures.
     """
 

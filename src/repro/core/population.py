@@ -39,10 +39,10 @@ class Population(Sequence[T]):
         self._scores: tuple[float, ...] | None = None
         self._codes: tuple[tuple[int, ...], ...] | None = None
         self._genomes: tuple | None = None
-        #: Strategy-keyed memo for derived selection tables (sort orders,
-        #: roulette weights). Safe because rows and scores never change
-        #: after construction; one table then serves every parent draw of
-        #: the generation.
+        #: Strategy-keyed memo for derived selection tables (the roulette
+        #: weights). Safe because rows and scores never change after
+        #: construction; one table then serves every parent draw of the
+        #: generation.
         self.selection_cache: dict = {}
 
     # -- Sequence interface -------------------------------------------------

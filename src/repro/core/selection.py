@@ -1,12 +1,14 @@
-"""Parent selection strategies for the generational GA.
+"""Parent selection for the generational GA.
 
 The paper (Section 2) describes a classic generational GA where fitness
-scores "are used during the ranking and selection process"; we provide the
-standard strategies, all operating on *already-scored* individuals so the
-selection layer never touches the evaluator.
+scores "are used during the ranking and selection process". Nautilus is
+PyEvolve's GA with hints steering mutation, and PyEvolve selects parents
+by roulette wheel, so :func:`roulette_selection` is the GA's one strategy.
+It operates on *already-scored* individuals, so selection never touches
+the evaluator.
 
-Strategies accept any sequence of individuals. When handed a columnar
-:class:`~repro.core.population.Population` they read its cached ``scores``
+It accepts any sequence of individuals. When handed a columnar
+:class:`~repro.core.population.Population` it reads the cached ``scores``
 column instead of walking ``ind.score`` attribute loads per draw — same
 arithmetic, same RNG consumption, fewer Python-level loads in the hot loop.
 """
@@ -14,17 +16,11 @@ arithmetic, same RNG consumption, fewer Python-level loads in the hot loop.
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .genome import Genome
 
-__all__ = [
-    "Individual",
-    "rank_selection",
-    "tournament_selection",
-    "roulette_selection",
-    "SELECTION_STRATEGIES",
-]
+__all__ = ["Individual", "roulette_selection"]
 
 
 class Individual:
@@ -41,63 +37,6 @@ class Individual:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Individual(score={self.score:.4g}, raw={self.raw:.4g})"
-
-
-def rank_selection(
-    population: Sequence[Individual], rng: random.Random
-) -> Individual:
-    """Linear rank selection.
-
-    Individuals are weighted by their rank (best gets weight N, worst gets
-    1), which is robust to wildly different fitness scales — important here
-    because raw metrics span orders of magnitude (LUTs vs MHz vs MSPS/LUT).
-    """
-    scores = getattr(population, "scores", None)
-    if scores is not None:
-        # Columnar fast path: sort index positions by the cached score
-        # column, memoized per population — the generation's draws share
-        # one table. sorted() is stable either way, so the permutation
-        # (and hence every seeded pick) matches the row-based sort exactly.
-        cache = population.selection_cache
-        table = cache.get("rank")
-        if table is None:
-            n = len(scores)
-            order = sorted(range(n), key=scores.__getitem__)
-            table = cache["rank"] = (order, n * (n + 1) // 2)
-        order, total = table
-        pick = rng.random() * total
-        acc = 0.0
-        for rank, idx in enumerate(order, start=1):
-            acc += rank
-            if pick <= acc:
-                return population[idx]
-        return population[order[-1]]
-    ranked = sorted(population, key=lambda ind: ind.score)
-    n = len(ranked)
-    total = n * (n + 1) // 2
-    pick = rng.random() * total
-    acc = 0.0
-    for rank, individual in enumerate(ranked, start=1):
-        acc += rank
-        if pick <= acc:
-            return individual
-    return ranked[-1]
-
-
-def tournament_selection(
-    population: Sequence[Individual], rng: random.Random, size: int = 3
-) -> Individual:
-    """Pick the best of ``size`` uniformly drawn contestants.
-
-    Contestants are drawn with replacement, so sizes larger than the
-    population are meaningful (they sharpen selection pressure).
-    """
-    best = None
-    for _ in range(max(size, 1)):
-        contender = population[rng.randrange(len(population))]
-        if best is None or contender.score > best.score:
-            best = contender
-    return best
 
 
 def roulette_selection(
@@ -144,10 +83,3 @@ def roulette_selection(
             return population[idx]
     return population[-1]
 
-
-#: Registry used by GAConfig to resolve a strategy by name.
-SELECTION_STRATEGIES: dict[str, Callable[[Sequence[Individual], random.Random], Individual]] = {
-    "rank": rank_selection,
-    "tournament": tournament_selection,
-    "roulette": roulette_selection,
-}

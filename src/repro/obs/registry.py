@@ -17,7 +17,8 @@ Conventions:
   them around;
 * all mutation goes through one registry lock, so the eval stack's
   worker threads, the scheduler thread, and HTTP handler threads can
-  record concurrently.
+  record concurrently; :meth:`MetricsRegistry.render` holds the same lock
+  while it formats, so an exposition never shows a torn series.
 """
 
 from __future__ import annotations
@@ -300,12 +301,15 @@ class MetricsRegistry:
             return sorted(self._families)
 
     def render(self) -> str:
-        """The whole registry in Prometheus text exposition format 0.0.4."""
+        """The whole registry in Prometheus text exposition format 0.0.4.
+
+        Formatted under the registry lock, so a concurrent ``remove()``
+        or ``observe()`` cannot change a series while it is written out.
+        """
         lines: list[str] = []
         with self._lock:
-            families = [self._families[name] for name in sorted(self._families)]
-        for family in families:
-            lines.extend(family._render())
+            for name in sorted(self._families):
+                lines.extend(self._families[name]._render())
         return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -135,7 +135,11 @@ class _Handler(BaseHTTPRequestHandler):
             elif parts == ("metrics",):
                 fmt = self._query_raw("format")
                 if fmt is None or fmt == "json":
-                    self._send_json(scheduler.metrics.snapshot())
+                    self._send_json(
+                        scheduler.metrics.snapshot(
+                            c.status_payload() for c in scheduler.list_campaigns()
+                        )
+                    )
                 elif fmt == "prometheus":
                     self._send_text(
                         scheduler.metrics.registry.render(),

@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any
+from typing import Any, Iterable
 
 from ..core.evalstack import EvalStats
 from ..obs.registry import MetricsRegistry
@@ -55,14 +55,9 @@ class ServiceMetrics:
         self._campaign_states: dict[str, str] = {}
         #: Per-campaign cumulative evaluation wall time, seconds.
         self._campaign_eval_time: dict[str, float] = {}
-        #: Per-campaign cumulative distinct evaluations.
-        self._campaign_evaluations: dict[str, int] = {}
         #: Per-campaign {operator: {calls, time_s}} from the engines' traces
         #: (cumulative over each run; replaced wholesale on every step).
         self._campaign_operators: dict[str, dict[str, dict[str, float]]] = {}
-        #: Per-campaign latest best internal score / health payload.
-        self._campaign_best: dict[str, float] = {}
-        self._campaign_health: dict[str, dict[str, Any]] = {}
         # (timestamp, distinct-evaluation delta) samples for the window rate.
         self._samples: deque[tuple[float, int]] = deque()
         #: The Prometheus-style registry this daemon exposes; shared with
@@ -96,14 +91,13 @@ class ServiceMetrics:
         generations_done: int,
         delta: EvalStats,
         best_score: float | None = None,
-        health: dict[str, Any] | None = None,
     ) -> None:
         """Fold one scheduler step's evaluation-stack delta into the counters.
 
         ``delta`` is ``stack.stats().minus(before)`` for the stepped
         campaign — the scheduler computes it around each generation step.
-        ``best_score`` and ``health`` are the kernel's current best and
-        latest ``health`` event payload, surfaced by ``nautilus top``.
+        ``best_score`` is the kernel's current best, published as
+        ``nautilus_search_best_score``.
         """
         now = self._clock()
         with self._lock:
@@ -118,13 +112,6 @@ class ServiceMetrics:
             self._campaign_eval_time[campaign_id] = (
                 self._campaign_eval_time.get(campaign_id, 0.0) + delta.wall_time_s
             )
-            self._campaign_evaluations[campaign_id] = (
-                self._campaign_evaluations.get(campaign_id, 0) + delta.distinct
-            )
-            if best_score is not None and best_score == best_score:
-                self._campaign_best[campaign_id] = best_score
-            if health is not None:
-                self._campaign_health[campaign_id] = dict(health)
             if delta.distinct:
                 self._samples.append((now, delta.distinct))
             self._trim(now)
@@ -162,8 +149,27 @@ class ServiceMetrics:
 
     # -- readout ----------------------------------------------------------------
 
-    def snapshot(self) -> dict[str, Any]:
-        """One consistent JSON-ready view of every counter."""
+    def snapshot(self, statuses: Iterable[dict[str, Any]] = ()) -> dict[str, Any]:
+        """One consistent JSON-ready view of every counter.
+
+        ``statuses`` are the campaigns' ``status_payload()`` bodies (what
+        ``GET /campaigns/<id>`` serves); ``campaign_evaluations``,
+        ``campaign_best_score`` (NaN skipped) and ``campaign_health`` are
+        read from them, so they agree with the status of every campaign
+        the daemon knows, including those a restarted daemon recovered.
+        """
+        evaluations: dict[str, int] = {}
+        best: dict[str, float] = {}
+        health: dict[str, dict[str, Any]] = {}
+        for status in statuses:
+            cid = status["id"]
+            if "distinct_evaluations" in status:
+                evaluations[cid] = status["distinct_evaluations"]
+            score = status.get("best_score")
+            if score is not None and score == score:
+                best[cid] = score
+            if "health" in status:
+                health[cid] = status["health"]
         now = self._clock()
         with self._lock:
             self._trim(now)
@@ -210,12 +216,9 @@ class ServiceMetrics:
                 "campaign_states": states,
                 "campaign_generations": dict(self._generations),
                 "campaign_eval_time_s": dict(self._campaign_eval_time),
-                "campaign_evaluations": dict(self._campaign_evaluations),
-                "campaign_best_score": dict(self._campaign_best),
-                "campaign_health": {
-                    cid: dict(payload)
-                    for cid, payload in self._campaign_health.items()
-                },
+                "campaign_evaluations": evaluations,
+                "campaign_best_score": best,
+                "campaign_health": health,
                 "operator_time_s": operator_time,
                 "operator_calls": operator_calls,
                 "campaign_operator_time_s": {

@@ -363,7 +363,6 @@ class Scheduler:
             campaign.generations_done,
             stack.stats().minus(before),
             best_score=getattr(search, "best_score", None),
-            health=getattr(search, "latest_health", None),
         )
         self.metrics.record_operators(campaign.id, search.operator_timings())
         if record is None:

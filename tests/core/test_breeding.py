@@ -25,9 +25,9 @@ from repro.core import (
     scalar_score,
 )
 from repro.core.kernel import RngStreams
-from repro.core.operators import _CROSSOVERS, BreedingPipeline
+from repro.core.operators import BreedingPipeline, single_point_crossover
 from repro.core.population import Population
-from repro.core.selection import SELECTION_STRATEGIES, Individual
+from repro.core.selection import Individual, roulette_selection
 
 
 class CountingClock:
@@ -179,8 +179,6 @@ def breeding_cases(draw):
     return {
         "space": space,
         "guidance": guidance,
-        "select": draw(st.sampled_from(sorted(SELECTION_STRATEGIES))),
-        "crossover": draw(st.sampled_from(sorted(_CROSSOVERS))),
         "crossover_rate": draw(st.sampled_from((0.0, 0.5, 0.9, 1.0))),
         "mutation_rate": draw(st.sampled_from((0.0, 0.1, 0.5, 1.0))),
         "population_size": draw(st.integers(1, 8)),
@@ -192,7 +190,6 @@ def breeding_cases(draw):
             )
         ),
         "seed": draw(st.integers(0, 2**16)),
-        "split": draw(st.booleans()),
         "count": draw(st.integers(1, 30)),
         "timed": draw(st.booleans()),
         "observed": draw(st.booleans()),
@@ -206,8 +203,8 @@ def _pipeline(case):
     return BreedingPipeline(
         case["space"],
         operators,
-        SELECTION_STRATEGIES[case["select"]],
-        _CROSSOVERS[case["crossover"]],
+        roulette_selection,
+        single_point_crossover,
         case["crossover_rate"],
         clock=CountingClock(),
     )
@@ -233,7 +230,7 @@ def test_generation_breed_equals_per_child_sequence(case):
     runs = []
     for breed in ("generation", "reference"):
         pipeline = _pipeline(case)
-        rngs = RngStreams(case["seed"], split=case["split"])
+        rngs = RngStreams(case["seed"])
         timings = {} if case["timed"] else None
         if breed == "generation":
             children = pipeline.breed(
@@ -274,8 +271,7 @@ def test_generation_breed_equals_per_child_sequence(case):
 def test_zero_count_breeds_nothing_and_charges_nothing():
     space = DesignSpace("z", [IntParam("a", 0, 3)])
     case = {
-        "space": space, "select": "roulette", "crossover": "uniform",
-        "crossover_rate": 0.9, "mutation_rate": 0.1,
+        "space": space, "crossover_rate": 0.9, "mutation_rate": 0.1,
     }
     pipeline = _pipeline(case)
     population = Population(

@@ -13,7 +13,6 @@ from repro.core import (
     IntParam,
     JsonlTraceSink,
     NautilusError,
-    RngStreams,
     SearchCheckpoint,
     maximize,
 )
@@ -176,67 +175,24 @@ class TestResume:
         with pytest.raises(NautilusError, match="format"):
             SearchCheckpoint.load(path)
 
-
-def _int_list_rng(payload):
-    """An ``rng_streams`` payload in the format-4/5 encoding: each
-    state's 625 words as a JSON list of ints."""
-    streams = RngStreams.from_state(payload)
-    if payload["mode"] == "shared":
-        keys = {"shared": "init"}
-    else:
-        keys = {name: name for name in RngStreams.NAMES}
-    encoded = {}
-    for key, name in keys.items():
-        version, internal, gauss = streams.stream(name).getstate()
-        encoded[key] = [version, list(internal), gauss]
-    return {"mode": payload["mode"], "streams": encoded}
-
-
-class TestLegacyFormats:
-    """Formats 4 and 5, the older formats still read, and the
-    parameter-order guard format 4 introduced. A format-5 line writes
-    each RNG state as a list of 625 ints; a format-4 file is a single
-    JSON line with the keys of a format-5 line, minus the evaluation
-    counters."""
-
-    def test_format4_file_loads_as_one_line_journal(
-        self, space, counting_evaluator, tmp_path
-    ):
+    def test_format5_rejected(self, space, counting_evaluator, tmp_path):
+        """Format 5 (and 4) are no longer read: a journal line of either
+        is an unsupported format, not a state to resume."""
         evaluator, __ = counting_evaluator
-        reference = GeneticSearch(
-            space, evaluator, maximize("m"),
-            GAConfig(seed=11, generations=18),
-            checkpoint_path=tmp_path / "ref.json",
-        ).run()
-        path = tmp_path / "interrupted.json"
+        path = tmp_path / "old.json"
         GeneticSearch(
             space, evaluator, maximize("m"),
-            GAConfig(seed=11, generations=6),
-            checkpoint_path=path,
+            GAConfig(seed=1, generations=2), checkpoint_path=path,
         ).run()
-        payload = json.loads(path.read_text())
-        payload["format"] = 4
-        payload["rng_streams"] = _int_list_rng(payload["rng_streams"])
-        del payload["eval_stats"]
-        path.write_text(json.dumps(payload))  # format 4: no trailing newline
-        resumed = GeneticSearch(
-            space, evaluator, maximize("m"),
-            GAConfig(seed=11, generations=18),
-            checkpoint_path=path,
-        ).resume()
-        # Format 4 carries no counters: its rows count as paid.
-        assert resumed.distinct_evaluations == len(payload["cache"])
-        resumed.start()
-        resumed.step()
-        resumed.step()
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [line["format"] for line in lines] == [4, 6, 6]
-        assert [line["generation"] for line in lines[1:]] == [7, 8]
-        result = resumed.run()
-        assert result.curve() == reference.curve()
-        assert result.best_config == reference.best_config
-        assert result.distinct_evaluations == reference.distinct_evaluations
-        assert len(path.read_text().splitlines()) == 1
+        line = json.loads(path.read_text())
+        line["format"] = 5
+        path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(
+            NautilusError, match="unsupported checkpoint format 5"
+        ):
+            GeneticSearch(
+                space, evaluator, maximize("m"), checkpoint_path=path
+            ).resume()
 
     def test_param_order_guard(self, space, counting_evaluator, tmp_path):
         """A checkpoint refuses to resume into a reordered space."""
@@ -342,15 +298,12 @@ class TestKillAndResume:
 
 
 class TestFormat6:
-    """Format 6 packs each RNG state; format-5 journals still resume."""
+    """Format 6 packs each RNG state."""
 
-    def _search(self, space, evaluator, path, split=False):
+    def _search(self, space, evaluator, path):
         return GeneticSearch(
             space, evaluator, maximize("m"),
-            GAConfig(
-                seed=23, generations=16,
-                rng_streams="split" if split else "shared",
-            ),
+            GAConfig(seed=23, generations=16),
             checkpoint_path=path,
         )
 
@@ -364,39 +317,6 @@ class TestFormat6:
         (line,) = [json.loads(l) for l in path.read_text().splitlines()]
         version, words, gauss = line["rng_streams"]["streams"]["shared"]
         assert isinstance(words, str) and len(words) == 3336  # 2,500 bytes
-
-    @pytest.mark.parametrize("split", (False, True), ids=["shared", "split"])
-    def test_format5_journal_resumes_and_gains_format6_lines(
-        self, space, counting_evaluator, tmp_path, split
-    ):
-        evaluator, __ = counting_evaluator
-        reference = self._search(
-            space, evaluator, tmp_path / "ref.json", split
-        ).run()
-        path = tmp_path / "journal.json"
-        interrupted = self._search(space, evaluator, path, split)
-        interrupted.start()
-        for _ in range(5):
-            interrupted.step()
-        interrupted.close()
-        rng_state = interrupted.rngs.getstate()
-        # Rewrite the journal as this version's predecessor wrote it.
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        for line in lines:
-            line["format"] = 5
-            line["rng_streams"] = _int_list_rng(line["rng_streams"])
-        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
-
-        resumed = self._search(space, evaluator, path, split).resume()
-        resumed.start()
-        assert resumed.rngs.getstate() == rng_state
-        resumed.step()
-        formats = [json.loads(l)["format"] for l in path.read_text().splitlines()]
-        assert formats == [5] * len(lines) + [6]
-        result = resumed.run()
-        assert result.records == reference.records
-        assert result.best_config == reference.best_config
-        assert result.eval_stats.counts() == reference.eval_stats.counts()
 
     def test_malformed_packed_state_raises_at_resume(
         self, space, counting_evaluator, tmp_path

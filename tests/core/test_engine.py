@@ -35,8 +35,6 @@ class TestGAConfig:
             {"generations": 0},
             {"crossover_rate": 1.5},
             {"elitism": 10},
-            {"crossover": "bogus"},
-            {"selection": "bogus"},
         ],
     )
     def test_validation(self, kwargs):

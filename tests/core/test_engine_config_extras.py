@@ -24,22 +24,6 @@ def evaluator():
 
 
 class TestCrossoverAndSelectionVariants:
-    @pytest.mark.parametrize("crossover", ["uniform", "single_point", "two_point"])
-    @pytest.mark.parametrize("selection", ["rank", "tournament", "roulette"])
-    def test_all_strategy_combinations_run(self, space, evaluator, crossover, selection):
-        result = GeneticSearch(
-            space,
-            evaluator,
-            maximize("m"),
-            GAConfig(
-                seed=1,
-                generations=10,
-                crossover=crossover,
-                selection=selection,
-            ),
-        ).run()
-        assert result.best_raw >= 40.0  # easily found on the toy landscape
-
     def test_zero_crossover_rate_is_mutation_only(self, space, evaluator):
         result = GeneticSearch(
             space,

@@ -34,16 +34,6 @@ def counting_evaluator(calls):
     return CallableEvaluator(lambda g: calls.append(g["a"]) or {"m": float(g["a"])})
 
 
-class ParityEvaluator:
-    """Module-level (hence picklable) evaluator for process-pool tests:
-    odd ``a`` values are infeasible, even ones score their value."""
-
-    def evaluate(self, genome):
-        if genome["a"] % 2:
-            raise InfeasibleDesignError("odd values unbuildable")
-        return {"m": float(genome["a"])}
-
-
 class TestAccounting:
     def test_invariant_across_hit_kinds(self, space, tmp_path):
         calls = []
@@ -160,9 +150,9 @@ class TestConstruction:
         with pytest.raises(NautilusError):
             EvaluationStack(inner, backend="gpu")
         with pytest.raises(NautilusError):
-            EvaluationStack(inner, backend="thread", workers=0)
+            EvaluationStack(inner, backend="process")
         with pytest.raises(NautilusError):
-            EvaluationStack(inner, batch_size=0)
+            EvaluationStack(inner, backend="thread", workers=0)
 
     def test_thread_backend_preserves_order(self, space):
         stack = EvaluationStack(
@@ -227,14 +217,6 @@ class TestConstruction:
             )
             assert pool.submit(int, "7").result(timeout=10) == 7  # still open
 
-    def test_batch_size_chunks_backend_batches(self, space):
-        stack = EvaluationStack(
-            CallableEvaluator(lambda g: {"m": 1.0}), batch_size=4
-        )
-        stack.evaluate_many([space.genome(a=i) for i in range(10)])
-        assert stack.stats().batches == 3
-        assert stack.stats().max_batch == 4
-
     def test_fingerprint_defaults(self):
         inner = CallableEvaluator(lambda g: {"m": 1.0})
         assert evaluator_fingerprint(inner).endswith("CallableEvaluator")
@@ -272,9 +254,9 @@ class TestConstruction:
 
 
 class TestPoolBackends:
-    """``backend="thread"`` / ``"process"``: a batch fans out to a pool,
-    results come back in submission order, and one design's exception is
-    returned in its place without poisoning the batch."""
+    """``backend="thread"``: a batch fans out to a thread pool, results
+    come back in submission order, and one design's exception is returned
+    in its place without poisoning the batch."""
 
     def test_order_preserved(self, space):
         """Results follow submission order, not completion order: later
@@ -300,7 +282,7 @@ class TestPoolBackends:
     def test_validation(self):
         inner = CallableEvaluator(lambda g: {"m": 1.0})
         with pytest.raises(NautilusError):
-            EvaluationStack(inner, backend="process", workers=0)
+            EvaluationStack(inner, backend="thread", workers=0)
         with pytest.raises(NautilusError):
             EvaluationStack(inner, backend="thread", workers=-1)
 
@@ -340,25 +322,6 @@ class TestPoolBackends:
             CallableEvaluator(lambda g: {"m": 1.0}), backend="thread", workers=2
         )
         assert stack.evaluate_many([]) == []
-
-    def test_process_pool_exception_isolation(self, space):
-        """One infeasible design must not poison its batch — under a real
-        process pool, where exceptions cross a pickling boundary."""
-        stack = EvaluationStack(ParityEvaluator(), backend="process", workers=2)
-        results = stack.evaluate_many([space.genome(a=i) for i in range(8)])
-        for i, outcome in enumerate(results):
-            if i % 2:
-                assert isinstance(outcome, InfeasibleDesignError)
-            else:
-                assert outcome == {"m": float(i)}
-        assert stack.stats().infeasible == 4
-
-    def test_process_pool_preserves_submission_order(self, space):
-        stack = EvaluationStack(ParityEvaluator(), backend="process", workers=4)
-        genomes = [space.genome(a=2 * (i % 16)) for i in range(32)]
-        results = stack.evaluate_many(genomes)
-        assert [r["m"] for r in results] == [float(2 * (i % 16)) for i in range(32)]
-        assert stack.distinct_evaluations == 16  # duplicates paid once
 
     def test_distinct_accounting(self, space):
         stack = EvaluationStack(

@@ -8,7 +8,9 @@ not falsy), structured-trace invariants, and RNG-stream checkpoint
 round-trips.
 """
 
+import base64
 import json
+import struct
 
 import pytest
 
@@ -261,25 +263,8 @@ class TestRngStreams:
         streams = RngStreams(seed=7)
         assert streams.init is streams.selection is streams.mutation
 
-    def test_split_mode_streams_are_independent(self):
-        streams = RngStreams(seed=7, split=True)
-        assert streams.init is not streams.selection
-        # Draining one stream must not move another.
-        reference = RngStreams(seed=7, split=True)
-        for _ in range(100):
-            streams.selection.random()
-        assert streams.mutation.random() == reference.mutation.random()
-
-    def test_split_seed_zero_deterministic(self):
-        a = RngStreams(seed=0, split=True)
-        b = RngStreams(seed=0, split=True)
-        assert [a.stream(n).random() for n in RngStreams.NAMES] == [
-            b.stream(n).random() for n in RngStreams.NAMES
-        ]
-
-    @pytest.mark.parametrize("split", (False, True))
-    def test_getstate_round_trip_exact(self, split):
-        streams = RngStreams(seed=3, split=split)
+    def test_getstate_round_trip_exact(self):
+        streams = RngStreams(seed=3)
         for _ in range(17):
             streams.mutation.random()
             streams.init.random()
@@ -291,18 +276,15 @@ class TestRngStreams:
         ] == expected
 
     def test_setstate_mode_mismatch_raises(self):
-        shared = RngStreams(seed=1)
-        split_state = RngStreams(seed=1, split=True).getstate()
         with pytest.raises(NautilusError, match="mode"):
-            shared.setstate(split_state)
+            RngStreams(seed=1).setstate({"mode": "split", "streams": {}})
 
     def test_unknown_stream_raises(self):
         with pytest.raises(NautilusError, match="unknown RNG stream"):
             RngStreams(seed=1).stream("oops")
 
-    @pytest.mark.parametrize("split", (False, True))
-    def test_packed_state_restores_every_word(self, split):
-        streams = RngStreams(seed=9, split=split)
+    def test_packed_state_restores_every_word(self):
+        streams = RngStreams(seed=9)
         for name in RngStreams.NAMES:
             streams.stream(name).gauss(0.0, 1.0)  # sets gauss_next
         state = json.loads(json.dumps(streams.getstate()))
@@ -314,23 +296,6 @@ class TestRngStreams:
                 streams.stream(name).getstate()
             )
 
-    @pytest.mark.parametrize("split", (False, True))
-    def test_int_list_state_still_reads(self, split):
-        """Checkpoint formats 4 and 5 list each state's words as ints."""
-        streams = RngStreams(seed=4, split=split)
-        keys = RngStreams.NAMES if split else ("shared",)
-        legacy = {
-            "mode": "split" if split else "shared",
-            "streams": {},
-        }
-        for key in keys:
-            version, internal, gauss = streams.stream(
-                "init" if key == "shared" else key
-            ).getstate()
-            legacy["streams"][key] = [version, list(internal), gauss]
-        restored = RngStreams.from_state(legacy)
-        assert restored.getstate() == streams.getstate()
-
     @pytest.mark.parametrize(
         "damage",
         [
@@ -339,8 +304,14 @@ class TestRngStreams:
             lambda words: words + "AAAA",  # 626 words
             lambda words: {"words": words},
             lambda words: list(range(10)),  # a short int list
+            # the words as a list of ints, as checkpoint formats 4 and 5
+            # wrote them
+            lambda words: list(struct.unpack("<625I", base64.b64decode(words))),
         ],
-        ids=["truncated", "not-base64", "too-long", "not-a-string", "short-list"],
+        ids=[
+            "truncated", "not-base64", "too-long", "not-a-string", "short-list",
+            "int-list",
+        ],
     )
     def test_malformed_state_raises_nautilus_error(self, damage):
         state = RngStreams(seed=1).getstate()
@@ -350,15 +321,15 @@ class TestRngStreams:
             RngStreams(seed=1).setstate(state)
 
     def test_missing_stream_raises_nautilus_error(self):
-        state = RngStreams(seed=1, split=True).getstate()
-        del state["streams"]["mutation"]
+        state = RngStreams(seed=1).getstate()
+        del state["streams"]["shared"]
         with pytest.raises(NautilusError, match="malformed RNG state"):
-            RngStreams(seed=1, split=True).setstate(state)
+            RngStreams(seed=1).setstate(state)
 
 
 class TestCheckpointRngRoundTrip:
     def test_checkpoint_preserves_stream_state_exactly(self, toy_space, tmp_path):
-        streams = RngStreams(seed=5, split=True)
+        streams = RngStreams(seed=5)
         for _ in range(9):
             streams.crossover.random()
         payload = streams.getstate()

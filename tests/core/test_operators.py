@@ -17,8 +17,6 @@ from repro.core import (
     ParamHints,
     scalar_score,
     single_point_crossover,
-    two_point_crossover,
-    uniform_crossover,
 )
 
 
@@ -244,14 +242,6 @@ class TestScalarScore:
 
 
 class TestCrossover:
-    def test_uniform_genes_from_parents(self, space, rng):
-        a = space.genome(a=0, b=0, o="s", c="p")
-        b = space.genome(a=9, b=9, o="l", c="q")
-        for _ in range(20):
-            child = uniform_crossover(a, b, rng)
-            for name in space.param_names:
-                assert child[name] in (a[name], b[name])
-
     def test_single_point_prefix_suffix(self, space, rng):
         a = space.genome(a=0, b=0, o="s", c="p")
         b = space.genome(a=9, b=9, o="l", c="q")
@@ -262,14 +252,6 @@ class TestCrossover:
             ]
             # Once we switch to parent b we never switch back.
             assert picks == sorted(picks)
-
-    def test_two_point_slice(self, space, rng):
-        a = space.genome(a=0, b=0, o="s", c="p")
-        b = space.genome(a=9, b=9, o="l", c="q")
-        for _ in range(20):
-            child = two_point_crossover(a, b, rng)
-            for name in space.param_names:
-                assert child[name] in (a[name], b[name])
 
 
 @settings(max_examples=50)

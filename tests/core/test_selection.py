@@ -1,17 +1,10 @@
-"""Tests for parent selection strategies."""
+"""Tests for roulette-wheel parent selection."""
 
 import random
 
 import pytest
 
-from repro.core import (
-    DesignSpace,
-    Individual,
-    IntParam,
-    rank_selection,
-    roulette_selection,
-    tournament_selection,
-)
+from repro.core import DesignSpace, Individual, IntParam, roulette_selection
 
 
 @pytest.fixture
@@ -25,9 +18,7 @@ def make_population(space, scores):
     ]
 
 
-@pytest.mark.parametrize(
-    "select", [rank_selection, tournament_selection, roulette_selection]
-)
+@pytest.mark.parametrize("select", [roulette_selection])
 class TestCommonBehaviour:
     def test_prefers_better(self, select, space):
         population = make_population(space, [1.0, 2.0, 50.0])
@@ -65,24 +56,3 @@ class TestRouletteEdgeCases:
         picks = {id(roulette_selection(population, rng)) for _ in range(100)}
         assert len(picks) == 3
 
-
-class TestTournament:
-    def test_large_tournament_always_best(self, space):
-        population = make_population(space, [1.0, 2.0, 9.0])
-        rng = random.Random(0)
-        picks = [
-            tournament_selection(population, rng, size=30).score
-            for _ in range(50)
-        ]
-        assert all(p == 9.0 for p in picks)
-
-
-class TestRank:
-    def test_rank_insensitive_to_scale(self, space):
-        # Rank selection probabilities depend only on ordering.
-        rng1, rng2 = random.Random(7), random.Random(7)
-        small = make_population(space, [1.0, 2.0, 3.0])
-        huge = make_population(space, [1e6, 2e6, 3e6])
-        picks_small = [rank_selection(small, rng1).genome["a"] for _ in range(100)]
-        picks_huge = [rank_selection(huge, rng2).genome["a"] for _ in range(100)]
-        assert picks_small == picks_huge

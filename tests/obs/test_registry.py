@@ -1,5 +1,8 @@
 """Metrics registry: counters/gauges/histograms and the text exposition."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, parse_prometheus
@@ -192,3 +195,78 @@ class TestFamilyRemove:
     def test_remove_unknown_series_is_a_no_op(self):
         gauge = MetricsRegistry().gauge("nautilus_g", "g", labelnames=("a",))
         gauge.remove(a="never-set")
+
+
+def _torn_histograms(text: str) -> list[str]:
+    """Series of ``nautilus_lat_seconds`` whose cumulative buckets
+    decrease, or whose ``+Inf`` bucket is not its ``_count``."""
+    samples = parse_prometheus(text)["nautilus_lat_seconds"]["samples"]
+    buckets: dict[tuple, list[float]] = {}
+    counts: dict[tuple, float] = {}
+    for (name, labels), value in samples.items():
+        if name.endswith("_bucket"):
+            buckets.setdefault(labels[:-1], []).append(value)
+        elif name.endswith("_count"):
+            counts[labels] = value
+    return [
+        f"{labels}: {series} count={counts.get(labels)}"
+        for labels, series in buckets.items()
+        if series != sorted(series) or series[-1] != counts.get(labels)
+    ]
+
+
+class TestConcurrentRender:
+    RENDERS = 1500
+
+    def test_render_while_series_change_is_never_torn(self):
+        """``render()`` formats under the registry lock, so a render that
+        races ``observe()`` and ``remove()`` neither raises nor shows a
+        half-updated histogram. A 1 µs switch interval makes the threads
+        interleave inside a render."""
+        registry = MetricsRegistry()
+        histogram = registry.histogram(
+            "nautilus_lat_seconds", "lat", labelnames=("campaign",),
+            buckets=(0.1, 0.5, 1.0, 5.0),
+        )
+        gauge = registry.gauge("nautilus_up", "up", labelnames=("worker",))
+        histogram.observe(0.2, campaign="c0")
+        stop = threading.Event()
+
+        def observe():
+            i = 0
+            while not stop.is_set():
+                histogram.observe((i % 70) / 10.0, campaign=f"c{i % 3}")
+                i += 1
+
+        def churn():
+            i = 0
+            while not stop.is_set():
+                gauge.set(i, worker=f"w{i % 5}")
+                gauge.remove(worker=f"w{(i + 2) % 5}")
+                i += 1
+
+        threads = [
+            threading.Thread(target=target)
+            for target in (observe, observe, churn)
+        ]
+        errors, torn = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for _ in range(self.RENDERS):
+                try:
+                    text = registry.render()
+                except Exception as exc:  # a series removed mid-render
+                    errors.append(repr(exc))
+                    continue
+                torn.extend(_torn_histograms(text))
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert torn == []

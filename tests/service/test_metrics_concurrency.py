@@ -50,7 +50,6 @@ class TestConcurrentUpdates:
         assert snapshot["cache_hits_total"] == total_steps
         for index in range(THREADS):
             assert snapshot["campaign_generations"][f"c{index}"] == STEPS
-            assert snapshot["campaign_evaluations"][f"c{index}"] == 2 * STEPS
         # The mirrored Prometheus counter agrees exactly.
         parsed = parse_prometheus(metrics.registry.render())
         samples = parsed["nautilus_scheduler_steps_total"]["samples"]
@@ -118,14 +117,11 @@ class TestConcurrentUpdates:
         assert states.value(state="done") == THREADS
         assert states.value(state="running") == 0
 
-    def test_best_and_health_latest_wins(self):
+    def test_best_score_gauge_latest_wins(self):
         metrics = ServiceMetrics()
 
         def worker(value: float) -> None:
-            metrics.record_step(
-                "c0", 1, _delta(),
-                best_score=value, health={"stall_risk": value},
-            )
+            metrics.record_step("c0", 1, _delta(), best_score=value)
 
         threads = [
             threading.Thread(target=worker, args=(float(i),)) for i in range(16)
@@ -134,9 +130,33 @@ class TestConcurrentUpdates:
             thread.start()
         for thread in threads:
             thread.join()
-        snapshot = metrics.snapshot()
-        # Some thread's write wins — but the JSON view, not garbage.
-        assert snapshot["campaign_best_score"]["c0"] in {float(i) for i in range(16)}
-        assert snapshot["campaign_health"]["c0"]["stall_risk"] == (
-            snapshot["campaign_best_score"]["c0"]
+        best = metrics.registry.gauge(
+            "nautilus_search_best_score", labelnames=("campaign",)
         )
+        # Some thread's write wins — one of the values, not garbage.
+        assert best.value(campaign="c0") in {float(i) for i in range(16)}
+
+
+class TestCampaignMaps:
+    def test_read_from_the_status_payloads(self):
+        """Per-campaign evaluations, best score and health come from the
+        statuses handed to the snapshot; ServiceMetrics keeps no copy."""
+        metrics = ServiceMetrics()
+        metrics.record_step("c1", 3, _delta(), best_score=5.0)
+        statuses = [
+            {
+                "id": "c1", "distinct_evaluations": 83, "best_score": 7.0,
+                "health": {"stall_risk": 0.25},
+            },
+            {"id": "c2", "distinct_evaluations": 0, "best_score": float("nan")},
+            {"id": "c3", "state": "queued"},
+        ]
+        snapshot = metrics.snapshot(statuses)
+        assert snapshot["campaign_evaluations"] == {"c1": 83, "c2": 0}
+        assert snapshot["campaign_best_score"] == {"c1": 7.0}  # NaN skipped
+        assert snapshot["campaign_health"] == {"c1": {"stall_risk": 0.25}}
+        empty = metrics.snapshot()
+        assert empty["campaign_evaluations"] == {}
+        assert empty["campaign_best_score"] == {}
+        assert empty["campaign_health"] == {}
+        assert empty["campaign_generations"] == {"c1": 3}

@@ -74,6 +74,50 @@ class TestPrometheusEndpoint:
         assert excinfo.value.status == 400
 
 
+class TestCampaignMapsAcrossRestart:
+    def test_every_map_agrees_with_the_campaign_status(
+        self, tmp_path, tiny_provider
+    ):
+        """After a restart, /metrics' per-campaign maps equal what
+        ``GET /campaigns/<id>`` serves: a campaign finished before the
+        restart is in them, and a resumed one counts the evaluations it
+        paid before the restart."""
+        root = tmp_path / "campaigns"
+        spec = dict(query="noc-frequency", engine="baseline")
+        first = SearchService(root, port=0, dataset_provider=tiny_provider)
+        first.start(run_scheduler=False)
+        try:
+            scheduler = first.scheduler
+            done = scheduler.submit(CampaignSpec(**spec, generations=5, seed=3))
+            while not done.terminal:
+                scheduler.tick()
+            cut = scheduler.submit(CampaignSpec(**spec, generations=30, seed=4))
+            for _ in range(4):  # start + 3 generations, then restart
+                scheduler.tick()
+            assert cut.state == "running"
+        finally:
+            first.stop()
+
+        second = SearchService(root, port=0, dataset_provider=tiny_provider)
+        second.start(run_scheduler=False)
+        try:
+            while second.scheduler.tick():
+                pass
+            client = ServiceClient(port=second.port)
+            metrics = client.metrics()
+            for cid in (done.id, cut.id):
+                status = client.status(cid)
+                assert status["state"] == "done"
+                assert "health" in status
+                assert metrics["campaign_evaluations"][cid] == (
+                    status["distinct_evaluations"]
+                )
+                assert metrics["campaign_best_score"][cid] == status["best_score"]
+                assert metrics["campaign_health"][cid] == status["health"]
+        finally:
+            second.stop()
+
+
 class TestHintsEndpoint:
     def test_unguided_campaign_attributes_to_uniform(self, service, client):
         cid = _run_campaign(client, generations=5, seed=3)
