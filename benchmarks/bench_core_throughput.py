@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import random
 import sys
 import time
 from pathlib import Path
@@ -45,7 +46,6 @@ from repro.core.evalstack import EvaluationStack  # noqa: E402
 from repro.core.evaluator import DatasetEvaluator  # noqa: E402
 from repro.core.genome import Genome  # noqa: E402
 from repro.core.guidance import StaticHints  # noqa: E402
-from repro.core.kernel import RngStreams  # noqa: E402
 from repro.core.operators import (  # noqa: E402
     BreedingPipeline,
     GeneticOperators,
@@ -139,22 +139,22 @@ def legacy_is_feasible(space, genome) -> bool:
 class LegacyBreedingPipeline(BreedingPipeline):
     """The historical breed sequence with dict-based feasibility checks."""
 
-    def breed(self, population, guidance, rngs, count, timings=None):
+    def breed(self, population, guidance, rng, count, timings=None):
         return [
-            self._breed_one(population, guidance, rngs) for _ in range(count)
+            self._breed_one(population, guidance, rng) for _ in range(count)
         ]
 
-    def _breed_one(self, population, guidance, rngs):
-        parent = self.select(population, rngs.selection)
+    def _breed_one(self, population, guidance, rng):
+        parent = self.select(population, rng)
         genome = parent.genome
-        if rngs.crossover.random() < self.crossover_rate:
-            other = self.select(population, rngs.selection)
+        if rng.random() < self.crossover_rate:
+            other = self.select(population, rng)
             for _ in range(self.CROSSOVER_ATTEMPTS):
-                candidate = self.crossover(parent.genome, other.genome, rngs.crossover)
+                candidate = self.crossover(parent.genome, other.genome, rng)
                 if legacy_is_feasible(self.space, candidate):
                     genome = candidate
                     break
-        return self.operators.mutate_feasible(genome, guidance, rngs.mutation)
+        return self.operators.mutate_feasible(genome, guidance, rng)
 
 
 # -- measurement ---------------------------------------------------------------
@@ -205,8 +205,8 @@ def micro_bench(space, objective, hints, dataset, breeds, repeats):
             space, objective, hints, dataset, pipeline_cls, operators_cls,
             select, crossover,
         )
-        rngs = RngStreams(1234)
-        pop_genomes = space.random_population(24, rngs.init)
+        rng = random.Random(1234)
+        pop_genomes = space.random_population(24, rng)
         # The engine hands pipelines a columnar Population — benchmark the
         # same shape. The legacy reference walks it as rows, exactly as the
         # pre-refactor strategies walked their list.
@@ -217,26 +217,26 @@ def micro_bench(space, objective, hints, dataset, breeds, repeats):
             ]
         )
 
-        def run(pipeline=pipeline, state=state, rngs=rngs, population=population):
-            pipeline.breed(population, state, rngs, breeds, None)
+        def run(pipeline=pipeline, state=state, rng=rng, population=population):
+            pipeline.breed(population, state, rng, breeds, None)
 
         rates[label] = best_rate(run, breeds, repeats)
     return rates
 
 
 def replace_bench(space, breeds, repeats):
-    rng0 = RngStreams(77)
-    base = space.random_genome(rng0.init)
+    rng0 = random.Random(77)
+    base = space.random_genome(rng0)
     name = space.param_names[0]
     param = space.params[0]
 
     def current():
-        rng = RngStreams(99).mutation
+        rng = random.Random(99)
         for _ in range(breeds):
             base.replace(**{name: param.random_value(rng)})
 
     def reference():
-        rng = RngStreams(99).mutation
+        rng = random.Random(99)
         for _ in range(breeds):
             merged = dict(base)
             merged[name] = param.random_value(rng)
@@ -249,8 +249,8 @@ def replace_bench(space, breeds, repeats):
 
 
 def construct_bench(space, breeds, repeats):
-    rng0 = RngStreams(77)
-    values = space.random_genome(rng0.init).as_dict()
+    rng0 = random.Random(77)
+    values = space.random_genome(rng0).as_dict()
 
     def run():
         for _ in range(breeds):

@@ -39,7 +39,6 @@ from ..core.errors import NautilusError
 from ..core.estimation import _pearson, _ranks
 from ..core.evalstack import evaluator_fingerprint
 from ..core.guidance import (
-    HINTS_SCHEMA_VERSION,
     GuidanceProvider,
     GuidanceState,
     hintset_from_json,
@@ -239,14 +238,3 @@ class ArchiveGuidance(GuidanceProvider):
         hints = payload.get("hints")
         self.hints = None if hints is None else hintset_from_json(hints)
         self.rows_used = payload.get("rows_used")
-
-    def to_spec(self) -> dict[str, Any]:
-        return {
-            "schema": HINTS_SCHEMA_VERSION,
-            "kind": self.kind,
-            "root": self.root,
-            "confidence": self.confidence,
-            "min_rows": self.min_rows,
-            "min_bias": self.min_bias,
-            "top_fraction": self.top_fraction,
-        }

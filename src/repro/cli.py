@@ -555,7 +555,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
         campaigns = client.list_campaigns()
         metrics = client.metrics()
         eval_times = metrics.get("campaign_eval_time_s", {})
-        evals = metrics.get("campaign_evaluations", {})
         if not campaigns:
             print("no campaigns")
         for status in campaigns:
@@ -563,15 +562,17 @@ def _cmd_status(args: argparse.Namespace) -> int:
             best = (
                 f" best={status['best_raw']:.4g}" if "best_raw" in status else ""
             )
-            timing = (
-                f" evals={evals[cid]} eval_time={eval_times[cid]:.3f}s"
-                if cid in eval_times
+            evals = (
+                f" evals={status['distinct_evaluations']}"
+                if "distinct_evaluations" in status
                 else ""
             )
+            if cid in eval_times:
+                evals += f" eval_time={eval_times[cid]:.3f}s"
             print(
                 f"{cid}  {status['state']:9s} "
                 f"{status['spec']['query']}/{status['spec']['engine']} "
-                f"gen={status['generations_done']}{best}{timing}"
+                f"gen={status['generations_done']}{best}{evals}"
             )
         print(
             f"service: {metrics['evaluations_total']} evaluations, "
@@ -773,10 +774,8 @@ def _cmd_hints(args: argparse.Namespace) -> int:
 
 
 def _render_top(campaigns, metrics) -> str:
-    """One frame of the ``nautilus top`` dashboard (plain text)."""
-    health_by_id = metrics.get("campaign_health", {})
-    best_by_id = metrics.get("campaign_best_score", {})
-    evals = metrics.get("campaign_evaluations", {})
+    """One frame of the ``nautilus top`` dashboard (plain text): service
+    totals from ``metrics``, each campaign's row from its status."""
     lines = [
         f"nautilus top — {metrics['evaluations_total']} evaluations, "
         f"{metrics['evaluations_per_sec']:.1f}/s, "
@@ -786,15 +785,18 @@ def _render_top(campaigns, metrics) -> str:
         f"{'evals':>7s} {'best':>10s} {'divers':>6s} {'stall':>5s}",
     ]
     for status in campaigns:
-        cid = status["id"]
-        health = health_by_id.get(cid, {})
-        best = best_by_id.get(cid)
+        health = status.get("health")
+        best = status.get("best_score")
         lines.append(
-            f"{cid:12s} {status['state']:9s} "
+            f"{status['id']:12s} {status['state']:9s} "
             f"{status['spec']['query'] + '/' + status['spec']['engine']:28s} "
             f"{status['generations_done']:5d} "
-            f"{evals.get(cid, 0):7d} "
-            + (f"{best:10.4g} " if best is not None else f"{'-':>10s} ")
+            f"{status.get('distinct_evaluations', 0):7d} "
+            + (
+                f"{best:10.4g} "
+                if best is not None and best == best
+                else f"{'-':>10s} "
+            )
             + (
                 f"{health['diversity']:6.2f} {health['stall_risk']:5.2f}"
                 if health

@@ -58,7 +58,6 @@ from .guidance import (
     StaticHints,
     hintset_from_json,
     hintset_to_json,
-    provider_from_spec,
 )
 from .operators import (
     BreedingPipeline,
@@ -89,7 +88,6 @@ from .kernel import (
     GenerationalEngine,
     JsonlTraceSink,
     RecordingTraceSink,
-    RngStreams,
     RunEvent,
     RunTrace,
     SearchKernel,
@@ -150,7 +148,6 @@ __all__ = [
     "HINTS_SCHEMA_VERSION",
     "hintset_to_json",
     "hintset_from_json",
-    "provider_from_spec",
     # operators / selection
     "GeneticOperators",
     "BreedingPipeline",
@@ -181,7 +178,6 @@ __all__ = [
     # search kernel / tracing
     "SearchKernel",
     "GenerationalEngine",
-    "RngStreams",
     "RunEvent",
     "RunTrace",
     "RUN_EVENT_KINDS",

@@ -3,7 +3,7 @@
 Against real CAD tools a Nautilus run is hours-to-days of synthesis jobs;
 losing the evaluation cache to a crash wastes all of it. A
 :class:`SearchCheckpoint` holds everything a generational search needs to
-continue — the current population, the state of every named RNG stream,
+continue — the current population, the state of its one seeded generator,
 the guidance provider's state, the stall counter, the evaluation
 counters, the per-generation records (replayed into the kernel's history
 on resume) and (crucially) the evaluation cache, so resumed runs never
@@ -14,10 +14,10 @@ O(population) bytes rather than O(everything ever evaluated). Every line
 carries:
 
 * the O(population) state — ``population`` (code vectors in parameter
-  declaration order, guarded by ``params``), ``rng_streams`` (each
-  Mersenne Twister state's 625 words packed as base64 of little-endian
-  uint32), ``guidance``, ``stalled`` and ``eval_stats`` (the stack's
-  integer counters);
+  declaration order, guarded by ``params``), ``rng_streams`` (the
+  generator's Mersenne Twister state, its 625 words packed as base64 of
+  little-endian uint32, as the one ``"shared"`` stream), ``guidance``,
+  ``stalled`` and ``eval_stats`` (the stack's integer counters);
 * only the ``cache`` rows (``{"values": [...], "metrics": {...} | null}``,
   the :class:`~repro.core.evalstack.PersistentCache` row shape without
   its ``campaign``) and the
@@ -31,8 +31,10 @@ line (a writer killed mid-line) is ignored — the resumed
 search finishes, the journal is compacted into one full line through
 :meth:`SearchCheckpoint.save` (tmp + replace).
 
-A line of any other format is rejected as unsupported, and a malformed
-RNG state raises :class:`~repro.core.errors.NautilusError` when a search
+A line of any other format is rejected as unsupported, a line whose
+fields have the wrong JSON types (only ``params``, ``stalled`` and
+``guidance`` may be null) raises :class:`~repro.core.errors.NautilusError`
+naming the field, and so does a malformed RNG state when a search
 resumes from it.
 
 This module holds only the format. The journal's writer and reader is
@@ -56,6 +58,21 @@ from .space import DesignSpace
 __all__ = ["SearchCheckpoint", "CheckpointJournal"]
 
 _FORMAT_VERSION = 6
+
+_NULL = type(None)
+
+#: The type(s) each field of a line must have, and how an error names them.
+_FIELD_TYPES = {
+    "generation": (int, "an integer"),
+    "population": (list, "a list"),
+    "records": (list, "a list"),
+    "cache": (list, "a list"),
+    "rng_streams": (dict, "an object"),
+    "eval_stats": (dict, "an object"),
+    "params": ((list, _NULL), "a list or null"),
+    "stalled": ((int, _NULL), "an integer or null"),
+    "guidance": ((dict, _NULL), "an object or null"),
+}
 
 
 class SearchCheckpoint:
@@ -82,7 +99,9 @@ class SearchCheckpoint:
         #: Parameter names in the order the code vectors index — a guard
         #: against resuming into a space whose declaration order changed.
         self.params = params
-        #: :meth:`RngStreams.getstate` payload — every named stream.
+        #: The search generator's state, as one ``"shared"`` stream:
+        #: ``{"mode": "shared", "streams": {"shared": [version, words,
+        #: gauss]}}``.
         self.rng_streams = rng_streams
         self.records = records
         self.cache = cache
@@ -131,7 +150,8 @@ class SearchCheckpoint:
 
         Raises:
             NautilusError: No line is complete, a line other than the last
-                is corrupt, or a line has an unsupported format.
+                is corrupt, or a line has an unsupported format or a field
+                of the wrong type.
         """
         checkpoint = cls.read(path)
         if checkpoint is None:
@@ -163,6 +183,13 @@ class SearchCheckpoint:
             if version != _FORMAT_VERSION:
                 raise NautilusError(f"unsupported checkpoint format {version!r}")
             try:
+                for name, (kind, what) in _FIELD_TYPES.items():
+                    value = payload[name]
+                    if not isinstance(value, kind) or isinstance(value, bool):
+                        raise NautilusError(
+                            f"checkpoint journal line in {path}: {name!r} must "
+                            f"be {what}, not {type(value).__name__}"
+                        )
                 records.extend(payload["records"])
                 cache.extend(payload["cache"])
                 checkpoint = cls(

@@ -10,10 +10,12 @@ defaults follow Section 4.1: population 10, per-gene mutation rate 0.1,
 Both engines are thin strategies over the shared
 :class:`~repro.core.kernel.SearchKernel`: the kernel owns lifecycle
 (start/step/finished/stop_reason with the budget → horizon → stall
-precedence), the named RNG streams, and the structured
+precedence), the one seeded generator, and the structured
 :class:`~repro.core.kernel.RunEvent` trace; :class:`GeneticSearch` only
-declares its operator pipeline (select → crossover → mutate) and survivor
-rule, and :class:`RandomSearch` its draw loop.
+declares its scalar score, parent selection, elites, warm start and
+best-so-far rule (the generational loop, records and checkpoints are
+:class:`~repro.core.kernel.GenerationalEngine`'s), and
+:class:`RandomSearch` its draw loop.
 
 Cost accounting: every engine pulls evaluations through an
 :class:`~repro.core.evalstack.EvaluationStack`, so result curves are
@@ -27,6 +29,7 @@ memo-only stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -63,7 +66,7 @@ class GAConfig:
 
     The operators are fixed, as in the PyEvolve GA the paper built on:
     roulette-wheel parent selection, single-point crossover, and one
-    seeded generator behind every named RNG stream.
+    seeded generator behind every draw.
 
     Attributes:
         population_size: Individuals per generation (paper: 10).
@@ -225,18 +228,8 @@ class GeneticSearch(GenerationalEngine):
 
     # -- scoring ------------------------------------------------------------------
 
-    def _assess(self, genome: Genome) -> Individual:
-        try:
-            metrics = self._counter.evaluate(genome)
-        except InfeasibleDesignError:
-            return Individual(genome, float("-inf"), float("nan"))
-        return Individual(
-            genome, self.objective.score(metrics), self.objective.raw(metrics)
-        )
-
-    def _assess_all(self, genomes: Sequence[Genome]) -> Population[Individual]:
-        """Score genomes as one batch, outside the kernel's traced path."""
-        return self._to_individuals(genomes, self._counter.evaluate_many(genomes))
+    #: Records, guidance feedback and attribution read the one score.
+    _scalar = staticmethod(attrgetter("score"))
 
     def _to_individuals(
         self, genomes: Sequence[Genome], outcomes: Sequence
@@ -263,9 +256,7 @@ class GeneticSearch(GenerationalEngine):
     # -- kernel hooks --------------------------------------------------------------
 
     def _initial_genomes(self) -> list[Genome]:
-        genomes = self.space.random_population(
-            self.config.population_size, self.rngs.init
-        )
+        genomes = super()._initial_genomes()
         # Warm-start seeds replace a prefix *after* the full random draw,
         # so RNG consumption is identical with or without seeds — an empty
         # warm_start stays bit-identical to the engine-parity baseline.
@@ -286,30 +277,9 @@ class GeneticSearch(GenerationalEngine):
             seeds.append(genome)
         return seeds
 
-    def _guidance_feedback(self) -> float | None:
-        if not self._population:
-            return None
-        return max(ind.score for ind in self._population)
-
-    def _propose(
-        self, generation: int, timings: dict[str, list[float]]
-    ) -> list[Genome]:
-        cfg = self.config
-        elites = sorted(self._population, key=lambda i: i.score, reverse=True)
-        genomes = [e.genome for e in elites[: cfg.elitism]]
-        genomes += self.pipeline.breed(
-            self._population,
-            self._guidance_state,
-            self.rngs,
-            cfg.population_size - len(genomes),
-            timings,
-        )
-        return genomes
-
-    def _offspring_attribution(self, offspring) -> tuple[float, ...]:
-        # The first ``elitism`` offspring are copied elites, not bred —
-        # attribution aligns with the children the pipeline produced.
-        return offspring.scores[self.config.elitism:]
+    def _elites(self) -> list[Individual]:
+        ranked = sorted(self._population, key=lambda i: i.score, reverse=True)
+        return ranked[: self.config.elitism]
 
     def _observe_start(self) -> None:
         self._best = max(self._population, key=lambda ind: ind.score)
@@ -321,28 +291,13 @@ class GeneticSearch(GenerationalEngine):
             return True
         return False
 
-    def _make_record(self, generation: int) -> GenerationRecord:
-        finite = [i.score for i in self._population if i.score != float("-inf")]
-        mean_score = sum(finite) / len(finite) if finite else float("-inf")
-        return GenerationRecord(
-            generation=generation,
-            best_raw=self._best.raw,
-            best_score=self._best.score,
-            mean_score=mean_score,
-            distinct_evaluations=self._counter.distinct_evaluations,
-            best_config=self._best.genome.as_dict(),
-        )
-
     def _restore_population(self, checkpoint: SearchCheckpoint) -> None:
-        # Cached, so re-assessing the population costs no synthesis jobs.
-        self._population = Population(
-            [self._assess(g) for g in checkpoint.population_genomes(self.space)]
-        )
-        best = max(self._population, key=lambda ind: ind.score)
+        super()._restore_population(checkpoint)
+        # The best so far may have left the population (elitism 0).
         for row in checkpoint.records:
-            if row["best_score"] > best.score:
-                best = self._assess(self.space.genome(row["best_config"]))
-        self._best = best
+            if row["best_score"] > self._best.score:
+                genome = self.space.genome(row["best_config"])
+                self._best = self._assess_all([genome])[0]
 
 
 class RandomSearch(SearchKernel):
@@ -386,7 +341,7 @@ class RandomSearch(SearchKernel):
         return self._draws
 
     def _do_start(self) -> None:
-        """Initialize the RNG stream; random search has no generation 0."""
+        """Nothing to do; random search has no generation 0."""
         return None
 
     def _do_step(self) -> GenerationRecord | None:
@@ -397,7 +352,7 @@ class RandomSearch(SearchKernel):
         design is found or a cutoff fires (``None``: budget spent, or the
         rejection-sampling attempt cap was hit on a near-exhausted space).
         """
-        rng = self.rngs.init
+        rng = self.rng
         while self._draws < self.budget and self._attempts < self._max_attempts:
             self._attempts += 1
             genome = self.space.random_genome(rng)

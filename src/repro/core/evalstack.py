@@ -1092,6 +1092,21 @@ class EvaluationStack:
         """Whether this design point is already memoized."""
         return genome.key in self._memo.entries
 
+    def recall(self, genomes: Sequence[Genome]) -> list[Outcome]:
+        """The memoized outcome of each genome; counts nothing, pays nothing.
+
+        A resumed search re-scores what its checkpoint restored with it.
+        Raises :class:`NautilusError` for a design with no memo row (a
+        journal that lacks it), which ``evaluate_many`` would pay for.
+        """
+        entries = self._memo.entries
+        for genome in genomes:
+            if genome.key not in entries:
+                raise NautilusError(
+                    f"no memoized evaluation of design {genome.as_dict()}"
+                )
+        return [entries[genome.key] for genome in genomes]
+
     # -- accounting -------------------------------------------------------------
 
     @property
@@ -1168,8 +1183,9 @@ class EvaluationStack:
 
         ``metrics=None`` restores an infeasible result. Counters are left
         alone: a resumed search restores them with :meth:`restore_counts`
-        from the same checkpoint, so a row served by the persistent cache
-        before the interruption stays a persistent hit. With an archive or
+        from the same checkpoint (so a row served by the persistent cache
+        before the interruption stays a persistent hit) and re-scores its
+        population with :meth:`recall`. With an archive or
         an eval cache, the rows are recorded in one call under the stack's
         campaign, as the store layer records the rows it pays for.
         """

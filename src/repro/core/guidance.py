@@ -14,7 +14,7 @@ concerns:
 * :class:`GuidanceProvider` is the **policy** that produces those states.
   The kernel calls :meth:`GuidanceProvider.advance` exactly once per
   generation (feeding back the population's best score) and checkpoints
-  provider state alongside RNG streams, so guided searches resume
+  provider state alongside the RNG state, so guided searches resume
   bit-identically.
 
 Three providers rebase the pre-existing behavior:
@@ -31,8 +31,7 @@ Three providers rebase the pre-existing behavior:
   resume never re-sweeps.
 
 The second half of the module is the **wire format**: schema-versioned,
-lossless JSON for :class:`ParamHints` / :class:`HintSet` and provider specs,
-validated against a target :class:`~repro.core.space.DesignSpace` with
+lossless JSON for :class:`ParamHints` / :class:`HintSet`, validated against a target :class:`~repro.core.space.DesignSpace` with
 field-level structured errors (:class:`HintSpecError`). This is what lets
 ``nautilus estimate --output hints.json`` feed ``nautilus submit --hints
 hints.json`` — the paper's non-expert estimate-then-search methodology
@@ -59,10 +58,9 @@ __all__ = [
     "HINTS_SCHEMA_VERSION",
     "hintset_to_json",
     "hintset_from_json",
-    "provider_from_spec",
 ]
 
-#: Version stamp carried by every serialized hint set and provider spec.
+#: Version stamp carried by every serialized hint set.
 HINTS_SCHEMA_VERSION = 1
 
 #: Effective importance of a parameter the author said nothing about — the
@@ -197,10 +195,6 @@ class GuidanceProvider:
         """Restore mutable state captured by :meth:`state_dict`."""
         self._check_kind(payload)
 
-    def to_spec(self) -> dict[str, Any]:
-        """Schema-versioned construction spec (see :func:`provider_from_spec`)."""
-        raise NotImplementedError
-
     def _check_kind(self, payload: Mapping[str, Any]) -> None:
         kind = payload.get("kind")
         if kind != self.kind:
@@ -237,13 +231,6 @@ class StaticHints(GuidanceProvider):
 
     def peek(self, generation: int) -> GuidanceState:
         return GuidanceState.from_hints(self.hints, generation)
-
-    def to_spec(self) -> dict[str, Any]:
-        return {
-            "schema": HINTS_SCHEMA_VERSION,
-            "kind": self.kind,
-            "hints": hintset_to_json(self._author),
-        }
 
 
 class AdaptiveConfidence(GuidanceProvider):
@@ -329,17 +316,6 @@ class AdaptiveConfidence(GuidanceProvider):
         self._stall = int(payload["stall"])
         self._last_best = float(payload["last_best"])
         self.confidence_trace = [(int(g), float(c)) for g, c in payload["trace"]]
-
-    def to_spec(self) -> dict[str, Any]:
-        return {
-            "schema": HINTS_SCHEMA_VERSION,
-            "kind": self.kind,
-            "hints": hintset_to_json(self._author),
-            "patience": self.patience,
-            "backoff": self.backoff,
-            "recovery": self.recovery,
-            "min_confidence": self.min_confidence,
-        }
 
 
 class EstimatedHints(GuidanceProvider):
@@ -427,17 +403,6 @@ class EstimatedHints(GuidanceProvider):
         hints = payload.get("hints")
         self.hints = None if hints is None else hintset_from_json(hints)
         self.used = payload.get("used")
-
-    def to_spec(self) -> dict[str, Any]:
-        return {
-            "schema": HINTS_SCHEMA_VERSION,
-            "kind": self.kind,
-            "budget": self.budget,
-            "confidence": self.confidence,
-            "seed": self.seed,
-            "min_bias": self.min_bias,
-            "refine": self.refine,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -647,67 +612,3 @@ def _param_hints_from_json(
     except HintError as exc:
         errors.append({"field": field_name, "message": str(exc)})
         return None
-
-
-# ---------------------------------------------------------------------------
-# Provider specs
-# ---------------------------------------------------------------------------
-
-_PROVIDER_KINDS = ("static", "adaptive", "estimated", "archive")
-
-
-def provider_from_spec(spec: Any) -> GuidanceProvider:
-    """Build a provider from its schema-versioned construction spec."""
-    if not isinstance(spec, Mapping):
-        raise HintSpecError(
-            "invalid provider spec",
-            [{"field": "", "message": f"expected a JSON object, got {type(spec).__name__}"}],
-        )
-    schema = spec.get("schema")
-    if schema != HINTS_SCHEMA_VERSION:
-        raise HintSpecError(
-            "invalid provider spec",
-            [{
-                "field": "schema",
-                "message": f"unsupported schema {schema!r}; "
-                f"this build speaks schema {HINTS_SCHEMA_VERSION}",
-            }],
-        )
-    kind = spec.get("kind")
-    if kind not in _PROVIDER_KINDS:
-        raise HintSpecError(
-            "invalid provider spec",
-            [{
-                "field": "kind",
-                "message": f"unknown provider kind {kind!r}; "
-                f"expected one of {list(_PROVIDER_KINDS)}",
-            }],
-        )
-    if kind == "static":
-        return StaticHints(hintset_from_json(spec.get("hints")))
-    if kind == "adaptive":
-        return AdaptiveConfidence(
-            hintset_from_json(spec.get("hints")),
-            patience=spec.get("patience", 6),
-            backoff=spec.get("backoff", 0.6),
-            recovery=spec.get("recovery", 1.15),
-            min_confidence=spec.get("min_confidence", 0.05),
-        )
-    if kind == "archive":
-        # Imported lazily: repro.archive depends on this module.
-        from ..archive import ArchiveGuidance
-
-        return ArchiveGuidance(
-            root=spec.get("root"),
-            confidence=spec.get("confidence", 0.5),
-            min_rows=spec.get("min_rows", 20),
-            min_bias=spec.get("min_bias", 0.2),
-            top_fraction=spec.get("top_fraction", 0.25),
-        )
-    return EstimatedHints(
-        budget=spec.get("budget", 80),
-        confidence=spec.get("confidence", 0.5),
-        seed=spec.get("seed"),
-        min_bias=spec.get("min_bias", 0.2),
-        refine=spec.get("refine", True),
-    )

@@ -12,11 +12,10 @@ three things the engines used to re-implement independently:
   then generation *horizon*, then *stall* patience — checked between
   generations, first match wins).
 
-* **Named RNG streams** — :class:`RngStreams` names the ``random.Random``
-  each genetic concern (``init`` / ``selection`` / ``crossover`` /
-  ``mutation``) draws from. Every name aliases one seeded generator, which
-  is bit-identical to the single-RNG engines this kernel replaced (and to
-  the paper's PyEvolve lineage); checkpoints capture its state.
+* **One seeded generator** — ``start()`` creates ``random.Random(seed)``
+  as :attr:`SearchKernel.rng`, and every draw of a run (initial
+  population, parent selection, crossover, mutation) comes from it, as in
+  the paper's PyEvolve lineage; checkpoints capture its state.
 
 * **Structured trace** — every run emits :class:`RunEvent` records
   (``generation-start`` / ``eval-batch`` / ``best-improved`` /
@@ -28,10 +27,13 @@ three things the engines used to re-implement independently:
   total (:meth:`SearchKernel.operator_timings`).
 
 :class:`GenerationalEngine` specializes the kernel for population-based
-searches (propose → evaluate → select survivors → record) and owns their
-shared setup (guidance provider, operators, breeding pipeline) and their
-checkpoint journal; concrete engines only declare their selection
-strategy and survivor rule.
+searches (propose → evaluate → select survivors → record) and owns what
+they share: the setup (guidance provider, operators, breeding pipeline),
+the record, the guidance feedback, the attribution scores, the result
+and the checkpoint journal with its restore path. These read an
+individual through the engine's one-line ``_scalar`` projection; the
+concrete engines declare it, their selection strategy, their survivor
+rule and how an outcome becomes an individual.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ __all__ = [
     "JsonlTraceSink",
     "CappedJsonlTraceSink",
     "RunTrace",
-    "RngStreams",
     "GenerationRecord",
     "SearchResult",
     "SearchKernel",
@@ -415,7 +416,7 @@ class RunTrace:
 
 
 # ---------------------------------------------------------------------------
-# named RNG streams
+# the generator's checkpoint state
 # ---------------------------------------------------------------------------
 
 
@@ -423,70 +424,35 @@ class RunTrace:
 _MT_STATE = struct.Struct("<625I")
 
 
-def _rng_state_to_json(state) -> list:
-    """``random.Random.getstate()`` as JSON, its words packed as base64 of
-    little-endian uint32 (3.3 KB instead of a 7 KB list of ints)."""
-    version, internal, gauss = state
+def _rng_payload(rng: random.Random) -> dict[str, Any]:
+    """The checkpoint's ``rng_streams`` field for ``rng``: its state as the
+    one ``"shared"`` stream, the words packed as base64 of little-endian
+    uint32 (3.3 KB instead of a 7 KB list of ints)."""
+    version, internal, gauss = rng.getstate()
     packed = base64.b64encode(_MT_STATE.pack(*internal)).decode("ascii")
-    return [version, packed, gauss]
+    return {"mode": "shared", "streams": {"shared": [version, packed, gauss]}}
 
 
-def _rng_state_from_json(payload) -> tuple:
-    """Inverse of :func:`_rng_state_to_json`."""
-    version, packed, gauss = payload
-    internal = _MT_STATE.unpack(base64.b64decode(packed, validate=True))
-    return (version, internal, gauss)
+def _rng_from_payload(payload: Mapping[str, Any]) -> random.Random:
+    """The generator an ``rng_streams`` field holds (inverse of
+    :func:`_rng_payload`).
 
-
-class RngStreams:
-    """Named ``random.Random`` streams for the genetic concerns of a search.
-
-    Every name aliases one generator seeded with the configured seed: the
-    draw sequence is bit-identical to the single-RNG engines the kernel
-    replaced, which is what the engine-parity CI job pins. A seed of ``0``
-    is a real seed — only ``None`` draws from the entropy pool.
+    Raises:
+        NautilusError: The mode is not ``"shared"``, or the state is
+            damaged — an error of the checkpoint file, not a crash inside
+            ``random.setstate``.
     """
-
-    NAMES = ("init", "selection", "crossover", "mutation")
-
-    def __init__(self, seed: int | None = None):
-        self._rng = random.Random(seed)
-
-    # -- access -----------------------------------------------------------------
-
-    def stream(self, name: str) -> random.Random:
-        if name not in self.NAMES:
-            raise NautilusError(f"unknown RNG stream {name!r}")
-        return self._rng
-
-    #: Each concern's stream: the one generator.
-    init = selection = crossover = mutation = property(lambda self: self._rng)
-
-    # -- checkpointing ----------------------------------------------------------
-
-    def getstate(self) -> dict[str, Any]:
-        """JSON-serializable snapshot of the generator behind every name."""
-        return {
-            "mode": "shared",
-            "streams": {"shared": _rng_state_to_json(self._rng.getstate())},
-        }
-
-    def setstate(self, payload: dict[str, Any]) -> None:
-        mode = payload.get("mode")
-        if mode != "shared":
-            raise NautilusError(f"unknown RNG-stream mode {mode!r}")
-        try:
-            self._rng.setstate(_rng_state_from_json(payload["streams"]["shared"]))
-        except (KeyError, TypeError, ValueError, struct.error) as exc:
-            # A checkpoint is read back from disk: a damaged state is an
-            # error of the file, not a crash inside random.setstate.
-            raise NautilusError(f"malformed RNG state: {exc!r}") from None
-
-    @classmethod
-    def from_state(cls, payload: dict[str, Any]) -> "RngStreams":
-        streams = cls(seed=0)
-        streams.setstate(payload)
-        return streams
+    mode = payload.get("mode")
+    if mode != "shared":
+        raise NautilusError(f"unknown RNG-stream mode {mode!r}")
+    rng = random.Random()
+    try:
+        version, packed, gauss = payload["streams"]["shared"]
+        internal = _MT_STATE.unpack(base64.b64decode(packed, validate=True))
+        rng.setstate((version, internal, gauss))
+    except (KeyError, TypeError, ValueError, struct.error) as exc:
+        raise NautilusError(f"malformed RNG state: {exc!r}") from None
+    return rng
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +593,7 @@ class SearchResult:
 
 
 class SearchKernel:
-    """Shared lifecycle, RNG streams, and trace for every search engine.
+    """Shared lifecycle, seeded generator, and trace for every search engine.
 
     Subclasses implement :meth:`_do_start` and :meth:`_do_step`; the kernel
     wraps them with the start/step guards, the stopping-cutoff precedence
@@ -636,6 +602,10 @@ class SearchKernel:
     never fire, so an engine with its own stopping rule (the random
     baseline's draw budget) simply finishes itself via :meth:`_finish`.
     """
+
+    #: What :meth:`result` builds: a :class:`SearchResult`, or a subclass
+    #: whose own fields :meth:`_result_fields` supplies.
+    _result_type = SearchResult
 
     def __init__(
         self,
@@ -690,7 +660,10 @@ class SearchKernel:
         #: save/restore of its mutable state.
         self._guidance: GuidanceProvider | None = None
         self._guidance_state: GuidanceState | None = None
-        self._rngs: RngStreams | None = None
+        #: The run's one generator, ``random.Random(seed)``, created by
+        #: :meth:`start` (a seed of ``0`` is a real seed; ``None`` draws
+        #: from the entropy pool).
+        self.rng: random.Random | None = None
         self._population: list = []
         self._best = None
         self._generation = 0
@@ -706,7 +679,7 @@ class SearchKernel:
     @property
     def started(self) -> bool:
         """Whether :meth:`start` has been called."""
-        return self._rngs is not None
+        return self.rng is not None
 
     @property
     def finished(self) -> bool:
@@ -758,13 +731,6 @@ class SearchKernel:
         return self._guidance
 
     @property
-    def rngs(self) -> RngStreams:
-        """The named RNG streams (available once started)."""
-        if self._rngs is None:
-            raise NautilusError("search has not started")
-        return self._rngs
-
-    @property
     def records(self) -> list[GenerationRecord]:
         """Per-generation records, oldest first (copy)."""
         return list(self._records)
@@ -801,7 +767,7 @@ class SearchKernel:
         for engines without one, like the random baseline)."""
         if self.started:
             raise NautilusError("search already started")
-        self._rngs = RngStreams(self.seed)
+        self.rng = random.Random(self.seed)
         if self._tracer is not None:
             self._run_span = self._tracer.begin(
                 "run", label=self.label, seed=self.seed
@@ -843,7 +809,8 @@ class SearchKernel:
             self._finish(reason)
 
     def result(self) -> SearchResult:
-        """Package the search state reached so far into a :class:`SearchResult`.
+        """Package the search state reached so far into a :class:`SearchResult`
+        (of the engine's result type).
 
         Callable at any point after :meth:`start` — a scheduler that cancels
         a campaign mid-flight still gets the best-so-far and its curve. A
@@ -851,7 +818,7 @@ class SearchKernel:
         """
         if self._best is None:
             raise NautilusError("search has not started")
-        return SearchResult(
+        return self._result_type(
             self.objective,
             self.records,
             self._best,
@@ -861,7 +828,12 @@ class SearchKernel:
             eval_stats=self._counter.stats(),
             events=self.trace_events,
             operator_timings=self._operators,
+            **self._result_fields(),
         )
+
+    def _result_fields(self) -> dict[str, Any]:
+        """The fields :attr:`_result_type` adds to a :class:`SearchResult`."""
+        return {}
 
     # -- kernel plumbing ---------------------------------------------------------
 
@@ -967,10 +939,10 @@ class GenerationalEngine(SearchKernel):
 
     The loop is fixed — propose offspring through an operator pipeline,
     evaluate them as one batch, pick survivors, observe progress, record —
-    and each stage is a hook: :meth:`_initial_genomes`,
-    :meth:`_propose`, :meth:`_to_individuals`, :meth:`_survivors`,
-    :meth:`_observe_start` / :meth:`_observe`, :meth:`_make_record` and
-    :meth:`_restore_population`.
+    and each stage is a hook: :meth:`_initial_genomes`, :meth:`_elites`,
+    :meth:`_to_individuals`, :meth:`_survivors` and :meth:`_observe_start`
+    / :meth:`_observe`. The record, the guidance feedback and the
+    attribution scores read each individual through :meth:`_scalar`.
 
     The constructor does the setup every generational engine shares: the
     guidance provider (``hints`` is shorthand for
@@ -1051,7 +1023,7 @@ class GenerationalEngine(SearchKernel):
             else None
         )
         self._resume_from: SearchCheckpoint | None = None
-        self._resume_rngs: RngStreams | None = None
+        self._resume_rng: random.Random | None = None
         #: Watermarks: memo rows and records already in the journal.
         self._rows_journaled = 0
         self._records_journaled = 0
@@ -1254,7 +1226,7 @@ class GenerationalEngine(SearchKernel):
             generation=self._generation,
             population=[list(ind.genome.codes) for ind in self._population],
             params=list(self.space.param_names),
-            rng_streams=self.rngs.getstate(),
+            rng_streams=_rng_payload(self.rng),
             records=[{f: getattr(r, f) for f in _RECORD_FIELDS} for r in records],
             cache=cache,
             stalled=self._stalled_generations,
@@ -1293,9 +1265,9 @@ class GenerationalEngine(SearchKernel):
         :meth:`start` continues from it.
 
         The evaluation cache and counters are restored immediately (so even
-        pre-run lookups are free) and the RNG streams are decoded (a
-        damaged state raises :class:`NautilusError` here); population, RNG
-        streams and history take effect when the search starts. A journal
+        pre-run lookups are free) and the generator's state is decoded (a
+        damaged state raises :class:`NautilusError` here); population,
+        generator and history take effect when the search starts. A journal
         with no complete line (killed during its first append) resumes
         nothing: the search starts fresh and overwrites it.
         """
@@ -1316,8 +1288,7 @@ class GenerationalEngine(SearchKernel):
                 f"not match space {self.space.name!r} parameters "
                 f"{self.space.param_names!r}"
             )
-        rngs = RngStreams(self.seed)
-        rngs.setstate(checkpoint.rng_streams)
+        rng = _rng_from_payload(checkpoint.rng_streams)
         self._counter.preload(
             (self.space.genome(config), metrics)
             for config, metrics in checkpoint.cache_configs(self.space)
@@ -1332,13 +1303,13 @@ class GenerationalEngine(SearchKernel):
             self._rows_journaled = len(checkpoint.cache)
             self._records_journaled = len(checkpoint.records)
         self._resume_from = checkpoint
-        self._resume_rngs = rngs
+        self._resume_rng = rng
         return self
 
     def _restore(self) -> GenerationRecord:
         """Start from the journal :meth:`resume` loaded.
 
-        The population, RNG streams, history (replayed into the trace
+        The population, generator, history (replayed into the trace
         without notifying sinks — the events were delivered before the
         interruption), best-so-far, the stall counter and the evaluation
         counters are all reconstituted, so the continued step sequence is
@@ -1347,13 +1318,9 @@ class GenerationalEngine(SearchKernel):
         :class:`~repro.core.evalstack.EvalStats`. Returns the record of the
         last completed generation.
         """
-        checkpoint, self._rngs = self._resume_from, self._resume_rngs
-        self._resume_from = self._resume_rngs = None
-        # Re-assessing the restored population only hits the memo; keep
-        # those lookups out of the restored counters.
-        counts = self._counter.stats().counts()
+        checkpoint, self.rng = self._resume_from, self._resume_rng
+        self._resume_from = self._resume_rng = None
         self._restore_population(checkpoint)
-        self._counter.restore_counts(counts)
         for payload in checkpoint.records:
             self._replay_record(payload)
         self._generation = checkpoint.generation
@@ -1516,7 +1483,7 @@ class GenerationalEngine(SearchKernel):
                 entries=int(write.get("entries", 0)),
             )
 
-    # -- observability (see repro.obs; read-only w.r.t. the RNG streams) ---------
+    # -- observability (see repro.obs; draws nothing from the generator) --------
 
     # Both events are deferred (RunEvent.deferred): each captures only
     # flat, immutable inputs — tuples, numbers and the run's own mappings,
@@ -1534,13 +1501,15 @@ class GenerationalEngine(SearchKernel):
         if not children:
             return
         confidence, hinted, importance = self._attribution_context(generation)
+        # The bred children close the offspring; copied elites lead it.
+        bred = offspring[len(offspring) - len(children):]
         self._trace.emit(
             "hint-attribution",
             generation,
             build=partial(
                 _attribution_payload,
                 children,
-                self._offspring_attribution(offspring),
+                tuple(map(self._scalar, bred)),
                 confidence,
                 hinted,
                 importance,
@@ -1575,11 +1544,6 @@ class GenerationalEngine(SearchKernel):
         operators = getattr(self, "operators", None)
         return getattr(operators, "observer", None)
 
-    def _offspring_attribution(self, offspring: Sequence[Any]) -> tuple[float, ...]:
-        """The score of each *bred* child, breeding order (a child is
-        feasible when its score is not ``-inf``)."""
-        return ()
-
     def _attribution_context(
         self, generation: int
     ) -> tuple[float, bool, Mapping[str, float]]:
@@ -1594,22 +1558,81 @@ class GenerationalEngine(SearchKernel):
             return 0.0, False, {}
         return state.confidence, True, state.effective_importance
 
-    # -- hooks -------------------------------------------------------------------
+    # -- what both generational engines share ------------------------------------
 
     def _guidance_feedback(self) -> float | None:
-        """Best score of the incoming population, fed to the provider's
-        ``advance``; None when the engine has no scalar notion of best."""
-        return None
-
-    def _initial_genomes(self) -> list[Genome]:
-        """The generation-0 population (draws from the ``init`` stream)."""
-        raise NotImplementedError  # pragma: no cover - abstract
+        """Best scalar score of the incoming population, fed to the
+        provider's ``advance``."""
+        if not self._population:
+            return None
+        return max(map(self._scalar, self._population))
 
     def _propose(
         self, generation: int, timings: dict[str, list[float]]
     ) -> list[Genome]:
-        """Breed the next generation's genomes (per-operator timings out)."""
+        """The next generation's genomes: the elites, then children bred
+        up to the population size (per-operator timings out).
+
+        The whole generation is bred before any of it is scored —
+        breeding never reads the offspring's fitness, so this equals
+        assessing each child as it is bred, and it gives the stack
+        population-sized batches to fan out.
+        """
+        genomes = [ind.genome for ind in self._elites()]
+        genomes += self.pipeline.breed(
+            self._population,
+            self._guidance_state,
+            self.rng,
+            self.config.population_size - len(genomes),
+            timings,
+        )
+        return genomes
+
+    def _assess_all(self, genomes: Sequence[Genome]):
+        """Score genomes from the memo alone — a resume's re-assessment of
+        what its checkpoint restored. Counts nothing and pays nothing; a
+        design the memo lacks raises :class:`NautilusError`."""
+        return self._to_individuals(genomes, self._counter.recall(genomes))
+
+    def _make_record(self, generation: int) -> GenerationRecord:
+        """Summarize the current population into a record: the best so far
+        and the mean of the population's finite scalar scores."""
+        scores = map(self._scalar, self._population)
+        finite = [score for score in scores if score != _INFEASIBLE]
+        mean_score = sum(finite) / len(finite) if finite else _INFEASIBLE
+        best = self._best
+        return GenerationRecord(
+            generation=generation,
+            best_raw=best.raw,
+            best_score=best.score,
+            mean_score=mean_score,
+            distinct_evaluations=self._counter.distinct_evaluations,
+            best_config=best.genome.as_dict(),
+        )
+
+    def _restore_population(self, checkpoint: SearchCheckpoint) -> None:
+        """Install a checkpoint's population, re-scored from the restored
+        memo, and observe it as a fresh start does."""
+        self._population = self._assess_all(
+            checkpoint.population_genomes(self.space)
+        )
+        self._observe_start()
+
+    # -- hooks -------------------------------------------------------------------
+
+    @staticmethod
+    def _scalar(individual) -> float:
+        """The one score of an individual that the record, the guidance
+        feedback and the attribution read."""
         raise NotImplementedError  # pragma: no cover - abstract
+
+    def _initial_genomes(self) -> list[Genome]:
+        """The generation-0 population, drawn from the generator."""
+        return self.space.random_population(self.config.population_size, self.rng)
+
+    def _elites(self) -> Sequence[Any]:
+        """Individuals copied unchanged into the next generation."""
+        return ()
 
     def _to_individuals(self, genomes: Sequence[Genome], outcomes: Sequence[Any]):
         """Convert raw evaluation outcomes into the engine's individuals.
@@ -1630,13 +1653,4 @@ class GenerationalEngine(SearchKernel):
 
     def _observe(self, generation: int) -> bool:
         """Update best-so-far from the new population; True if improved."""
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def _make_record(self, generation: int) -> GenerationRecord:
-        """Summarize the current population into a record."""
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def _restore_population(self, checkpoint: SearchCheckpoint) -> None:
-        """Install a checkpoint's population and best-so-far (re-assessed
-        from the restored memo, so it costs no synthesis jobs)."""
         raise NotImplementedError  # pragma: no cover - abstract

@@ -20,7 +20,6 @@ as in the PyEvolve GA the paper built on.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from typing import Any, Callable, NamedTuple, Sequence
@@ -291,16 +290,15 @@ class BreedingPipeline:
     passes to the kernel: the engine chooses the parent-selection strategy
     (fitness-proportional for the single-objective GA, rank/crowding
     tournament for NSGA-II) and the pipeline runs the fixed breeding
-    sequence once per child, drawing each concern from its named RNG stream
-    (``selection`` / ``crossover`` / ``mutation``). :meth:`breed` produces
-    a whole generation in one call: it times every operator per child and
-    charges the sums into the caller's ``timings`` accumulator (``{operator:
-    [calls, seconds]}``) once per call, so every run can report where
-    breeding time went.
+    sequence once per child, drawing every choice from the search's one
+    generator. :meth:`breed` produces a whole generation in one call: it
+    times every operator per child and charges the sums into the caller's
+    ``timings`` accumulator (``{operator: [calls, seconds]}``) once per
+    call, so every run can report where breeding time went.
 
     The draw order is pinned — per child: parent selection, crossover-rate
     draw, mate selection, up to 8 feasible-crossover attempts, then
-    mutation — because the named streams share one generator, so it is the
+    mutation — because every draw comes from one generator, so it is the
     sequence the engine-parity baseline captures.
     """
 
@@ -341,7 +339,7 @@ class BreedingPipeline:
         self,
         population: Sequence,
         guidance: GuidanceState,
-        rngs,
+        rng: random.Random,
         count: int,
         timings: dict[str, list[float]] | None = None,
     ) -> list[Genome]:
@@ -358,17 +356,14 @@ class BreedingPipeline:
         is_feasible = self.space.is_feasible
         mutate_feasible = self.operators.mutate_feasible
         clock = self.clock if timings is not None else _no_clock
-        selection_rng = rngs.selection
-        crossover_rng = rngs.crossover
-        mutation_rng = rngs.mutation
-        crossover_draw = crossover_rng.random
+        crossover_draw = rng.random
         crossings = 0
         crossed_first = False
         select_s = crossover_s = mutation_s = 0.0
         children: list[Genome] = []
         for _ in range(count):
             t0 = clock()
-            parent = select(population, selection_rng)
+            parent = select(population, rng)
             genome = parent.genome
             t1 = clock()
             select_s += t1 - t0
@@ -378,11 +373,11 @@ class BreedingPipeline:
                 if not children:
                     crossed_first = True
                 t1 = clock()
-                other = select(population, selection_rng)
+                other = select(population, rng)
                 t2 = clock()
                 select_s += t2 - t1
                 for _ in attempts:
-                    candidate = crossover(parent.genome, other.genome, crossover_rng)
+                    candidate = crossover(parent.genome, other.genome, rng)
                     if is_feasible(candidate):
                         genome = candidate
                         if observer is not None:
@@ -391,7 +386,7 @@ class BreedingPipeline:
                 crossover_s += clock() - t2
                 crossings += 1
             t3 = clock()
-            children.append(mutate_feasible(genome, guidance, mutation_rng))
+            children.append(mutate_feasible(genome, guidance, rng))
             mutation_s += clock() - t3
             if observer is not None:
                 observer.child_finished()

@@ -18,34 +18,33 @@ reuses the whole Nautilus substrate:
   strategy (rank/crowding tournament) and survivor rule plugged into the
   shared generational loop, so :class:`ParetoSearch` speaks the full
   incremental protocol (``start()``/``step()``/``stop_reason``,
-  ``max_evaluations``/``stall_generations`` cutoffs, RNG-stream
-  checkpointing, and the structured :class:`~repro.core.kernel.RunEvent`
-  trace) and the service can schedule and resume Pareto campaigns like any
-  other engine.
+  ``max_evaluations``/``stall_generations`` cutoffs, checkpointing, and
+  the structured :class:`~repro.core.kernel.RunEvent` trace) and the
+  service can schedule and resume Pareto campaigns like any other engine.
 
 Progress bookkeeping: the per-generation :class:`GenerationRecord` curve is
 the projection of the front onto the *first* objective (best raw/score of
 the non-dominated set), so multi-objective campaigns plot on the same axes
-as single-objective ones; stall detection instead watches the whole front —
-a generation "improves" when the non-dominated set changes at all.
+as single-objective ones, and :class:`ParetoResult` is a
+:class:`~repro.core.kernel.SearchResult` of that projection plus the
+front; stall detection instead watches the whole front — a generation
+"improves" when the non-dominated set changes at all.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
-from .checkpoint import SearchCheckpoint
 from .engine import GAConfig
 from .errors import InfeasibleDesignError, NautilusError
-from .evalstack import EvalStats
 from .evaluator import Evaluator
 from .fitness import Objective
 from .genome import Genome
 from .guidance import GuidanceProvider
 from .hints import HintSet
-from .kernel import GenerationalEngine, GenerationRecord, RunEvent, _copy_timings
+from .kernel import GenerationalEngine, SearchResult
 from .selection import Individual
 from .space import DesignSpace
 
@@ -218,34 +217,21 @@ def hypervolume_2d(
     return volume
 
 
-class ParetoResult:
-    """Outcome of a multi-objective search."""
+class ParetoResult(SearchResult):
+    """Outcome of a multi-objective search: a :class:`SearchResult` of the
+    first-objective projection (records, best design, curves) plus the
+    objectives and the non-dominated set."""
 
     def __init__(
         self,
+        *args: Any,
         objectives: Sequence[Objective],
         front: list[ParetoIndividual],
-        distinct_evaluations: int,
-        eval_stats: EvalStats | None = None,
-        label: str = "pareto",
-        stop_reason: str = "horizon",
-        records: Sequence[GenerationRecord] = (),
-        events: Sequence[RunEvent] = (),
-        operator_timings: Mapping[str, Mapping[str, float]] | None = None,
+        **kwargs: Any,
     ):
+        super().__init__(*args, **kwargs)
         self.objectives = list(objectives)
         self.front = front
-        self.distinct_evaluations = distinct_evaluations
-        #: Evaluation-pipeline counters/timers for the whole run.
-        self.eval_stats = eval_stats or EvalStats()
-        self.label = label
-        #: Why the search ended (same vocabulary as single-objective runs).
-        self.stop_reason = stop_reason
-        #: First-objective projection of the front, one record per generation.
-        self.records = list(records)
-        #: The structured trace of the run (empty for hand-built results).
-        self.events = list(events)
-        self._operator_timings = _copy_timings(operator_timings or {})
 
     def front_raws(self) -> list[tuple[float, ...]]:
         """Raw metric tuples of the non-dominated set, sorted by the first."""
@@ -254,16 +240,6 @@ class ParetoResult:
     def front_configs(self) -> list[dict[str, Any]]:
         """Parameter assignments of the non-dominated set."""
         return [ind.genome.as_dict() for ind in self.front]
-
-    def curve(self) -> list[tuple[int, float]]:
-        """(distinct evals, first-objective best raw) after each generation."""
-        return [(r.distinct_evaluations, r.best_raw) for r in self.records]
-
-    def operator_timings(self) -> dict[str, dict[str, float]]:
-        """{operator: {calls, time_s}} over the run, as the search's
-        :meth:`~repro.core.kernel.SearchKernel.operator_timings` read at
-        result time."""
-        return _copy_timings(self._operator_timings)
 
     def hypervolume(self, reference_raws: tuple[float, float]) -> float:
         """2-objective hypervolume against a reference point in raw units."""
@@ -281,12 +257,6 @@ class ParetoResult:
             for ind in self.front
         ]
         return hypervolume_2d(points, ref)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ParetoResult({len(self.front)} non-dominated designs, "
-            f"{self.distinct_evaluations} evals)"
-        )
 
 
 class ParetoSearch(GenerationalEngine):
@@ -352,14 +322,13 @@ class ParetoSearch(GenerationalEngine):
         )
         self._front_signature: tuple = ()
 
+    _result_type = ParetoResult
+
     # -- scoring ------------------------------------------------------------------
 
-    def _assess(self, genome: Genome) -> ParetoIndividual:
-        return self._assess_all([genome])[0]
-
-    def _assess_all(self, genomes: Sequence[Genome]) -> list[ParetoIndividual]:
-        """Score genomes as one batch, outside the kernel's traced path."""
-        return self._to_individuals(genomes, self._counter.evaluate_many(genomes))
+    #: Records, guidance feedback and attribution project onto the first
+    #: objective.
+    _scalar = staticmethod(lambda individual: individual.scores[0])
 
     def _to_individuals(
         self, genomes: Sequence[Genome], outcomes: Sequence
@@ -390,42 +359,10 @@ class ParetoSearch(GenerationalEngine):
 
     # -- kernel hooks --------------------------------------------------------------
 
-    def _guidance_feedback(self) -> float | None:
-        # Project onto the first objective, like the record/curve bookkeeping.
-        if not self._population:
-            return None
-        return max(ind.scores[0] for ind in self._population)
-
-    def _initial_genomes(self) -> list[Genome]:
-        return self.space.random_population(
-            self.config.population_size, self.rngs.init
-        )
-
-    def _propose(
-        self, generation: int, timings: dict[str, list[float]]
-    ) -> list[Genome]:
-        # Breed the whole generation first, then score it as one batch —
-        # breeding never reads fitness of the offspring, so this is
-        # bit-identical to assessing each child as it is bred, and it
-        # gives the stack population-sized batches to fan out. NSGA-II's
-        # elitism lives in the survivor rule (parents compete in the pool),
-        # so no individuals are copied here.
-        return self.pipeline.breed(
-            self._population,
-            self._guidance_state,
-            self.rngs,
-            self.config.population_size,
-            timings,
-        )
-
-    def _offspring_attribution(self, offspring) -> tuple[float, ...]:
-        # Every offspring is bred (NSGA-II elitism lives in the survivor
-        # rule); attribution projects onto the first objective like the
-        # record/curve bookkeeping.
-        return tuple(ind.scores[0] for ind in offspring)
-
     def _survivors(self, offspring: list[ParetoIndividual]) -> list[ParetoIndividual]:
-        # Environmental selection over the combined parent+offspring pool.
+        # Environmental selection over the combined parent+offspring pool:
+        # NSGA-II's elitism lives here, so no individual is copied into the
+        # offspring (the kernel's _elites stays empty).
         pool = self._population + offspring
         fronts = non_dominated_sort(pool)
         survivors: list[ParetoIndividual] = []
@@ -453,30 +390,6 @@ class ParetoSearch(GenerationalEngine):
         self._front_signature = signature
         self._best = self._projected_best()
         return improved
-
-    def _make_record(self, generation: int) -> GenerationRecord:
-        finite = [
-            ind.scores[0]
-            for ind in self._population
-            if ind.scores[0] != float("-inf")
-        ]
-        mean_score = sum(finite) / len(finite) if finite else float("-inf")
-        return GenerationRecord(
-            generation=generation,
-            best_raw=self._best.raw,
-            best_score=self._best.score,
-            mean_score=mean_score,
-            distinct_evaluations=self._counter.distinct_evaluations,
-            best_config=self._best.genome.as_dict(),
-        )
-
-    def _restore_population(self, checkpoint: SearchCheckpoint) -> None:
-        self._population = self._assess_all(
-            checkpoint.population_genomes(self.space)
-        )
-        self._rank(self._population)
-        self._front_signature = self._signature()
-        self._best = self._projected_best()
 
     # -- front bookkeeping ---------------------------------------------------------
 
@@ -531,27 +444,8 @@ class ParetoSearch(GenerationalEngine):
         """Raw metric tuples of the current front, sorted by the first."""
         return sorted(ind.raws for ind in self.front())
 
-    # -- results -------------------------------------------------------------------
-
-    def result(self) -> ParetoResult:
-        """Package the non-dominated set reached so far."""
-        if self._best is None:
-            raise NautilusError("search has not started")
-        return ParetoResult(
-            self.objectives,
-            self._finite_front(),
-            self._counter.distinct_evaluations,
-            eval_stats=self._counter.stats(),
-            label=self.label,
-            stop_reason=self.stop_reason or "cancelled",
-            records=self.records,
-            events=self.trace_events,
-            operator_timings=self._operators,
-        )
-
-    def run(self) -> ParetoResult:
-        """Evolve the population and return the final non-dominated set."""
-        return super().run()
+    def _result_fields(self) -> dict[str, Any]:
+        return {"objectives": self.objectives, "front": self._finite_front()}
 
     @staticmethod
     def _rank(population: list[ParetoIndividual]) -> None:

@@ -25,7 +25,7 @@ per-param proposal counts and the ``effective_importance`` series; the
 value channels above cover the second decision (which values genes get).
 
 Collection is split in two so it stays **read-only with respect to the
-RNG streams** (the engine-parity CI job pins seeded curves with
+search's generator** (the engine-parity CI job pins seeded curves with
 observability on): the :class:`BreedingObserver` records provenance
 during breeding without drawing randomness, and the engine joins it with
 offspring scores *after* the evaluation batch, emitting one

@@ -10,7 +10,7 @@ campaigns (:class:`~repro.core.GeneticSearch` or
 :class:`~repro.core.ParetoSearch`) are built with a ``checkpoint_path`` in
 the campaign directory, so they append one checkpoint-journal line per
 generation, which is what lets a restarted daemon resume them: each line
-carries the population, RNG streams, guidance state and evaluation
+carries the population, RNG state, guidance state and evaluation
 counters, plus the generation's new records and evaluation-cache rows. A
 kill loses only the generation being stepped.
 """

@@ -218,7 +218,7 @@ class Scheduler:
         """Reload the store; re-queue every in-flight campaign.
 
         GA campaigns resume from the last complete line of their
-        checkpoint journal (population, RNG streams, history, counters and
+        checkpoint journal (population, RNG state, history, counters and
         evaluation cache); random campaigns deterministically replay from
         their seed. Terminal campaigns are loaded for status/curve queries
         only. Returns the re-queued campaigns.

@@ -13,7 +13,6 @@ from repro.core import (
     maximize,
 )
 from repro.core.evalstack import evaluator_fingerprint
-from repro.core.guidance import provider_from_spec
 
 
 @pytest.fixture
@@ -141,19 +140,6 @@ class TestArchiveGuidance:
         state = restored.peek(3)
         assert restored.rows_used == 90
         assert state.hints.params["a"].bias == provider.hints.params["a"].bias
-
-    def test_spec_round_trip(self, filled):
-        archive, __ = filled
-        provider = ArchiveGuidance(
-            archive, confidence=0.7, min_rows=5, min_bias=0.3, top_fraction=0.5
-        )
-        rebuilt = provider_from_spec(provider.to_spec())
-        assert isinstance(rebuilt, ArchiveGuidance)
-        assert rebuilt.root == str(archive.root)
-        assert rebuilt.confidence == 0.7
-        assert rebuilt.min_rows == 5
-        assert rebuilt.min_bias == 0.3
-        assert rebuilt.top_fraction == 0.5
 
     def test_wrong_kind_rejected(self, filled):
         archive, __ = filled

@@ -24,7 +24,6 @@ from repro.core import (
     ParamHints,
     scalar_score,
 )
-from repro.core.kernel import RngStreams
 from repro.core.operators import BreedingPipeline, single_point_crossover
 from repro.core.population import Population
 from repro.core.selection import Individual, roulette_selection
@@ -69,7 +68,7 @@ def _charge(timings, operator, seconds):
     entry[1] += seconds
 
 
-def reference_breed(pipeline, population, guidance, rngs, count, timings):
+def reference_breed(pipeline, population, guidance, rng, count, timings):
     """One child at a time, each operator charged as soon as it ran."""
     observer = pipeline.operators.observer
     clock = pipeline.clock
@@ -77,23 +76,21 @@ def reference_breed(pipeline, population, guidance, rngs, count, timings):
     for _ in range(count):
         if timings is not None:
             t0 = clock()
-        parent = pipeline.select(population, rngs.selection)
+        parent = pipeline.select(population, rng)
         genome = parent.genome
         if timings is not None:
             _charge(timings, "selection", clock() - t0)
         if observer is not None:
             observer.child_started(scalar_score(parent))
-        if rngs.crossover.random() < pipeline.crossover_rate:
+        if rng.random() < pipeline.crossover_rate:
             if timings is not None:
                 t1 = clock()
-            other = pipeline.select(population, rngs.selection)
+            other = pipeline.select(population, rng)
             if timings is not None:
                 t2 = clock()
                 _charge(timings, "selection", t2 - t1)
             for _ in range(pipeline.CROSSOVER_ATTEMPTS):
-                candidate = pipeline.crossover(
-                    parent.genome, other.genome, rngs.crossover
-                )
+                candidate = pipeline.crossover(parent.genome, other.genome, rng)
                 if pipeline.space.is_feasible(candidate):
                     genome = candidate
                     if observer is not None:
@@ -104,7 +101,7 @@ def reference_breed(pipeline, population, guidance, rngs, count, timings):
         if timings is not None:
             t3 = clock()
         children.append(
-            pipeline.operators.mutate_feasible(genome, guidance, rngs.mutation)
+            pipeline.operators.mutate_feasible(genome, guidance, rng)
         )
         if timings is not None:
             _charge(timings, "mutation", clock() - t3)
@@ -230,21 +227,21 @@ def test_generation_breed_equals_per_child_sequence(case):
     runs = []
     for breed in ("generation", "reference"):
         pipeline = _pipeline(case)
-        rngs = RngStreams(case["seed"])
+        rng = random.Random(case["seed"])
         timings = {} if case["timed"] else None
         if breed == "generation":
             children = pipeline.breed(
-                population, case["guidance"], rngs, case["count"], timings
+                population, case["guidance"], rng, case["count"], timings
             )
         else:
             children = reference_breed(
-                pipeline, population, case["guidance"], rngs, case["count"],
+                pipeline, population, case["guidance"], rng, case["count"],
                 timings,
             )
         runs.append(
             (
                 [child.codes for child in children],
-                [rngs.stream(name).getstate() for name in RngStreams.NAMES],
+                rng.getstate(),
                 getattr(pipeline.operators.observer, "calls", None),
                 None if timings is None else list(timings.items()),
                 pipeline.clock.reads,
@@ -277,12 +274,12 @@ def test_zero_count_breeds_nothing_and_charges_nothing():
     population = Population(
         [Individual(g, 1.0, 1.0) for g in space.random_population(4, random.Random(1))]
     )
-    rngs = RngStreams(5)
-    before = rngs.mutation.getstate()
+    rng = random.Random(5)
+    before = rng.getstate()
     timings = {}
-    assert pipeline.breed(population, GuidanceState.neutral(), rngs, 0, timings) == []
+    assert pipeline.breed(population, GuidanceState.neutral(), rng, 0, timings) == []
     assert timings == {}
-    assert rngs.mutation.getstate() == before
+    assert rng.getstate() == before
 
 
 class TestHintTablesPerSearch:

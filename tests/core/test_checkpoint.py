@@ -7,6 +7,7 @@ import pytest
 from repro.core import (
     CallableEvaluator,
     DesignSpace,
+    EvaluationStack,
     GAConfig,
     GeneticSearch,
     InfeasibleDesignError,
@@ -17,6 +18,7 @@ from repro.core import (
     maximize,
 )
 from repro.core.checkpoint import CheckpointJournal
+from repro.obs import MetricsRegistry
 
 
 @pytest.fixture
@@ -193,6 +195,100 @@ class TestResume:
             GeneticSearch(
                 space, evaluator, maximize("m"), checkpoint_path=path
             ).resume()
+
+    @pytest.mark.parametrize(
+        "field",
+        ["generation", "population", "records", "cache", "rng_streams",
+         "eval_stats"],
+    )
+    def test_null_field_rejected(self, space, counting_evaluator, tmp_path, field):
+        """A line whose required field has the wrong type is an error of
+        the file, named in a NautilusError, not a TypeError or an
+        AttributeError from the resumed run."""
+        evaluator, __ = counting_evaluator
+        path = tmp_path / "null.json"
+        GeneticSearch(
+            space, evaluator, maximize("m"),
+            GAConfig(seed=1, generations=2), checkpoint_path=path,
+        ).run()
+        line = json.loads(path.read_text())
+        line[field] = None
+        path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(NautilusError, match=f"'{field}' must be"):
+            GeneticSearch(
+                space, evaluator, maximize("m"),
+                GAConfig(seed=1, generations=4), checkpoint_path=path,
+            ).resume().run()
+
+    @pytest.mark.parametrize("field", ["params", "stalled", "guidance"])
+    def test_optional_field_may_be_null_but_not_mistyped(
+        self, space, counting_evaluator, tmp_path, field
+    ):
+        evaluator, __ = counting_evaluator
+        path = tmp_path / "null.json"
+        GeneticSearch(
+            space, evaluator, maximize("m"),
+            GAConfig(seed=1, generations=2), checkpoint_path=path,
+        ).run()
+        line = json.loads(path.read_text())
+
+        def resume(value):
+            line[field] = value
+            path.write_text(json.dumps(line) + "\n")
+            return GeneticSearch(
+                space, evaluator, maximize("m"),
+                GAConfig(seed=1, generations=4), checkpoint_path=path,
+            ).resume()
+
+        assert resume(None).run().records[-1].generation == 4
+        with pytest.raises(NautilusError, match=f"'{field}' must be"):
+            resume("ab")
+
+    def test_restore_counts_nothing(self, space, counting_evaluator, tmp_path):
+        """Re-scoring the restored population reads the memo without a
+        request: neither EvalStats nor the stack's registry moves."""
+        evaluator, __ = counting_evaluator
+        path = tmp_path / "run.json"
+        GeneticSearch(
+            space, evaluator, maximize("m"),
+            GAConfig(seed=1, generations=3), checkpoint_path=path,
+        ).run()
+        checkpointed = json.loads(path.read_text())["eval_stats"]
+        registry = MetricsRegistry()
+        search = GeneticSearch(
+            space, EvaluationStack(evaluator, registry=registry),
+            maximize("m"), GAConfig(seed=1, generations=6),
+            checkpoint_path=path,
+        ).resume()
+        search.start()
+        requests = registry.counter("nautilus_eval_requests_total", "")
+        assert requests.value() == 0
+        assert search.eval_stats().counts() == checkpointed
+
+    def test_missing_population_row_raises(
+        self, space, counting_evaluator, tmp_path
+    ):
+        """A journal without the row of a population member cannot be
+        resumed: the design is neither re-paid nor left uncounted."""
+        evaluator, calls = counting_evaluator
+        path = tmp_path / "run.json"
+        GeneticSearch(
+            space, evaluator, maximize("m"),
+            GAConfig(seed=1, generations=2), checkpoint_path=path,
+        ).run()
+        line = json.loads(path.read_text())
+        member = space.genome_from_indices(line["population"][0])
+        values = [member[name] for name in space.param_names]
+        line["cache"] = [row for row in line["cache"] if row["values"] != values]
+        path.write_text(json.dumps(line) + "\n")
+        search = GeneticSearch(
+            space, evaluator, maximize("m"),
+            GAConfig(seed=1, generations=4), checkpoint_path=path,
+        ).resume()
+        calls.clear()
+        with pytest.raises(NautilusError, match="no memoized evaluation"):
+            search.start()
+        assert calls == []
 
     def test_param_order_guard(self, space, counting_evaluator, tmp_path):
         """A checkpoint refuses to resume into a reordered space."""

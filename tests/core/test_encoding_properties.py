@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core import fileio
 from repro.core.fileio import dumps
-from repro.core.kernel import _rng_state_from_json, _rng_state_to_json
+from repro.core.kernel import _rng_from_payload, _rng_payload
 
 _floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
     (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308)
@@ -70,14 +70,18 @@ def test_rng_state_text_is_packed_little_endian_words(seed, draws):
         rng.gauss(0.0, 1.0)  # a pending gauss value rides in the state
     state = rng.getstate()
     version, words, gauss = state
-    encoded = _rng_state_to_json(state)
-    assert encoded == [
-        version,
-        base64.b64encode(struct.pack("<625I", *words)).decode("ascii"),
-        gauss,
-    ]
+    encoded = _rng_payload(rng)
+    assert encoded == {
+        "mode": "shared",
+        "streams": {
+            "shared": [
+                version,
+                base64.b64encode(struct.pack("<625I", *words)).decode("ascii"),
+                gauss,
+            ],
+        },
+    }
     assert json.loads(json.dumps(encoded)) == encoded
-    assert _rng_state_from_json(encoded) == state
-    restored = random.Random()
-    restored.setstate(_rng_state_from_json(json.loads(json.dumps(encoded))))
+    assert _rng_from_payload(encoded).getstate() == state
+    restored = _rng_from_payload(json.loads(json.dumps(encoded)))
     assert [restored.random() for _ in range(5)] == [rng.random() for _ in range(5)]

@@ -24,7 +24,6 @@ from repro.core import (
     hintset_to_json,
     maximize,
     minimize,
-    provider_from_spec,
 )
 from repro.core.hints import DEFAULT_IMPORTANCE
 
@@ -335,32 +334,3 @@ class TestJsonRoundTrip:
     def test_non_object_payload(self):
         with pytest.raises(HintSpecError):
             hintset_from_json([1, 2, 3])
-
-
-class TestProviderSpecs:
-    def test_static_spec_roundtrip(self, space):
-        provider = StaticHints(author_hints())
-        spec = json.loads(json.dumps(provider.to_spec()))
-        rebuilt = provider_from_spec(spec)
-        assert isinstance(rebuilt, StaticHints)
-        rebuilt.bind(space)
-        assert rebuilt.hints == author_hints()
-
-    def test_adaptive_spec_roundtrip(self):
-        provider = AdaptiveConfidence(
-            author_hints(), patience=4, backoff=0.5, recovery=1.2, min_confidence=0.1
-        )
-        rebuilt = provider_from_spec(json.loads(json.dumps(provider.to_spec())))
-        assert isinstance(rebuilt, AdaptiveConfidence)
-        assert (rebuilt.patience, rebuilt.backoff, rebuilt.recovery) == (4, 0.5, 1.2)
-        assert rebuilt.min_confidence == 0.1
-
-    def test_estimated_spec_roundtrip(self):
-        provider = EstimatedHints(budget=33, confidence=0.4, seed=7)
-        rebuilt = provider_from_spec(json.loads(json.dumps(provider.to_spec())))
-        assert isinstance(rebuilt, EstimatedHints)
-        assert (rebuilt.budget, rebuilt.confidence, rebuilt.seed) == (33, 0.4, 7)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(HintSpecError, match="kind"):
-            provider_from_spec({"schema": 1, "kind": "oracle"})

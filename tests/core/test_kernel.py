@@ -4,12 +4,13 @@ One parametrized battery runs the baseline GA, the guided GA, the GA with
 adaptive confidence, NSGA-II Pareto search, and the random baseline
 through the same lifecycle assertions: start/step guards, run == stepping,
 stop-reason vocabulary and precedence, seed handling (0 is a real seed,
-not falsy), structured-trace invariants, and RNG-stream checkpoint
-round-trips.
+not falsy), structured-trace invariants, and round-trips of the
+generator's checkpointed state.
 """
 
 import base64
 import json
+import random
 import struct
 
 import pytest
@@ -24,11 +25,11 @@ from repro.core import (
     ParamHints,
     ParetoSearch,
     RandomSearch,
-    RngStreams,
     RUN_EVENT_KINDS,
     SearchCheckpoint,
     maximize,
 )
+from repro.core.kernel import _rng_from_payload, _rng_payload
 from repro.obs import FakeClock
 
 ENGINES = ("baseline", "nautilus", "adaptive", "random", "pareto")
@@ -193,8 +194,8 @@ class TestOperatorTotals:
         bred = []
         breed = search.pipeline.breed
 
-        def spy(population, guidance, rngs, count, timings=None):
-            children = breed(population, guidance, rngs, count, timings)
+        def spy(population, guidance, rng, count, timings=None):
+            children = breed(population, guidance, rng, count, timings)
             bred.append({op: list(entry) for op, entry in timings.items()})
             return children
 
@@ -259,42 +260,30 @@ class TestStopPrecedence:
 
 
 class TestRngStreams:
-    def test_shared_mode_aliases_one_generator(self):
-        streams = RngStreams(seed=7)
-        assert streams.init is streams.selection is streams.mutation
+    """The checkpoint's ``rng_streams`` field: the search generator's
+    state as one ``"shared"`` stream, written and read by the kernel."""
 
     def test_getstate_round_trip_exact(self):
-        streams = RngStreams(seed=3)
-        for _ in range(17):
-            streams.mutation.random()
-            streams.init.random()
-        state = streams.getstate()
-        expected = [streams.stream(n).random() for n in RngStreams.NAMES]
-        restored = RngStreams.from_state(state)
-        assert [
-            restored.stream(n).random() for n in RngStreams.NAMES
-        ] == expected
+        rng = random.Random(3)
+        for _ in range(34):
+            rng.random()
+        state = _rng_payload(rng)
+        restored = _rng_from_payload(state)
+        assert [restored.random() for _ in range(4)] == [
+            rng.random() for _ in range(4)
+        ]
 
     def test_setstate_mode_mismatch_raises(self):
         with pytest.raises(NautilusError, match="mode"):
-            RngStreams(seed=1).setstate({"mode": "split", "streams": {}})
-
-    def test_unknown_stream_raises(self):
-        with pytest.raises(NautilusError, match="unknown RNG stream"):
-            RngStreams(seed=1).stream("oops")
+            _rng_from_payload({"mode": "split", "streams": {}})
 
     def test_packed_state_restores_every_word(self):
-        streams = RngStreams(seed=9)
-        for name in RngStreams.NAMES:
-            streams.stream(name).gauss(0.0, 1.0)  # sets gauss_next
-        state = json.loads(json.dumps(streams.getstate()))
-        for packed in state["streams"].values():
-            assert isinstance(packed[1], str)
-        restored = RngStreams.from_state(state)
-        for name in RngStreams.NAMES:
-            assert restored.stream(name).getstate() == (
-                streams.stream(name).getstate()
-            )
+        rng = random.Random(9)
+        rng.gauss(0.0, 1.0)  # sets gauss_next
+        state = json.loads(json.dumps(_rng_payload(rng)))
+        assert list(state["streams"]) == ["shared"]
+        assert isinstance(state["streams"]["shared"][1], str)
+        assert _rng_from_payload(state).getstate() == rng.getstate()
 
     @pytest.mark.parametrize(
         "damage",
@@ -314,25 +303,25 @@ class TestRngStreams:
         ],
     )
     def test_malformed_state_raises_nautilus_error(self, damage):
-        state = RngStreams(seed=1).getstate()
+        state = _rng_payload(random.Random(1))
         version, words, gauss = state["streams"]["shared"]
         state["streams"]["shared"] = [version, damage(words), gauss]
         with pytest.raises(NautilusError, match="malformed RNG state"):
-            RngStreams(seed=1).setstate(state)
+            _rng_from_payload(state)
 
     def test_missing_stream_raises_nautilus_error(self):
-        state = RngStreams(seed=1).getstate()
+        state = _rng_payload(random.Random(1))
         del state["streams"]["shared"]
         with pytest.raises(NautilusError, match="malformed RNG state"):
-            RngStreams(seed=1).setstate(state)
+            _rng_from_payload(state)
 
 
 class TestCheckpointRngRoundTrip:
     def test_checkpoint_preserves_stream_state_exactly(self, toy_space, tmp_path):
-        streams = RngStreams(seed=5)
+        rng = random.Random(5)
         for _ in range(9):
-            streams.crossover.random()
-        payload = streams.getstate()
+            rng.random()
+        payload = _rng_payload(rng)
         checkpoint = SearchCheckpoint(
             space_name="toy",
             generation=3,
@@ -340,14 +329,13 @@ class TestCheckpointRngRoundTrip:
             rng_streams=payload,
             records=[],
             cache=[],
+            eval_stats={},
         )
         path = tmp_path / "ck.json"
         checkpoint.save(path)
         loaded = SearchCheckpoint.load(path)
         assert loaded.rng_streams == payload
-        assert RngStreams.from_state(loaded.rng_streams).crossover.random() == (
-            RngStreams.from_state(payload).crossover.random()
-        )
+        assert _rng_from_payload(loaded.rng_streams).random() == rng.random()
 
     def test_pareto_resume_is_bit_identical(
         self, toy_space, toy_evaluator, tmp_path

@@ -8,7 +8,7 @@ entry point against an in-process daemon on an ephemeral port.
 import pytest
 
 from repro.cli import build_parser, main
-from repro.service import SearchService
+from repro.service import CampaignSpec, SearchService
 
 
 @pytest.fixture
@@ -82,3 +82,44 @@ class TestRoundTrip:
         code = main(["status", "--port", str(service.port)])
         assert code == 0
         assert "no campaigns" in capsys.readouterr().out
+
+
+class TestAfterRestart:
+    def test_status_and_top_show_evals_of_a_campaign_finished_before(
+        self, tmp_path, tiny_provider, capsys
+    ):
+        """The per-campaign numbers come from each campaign's status, which
+        a restarted daemon serves from the stored result."""
+        root = tmp_path / "campaigns"
+        first = SearchService(root, port=0, dataset_provider=tiny_provider)
+        first.start(run_scheduler=False)
+        try:
+            campaign = first.scheduler.submit(
+                CampaignSpec(query="noc-frequency", engine="baseline",
+                             generations=4, seed=3)
+            )
+            while not campaign.terminal:
+                first.scheduler.tick()
+            evals = campaign.status_payload()["distinct_evaluations"]
+        finally:
+            first.stop()
+
+        second = SearchService(root, port=0, dataset_provider=tiny_provider)
+        second.start()
+        try:
+            port = str(second.port)
+            assert main(["status", "--port", port]) == 0
+            row = next(
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith(campaign.id)
+            )
+            assert f"evals={evals}" in row
+            assert main(["top", "--iterations", "1", "--no-clear",
+                         "--port", port]) == 0
+            row = next(
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith(campaign.id)
+            )
+            assert str(evals) in row.split()
+        finally:
+            second.stop()
