@@ -1,7 +1,8 @@
 """Core-throughput benchmark: encoded-genome hot path vs the dict-based core.
 
 Measures the breeding hot path three ways and writes
-``results/BENCH_core.json``:
+``results/BENCH_core.json`` (``results/BENCH_core.quick.json`` with
+``--quick``, so a smoke run leaves the committed capture alone):
 
 * **current** — the encoded core as shipped: code-vector crossover/mutation,
   resolved per-generation guidance, columnar populations, O(changes)
@@ -57,6 +58,7 @@ from repro.queries import QUERIES, build_hints, load_dataset  # noqa: E402
 
 BASELINE = Path(__file__).resolve().parent / "baselines" / "core_throughput_pre.json"
 RESULTS = Path(__file__).resolve().parents[1] / "results" / "BENCH_core.json"
+QUICK_RESULTS = RESULTS.with_name("BENCH_core.quick.json")
 
 #: Floors the quick (CI) mode asserts against the in-run reference.
 MICRO_FLOOR = 3.0
@@ -106,10 +108,9 @@ def legacy_single_point_crossover(a: Genome, b: Genome, rng) -> Genome:
 class LegacyOperators(GeneticOperators):
     """Historical whole-genome mutation: per-call rates, dict rebuild."""
 
-    def mutate(self, genome, guidance, rng):
+    def mutate(self, genome, guidance, rng, channels=None):
         rates = self.gene_mutation_rates(guidance)
         changes = {}
-        channels = [] if self.observer is not None else None
         for param in self.space.params:
             if rng.random() < rates[param.name]:
                 value, channel = self._mutate_value(
@@ -118,8 +119,6 @@ class LegacyOperators(GeneticOperators):
                 changes[param.name] = value
                 if channels is not None:
                     channels.append((param.name, channel))
-        if channels is not None:
-            self.observer.mutation_attempted(channels)
         if not changes:
             return genome
         # Full re-validating rebuild — the pre-refactor replace cost.
@@ -139,7 +138,7 @@ def legacy_is_feasible(space, genome) -> bool:
 class LegacyBreedingPipeline(BreedingPipeline):
     """The historical breed sequence with dict-based feasibility checks."""
 
-    def breed(self, population, guidance, rng, count, timings=None):
+    def breed(self, population, guidance, rng, count, timings=None, bred=None):
         return [
             self._breed_one(population, guidance, rng) for _ in range(count)
         ]
@@ -154,7 +153,7 @@ class LegacyBreedingPipeline(BreedingPipeline):
                 if legacy_is_feasible(self.space, candidate):
                     genome = candidate
                     break
-        return self.operators.mutate_feasible(genome, guidance, rng)
+        return self.operators.mutate_feasible(genome, guidance, rng)[0]
 
 
 # -- measurement ---------------------------------------------------------------
@@ -270,7 +269,6 @@ def e2e_run(space, dataset, objective, hints, generations, legacy: bool):
     if legacy:
         # Swap in the reference pipeline; the kernel only sees .breed().
         search.operators = LegacyOperators(space, search.config.mutation_rate)
-        search.operators.observer = search.pipeline.operators.observer
         search.pipeline = LegacyBreedingPipeline(
             space,
             search.operators,
@@ -389,10 +387,11 @@ def main() -> None:
         "floors": {"micro": MICRO_FLOOR, "e2e": E2E_FLOOR},
     }
 
-    RESULTS.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS.write_text(json.dumps(out, indent=2) + "\n")
+    path = QUICK_RESULTS if args.quick else RESULTS
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(out, indent=2) + "\n")
     print(json.dumps(out["speedup"], indent=2))
-    print(f"wrote {RESULTS}")
+    print(f"wrote {path}")
 
     if args.quick:
         failures = []

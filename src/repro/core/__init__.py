@@ -62,7 +62,6 @@ from .guidance import (
 from .operators import (
     BreedingPipeline,
     GeneticOperators,
-    scalar_score,
     single_point_crossover,
 )
 from .selection import Individual, roulette_selection
@@ -151,7 +150,6 @@ __all__ = [
     # operators / selection
     "GeneticOperators",
     "BreedingPipeline",
-    "scalar_score",
     "single_point_crossover",
     "Individual",
     "roulette_selection",

@@ -91,8 +91,9 @@ class GAConfig:
             the telemetry is derived from already-computed state and
             consumes no RNG draws, so seeded curves are identical with it
             on or off. Each payload is built the first time something
-            reads the event, so turning this off saves only the breeding
-            observer's hooks and the capture of each event's inputs.
+            reads the event, so turning this off saves only the
+            provenance tuple ``breed`` records per child and the capture
+            of each event's inputs.
         tracing: Record a span tree for the run (see
             :mod:`repro.obs.tracing`): run → generation → phase →
             eval-batch → task, plus a per-generation ``phase-budget``

@@ -50,7 +50,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from ..obs.attribution import BreedingObserver, summarize_generation
+from ..obs.attribution import summarize_generation
 from ..obs.clock import DEFAULT_CLOCK
 from ..obs.health import population_health
 from ..obs.tracing import SpanRecorder
@@ -923,8 +923,8 @@ def _health_payload(
 def _attribution_payload(
     children, scores, confidence, hinted, importance
 ) -> dict[str, Any]:
-    """A deferred ``hint-attribution`` event's payload: the drained
-    children joined with their scores."""
+    """A deferred ``hint-attribution`` event's payload: the bred
+    children's provenance joined with their scores."""
     return summarize_generation(
         children,
         [(score, score != _INFEASIBLE) for score in scores],
@@ -947,8 +947,8 @@ class GenerationalEngine(SearchKernel):
     The constructor does the setup every generational engine shares: the
     guidance provider (``hints`` is shorthand for
     ``guidance=StaticHints(hints)``; the two are mutually exclusive) bound
-    to the space and to ``bind_objective``, the operators with their
-    breeding observer, and the breeding pipeline over ``selection``.
+    to the space and to ``bind_objective``, the operators, and the
+    breeding pipeline over ``selection`` and :meth:`_scalar`.
     ``config`` is a :class:`~repro.core.engine.GAConfig`.
 
     With ``checkpoint_path`` the engine journals itself (format in
@@ -1002,8 +1002,6 @@ class GenerationalEngine(SearchKernel):
             provider.bind(space, bind_objective, self._counter)
         self._guidance = provider
         self.operators = GeneticOperators(space, config.mutation_rate)
-        if config.observability:
-            self.operators.observer = BreedingObserver()
         #: Domain size per param, in code-vector order (for ``health``).
         self._cardinalities = {p.name: p.cardinality for p in space.params}
         self.pipeline = BreedingPipeline(
@@ -1013,6 +1011,7 @@ class GenerationalEngine(SearchKernel):
             single_point_crossover,
             config.crossover_rate,
             clock=self._clock,
+            score=self._scalar,
         )
         self.checkpoint_path = (
             Path(checkpoint_path) if checkpoint_path is not None else None
@@ -1104,7 +1103,8 @@ class GenerationalEngine(SearchKernel):
             else GuidanceState.neutral(generation)
         )
         timings: dict[str, list[float]] = {}
-        genomes = self._propose(generation, timings)
+        bred = [] if self.observability else None
+        genomes = self._propose(generation, timings, bred)
         for operator, (calls, time_s) in timings.items():
             self._charge_operator(operator, calls, time_s)
         if tr is not None:
@@ -1121,7 +1121,7 @@ class GenerationalEngine(SearchKernel):
             b2 = self._clock()
             tr.end(self._eval_phase, at=b2)
             self._eval_phase = None
-        self._emit_attribution(generation, offspring)
+        self._emit_attribution(generation, offspring, bred)
         self._population = self._survivors(offspring)
         improved = self._observe(generation)
         if improved:
@@ -1491,13 +1491,12 @@ class GenerationalEngine(SearchKernel):
     # object graphs would stay alive in the trace and be walked by the
     # cyclic GC — and builds its payload on first read.
 
-    def _emit_attribution(self, generation: int, offspring: Sequence[Any]) -> None:
-        """One ``hint-attribution`` event joining breeding provenance with
-        the offspring's freshly computed scores (when a child was bred)."""
-        observer = self._breeding_observer()
-        if observer is None or not self.observability:
-            return
-        children = observer.drain()
+    def _emit_attribution(
+        self, generation: int, offspring: Sequence[Any], children: list | None
+    ) -> None:
+        """One ``hint-attribution`` event joining the provenance ``breed``
+        recorded with the offspring's freshly computed scores (when a child
+        was bred)."""
         if not children:
             return
         confidence, hinted, importance = self._attribution_context(generation)
@@ -1539,11 +1538,6 @@ class GenerationalEngine(SearchKernel):
             ),
         )
 
-    def _breeding_observer(self):
-        """The engine's breeding observer, when attribution is wired up."""
-        operators = getattr(self, "operators", None)
-        return getattr(operators, "observer", None)
-
     def _attribution_context(
         self, generation: int
     ) -> tuple[float, bool, Mapping[str, float]]:
@@ -1568,10 +1562,14 @@ class GenerationalEngine(SearchKernel):
         return max(map(self._scalar, self._population))
 
     def _propose(
-        self, generation: int, timings: dict[str, list[float]]
+        self,
+        generation: int,
+        timings: dict[str, list[float]],
+        bred: list[tuple] | None,
     ) -> list[Genome]:
         """The next generation's genomes: the elites, then children bred
-        up to the population size (per-operator timings out).
+        up to the population size (per-operator timings out, and each
+        child's provenance into ``bred`` when it is a list).
 
         The whole generation is bred before any of it is scored —
         breeding never reads the offspring's fitness, so this equals
@@ -1585,6 +1583,7 @@ class GenerationalEngine(SearchKernel):
             self.rng,
             self.config.population_size - len(genomes),
             timings,
+            bred,
         )
         return genomes
 

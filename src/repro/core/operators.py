@@ -25,7 +25,6 @@ import time
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .codec import SpaceCodec
-from .errors import NautilusError
 from .genome import Genome
 from .guidance import GuidanceState
 from .hints import HintSet
@@ -35,31 +34,8 @@ from .space import DesignSpace
 __all__ = [
     "GeneticOperators",
     "BreedingPipeline",
-    "scalar_score",
     "single_point_crossover",
 ]
-
-
-def scalar_score(individual) -> float:
-    """The scalar fitness of an individual, engine-agnostic.
-
-    Single-objective individuals expose ``.score``; multi-objective ones
-    expose ``.scores`` (attribution projects onto the first objective,
-    matching the kernel's record/curve projection). An individual with
-    neither — or an empty ``scores`` tuple — is a caller bug; raising here
-    beats silently returning ``NaN``, which would poison every attribution
-    delta computed from it downstream.
-    """
-    score = getattr(individual, "score", None)
-    if score is not None:
-        return score
-    scores = getattr(individual, "scores", None)
-    if scores:
-        return scores[0]
-    raise NautilusError(
-        "cannot take a scalar fitness: individual has neither a .score "
-        "nor a non-empty .scores"
-    )
 
 #: Probability bounds that keep every gene able to mutate (or stay put) no
 #: matter how extreme the importance skew is.
@@ -314,6 +290,7 @@ class BreedingPipeline:
         crossover: Callable,
         crossover_rate: float,
         clock: Callable[[], float] | None = None,
+        score: Callable[[Any], float] | None = None,
     ):
         self.space = space
         self.operators = operators
@@ -323,6 +300,9 @@ class BreedingPipeline:
         #: Injectable time source for the timed breeding path (engines
         #: pass the kernel's clock; tests pass a FakeClock).
         self.clock = clock if clock is not None else time.perf_counter
+        #: An individual's one score (the engine's ``_scalar``), read only
+        #: when :meth:`breed` records provenance.
+        self.score = score
 
     @staticmethod
     def _charge(
@@ -342,13 +322,22 @@ class BreedingPipeline:
         rng: random.Random,
         count: int,
         timings: dict[str, list[float]] | None = None,
+        bred: list[tuple] | None = None,
     ) -> list[Genome]:
         """Breed ``count`` offspring genomes under this generation's guidance.
 
         Without ``timings`` the clock is never read; with it, every
         operator is timed per child and the sums are charged once.
+
+        With a ``bred`` list, each child appends its provenance
+        ``(parent score, crossed, mutations, fallback)``: ``crossed`` is
+        set when a feasible crossover was taken, ``mutations`` is the
+        accepted attempt's ``(param, channel)`` list, and a fallback to
+        the unmutated genome records ``()`` and ``True``. Recording draws
+        nothing.
         """
-        observer = self.operators.observer
+        score = self.score
+        record = bred is not None
         select = self.select
         crossover = self.crossover
         crossover_rate = self.crossover_rate
@@ -367,8 +356,7 @@ class BreedingPipeline:
             genome = parent.genome
             t1 = clock()
             select_s += t1 - t0
-            if observer is not None:
-                observer.child_started(scalar_score(parent))
+            crossed = False
             if crossover_draw() < crossover_rate:
                 if not children:
                     crossed_first = True
@@ -380,16 +368,19 @@ class BreedingPipeline:
                     candidate = crossover(parent.genome, other.genome, rng)
                     if is_feasible(candidate):
                         genome = candidate
-                        if observer is not None:
-                            observer.crossover_applied()
+                        crossed = True
                         break
                 crossover_s += clock() - t2
                 crossings += 1
             t3 = clock()
-            children.append(mutate_feasible(genome, guidance, rng))
+            child, mutations = mutate_feasible(genome, guidance, rng, record=record)
             mutation_s += clock() - t3
-            if observer is not None:
-                observer.child_finished()
+            children.append(child)
+            if record:
+                fallback = mutations is None
+                bred.append(
+                    (score(parent), crossed, () if fallback else mutations, fallback)
+                )
         if timings is not None and count > 0:
             # Keys keep the order of each operator's first charge, as when
             # every child was charged on its own: crossover precedes
@@ -426,11 +417,6 @@ class GeneticOperators:
             raise ValueError(f"mutation_rate must be in [0, 1], got {mutation_rate}")
         self.space = space
         self.mutation_rate = mutation_rate
-        #: Optional :class:`repro.obs.attribution.BreedingObserver`. When
-        #: set, every mutation reports which params changed and through
-        #: which hint channel. Pure bookkeeping — attaching an observer
-        #: never consumes RNG draws, so seeded runs are unaffected.
-        self.observer = None
         # Identity-keyed cache of the last resolved guidance state: providers
         # emit one state object per generation, so one resolution serves the
         # whole generation's breeding. Keyed on mutation_rate too, so callers
@@ -596,7 +582,11 @@ class GeneticOperators:
     # -- whole-genome mutation --------------------------------------------------
 
     def mutate(
-        self, genome: Genome, guidance: GuidanceState | None, rng: random.Random
+        self,
+        genome: Genome,
+        guidance: GuidanceState | None,
+        rng: random.Random,
+        channels: list[tuple[str, str]] | None = None,
     ) -> Genome:
         """Mutate a genome: each gene flips per its (possibly guided) rate.
 
@@ -604,13 +594,13 @@ class GeneticOperators:
         guidance tables. A fired gene always records a change (even when the
         sampled code equals the current one — the historical ``replace``
         semantics), so the result is a *new* genome whenever any gate fired;
-        with no fired genes the input genome is returned unchanged.
+        with no fired genes the input genome is returned unchanged. Given a
+        ``channels`` list, each fired gene appends its ``(param, channel)``
+        pair to it.
         """
         resolved = self._resolve(guidance)
-        observer = self.observer
         codes = genome.codes
         new_codes: list[int] | None = None
-        channels = [] if observer is not None else None
         confidence = resolved.confidence
         genes = resolved.genes
         draw = rng.random
@@ -625,8 +615,6 @@ class GeneticOperators:
                 new_codes[pos] = code
                 if channels is not None:
                     channels.append((guide.name, channel))
-        if channels is not None:
-            observer.mutation_attempted(channels)
         if new_codes is None:
             return genome
         return Genome.from_codes(genome.space, tuple(new_codes))
@@ -637,19 +625,19 @@ class GeneticOperators:
         guidance: GuidanceState | None,
         rng: random.Random,
         max_attempts: int = 32,
-    ) -> Genome:
+        record: bool = False,
+    ) -> tuple[Genome, Sequence[tuple[str, str]] | None]:
         """Mutate, retrying until the result satisfies structural constraints.
 
-        Falls back to the (feasible) input genome when every attempt lands in
-        an infeasible hole — the operator never manufactures an invalid
-        design point.
+        Returns the accepted genome with its attempt's ``(param, channel)``
+        pairs — a fresh list with ``record``, else ``()``. When every
+        attempt lands in an infeasible hole it falls back to the (feasible)
+        input genome and returns ``None`` for the pairs — the operator
+        never manufactures an invalid design point.
         """
-        for attempt in range(max_attempts):
-            mutated = self.mutate(genome, guidance, rng)
+        for _ in range(max_attempts):
+            channels = [] if record else None
+            mutated = self.mutate(genome, guidance, rng, channels)
             if self.space.is_feasible(mutated):
-                if self.observer is not None:
-                    self.observer.mutation_committed(attempt + 1, fallback=False)
-                return mutated
-        if self.observer is not None:
-            self.observer.mutation_committed(max_attempts, fallback=True)
-        return genome
+                return mutated, () if channels is None else channels
+        return genome, None

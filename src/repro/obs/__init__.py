@@ -9,10 +9,11 @@ without import cycles. It provides four largely independent pieces:
   (counters / gauges / histograms with labels) with text exposition,
   shared by the evaluation stack, the scheduler, and the kernel and
   served at ``GET /metrics?format=prometheus``.
-* :mod:`repro.obs.attribution` — hint-attribution telemetry: per-child
-  breeding provenance (which params mutated, through which hint channel,
-  confidence-gate outcomes) collected by a :class:`BreedingObserver` and
-  aggregated into per-param / per-channel :class:`HintEffectReport`\\ s.
+* :mod:`repro.obs.attribution` — hint-attribution telemetry: the
+  per-child provenance breeding records (which params mutated, through
+  which hint channel, confidence-gate outcomes), summarized per
+  generation and aggregated into per-param / per-channel
+  :class:`HintEffectReport`\\ s.
 * :mod:`repro.obs.health` — per-generation search-health diagnostics
   (population diversity, duplicate/infeasible rates, convergence
   velocity, stall risk) derived from the population without consuming
@@ -31,7 +32,7 @@ observability never consumes RNG draws, so seeded runs stay bit-identical
 with it on or off (enforced by the engine-parity CI job).
 """
 
-from .attribution import BreedingObserver, HintEffectReport, hint_effect_report
+from .attribution import HintEffectReport, hint_effect_report
 from .clock import DEFAULT_CLOCK, FakeClock
 from .health import population_health, stall_risk
 from .logs import JsonLogFormatter, configure_json_logging
@@ -48,7 +49,6 @@ from .tracing import (
 )
 
 __all__ = [
-    "BreedingObserver",
     "HintEffectReport",
     "hint_effect_report",
     "population_health",

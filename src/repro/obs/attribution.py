@@ -26,8 +26,9 @@ value channels above cover the second decision (which values genes get).
 
 Collection is split in two so it stays **read-only with respect to the
 search's generator** (the engine-parity CI job pins seeded curves with
-observability on): the :class:`BreedingObserver` records provenance
-during breeding without drawing randomness, and the engine joins it with
+observability on): :meth:`~repro.core.operators.BreedingPipeline.breed`
+records one ``(parent_score, crossover, mutations, fallback)`` tuple per
+child without drawing randomness, and the engine joins those tuples with
 offspring scores *after* the evaluation batch, emitting one
 ``hint-attribution`` trace event per generation. Deltas are measured as
 ``child_score - parent_score`` (internal, higher-is-better score scale),
@@ -43,7 +44,6 @@ from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = [
     "CHANNELS",
-    "BreedingObserver",
     "summarize_generation",
     "HintEffectReport",
     "hint_effect_report",
@@ -51,84 +51,6 @@ __all__ = [
 
 #: Value-assignment channels a mutated gene can go through.
 CHANNELS = ("bias", "target", "fallback", "uniform", "noop")
-
-
-class BreedingObserver:
-    """Collects per-child breeding provenance for one generation.
-
-    Attached to :class:`~repro.core.operators.GeneticOperators` (and read
-    by the :class:`~repro.core.operators.BreedingPipeline`); every method
-    is pure bookkeeping — no RNG draws, no effect on the bred genomes.
-
-    Each finished child is recorded as one tuple
-    ``(parent_score, crossover, mutations, fallback)``: the parent's
-    scalar score, whether a crossover was applied, the committed
-    ``(param, channel)`` mutations (empty when mutation fell back to the
-    unmutated genome), and whether it fell back. ``mutations`` is the
-    sequence the operator passed to :meth:`mutation_attempted`, not a
-    copy: each ``mutate`` call builds a fresh one.
-    """
-
-    __slots__ = (
-        "_children", "_started", "_parent_score", "_crossover",
-        "_mutations", "_fallback", "_pending",
-    )
-
-    def __init__(self):
-        self._children: list[tuple] = []
-        self._started = False
-        self._parent_score = 0.0
-        self._crossover = False
-        self._mutations: Sequence[tuple[str, str]] = ()
-        self._fallback = False
-        self._pending: Sequence[tuple[str, str]] = ()
-
-    # -- pipeline-facing hooks --------------------------------------------------
-
-    def child_started(self, parent_score: float) -> None:
-        self._started = True
-        self._parent_score = parent_score
-        self._crossover = False
-        self._mutations = ()
-        self._fallback = False
-
-    def crossover_applied(self) -> None:
-        if self._started:
-            self._crossover = True
-
-    def child_finished(self) -> None:
-        if self._started:
-            self._children.append(
-                (
-                    self._parent_score,
-                    self._crossover,
-                    self._mutations,
-                    self._fallback,
-                )
-            )
-            self._started = False
-
-    # -- operator-facing hooks --------------------------------------------------
-
-    def mutation_attempted(self, mutations: Sequence[tuple[str, str]]) -> None:
-        """The channels of the most recent (possibly infeasible) attempt."""
-        self._pending = mutations
-
-    def mutation_committed(self, attempts: int, fallback: bool) -> None:
-        """A feasible mutation (or the fallback to the input) was accepted."""
-        if not self._started:
-            return
-        self._mutations = () if fallback else self._pending
-        self._fallback = fallback
-        self._pending = ()
-
-    # -- engine-facing ----------------------------------------------------------
-
-    def drain(self) -> list[tuple]:
-        """Hand over (and forget) the children recorded since the last drain."""
-        children, self._children = self._children, []
-        self._started = False
-        return children
 
 
 def _cell() -> dict[str, float]:
@@ -144,8 +66,10 @@ def summarize_generation(
 ) -> dict[str, Any] | None:
     """Join breeding provenance with offspring scores into one payload.
 
-    ``children`` comes from :meth:`BreedingObserver.drain`; ``scores`` is
-    the aligned ``(score, feasible)`` list for the same bred offspring.
+    ``children`` holds the ``(parent_score, crossover, mutations,
+    fallback)`` tuples :meth:`~repro.core.operators.BreedingPipeline.breed`
+    recorded; ``scores`` is the aligned ``(score, feasible)`` list for the
+    same bred offspring.
     Returns the JSON payload of one ``hint-attribution`` trace event, or
     ``None`` when nothing was bred this generation.
 

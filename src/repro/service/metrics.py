@@ -51,7 +51,6 @@ class ServiceMetrics:
         self._backend_time_s = 0.0
         self._eval_time_s = 0.0
         self._steps = 0
-        self._generations: dict[str, int] = {}
         self._campaign_states: dict[str, str] = {}
         #: Per-campaign cumulative evaluation wall time, seconds.
         self._campaign_eval_time: dict[str, float] = {}
@@ -108,7 +107,6 @@ class ServiceMetrics:
             self._persistent_hits += delta.persistent_hits
             self._backend_time_s += delta.backend_time_s
             self._eval_time_s += delta.wall_time_s
-            self._generations[campaign_id] = generations_done
             self._campaign_eval_time[campaign_id] = (
                 self._campaign_eval_time.get(campaign_id, 0.0) + delta.wall_time_s
             )
@@ -153,18 +151,21 @@ class ServiceMetrics:
         """One consistent JSON-ready view of every counter.
 
         ``statuses`` are the campaigns' ``status_payload()`` bodies (what
-        ``GET /campaigns/<id>`` serves); ``campaign_evaluations``,
+        ``GET /campaigns/<id>`` serves); ``campaign_evaluations`` and
+        ``campaign_generations`` (for the campaigns that have run),
         ``campaign_best_score`` (NaN skipped) and ``campaign_health`` are
         read from them, so they agree with the status of every campaign
         the daemon knows, including those a restarted daemon recovered.
         """
         evaluations: dict[str, int] = {}
+        generations: dict[str, int] = {}
         best: dict[str, float] = {}
         health: dict[str, dict[str, Any]] = {}
         for status in statuses:
             cid = status["id"]
             if "distinct_evaluations" in status:
                 evaluations[cid] = status["distinct_evaluations"]
+                generations[cid] = status["generations_done"]
             score = status.get("best_score")
             if score is not None and score == score:
                 best[cid] = score
@@ -214,7 +215,7 @@ class ServiceMetrics:
                 "evaluations_per_sec_lifetime": self._evaluations / uptime,
                 "queue_depth": states.get("queued", 0),
                 "campaign_states": states,
-                "campaign_generations": dict(self._generations),
+                "campaign_generations": generations,
                 "campaign_eval_time_s": dict(self._campaign_eval_time),
                 "campaign_evaluations": evaluations,
                 "campaign_best_score": best,

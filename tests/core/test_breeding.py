@@ -2,14 +2,16 @@
 
 :meth:`BreedingPipeline.breed` produces a generation in one loop and charges
 per-operator timings once per call. The reference below is the per-child
-sequence it replaced, written out step by step: it must consume the same
-RNG draws, produce the same genomes, make the same observer calls and
+sequence it replaced, written out step by step, with ``mutate_feasible``
+spelled out as its attempt loop over ``mutate``: it must consume the same
+RNG draws, produce the same genomes, record the same provenance tuples and
 charge the same timings (read from a counting clock, so even the float
 sums compare exactly).
 """
 
 import itertools
 import random
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,6 @@ from repro.core import (
     HintSet,
     IntParam,
     ParamHints,
-    scalar_score,
 )
 from repro.core.operators import BreedingPipeline, single_point_crossover
 from repro.core.population import Population
@@ -40,37 +41,16 @@ class CountingClock:
         return self.reads * 0.125
 
 
-class RecordingObserver:
-    """Every breeding-observer call, in order."""
-
-    def __init__(self):
-        self.calls = []
-
-    def child_started(self, parent_score):
-        self.calls.append(("child_started", parent_score))
-
-    def crossover_applied(self):
-        self.calls.append(("crossover_applied",))
-
-    def child_finished(self):
-        self.calls.append(("child_finished",))
-
-    def mutation_attempted(self, mutations):
-        self.calls.append(("mutation_attempted", tuple(mutations)))
-
-    def mutation_committed(self, attempts, fallback):
-        self.calls.append(("mutation_committed", attempts, fallback))
-
-
 def _charge(timings, operator, seconds):
     entry = timings.setdefault(operator, [0, 0.0])
     entry[0] += 1
     entry[1] += seconds
 
 
-def reference_breed(pipeline, population, guidance, rng, count, timings):
-    """One child at a time, each operator charged as soon as it ran."""
-    observer = pipeline.operators.observer
+def reference_breed(pipeline, population, guidance, rng, count, timings, bred):
+    """One child at a time, each operator charged as soon as it ran, and
+    each child's ``(parent score, crossed, mutations, fallback)`` built
+    from the steps it took."""
     clock = pipeline.clock
     children = []
     for _ in range(count):
@@ -80,8 +60,7 @@ def reference_breed(pipeline, population, guidance, rng, count, timings):
         genome = parent.genome
         if timings is not None:
             _charge(timings, "selection", clock() - t0)
-        if observer is not None:
-            observer.child_started(scalar_score(parent))
+        crossed = False
         if rng.random() < pipeline.crossover_rate:
             if timings is not None:
                 t1 = clock()
@@ -93,20 +72,25 @@ def reference_breed(pipeline, population, guidance, rng, count, timings):
                 candidate = pipeline.crossover(parent.genome, other.genome, rng)
                 if pipeline.space.is_feasible(candidate):
                     genome = candidate
-                    if observer is not None:
-                        observer.crossover_applied()
+                    crossed = True
                     break
             if timings is not None:
                 _charge(timings, "crossover", clock() - t2)
         if timings is not None:
             t3 = clock()
-        children.append(
-            pipeline.operators.mutate_feasible(genome, guidance, rng)
-        )
+        # mutate_feasible: up to 32 attempts, else the input comes back.
+        child, mutations, fallback = genome, (), True
+        for _ in range(32):
+            channels = [] if bred is not None else None
+            mutated = pipeline.operators.mutate(genome, guidance, rng, channels)
+            if pipeline.space.is_feasible(mutated):
+                child, mutations, fallback = mutated, channels, False
+                break
+        children.append(child)
         if timings is not None:
             _charge(timings, "mutation", clock() - t3)
-        if observer is not None:
-            observer.child_finished()
+        if bred is not None:
+            bred.append((parent.score, crossed, mutations, fallback))
     return children
 
 
@@ -194,16 +178,14 @@ def breeding_cases(draw):
 
 
 def _pipeline(case):
-    operators = GeneticOperators(case["space"], case["mutation_rate"])
-    if case.get("observed", True):
-        operators.observer = RecordingObserver()
     return BreedingPipeline(
         case["space"],
-        operators,
+        GeneticOperators(case["space"], case["mutation_rate"]),
         roulette_selection,
         single_point_crossover,
         case["crossover_rate"],
         clock=CountingClock(),
+        score=attrgetter("score"),
     )
 
 
@@ -229,20 +211,22 @@ def test_generation_breed_equals_per_child_sequence(case):
         pipeline = _pipeline(case)
         rng = random.Random(case["seed"])
         timings = {} if case["timed"] else None
+        bred = [] if case["observed"] else None
         if breed == "generation":
             children = pipeline.breed(
-                population, case["guidance"], rng, case["count"], timings
+                population, case["guidance"], rng, case["count"], timings,
+                bred,
             )
         else:
             children = reference_breed(
                 pipeline, population, case["guidance"], rng, case["count"],
-                timings,
+                timings, bred,
             )
         runs.append(
             (
                 [child.codes for child in children],
                 rng.getstate(),
-                getattr(pipeline.operators.observer, "calls", None),
+                bred,
                 None if timings is None else list(timings.items()),
                 pipeline.clock.reads,
             )
@@ -256,7 +240,11 @@ def test_generation_breed_equals_per_child_sequence(case):
     )
     assert generation[0] == reference[0]
     assert generation[1] == reference[1]
+    # Element for element, an accepted attempt's list against a
+    # fallback's () included ([] != ()).
     assert generation[2] == reference[2]
+    if case["observed"]:
+        assert len(generation[2]) == case["count"]
     # Same keys in the same order (the order the kernel charges its
     # operator totals in), same call counts, same float sums.
     assert generation[3] == reference[3]
@@ -277,8 +265,12 @@ def test_zero_count_breeds_nothing_and_charges_nothing():
     rng = random.Random(5)
     before = rng.getstate()
     timings = {}
-    assert pipeline.breed(population, GuidanceState.neutral(), rng, 0, timings) == []
+    bred = []
+    assert pipeline.breed(
+        population, GuidanceState.neutral(), rng, 0, timings, bred
+    ) == []
     assert timings == {}
+    assert bred == []
     assert rng.getstate() == before
 
 

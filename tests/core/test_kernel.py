@@ -194,8 +194,8 @@ class TestOperatorTotals:
         bred = []
         breed = search.pipeline.breed
 
-        def spy(population, guidance, rng, count, timings=None):
-            children = breed(population, guidance, rng, count, timings)
+        def spy(population, guidance, rng, count, timings=None, records=None):
+            children = breed(population, guidance, rng, count, timings, records)
             bred.append({op: list(entry) for op, entry in timings.items()})
             return children
 

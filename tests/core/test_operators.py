@@ -12,10 +12,8 @@ from repro.core import (
     GuidanceState,
     HintSet,
     IntParam,
-    NautilusError,
     OrderedParam,
     ParamHints,
-    scalar_score,
     single_point_crossover,
 )
 
@@ -211,34 +209,8 @@ class TestGenomeMutation:
         ops = GeneticOperators(space, 0.9)
         genome = space.genome(a=0, b=9)
         for _ in range(100):
-            genome = ops.mutate_feasible(genome, GuidanceState.neutral(), rng)
+            genome, __ = ops.mutate_feasible(genome, GuidanceState.neutral(), rng)
             assert genome["a"] <= genome["b"]
-
-
-class TestScalarScore:
-    class _Single:
-        def __init__(self, score):
-            self.score = score
-
-    class _Multi:
-        def __init__(self, scores):
-            self.scores = scores
-
-    def test_single_objective_score(self):
-        assert scalar_score(self._Single(3.5)) == 3.5
-
-    def test_multi_objective_projects_first(self):
-        assert scalar_score(self._Multi((2.0, 9.0))) == 2.0
-
-    def test_empty_scores_raises(self):
-        # An empty scores tuple used to yield NaN, silently poisoning every
-        # attribution delta computed from it.
-        with pytest.raises(NautilusError, match="scalar fitness"):
-            scalar_score(self._Multi(()))
-
-    def test_no_fitness_attributes_raises(self):
-        with pytest.raises(NautilusError, match="scalar fitness"):
-            scalar_score(object())
 
 
 class TestCrossover:

@@ -1,54 +1,110 @@
-"""Hint attribution: observer bookkeeping, report math, and end-to-end signs."""
+"""Hint attribution: breeding's provenance records, report math, and
+end-to-end signs."""
+
+import random
+from operator import attrgetter
 
 import pytest
 
-from repro.core import GAConfig, GeneticSearch, HintSet, ParamHints, maximize
-from repro.obs import BreedingObserver, HintEffectReport, hint_effect_report
+from repro.core import (
+    DesignSpace,
+    GAConfig,
+    GeneticOperators,
+    GeneticSearch,
+    GuidanceState,
+    HintSet,
+    IntParam,
+    ParamHints,
+    maximize,
+)
+from repro.core.operators import BreedingPipeline, single_point_crossover
+from repro.core.population import Population
+from repro.core.selection import Individual
+from repro.obs import HintEffectReport, hint_effect_report
 from repro.obs.attribution import summarize_generation
 
 
-def _child(observer, parent_score, mutations, fallback=False, crossover=False):
-    observer.child_started(parent_score)
-    if crossover:
-        observer.crossover_applied()
-    observer.mutation_attempted(mutations)
-    observer.mutation_committed(1, fallback=fallback)
-    observer.child_finished()
+def _bred(space, genomes, scores, *, crossover_rate, mutation_rate, count):
+    """``breed``'s records for ``count`` children of a population whose
+    parents are selected in turn (first, second, ... then round again)."""
+    population = Population(
+        [Individual(genome, score, score) for genome, score in zip(genomes, scores)]
+    )
+    turn = iter(range(10**6))
+
+    def in_turn(population, rng):
+        return population[next(turn) % len(population)]
+
+    pipeline = BreedingPipeline(
+        space,
+        GeneticOperators(space, mutation_rate),
+        in_turn,
+        single_point_crossover,
+        crossover_rate,
+        score=attrgetter("score"),
+    )
+    bred = []
+    pipeline.breed(
+        population, GuidanceState.neutral(), random.Random(7), count, None, bred
+    )
+    return bred
 
 
-class TestObserver:
-    """Each child is one ``(parent_score, crossover, mutations, fallback)``
-    tuple."""
+class TestBreedRecords:
+    """``breed`` records each child as one ``(parent_score, crossover,
+    mutations, fallback)`` tuple."""
 
     def test_collects_children_in_order(self):
-        observer = BreedingObserver()
-        _child(observer, 1.0, [("a", "bias")], crossover=True)
-        _child(observer, 2.0, [("b", "uniform")])
-        assert observer.drain() == [
-            (1.0, True, [("a", "bias")], False),
-            (2.0, False, [("b", "uniform")], False),
+        space = DesignSpace("free", [IntParam("a", 0, 3), IntParam("b", 0, 3)])
+        genomes = [space.genome(a=0, b=0), space.genome(a=3, b=3)]
+        bred = _bred(
+            space, genomes, [1.0, 2.0],
+            crossover_rate=0.0, mutation_rate=1.0, count=3,
+        )
+        assert bred == [
+            (1.0, False, [("a", "uniform"), ("b", "uniform")], False),
+            (2.0, False, [("a", "uniform"), ("b", "uniform")], False),
+            (1.0, False, [("a", "uniform"), ("b", "uniform")], False),
         ]
-        assert observer.drain() == []  # drain resets
+        # Floats, bools and the channel lists only: never an Individual.
+        for parent_score, crossed, mutations, fallback in bred:
+            assert type(parent_score) is float
+            assert type(crossed) is bool and type(fallback) is bool
+            assert type(mutations) is list
 
     def test_fallback_discards_mutations(self):
-        observer = BreedingObserver()
-        _child(observer, 1.0, [("a", "bias")], fallback=True)
-        (child,) = observer.drain()
-        assert child == (1.0, False, (), True)
+        # Only a == 0 is feasible and every gene fires: each attempt moves
+        # `a` away from 0, so mutation falls back to the parent.
+        space = DesignSpace(
+            "dense", [IntParam("a", 0, 3)], constraints=[lambda cfg: cfg["a"] == 0]
+        )
+        bred = _bred(
+            space, [space.genome(a=0)], [1.0],
+            crossover_rate=0.0, mutation_rate=1.0, count=2,
+        )
+        assert bred == [(1.0, False, (), True), (1.0, False, (), True)]
 
-    def test_hooks_outside_a_child_record_nothing(self):
-        observer = BreedingObserver()
-        observer.crossover_applied()
-        observer.mutation_attempted([("a", "bias")])
-        observer.mutation_committed(1, fallback=False)
-        observer.child_finished()
-        assert observer.drain() == []
-        observer.child_started(3.0)
-        observer.child_finished()
-        assert observer.drain() == [(3.0, False, (), False)]
+    def test_crossed_only_on_a_feasible_crossover(self):
+        # With a == b required, the one crossover point of (0, 0) x (3, 3)
+        # always gives (0, 3) or (3, 0): every candidate is infeasible and
+        # the child keeps its parent, not crossed.
+        def crossed(constraints):
+            space = DesignSpace(
+                "pair", [IntParam("a", 0, 3), IntParam("b", 0, 3)],
+                constraints=constraints,
+            )
+            genomes = [space.genome(a=0, b=0), space.genome(a=3, b=3)]
+            return _bred(
+                space, genomes, [1.0, 2.0],
+                crossover_rate=1.0, mutation_rate=0.0, count=2,
+            )
 
-    def test_has_no_instance_dict(self):
-        assert not hasattr(BreedingObserver(), "__dict__")
+        # No gene fires: an accepted attempt with no mutations, not a
+        # fallback.
+        assert crossed([lambda cfg: cfg["a"] == cfg["b"]]) == [
+            (1.0, False, [], False), (1.0, False, [], False),
+        ]
+        assert crossed([]) == [(1.0, True, [], False), (1.0, True, [], False)]
 
 
 class TestSummarize:
@@ -56,11 +112,11 @@ class TestSummarize:
         assert summarize_generation([], []) is None
 
     def test_deltas_and_channels(self):
-        observer = BreedingObserver()
-        _child(observer, 10.0, [("a", "bias")])
-        _child(observer, 10.0, [("a", "uniform"), ("b", "uniform")])
         payload = summarize_generation(
-            observer.drain(),
+            [
+                (10.0, False, [("a", "bias")], False),
+                (10.0, False, [("a", "uniform"), ("b", "uniform")], False),
+            ],
             [(13.0, True), (9.0, True)],
             confidence=0.7,
             hinted=True,
@@ -77,10 +133,8 @@ class TestSummarize:
         assert payload["effective_importance"] == {"a": 42.5}
 
     def test_infeasible_child_counts_proposal_only(self):
-        observer = BreedingObserver()
-        _child(observer, 10.0, [("a", "target")])
         payload = summarize_generation(
-            observer.drain(), [(float("-inf"), False)]
+            [(10.0, False, [("a", "target")], False)], [(float("-inf"), False)]
         )
         target = payload["channels"]["target"]
         assert target["proposals"] == 1 and target["feasible"] == 0
@@ -89,9 +143,9 @@ class TestSummarize:
 
 class TestReport:
     def test_from_events_and_merge(self):
-        observer = BreedingObserver()
-        _child(observer, 1.0, [("a", "bias")])
-        payload = summarize_generation(observer.drain(), [(2.0, True)])
+        payload = summarize_generation(
+            [(1.0, False, [("a", "bias")], False)], [(2.0, True)]
+        )
         events = [
             {"kind": "generation-start", "generation": 1},
             {"kind": "hint-attribution", "generation": 1, **payload},

@@ -72,24 +72,38 @@ class TestBitIdentity:
             )
         assert outcomes[True] == outcomes[False]
 
-    def test_observer_attached_only_when_enabled(self, toy_space, toy_evaluator):
-        on = GeneticSearch(
-            toy_space, toy_evaluator, maximize("m"), _config(True)
-        )
-        off = GeneticSearch(
-            toy_space, toy_evaluator, maximize("m"), _config(False)
-        )
-        assert on.operators.observer is not None
-        assert off.operators.observer is None
+    def test_breed_gets_a_list_only_when_enabled(self, toy_space, toy_evaluator):
+        received = {}
+        for enabled in (True, False):
+            search = GeneticSearch(
+                toy_space, toy_evaluator, maximize("m"), _config(enabled)
+            )
+            breed = search.pipeline.breed
+            calls = received[enabled] = []
 
-    def test_adaptive_rebuild_keeps_observer(self, toy_space, toy_evaluator):
+            def spy(population, guidance, rng, count, timings, bred, breed=breed,
+                    calls=calls):
+                calls.append(bred)
+                return breed(population, guidance, rng, count, timings, bred)
+
+            search.pipeline.breed = spy
+            search.run()
+        assert len(received[True]) == len(received[False]) == 10
+        assert all(type(bred) is list and bred for bred in received[True])
+        assert received[False] == [None] * 10
+
+    def test_adaptive_run_attributes_every_bred_generation(
+        self, toy_space, toy_evaluator
+    ):
+        config = _config(True)
         search = GeneticSearch(
-            toy_space, toy_evaluator, maximize("m"), _config(True),
+            toy_space, toy_evaluator, maximize("m"), config,
             guidance=AdaptiveConfidence(_hints(), patience=2),
         )
-        observer = search.operators.observer
-        assert observer is not None
-        search.run()
-        # _set_confidence rebuilds the operators every generation; the
-        # observer must ride along or attribution silently stops mid-run.
-        assert search.operators.observer is observer
+        result = search.run()
+        events = [e for e in result.events if e.kind == "hint-attribution"]
+        # Confidence moves between generations; attribution must not stop.
+        assert len(set(search.guidance.confidence_trace)) > 1
+        assert [e.generation for e in events] == list(range(1, 11))
+        bred = config.population_size - config.elitism
+        assert all(e.payload["children"] == bred for e in events)

@@ -18,7 +18,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import BreedingObserver, population_health
+from repro.obs import population_health
 from repro.obs.attribution import CHANNELS, summarize_generation
 from repro.obs.health import _column_stats, stall_risk
 
@@ -248,28 +248,5 @@ class TestAttributionMatchesReference:
         children, scores, kwargs = case
         assert_same(
             summarize_generation(children, scores, **kwargs),
-            reference_summarize_generation(children, scores, **kwargs),
-        )
-
-    @settings(max_examples=100, deadline=None)
-    @given(attribution_cases())
-    def test_same_payload_from_the_observer(self, case):
-        """Records made through the five hooks summarize the same way."""
-        children, scores, kwargs = case
-        observer = BreedingObserver()
-        for parent_score, crossover, mutations, fallback in children:
-            observer.child_started(parent_score)
-            if crossover:
-                observer.crossover_applied()
-            # A fallback discards the last attempt's channels.
-            observer.mutation_attempted(
-                [("a", "bias")] if fallback else list(mutations)
-            )
-            observer.mutation_committed(1, fallback=fallback)
-            observer.child_finished()
-        recorded = observer.drain()
-        assert recorded == children
-        assert_same(
-            summarize_generation(recorded, scores, **kwargs),
             reference_summarize_generation(children, scores, **kwargs),
         )

@@ -42,7 +42,11 @@ class TestConcurrentUpdates:
         for thread in threads:
             thread.join()
 
-        snapshot = metrics.snapshot()
+        snapshot = metrics.snapshot(
+            {"id": f"c{index}", "generations_done": STEPS,
+             "distinct_evaluations": 2 * STEPS}
+            for index in range(THREADS)
+        )
         total_steps = THREADS * STEPS
         assert snapshot["scheduler_steps"] == total_steps
         assert snapshot["evaluations_total"] == 2 * total_steps
@@ -139,24 +143,29 @@ class TestConcurrentUpdates:
 
 class TestCampaignMaps:
     def test_read_from_the_status_payloads(self):
-        """Per-campaign evaluations, best score and health come from the
-        statuses handed to the snapshot; ServiceMetrics keeps no copy."""
+        """Per-campaign evaluations, generations, best score and health come
+        from the statuses handed to the snapshot; ServiceMetrics keeps no
+        copy."""
         metrics = ServiceMetrics()
         metrics.record_step("c1", 3, _delta(), best_score=5.0)
         statuses = [
             {
-                "id": "c1", "distinct_evaluations": 83, "best_score": 7.0,
-                "health": {"stall_risk": 0.25},
+                "id": "c1", "generations_done": 4, "distinct_evaluations": 83,
+                "best_score": 7.0, "health": {"stall_risk": 0.25},
             },
-            {"id": "c2", "distinct_evaluations": 0, "best_score": float("nan")},
-            {"id": "c3", "state": "queued"},
+            {
+                "id": "c2", "generations_done": 0, "distinct_evaluations": 0,
+                "best_score": float("nan"),
+            },
+            {"id": "c3", "state": "queued", "generations_done": 0},
         ]
         snapshot = metrics.snapshot(statuses)
         assert snapshot["campaign_evaluations"] == {"c1": 83, "c2": 0}
+        assert snapshot["campaign_generations"] == {"c1": 4, "c2": 0}
         assert snapshot["campaign_best_score"] == {"c1": 7.0}  # NaN skipped
         assert snapshot["campaign_health"] == {"c1": {"stall_risk": 0.25}}
         empty = metrics.snapshot()
         assert empty["campaign_evaluations"] == {}
+        assert empty["campaign_generations"] == {}
         assert empty["campaign_best_score"] == {}
         assert empty["campaign_health"] == {}
-        assert empty["campaign_generations"] == {"c1": 3}

@@ -114,6 +114,9 @@ class TestCampaignMapsAcrossRestart:
                 )
                 assert metrics["campaign_best_score"][cid] == status["best_score"]
                 assert metrics["campaign_health"][cid] == status["health"]
+                assert metrics["campaign_generations"][cid] == (
+                    status["generations_done"]
+                )
         finally:
             second.stop()
 

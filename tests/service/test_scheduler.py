@@ -138,7 +138,9 @@ class TestScheduling:
     def test_metrics_track_steps(self, scheduler):
         scheduler.submit(_spec())
         _drain(scheduler)
-        snapshot = scheduler.metrics.snapshot()
+        snapshot = scheduler.metrics.snapshot(
+            c.status_payload() for c in scheduler.list_campaigns()
+        )
         assert snapshot["evaluations_total"] > 0
         assert snapshot["evaluation_requests_total"] >= snapshot["evaluations_total"]
         assert 0.0 <= snapshot["cache_hit_rate"] <= 1.0
