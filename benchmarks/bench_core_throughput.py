@@ -47,11 +47,7 @@ from repro.core.evalstack import EvaluationStack  # noqa: E402
 from repro.core.evaluator import DatasetEvaluator  # noqa: E402
 from repro.core.genome import Genome  # noqa: E402
 from repro.core.guidance import StaticHints  # noqa: E402
-from repro.core.operators import (  # noqa: E402
-    BreedingPipeline,
-    GeneticOperators,
-    single_point_crossover,
-)
+from repro.core.operators import BreedingPipeline, GeneticOperators  # noqa: E402
 from repro.core.population import Population  # noqa: E402
 from repro.core.selection import Individual, roulette_selection  # noqa: E402
 from repro.queries import QUERIES, build_hints, load_dataset  # noqa: E402
@@ -126,6 +122,15 @@ class LegacyOperators(GeneticOperators):
         merged.update(changes)
         return Genome(genome.space, merged)
 
+    def mutate_feasible(self, genome, guidance, rng, max_attempts=32, record=False):
+        # The historical attempt loop over this class's mutate.
+        for _ in range(max_attempts):
+            channels = [] if record else None
+            mutated = self.mutate(genome, guidance, rng, channels)
+            if self.space.is_feasible(mutated):
+                return mutated, () if channels is None else channels
+        return genome, None
+
 
 def legacy_is_feasible(space, genome) -> bool:
     # Pre-refactor feasibility: materialize a config dict per check.
@@ -135,25 +140,61 @@ def legacy_is_feasible(space, genome) -> bool:
     return all(constraint(config) for constraint in space.constraints)
 
 
+def _charge(timings, operator, seconds):
+    entry = timings.setdefault(operator, [0, 0.0])
+    entry[0] += 1
+    entry[1] += seconds
+
+
 class LegacyBreedingPipeline(BreedingPipeline):
-    """The historical breed sequence with dict-based feasibility checks."""
+    """The historical per-child breed sequence with dict-based feasibility
+    checks. Like the shipped pipeline it times each operator when given
+    ``timings`` (charged as soon as it ran) and records each child's
+    ``(parent score, crossed, mutations, fallback)`` when given ``bred``,
+    so an end-to-end run through it pays for the same telemetry."""
 
     def breed(self, population, guidance, rng, count, timings=None, bred=None):
-        return [
-            self._breed_one(population, guidance, rng) for _ in range(count)
-        ]
-
-    def _breed_one(self, population, guidance, rng):
-        parent = self.select(population, rng)
-        genome = parent.genome
-        if rng.random() < self.crossover_rate:
-            other = self.select(population, rng)
-            for _ in range(self.CROSSOVER_ATTEMPTS):
-                candidate = self.crossover(parent.genome, other.genome, rng)
-                if legacy_is_feasible(self.space, candidate):
-                    genome = candidate
-                    break
-        return self.operators.mutate_feasible(genome, guidance, rng)[0]
+        clock = self.clock
+        children = []
+        for _ in range(count):
+            if timings is not None:
+                t0 = clock()
+            parent = self.select(population, rng)
+            genome = parent.genome
+            if timings is not None:
+                _charge(timings, "selection", clock() - t0)
+            crossed = False
+            if rng.random() < self.crossover_rate:
+                if timings is not None:
+                    t1 = clock()
+                other = self.select(population, rng)
+                if timings is not None:
+                    t2 = clock()
+                    _charge(timings, "selection", t2 - t1)
+                for _ in range(self.CROSSOVER_ATTEMPTS):
+                    candidate = legacy_single_point_crossover(
+                        parent.genome, other.genome, rng
+                    )
+                    if legacy_is_feasible(self.space, candidate):
+                        genome = candidate
+                        crossed = True
+                        break
+                if timings is not None:
+                    _charge(timings, "crossover", clock() - t2)
+            if timings is not None:
+                t3 = clock()
+            child, mutations = self.operators.mutate_feasible(
+                genome, guidance, rng, record=bred is not None
+            )
+            children.append(child)
+            if timings is not None:
+                _charge(timings, "mutation", clock() - t3)
+            if bred is not None:
+                fallback = mutations is None
+                bred.append(
+                    (self.score(parent), crossed, () if fallback else mutations, fallback)
+                )
+        return children
 
 
 # -- measurement ---------------------------------------------------------------
@@ -170,39 +211,32 @@ def best_rate(fn, units: int, repeats: int) -> float:
 
 
 def build_breeding(
-    space, objective, hints, dataset, pipeline_cls, operators_cls, select, crossover
+    space, objective, hints, dataset, pipeline_cls, operators_cls, select
 ):
     stack = EvaluationStack.wrap(DatasetEvaluator(dataset))
     provider = StaticHints(hints)
     provider.bind(space, objective, stack)
     state = provider.start()
     operators = operators_cls(space, 0.1)
-    pipeline = pipeline_cls(space, operators, select, crossover, 0.9)
+    pipeline = pipeline_cls(space, operators, select, 0.9)
     return pipeline, state
 
 
 def micro_bench(space, objective, hints, dataset, breeds, repeats):
     """Breed throughput for the encoded pipeline and the legacy reference."""
     rates = {}
-    for label, pipeline_cls, operators_cls, select, crossover in (
-        (
-            "current",
-            BreedingPipeline,
-            GeneticOperators,
-            roulette_selection,
-            single_point_crossover,
-        ),
+    for label, pipeline_cls, operators_cls, select in (
+        ("current", BreedingPipeline, GeneticOperators, roulette_selection),
         (
             "reference",
             LegacyBreedingPipeline,
             LegacyOperators,
             legacy_roulette_selection,
-            legacy_single_point_crossover,
         ),
     ):
         pipeline, state = build_breeding(
             space, objective, hints, dataset, pipeline_cls, operators_cls,
-            select, crossover,
+            select,
         )
         rng = random.Random(1234)
         pop_genomes = space.random_population(24, rng)
@@ -273,8 +307,9 @@ def e2e_run(space, dataset, objective, hints, generations, legacy: bool):
             space,
             search.operators,
             legacy_roulette_selection,
-            legacy_single_point_crossover,
             search.config.crossover_rate,
+            clock=search.pipeline.clock,
+            score=search.pipeline.score,
         )
     return search.run()
 

@@ -31,6 +31,7 @@ rebuilds its own codec.
 from __future__ import annotations
 
 import random
+from operator import getitem
 from typing import Any, Iterator, Mapping, Sequence, TYPE_CHECKING
 
 from .errors import GenomeError
@@ -154,8 +155,7 @@ class SpaceCodec:
 
     def decode(self, codes: Sequence[int]) -> tuple:
         """Decode a code vector to its value tuple (declaration order)."""
-        domains = self.domains
-        return tuple(domains[pos][code] for pos, code in enumerate(codes))
+        return tuple(map(getitem, self.domains, codes))
 
     def values_key(self, codes: Sequence[int]) -> tuple:
         """The canonical frozen values key of a code vector.
@@ -163,8 +163,7 @@ class SpaceCodec:
         Identical to :func:`repro.core.params.values_key` over the decoded
         values, read from the precomputed frozen tables.
         """
-        frozen = self.frozen
-        return tuple(frozen[pos][code] for pos, code in enumerate(codes))
+        return tuple(map(getitem, self.frozen, codes))
 
     def genome_key(self, codes: Sequence[int]) -> tuple:
         """The genome cache key of a code vector: ``(space name, values key)``."""

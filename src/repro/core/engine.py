@@ -235,6 +235,7 @@ class GeneticSearch(GenerationalEngine):
     def _to_individuals(
         self, genomes: Sequence[Genome], outcomes: Sequence
     ) -> Population[Individual]:
+        assess = self.objective.assess
         individuals = []
         for genome, outcome in zip(genomes, outcomes):
             if isinstance(outcome, InfeasibleDesignError):
@@ -242,16 +243,11 @@ class GeneticSearch(GenerationalEngine):
             elif isinstance(outcome, Exception):
                 raise outcome
             else:
-                individuals.append(
-                    Individual(
-                        genome,
-                        self.objective.score(outcome),
-                        self.objective.raw(outcome),
-                    )
-                )
-        # Columnar wrapper: selection strategies read the cached score
-        # column; every list-style consumer (elites, records, checkpoints)
-        # sees an unchanged Sequence.
+                raw, score = assess(outcome)
+                individuals.append(Individual(genome, score, raw))
+        # Columnar wrapper: selection keeps its roulette wheel with it;
+        # every list-style consumer (elites, records, checkpoints) sees an
+        # unchanged Sequence.
         return Population(individuals)
 
     # -- kernel hooks --------------------------------------------------------------

@@ -87,10 +87,14 @@ class Objective:
         them (but they still count as evaluated designs, as they would in a
         real flow where the synthesis run has already been paid for).
         """
-        value = self.raw(metrics)
+        return self.assess(metrics)[1]
+
+    def assess(self, metrics: Metrics) -> tuple[float, float]:
+        """``(raw, score)`` from one read of the metric."""
+        value = self._fn(metrics)
         if self.constraint is not None and not self.constraint(metrics):
-            return float("-inf")
-        return value if self.maximizing else -value
+            return value, float("-inf")
+        return value, value if self.direction == "max" else -value
 
     def better(self, a: float, b: float) -> bool:
         """Whether raw value ``a`` beats raw value ``b``."""

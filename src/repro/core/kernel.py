@@ -62,7 +62,7 @@ from .fitness import Objective
 from .genome import Genome
 from .guidance import GuidanceProvider, GuidanceState, StaticHints
 from .hints import HintSet
-from .operators import BreedingPipeline, GeneticOperators, single_point_crossover
+from .operators import BreedingPipeline, GeneticOperators
 from .population import Population
 from .selection import Individual
 
@@ -1008,7 +1008,6 @@ class GenerationalEngine(SearchKernel):
             space,
             self.operators,
             selection,
-            single_point_crossover,
             config.crossover_rate,
             clock=self._clock,
             score=self._scalar,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 import time
+from functools import partial
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .codec import SpaceCodec
@@ -90,6 +91,8 @@ class _GeneGuide:
     __slots__ = (
         "name",
         "cardinality",
+        "others",
+        "bits",
         "directional",
         "has_axis",
         "identity_axis",
@@ -116,6 +119,8 @@ def _gene_guides(codec: SpaceCodec, hints: HintSet | None) -> tuple[_GeneGuide, 
         guide.name = name
         card = codec.cardinalities[pos]
         guide.cardinality = card
+        # randrange(card - 1) is getrandbits(bits) and its redraw loop.
+        guide.others, guide.bits = card - 1, (card - 1).bit_length()
         hints_p = hints.for_param(name) if hints is not None else None
         directional = hints_p is not None and (
             hints_p.bias != 0.0 or hints_p.target is not None
@@ -204,24 +209,22 @@ def _mutate_code(
 
     The draw sequence replicates the value-based ``_mutate_value`` exactly:
     a confidence-gate ``random()`` only when the gene is directional, then
-    either the uniform different-code draw (one ``randrange``), the target
-    scan (one ``random()``), or the biased step (one direction ``random()``
-    plus the geometric continuation draws).
+    either the uniform different-code draw (``randrange(cardinality - 1)``'s
+    draws, taken with ``getrandbits`` and its redraw loop), the target scan
+    (one ``random()``), or the biased step (one direction ``random()`` plus
+    the geometric continuation draws).
     """
     if guide.cardinality == 1:
         return cur, "noop"
     guided = guide.directional and rng.random() < confidence
-    if not guided:
+    if not guided or not guide.has_axis:
+        getrandbits, bits, others = rng.getrandbits, guide.bits, guide.others
+        idx = getrandbits(bits)
+        while idx >= others:
+            idx = getrandbits(bits)
+        # A lost gate, or a guided gene without an ordinal axis, falls back.
         channel = "fallback" if guide.directional else "uniform"
-        idx = rng.randrange(guide.cardinality - 1)
-        if idx >= cur:
-            idx += 1
-        return idx, channel
-    if not guide.has_axis:
-        idx = rng.randrange(guide.cardinality - 1)
-        if idx >= cur:
-            idx += 1
-        return idx, "fallback"
+        return (idx + 1 if idx >= cur else idx), channel
     cur_axis = cur if guide.identity_axis else guide.code_to_axis[cur]
     if guide.target_weights is not None:
         pick = rng.random() * guide.target_total
@@ -246,12 +249,47 @@ def _mutate_code(
     return guide.axis_to_code[new_axis], channel
 
 
+def _mutate_codes(codes: tuple, resolved: _ResolvedGuidance, rng, channels) -> tuple:
+    """:meth:`GeneticOperators.mutate` on a code vector: ``codes`` itself
+    when no gene fired, else a new vector."""
+    new_codes: list[int] | None = None
+    confidence = resolved.confidence
+    genes = resolved.genes
+    draw = rng.random
+    for pos, rate in enumerate(resolved.rates):
+        if draw() < rate:
+            guide = genes[pos]
+            # Fired genes read the *original* code, matching the
+            # historical read from the input genome.
+            code, channel = _mutate_code(guide, codes[pos], confidence, rng)
+            if new_codes is None:
+                new_codes = list(codes)
+            new_codes[pos] = code
+            if channels is not None:
+                channels.append((guide.name, channel))
+    return codes if new_codes is None else tuple(new_codes)
+
+
+def _single_point(rng: random.Random, genes: int) -> Callable[[tuple, tuple], tuple]:
+    """Bind single-point crossover of ``genes``-long code vectors: a prefix
+    of one, the suffix of the other, cut at ``randrange(1, genes)`` drawn
+    with ``getrandbits`` and its redraw loop."""
+    if genes < 2:
+        return lambda a, b: b
+    getrandbits, span, bits = rng.getrandbits, genes - 1, (genes - 1).bit_length()
+
+    def splice(a: tuple, b: tuple) -> tuple:
+        r = getrandbits(bits)
+        while r >= span:
+            r = getrandbits(bits)
+        return a[: r + 1] + b[r + 1 :]
+
+    return splice
+
+
 def single_point_crossover(a: Genome, b: Genome, rng: random.Random) -> Genome:
     """Take a prefix of genes from one parent and the suffix from the other."""
-    ac, bc = a.codes, b.codes
-    n = len(ac)
-    point = rng.randrange(1, n) if n > 1 else 0
-    return Genome.from_codes(a.space, ac[:point] + bc[point:])
+    return Genome.from_codes(a.space, _single_point(rng, len(a.codes))(a.codes, b.codes))
 
 
 def _no_clock() -> float:
@@ -287,15 +325,15 @@ class BreedingPipeline:
         space: DesignSpace,
         operators: GeneticOperators,
         select: Callable,
-        crossover: Callable,
         crossover_rate: float,
         clock: Callable[[], float] | None = None,
         score: Callable[[Any], float] | None = None,
     ):
         self.space = space
         self.operators = operators
+        #: ``select(population, rng)`` draws a parent; its ``bind``, when it
+        #: has one, is bound once per :meth:`breed` call instead.
         self.select = select
-        self.crossover = crossover
         self.crossover_rate = crossover_rate
         #: Injectable time source for the timed breeding path (engines
         #: pass the kernel's clock; tests pass a FakeClock).
@@ -326,6 +364,10 @@ class BreedingPipeline:
     ) -> list[Genome]:
         """Breed ``count`` offspring genomes under this generation's guidance.
 
+        The generation works on code vectors, with parent draws, the
+        crossover splice and guidance bound once per call; a child whose
+        codes differ from its parent's gets one new :class:`Genome`.
+
         Without ``timings`` the clock is never read; with it, every
         operator is timed per child and the sums are charged once.
 
@@ -339,11 +381,14 @@ class BreedingPipeline:
         score = self.score
         record = bred is not None
         select = self.select
-        crossover = self.crossover
+        bind = getattr(select, "bind", None)
+        draw = bind(population, rng) if bind else partial(select, population, rng)
         crossover_rate = self.crossover_rate
         attempts = range(self.CROSSOVER_ATTEMPTS)
-        is_feasible = self.space.is_feasible
-        mutate_feasible = self.operators.mutate_feasible
+        space = self.space
+        splice = _single_point(rng, space.codec.num_params)
+        feasible = space.feasible_codes
+        resolved = self.operators._resolve(guidance)
         clock = self.clock if timings is not None else _no_clock
         crossover_draw = rng.random
         crossings = 0
@@ -352,8 +397,9 @@ class BreedingPipeline:
         children: list[Genome] = []
         for _ in range(count):
             t0 = clock()
-            parent = select(population, rng)
+            parent = draw()
             genome = parent.genome
+            codes = start = genome.codes
             t1 = clock()
             select_s += t1 - t0
             crossed = False
@@ -361,21 +407,23 @@ class BreedingPipeline:
                 if not children:
                     crossed_first = True
                 t1 = clock()
-                other = select(population, rng)
+                mate = draw().genome.codes
                 t2 = clock()
                 select_s += t2 - t1
                 for _ in attempts:
-                    candidate = crossover(parent.genome, other.genome, rng)
-                    if is_feasible(candidate):
-                        genome = candidate
+                    candidate = splice(start, mate)
+                    if feasible(candidate):
+                        codes = candidate
                         crossed = True
                         break
                 crossover_s += clock() - t2
                 crossings += 1
             t3 = clock()
-            child, mutations = mutate_feasible(genome, guidance, rng, record=record)
+            codes, mutations = _mutate_feasible(codes, resolved, rng, feasible, record)
             mutation_s += clock() - t3
-            children.append(child)
+            children.append(
+                genome if codes is start else Genome.from_codes(space, codes)
+            )
             if record:
                 fallback = mutations is None
                 bred.append(
@@ -598,26 +646,9 @@ class GeneticOperators:
         ``channels`` list, each fired gene appends its ``(param, channel)``
         pair to it.
         """
-        resolved = self._resolve(guidance)
         codes = genome.codes
-        new_codes: list[int] | None = None
-        confidence = resolved.confidence
-        genes = resolved.genes
-        draw = rng.random
-        for pos, rate in enumerate(resolved.rates):
-            if draw() < rate:
-                guide = genes[pos]
-                # Fired genes read the *original* code, matching the
-                # historical read from the input genome.
-                code, channel = _mutate_code(guide, codes[pos], confidence, rng)
-                if new_codes is None:
-                    new_codes = list(codes)
-                new_codes[pos] = code
-                if channels is not None:
-                    channels.append((guide.name, channel))
-        if new_codes is None:
-            return genome
-        return Genome.from_codes(genome.space, tuple(new_codes))
+        mutated = _mutate_codes(codes, self._resolve(guidance), rng, channels)
+        return genome if mutated is codes else Genome.from_codes(genome.space, mutated)
 
     def mutate_feasible(
         self,
@@ -635,9 +666,21 @@ class GeneticOperators:
         input genome and returns ``None`` for the pairs — the operator
         never manufactures an invalid design point.
         """
-        for _ in range(max_attempts):
-            channels = [] if record else None
-            mutated = self.mutate(genome, guidance, rng, channels)
-            if self.space.is_feasible(mutated):
-                return mutated, () if channels is None else channels
-        return genome, None
+        codes, feasible = genome.codes, self.space.feasible_codes
+        mutated, pairs = _mutate_feasible(
+            codes, self._resolve(guidance), rng, feasible, record, max_attempts
+        )
+        if mutated is not codes:
+            genome = Genome.from_codes(genome.space, mutated)
+        return genome, pairs
+
+
+def _mutate_feasible(codes: tuple, resolved, rng, feasible, record, max_attempts=32):
+    """:meth:`GeneticOperators.mutate_feasible` on a code vector (``codes``
+    itself and ``None`` after the last infeasible attempt)."""
+    for _ in range(max_attempts):
+        channels = [] if record else None
+        mutated = _mutate_codes(codes, resolved, rng, channels)
+        if feasible(mutated):
+            return mutated, () if channels is None else channels
+    return codes, None

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .engine import GAConfig
 from .errors import InfeasibleDesignError, NautilusError
@@ -45,7 +45,7 @@ from .genome import Genome
 from .guidance import GuidanceProvider
 from .hints import HintSet
 from .kernel import GenerationalEngine, SearchResult
-from .selection import Individual
+from .selection import Individual, uniform_rows
 from .space import DesignSpace
 
 __all__ = [
@@ -217,6 +217,29 @@ def hypervolume_2d(
     return volume
 
 
+def _bind_tournament(population: Sequence[ParetoIndividual], rng) -> Callable:
+    """Bind the binary tournament to a population and a generator: each
+    call draws two uniform rows; the lower rank wins, then the larger
+    crowding, then the first."""
+    pick = uniform_rows(population, rng)
+
+    def tournament() -> ParetoIndividual:
+        a, b = pick(), pick()
+        if a.rank != b.rank:
+            return a if a.rank < b.rank else b
+        return a if a.crowding >= b.crowding else b
+
+    return tournament
+
+
+def _tournament(population: Sequence[ParetoIndividual], rng) -> ParetoIndividual:
+    """One binary tournament: a draw from :func:`_bind_tournament`."""
+    return _bind_tournament(population, rng)()
+
+
+_tournament.bind = _bind_tournament
+
+
 class ParetoResult(SearchResult):
     """Outcome of a multi-objective search: a :class:`SearchResult` of the
     first-objective projection (records, best design, curves) plus the
@@ -342,41 +365,40 @@ class ParetoSearch(GenerationalEngine):
             elif isinstance(outcome, Exception):
                 raise outcome
             else:
-                raws = tuple(obj.raw(outcome) for obj in self.objectives)
-                scores = tuple(obj.score(outcome) for obj in self.objectives)
+                raws, scores = zip(*[obj.assess(outcome) for obj in self.objectives])
                 individuals.append(ParetoIndividual(genome, raws, scores))
         return individuals
 
-    @staticmethod
-    def _tournament(
-        population: Sequence[ParetoIndividual], rng
-    ) -> ParetoIndividual:
-        a = population[rng.randrange(len(population))]
-        b = population[rng.randrange(len(population))]
-        if a.rank != b.rank:
-            return a if a.rank < b.rank else b
-        return a if a.crowding >= b.crowding else b
+    _tournament = staticmethod(_tournament)
 
     # -- kernel hooks --------------------------------------------------------------
 
     def _survivors(self, offspring: list[ParetoIndividual]) -> list[ParetoIndividual]:
-        # Environmental selection over the combined parent+offspring pool:
-        # NSGA-II's elitism lives here, so no individual is copied into the
-        # offspring (the kernel's _elites stays empty).
+        """NSGA-II's elitism (no individual is copied into the offspring):
+        the best of parents and offspring, ranked by one sort. A survivor's
+        dominators all survive, so ranks hold and fully kept fronts keep
+        their order and crowding; the truncated front is re-crowded in the
+        order re-sorting the survivors gives it: by the position of each
+        member's freer (its last dominator in the previous front), then
+        survivor order."""
         pool = self._population + offspring
+        room = self.config.population_size
         fronts = non_dominated_sort(pool)
         survivors: list[ParetoIndividual] = []
-        for front in fronts:
+        for k, front in enumerate(fronts):
             crowding_distances(front)
-            if len(survivors) + len(front) <= self.config.population_size:
+            if len(survivors) + len(front) <= room:
                 survivors.extend(front)
-            else:
-                remaining = self.config.population_size - len(survivors)
-                survivors.extend(
-                    sorted(front, key=lambda ind: -ind.crowding)[:remaining]
-                )
-                break
-        self._rank(survivors)
+                continue
+            kept = sorted(front, key=lambda ind: -ind.crowding)[: room - len(survivors)]
+            survivors.extend(kept)
+            if k:
+                previous = list(enumerate(fronts[k - 1]))
+                kept.sort(key=lambda q: max(
+                    i for i, p in previous if _dominance(p.scores, q.scores) > 0
+                ))
+            crowding_distances(kept)
+            break
         return survivors
 
     def _observe_start(self) -> None:

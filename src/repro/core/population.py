@@ -1,17 +1,16 @@
 """Columnar population — row access for engines, column access for operators.
 
-A generational engine holds its population as scored individuals (rows). The
-hot breeding loop, however, wants *columns*: all scores for one selection
-draw, all code vectors for crossover statistics. :class:`Population` wraps
-the row list and materializes those columns lazily, once — every selection
-draw of a generation then reads the same tuple instead of re-walking
-``ind.score`` attribute loads per draw.
+A generational engine holds its population as scored individuals (rows).
+Breeding and telemetry, however, want tables derived from the whole
+generation: the roulette wheel's running sums for every parent draw, all
+code vectors for the ``health`` payload. :class:`Population` wraps the row
+list and keeps each table once it is built — every parent draw of a
+generation then bisects the same sums instead of rescanning the scores.
 
 The wrapper is a read-only :class:`~collections.abc.Sequence`, so every
 consumer that indexed or iterated the old ``list[Individual]`` population
 (selection strategies, survivor rules, health telemetry, checkpoints) works
-unchanged; columns are an additive fast path the selection strategies probe
-with ``getattr``.
+unchanged.
 """
 
 from __future__ import annotations
@@ -27,23 +26,21 @@ class Population(Sequence[T]):
     """An immutable, columnar view over scored individuals.
 
     Rows must expose ``.genome`` and a scalar ``.score`` (the single-
-    objective :class:`~repro.core.selection.Individual` shape). Columns are
-    built on first access and cached — valid because rows are never mutated
+    objective :class:`~repro.core.selection.Individual` shape). Tables are
+    built on first access and kept — valid because rows are never mutated
     after a generation is assessed.
     """
 
-    __slots__ = ("_rows", "_scores", "_codes", "_genomes", "selection_cache")
+    __slots__ = ("_rows", "_codes", "wheel")
 
     def __init__(self, rows: Sequence[T]):
         self._rows = list(rows)
-        self._scores: tuple[float, ...] | None = None
         self._codes: tuple[tuple[int, ...], ...] | None = None
-        self._genomes: tuple | None = None
-        #: Strategy-keyed memo for derived selection tables (the roulette
-        #: weights). Safe because rows and scores never change after
-        #: construction; one table then serves every parent draw of the
-        #: generation.
-        self.selection_cache: dict = {}
+        #: The roulette wheel's ``(rows, running sums, total)``, built by
+        #: the generation's first parent draw
+        #: (:func:`~repro.core.selection.roulette_wheel`) and kept: rows and
+        #: scores never change after construction.
+        self.wheel: tuple | None = None
 
     # -- Sequence interface -------------------------------------------------
 
@@ -56,23 +53,7 @@ class Population(Sequence[T]):
     def __iter__(self) -> Iterator[T]:
         return iter(self._rows)
 
-    # -- columns ------------------------------------------------------------
-
-    @property
-    def scores(self) -> tuple[float, ...]:
-        """All fitness scores, population order (lazily cached)."""
-        scores = self._scores
-        if scores is None:
-            scores = self._scores = tuple(ind.score for ind in self._rows)
-        return scores
-
-    @property
-    def genomes(self) -> tuple:
-        """All genomes, population order (lazily cached)."""
-        genomes = self._genomes
-        if genomes is None:
-            genomes = self._genomes = tuple(ind.genome for ind in self._rows)
-        return genomes
+    # -- tables -------------------------------------------------------------
 
     @property
     def codes(self) -> tuple[tuple[int, ...], ...]:

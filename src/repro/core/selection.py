@@ -7,21 +7,25 @@ by roulette wheel, so :func:`roulette_selection` is the GA's one strategy.
 It operates on *already-scored* individuals, so selection never touches
 the evaluator.
 
-It accepts any sequence of individuals. When handed a columnar
-:class:`~repro.core.population.Population` it reads the cached ``scores``
-column instead of walking ``ind.score`` attribute loads per draw — same
-arithmetic, same RNG consumption, fewer Python-level loads in the hot loop.
+A strategy is bound once per generation: ``roulette_selection.bind`` is
+:func:`roulette_wheel`, which turns a population and the generator into a
+function drawing one parent per call; ``roulette_selection`` is one draw
+from a fresh binding. A :class:`~repro.core.population.Population` keeps
+the wheel's running-sum table.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from bisect import bisect_left
+from functools import partial
+from itertools import accumulate
+from typing import Any, Callable, Sequence
 
 from .genome import Genome
+from .population import Population
 
-__all__ = ["Individual", "roulette_selection"]
-
+__all__ = ["Individual", "roulette_selection", "roulette_wheel", "uniform_rows"]
 
 class Individual:
     """A genome together with its fitness score and raw metric value."""
@@ -39,47 +43,66 @@ class Individual:
         return f"Individual(score={self.score:.4g}, raw={self.raw:.4g})"
 
 
-def roulette_selection(
-    population: Sequence[Individual], rng: random.Random
-) -> Individual:
-    """Fitness-proportional selection with a shift to non-negative scores.
+def uniform_rows(rows: Sequence, rng: random.Random) -> Callable[[], Any]:
+    """Bind a uniform draw of one of ``rows``: ``rows[randrange(len(rows))]``,
+    drawn with ``getrandbits`` and the redraw loop ``randrange`` runs,
+    without its argument checks."""
+    n = len(rows)
+    if not n:
+        return partial(rng.randrange, 0)  # raises: an empty range
+    getrandbits, k = rng.getrandbits, n.bit_length()
 
-    Infeasible individuals (score ``-inf``) get zero weight. If every score
-    is identical (or everything is infeasible) the draw is uniform.
+    def draw() -> Any:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return rows[r]
+
+    return draw
+
+
+def roulette_wheel(
+    population: Sequence[Individual], rng: random.Random
+) -> Callable[[], Individual]:
+    """Bind fitness-proportional selection to a population and a generator.
+
+    Scores are shifted by the lowest finite one; infeasible individuals
+    (``-inf``) weigh nothing. With no positive weight the draw is uniform;
+    otherwise ``random() * total`` bisects the weights' running sums,
+    added left to right as a scan adds them: the first row whose sum
+    reaches the pick, else the last.
     """
-    # Columnar fast path: the weight table is built once per population
-    # (rows are immutable after assessment) and memoized; every draw of
-    # the generation then runs only its rng draw and accumulation scan.
-    # The arithmetic (floor, weights, accumulation order) is identical to
-    # the row-based path, so seeded picks are bit-for-bit unchanged.
-    scores = getattr(population, "scores", None)
-    cache = (
-        population.selection_cache if scores is not None else None
-    )
-    table = cache.get("roulette") if cache is not None else None
+    table = population.wheel if isinstance(population, Population) else None
     if table is None:
-        if scores is None:
-            scores = [ind.score for ind in population]
-        neg_inf = float("-inf")
+        rows, neg_inf = list(population), float("-inf")
+        scores = [ind.score for ind in rows]
         finite = [s for s in scores if s != neg_inf]
-        if not finite:
-            table = (None, 0.0)
-        else:
+        sums, total = None, 0.0
+        if finite:
             floor = min(finite)
             weights = [(s - floor) if s != neg_inf else 0.0 for s in scores]
-            table = (weights, sum(weights))
-        if cache is not None:
-            cache["roulette"] = table
-    weights, total = table
-    if weights is None:
-        return population[rng.randrange(len(population))]
-    if total <= 0.0:
-        return population[rng.randrange(len(population))]
-    pick = rng.random() * total
-    acc = 0.0
-    for idx, weight in enumerate(weights):
-        acc += weight
-        if pick <= acc:
-            return population[idx]
-    return population[-1]
+            sums, total = list(accumulate(weights)), sum(weights)
+        table = (rows, sums, total)
+        if isinstance(population, Population):
+            population.wheel = table
+    rows, sums, total = table
+    if sums is None or total <= 0.0:
+        return uniform_rows(rows, rng)
+    n, draw = len(rows), rng.random
 
+    def weighted() -> Individual:
+        pick = draw() * total
+        i = bisect_left(sums, pick)
+        # A NaN pick (a NaN or infinite total) reaches no sum.
+        return rows[i] if i < n and pick <= sums[i] else rows[-1]
+
+    return weighted
+
+
+def roulette_selection(population: Sequence[Individual], rng: random.Random) -> Individual:
+    """Fitness-proportional selection with a shift to non-negative scores:
+    one draw from :func:`roulette_wheel`."""
+    return roulette_wheel(population, rng)()
+
+
+roulette_selection.bind = roulette_wheel

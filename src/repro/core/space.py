@@ -153,29 +153,30 @@ class DesignSpace:
     def is_feasible(self, genome: Genome | Mapping[str, Any]) -> bool:
         """Whether a config satisfies all structural constraints.
 
-        A :class:`Genome` is passed to the constraint predicates directly
-        (it is a Mapping; values decode lazily) — no intermediate dict.
-        The verdict for a genome of this space is memoized by its code
-        vector: breeding re-proposes the same points over and over, and
-        constraints are pure. A mapping, or a genome of another space, is
-        checked directly. Threads may race to compute the same verdict;
-        each stores the same answer.
+        A genome of this space is asked of :meth:`feasible_codes`; a
+        mapping, or a genome of another space, is checked directly.
         """
+        if isinstance(genome, Genome) and genome.space is self:
+            return self.feasible_codes(genome.codes)
+        config = genome if isinstance(genome, Genome) else dict(genome)
+        return all(constraint(config) for constraint in self.constraints)
+
+    def feasible_codes(self, codes: tuple[int, ...]) -> bool:
+        """Whether a trusted code vector of this space is feasible,
+        memoized by the vector: breeding re-proposes the same points over
+        and over, and constraints are pure. Threads may race to compute the
+        same verdict; each stores the same answer."""
         constraints = self.constraints
         if not constraints:
             return True
-        if isinstance(genome, Genome) and genome.space is self:
-            memo = self._feasible
-            codes = genome.codes
-            verdict = memo.get(codes)
-            if verdict is None:
-                verdict = all(constraint(genome) for constraint in constraints)
-                if len(memo) >= _FEASIBILITY_MEMO_CAP:
-                    memo.clear()
-                memo[codes] = verdict
-            return verdict
-        config = genome if isinstance(genome, Genome) else dict(genome)
-        return all(constraint(config) for constraint in constraints)
+        memo = self._feasible
+        verdict = memo.get(codes)
+        if verdict is None:
+            verdict = self.codec.is_feasible_codes(codes)
+            if len(memo) >= _FEASIBILITY_MEMO_CAP:
+                memo.clear()
+            memo[codes] = verdict
+        return verdict
 
     def random_genome(self, rng: random.Random) -> Genome:
         """Draw a uniform random *feasible* genome by rejection sampling."""

@@ -399,6 +399,8 @@ class Campaign:
     #: drops ``search`` and ``result``: what it serves.
     stored_result: dict[str, Any] | None = field(default=None, repr=False)
 
+    _STORED_ONLY = ("curve", "operator_timings", "eval_time_s")
+
     @property
     def terminal(self) -> bool:
         return self.state in CampaignState.TERMINAL
@@ -415,10 +417,11 @@ class Campaign:
             payload["error"] = self.error
         source = self.result or self.search
         if source is None:
-            # The stored payload was this method's output at finalize, so
-            # its keys come back in the order the live campaign wrote them.
+            # The stored payload was this method's output at finalize (plus
+            # the curve and the totals /metrics serves), so its keys come
+            # back in the order the live campaign wrote them.
             for key, value in (self.stored_result or {}).items():
-                if key not in payload and key != "curve":
+                if key not in payload and key not in self._STORED_ONLY:
                     payload[key] = value
             return payload
         records = source.records

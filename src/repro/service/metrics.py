@@ -140,6 +140,15 @@ class ServiceMetrics:
                 operator: dict(entry) for operator, entry in timings.items()
             }
 
+    def restore_totals(self, campaign_id: str, stored: dict[str, Any]) -> None:
+        """Take back a finished campaign's operator timings and evaluation
+        time from its ``result.json`` (a restarted daemon's recovery)."""
+        with self._lock:
+            if "operator_timings" in stored:
+                self._campaign_operators[campaign_id] = stored["operator_timings"]
+            if "eval_time_s" in stored:
+                self._campaign_eval_time[campaign_id] = stored["eval_time_s"]
+
     def _trim(self, now: float) -> None:
         horizon = now - _WINDOW_S
         while self._samples and self._samples[0][0] < horizon:

@@ -236,6 +236,9 @@ class Scheduler:
                     requeued.append(campaign)
                 else:
                     campaign.stored_result = self.store.load_result(campaign.id)
+                    self.metrics.restore_totals(
+                        campaign.id, campaign.stored_result or {}
+                    )
                 self.metrics.record_state(campaign.id, campaign.state)
         if requeued:
             self._wake.set()

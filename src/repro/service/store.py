@@ -96,9 +96,14 @@ class CampaignStore:
         _write_atomic(self.campaign_dir(campaign.id) / "status.json", payload)
 
     def save_result(self, campaign: Campaign) -> None:
-        """Persist the terminal outcome next to the status."""
+        """Persist the terminal outcome next to the status, with the run's
+        operator timings and evaluation time for a restarted daemon's
+        ``/metrics``."""
         payload = campaign.status_payload()
         payload["curve"] = campaign.curve_payload()
+        if campaign.search is not None:
+            payload["operator_timings"] = campaign.search.operator_timings()
+            payload["eval_time_s"] = campaign.search.eval_stats().wall_time_s
         _write_atomic(self.campaign_dir(campaign.id) / "result.json", payload)
 
     # -- load -------------------------------------------------------------------

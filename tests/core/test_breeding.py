@@ -69,7 +69,7 @@ def reference_breed(pipeline, population, guidance, rng, count, timings, bred):
                 t2 = clock()
                 _charge(timings, "selection", t2 - t1)
             for _ in range(pipeline.CROSSOVER_ATTEMPTS):
-                candidate = pipeline.crossover(parent.genome, other.genome, rng)
+                candidate = single_point_crossover(parent.genome, other.genome, rng)
                 if pipeline.space.is_feasible(candidate):
                     genome = candidate
                     crossed = True
@@ -182,7 +182,6 @@ def _pipeline(case):
         case["space"],
         GeneticOperators(case["space"], case["mutation_rate"]),
         roulette_selection,
-        single_point_crossover,
         case["crossover_rate"],
         clock=CountingClock(),
         score=attrgetter("score"),

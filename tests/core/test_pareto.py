@@ -536,3 +536,92 @@ class TestFrontFromRanks:
         assert [ind.genome.codes for ind in resumed.front()] == before
         while resumed.step() is not None:
             self._assert_front(resumed)
+
+
+def _two_sort_survivors(parents, offspring, room):
+    """Survivor selection as it ran with two sorts a generation: sort the
+    pool, keep whole fronts and the most crowded rest of the truncated one,
+    then sort the survivors again to rank and crowd them."""
+    fronts = non_dominated_sort(parents + offspring)
+    survivors = []
+    for front in fronts:
+        crowding_distances(front)
+        if len(survivors) + len(front) <= room:
+            survivors.extend(front)
+        else:
+            remaining = room - len(survivors)
+            survivors.extend(
+                sorted(front, key=lambda ind: -ind.crowding)[:remaining]
+            )
+            break
+    for front in non_dominated_sort(survivors):
+        crowding_distances(front)
+    return survivors
+
+
+_SURVIVOR_SCORE = st.sampled_from(
+    [0.0, 1.0, 1.0, 2.0, 3.0, -1.5, float("-inf"), float("nan")]
+)
+
+
+@st.composite
+def _survivor_pools(draw):
+    m = draw(st.integers(2, 3))
+    vector = st.one_of(
+        st.tuples(*[_SURVIVOR_SCORE] * m),
+        st.just((float("-inf"),) * m),  # an infeasible member
+        st.tuples(*[st.integers(0, 4).map(float)] * m),  # ties, many fronts
+        st.tuples(*[st.floats(-5.0, 5.0)] * m),
+    )
+    pool = draw(st.lists(vector, min_size=2, max_size=24))
+    split = draw(st.integers(1, len(pool) - 1))
+    parents, offspring = pool[:split], pool[split:]
+    genome = DesignSpace("p", [IntParam("a", 0, 99)]).genome(a=0)
+    sizes = [len(front) for front in non_dominated_sort(
+        [ParetoIndividual(genome, v, v) for v in pool]
+    )]
+    boundaries = [sum(sizes[: k + 1]) for k in range(len(sizes))]
+    room = draw(st.one_of(st.integers(1, len(pool)), st.sampled_from(boundaries)))
+    return parents, offspring, room
+
+
+class TestOneSortSurvivors:
+    """``_survivors`` ranks and crowds the survivors as sorting them again
+    did, from the pool's one sort."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_survivor_pools())
+    @example(([(1.0, 1.0), (0.0, 2.0)], [(2.0, 0.0), (0.5, 0.5)], 3))
+    # The truncated front keeps (1, 3, 0) and (3, 3, 1), freed in that
+    # order while crowding keeps them the other way round; re-crowded in
+    # survivor order, the tie on the second objective scores them apart.
+    @example((
+        [(0.0, 3.0, 1.0), (4.0, 1.0, 0.0), (2.0, 2.0, 1.0)],
+        [(1.0, 0.0, 4.0), (4.0, 2.0, 1.0), (1.0, 3.0, 0.0), (3.0, 3.0, 1.0),
+         (0.0, 3.0, 3.0)],
+        7,
+    ))
+    def test_equals_sorting_the_survivors_again(self, case):
+        parents, offspring, room = case
+        genome = DesignSpace("p", [IntParam("a", 0, 99)]).genome(a=0)
+
+        def members(vectors):
+            return [ParetoIndividual(genome, v, v) for v in vectors]
+
+        expected_pool = members(parents + offspring)
+        expected = _two_sort_survivors(
+            expected_pool[: len(parents)], expected_pool[len(parents):], room
+        )
+        actual_pool = members(parents + offspring)
+        engine = type("Stub", (), {})()
+        engine._population = actual_pool[: len(parents)]
+        engine.config = type("Config", (), {"population_size": room})()
+        actual = ParetoSearch._survivors(engine, actual_pool[len(parents):])
+
+        def view(pool, survivors):
+            index = {id(ind): k for k, ind in enumerate(pool)}
+            return [
+                (index[id(ind)], ind.rank, repr(ind.crowding)) for ind in survivors
+            ]
+
+        assert view(actual_pool, actual) == view(expected_pool, expected)

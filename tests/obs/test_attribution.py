@@ -17,7 +17,7 @@ from repro.core import (
     ParamHints,
     maximize,
 )
-from repro.core.operators import BreedingPipeline, single_point_crossover
+from repro.core.operators import BreedingPipeline
 from repro.core.population import Population
 from repro.core.selection import Individual
 from repro.obs import HintEffectReport, hint_effect_report
@@ -39,7 +39,6 @@ def _bred(space, genomes, scores, *, crossover_rate, mutation_rate, count):
         space,
         GeneticOperators(space, mutation_rate),
         in_turn,
-        single_point_crossover,
         crossover_rate,
         score=attrgetter("score"),
     )

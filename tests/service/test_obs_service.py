@@ -81,7 +81,8 @@ class TestCampaignMapsAcrossRestart:
         """After a restart, /metrics' per-campaign maps equal what
         ``GET /campaigns/<id>`` serves: a campaign finished before the
         restart is in them, and a resumed one counts the evaluations it
-        paid before the restart."""
+        paid before the restart. The finished campaign also keeps the
+        operator timings and evaluation time the first daemon served."""
         root = tmp_path / "campaigns"
         spec = dict(query="noc-frequency", engine="baseline")
         first = SearchService(root, port=0, dataset_provider=tiny_provider)
@@ -95,6 +96,7 @@ class TestCampaignMapsAcrossRestart:
             for _ in range(4):  # start + 3 generations, then restart
                 scheduler.tick()
             assert cut.state == "running"
+            served = first.scheduler.metrics.snapshot()
         finally:
             first.stop()
 
@@ -117,6 +119,14 @@ class TestCampaignMapsAcrossRestart:
                 assert metrics["campaign_generations"][cid] == (
                     status["generations_done"]
                 )
+            operators = metrics["campaign_operator_time_s"][done.id]
+            assert operators == served["campaign_operator_time_s"][done.id]
+            assert {"init", "selection", "mutation"} <= set(operators)
+            # result.json keeps the stack's evaluation time; the first
+            # daemon served it as a sum of per-step deltas.
+            assert metrics["campaign_eval_time_s"][done.id] == pytest.approx(
+                served["campaign_eval_time_s"][done.id], rel=1e-9, abs=1e-12
+            )
         finally:
             second.stop()
 
