@@ -5,8 +5,8 @@ Measures the breeding hot path three ways and writes
 ``--quick``, so a smoke run leaves the committed capture alone):
 
 * **current** — the encoded core as shipped: code-vector crossover/mutation,
-  resolved per-generation guidance, columnar populations, O(changes)
-  ``replace``.
+  resolved per-generation guidance, a roulette wheel bound once per
+  generation, O(changes) ``replace``.
 * **reference** — the pre-refactor *algorithms* re-implemented in this file
   on today's API (dict-decode per crossover, per-call rate dicts and axis
   builds, full re-validating genome rebuild per mutation). Running both in
@@ -48,8 +48,7 @@ from repro.core.evaluator import DatasetEvaluator  # noqa: E402
 from repro.core.genome import Genome  # noqa: E402
 from repro.core.guidance import StaticHints  # noqa: E402
 from repro.core.operators import BreedingPipeline, GeneticOperators  # noqa: E402
-from repro.core.population import Population  # noqa: E402
-from repro.core.selection import Individual, roulette_selection  # noqa: E402
+from repro.core.selection import Individual, roulette_wheel  # noqa: E402
 from repro.queries import QUERIES, build_hints, load_dataset  # noqa: E402
 
 BASELINE = Path(__file__).resolve().parent / "baselines" / "core_throughput_pre.json"
@@ -226,7 +225,7 @@ def micro_bench(space, objective, hints, dataset, breeds, repeats):
     """Breed throughput for the encoded pipeline and the legacy reference."""
     rates = {}
     for label, pipeline_cls, operators_cls, select in (
-        ("current", BreedingPipeline, GeneticOperators, roulette_selection),
+        ("current", BreedingPipeline, GeneticOperators, roulette_wheel),
         (
             "reference",
             LegacyBreedingPipeline,
@@ -240,15 +239,13 @@ def micro_bench(space, objective, hints, dataset, breeds, repeats):
         )
         rng = random.Random(1234)
         pop_genomes = space.random_population(24, rng)
-        # The engine hands pipelines a columnar Population — benchmark the
+        # The engine hands pipelines a list of individuals — benchmark the
         # same shape. The legacy reference walks it as rows, exactly as the
         # pre-refactor strategies walked their list.
-        population = Population(
-            [
-                Individual(g, float(i % 7) + 1.0, float(i))
-                for i, g in enumerate(pop_genomes)
-            ]
-        )
+        population = [
+            Individual(g, float(i % 7) + 1.0, float(i))
+            for i, g in enumerate(pop_genomes)
+        ]
 
         def run(pipeline=pipeline, state=state, rng=rng, population=population):
             pipeline.breed(population, state, rng, breeds, None)

@@ -45,7 +45,6 @@ from .params import (
 )
 from .genome import Genome
 from .codec import SpaceCodec
-from .population import Population
 from .space import DesignSpace
 from .hints import DEFAULT_IMPORTANCE, HintSet, ParamHints
 from .guidance import (
@@ -131,7 +130,6 @@ __all__ = [
     "values_key",
     "Genome",
     "SpaceCodec",
-    "Population",
     "DesignSpace",
     # hints
     "ParamHints",

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .checkpoint import SearchCheckpoint
 from .errors import InfeasibleDesignError, NautilusError
@@ -46,8 +46,7 @@ from .kernel import (
     SearchKernel,
     SearchResult,
 )
-from .population import Population
-from .selection import Individual, roulette_selection
+from .selection import Individual, roulette_wheel
 from .space import DesignSpace
 
 __all__ = [
@@ -216,7 +215,7 @@ class GeneticSearch(GenerationalEngine):
             objective,
             config,
             label=label or ("nautilus" if guided else "baseline"),
-            selection=roulette_selection,
+            selection=roulette_wheel,
             bind_objective=objective,
             hints=hints,
             guidance=guidance,
@@ -232,23 +231,11 @@ class GeneticSearch(GenerationalEngine):
     #: Records, guidance feedback and attribution read the one score.
     _scalar = staticmethod(attrgetter("score"))
 
-    def _to_individuals(
-        self, genomes: Sequence[Genome], outcomes: Sequence
-    ) -> Population[Individual]:
-        assess = self.objective.assess
-        individuals = []
-        for genome, outcome in zip(genomes, outcomes):
-            if isinstance(outcome, InfeasibleDesignError):
-                individuals.append(Individual(genome, float("-inf"), float("nan")))
-            elif isinstance(outcome, Exception):
-                raise outcome
-            else:
-                raw, score = assess(outcome)
-                individuals.append(Individual(genome, score, raw))
-        # Columnar wrapper: selection keeps its roulette wheel with it;
-        # every list-style consumer (elites, records, checkpoints) sees an
-        # unchanged Sequence.
-        return Population(individuals)
+    def _individual(self, genome: Genome, metrics) -> Individual:
+        if metrics is None:
+            return Individual(genome, float("-inf"), float("nan"))
+        raw, score = self.objective.assess(metrics)
+        return Individual(genome, score, raw)
 
     # -- kernel hooks --------------------------------------------------------------
 

@@ -78,9 +78,8 @@ class GuidanceState:
     """Everything the operators need to know about guidance, one generation.
 
     States are immutable snapshots and providers emit a *fresh* object every
-    generation (even when nothing changed) — the operators rely on this,
-    resolving each state against the space codec once and caching the
-    resolution by object identity for the generation's whole breeding pass.
+    generation (even when nothing changed). The breeding pipeline resolves
+    its generation's state against the space codec once per generation.
     The per-gene tables derived from ``hints`` are cached by hint-set
     identity for the whole search, so a hint set is never mutated in place
     once a state carries it.

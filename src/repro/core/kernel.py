@@ -33,7 +33,7 @@ the record, the guidance feedback, the attribution scores, the result
 and the checkpoint journal with its restore path. These read an
 individual through the engine's one-line ``_scalar`` projection; the
 concrete engines declare it, their selection strategy, their survivor
-rule and how an outcome becomes an individual.
+rule and how an evaluation becomes an individual.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from ..obs.clock import DEFAULT_CLOCK
 from ..obs.health import population_health
 from ..obs.tracing import SpanRecorder
 from .checkpoint import CheckpointJournal, SearchCheckpoint
-from .errors import NautilusError
+from .errors import InfeasibleDesignError, NautilusError
 from .evalstack import EvalStats, EvaluationStack
 from .fileio import dumps, open_append
 from .fitness import Objective
@@ -63,7 +63,6 @@ from .genome import Genome
 from .guidance import GuidanceProvider, GuidanceState, StaticHints
 from .hints import HintSet
 from .operators import BreedingPipeline, GeneticOperators
-from .population import Population
 from .selection import Individual
 
 __all__ = [
@@ -940,9 +939,10 @@ class GenerationalEngine(SearchKernel):
     The loop is fixed — propose offspring through an operator pipeline,
     evaluate them as one batch, pick survivors, observe progress, record —
     and each stage is a hook: :meth:`_initial_genomes`, :meth:`_elites`,
-    :meth:`_to_individuals`, :meth:`_survivors` and :meth:`_observe_start`
+    :meth:`_individual`, :meth:`_survivors` and :meth:`_observe_start`
     / :meth:`_observe`. The record, the guidance feedback and the
-    attribution scores read each individual through :meth:`_scalar`.
+    attribution scores read each individual through :meth:`_scalar`. A
+    population is a list of individuals.
 
     The constructor does the setup every generational engine shares: the
     guidance provider (``hints`` is shorthand for
@@ -1486,7 +1486,7 @@ class GenerationalEngine(SearchKernel):
 
     # Both events are deferred (RunEvent.deferred): each captures only
     # flat, immutable inputs — tuples, numbers and the run's own mappings,
-    # never a Population, an Individual or the offspring list, whose
+    # never the population, an Individual or the offspring list, whose
     # object graphs would stay alive in the trace and be walked by the
     # cyclic GC — and builds its payload on first read.
 
@@ -1518,16 +1518,13 @@ class GenerationalEngine(SearchKernel):
         """One ``health`` event summarizing the surviving population."""
         if not self.observability or not self._population:
             return
-        population = self._population
         batch_size, batch_infeasible = self._last_batch
         self._health_event = self._trace.emit(
             "health",
             generation,
             build=partial(
                 _health_payload,
-                population.codes
-                if isinstance(population, Population)
-                else tuple(ind.genome.codes for ind in population),
+                tuple(ind.genome.codes for ind in self._population),
                 self._cardinalities,
                 tuple(self._best_window),
                 self._stalled_generations,
@@ -1586,6 +1583,21 @@ class GenerationalEngine(SearchKernel):
         )
         return genomes
 
+    def _to_individuals(
+        self, genomes: Sequence[Genome], outcomes: Sequence[Any]
+    ) -> list:
+        """The engine's individuals for evaluation outcomes, in order: an
+        :class:`InfeasibleDesignError` gives the engine's worst individual,
+        and any other exception is raised."""
+        individuals = []
+        for genome, outcome in zip(genomes, outcomes):
+            if isinstance(outcome, InfeasibleDesignError):
+                outcome = None
+            elif isinstance(outcome, Exception):
+                raise outcome
+            individuals.append(self._individual(genome, outcome))
+        return individuals
+
     def _assess_all(self, genomes: Sequence[Genome]):
         """Score genomes from the memo alone — a resume's re-assessment of
         what its checkpoint restored. Counts nothing and pays nothing; a
@@ -1632,13 +1644,9 @@ class GenerationalEngine(SearchKernel):
         """Individuals copied unchanged into the next generation."""
         return ()
 
-    def _to_individuals(self, genomes: Sequence[Genome], outcomes: Sequence[Any]):
-        """Convert raw evaluation outcomes into the engine's individuals.
-
-        Engines may return any sequence; single-objective engines return a
-        columnar :class:`~repro.core.population.Population` so the selection
-        strategies can read cached score columns in the breeding hot loop.
-        """
+    def _individual(self, genome: Genome, metrics: Mapping[str, float] | None):
+        """The engine's individual for one evaluated genome; ``metrics`` is
+        ``None`` for an infeasible design, which gets the worst scores."""
         raise NotImplementedError  # pragma: no cover - abstract
 
     def _survivors(self, offspring):

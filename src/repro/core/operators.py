@@ -16,13 +16,16 @@ genetic operation (Section 3):
 
 Crossover is unguided (the paper's hints act on mutation) and single-point,
 as in the PyEvolve GA the paper built on.
+
+:class:`BreedingPipeline` keeps nothing from one generation to the next;
+:class:`GeneticOperators` keeps only the per-gene guides of the hint set
+in force.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from functools import partial
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .codec import SpaceCodec
@@ -190,11 +193,11 @@ def _gene_guides(codec: SpaceCodec, hints: HintSet | None) -> tuple[_GeneGuide, 
 class _ResolvedGuidance(NamedTuple):
     """One guidance state, resolved against a space codec.
 
-    Guidance providers emit one fresh :class:`~repro.core.guidance.GuidanceState`
-    per generation (even a neutral one), so :class:`GeneticOperators` caches
-    the resolution by state identity — the whole generation's breeding reads
-    a single resolution. Only the confidence and the per-gene rates are
-    computed per state; ``genes`` is the hint set's shared table.
+    :meth:`BreedingPipeline.breed` resolves its generation's
+    :class:`~repro.core.guidance.GuidanceState` once, and the whole
+    generation's breeding reads that resolution. Only the confidence and
+    the per-gene rates are computed per state; ``genes`` is the hint set's
+    shared table.
     """
 
     confidence: float
@@ -305,10 +308,14 @@ class BreedingPipeline:
     (fitness-proportional for the single-objective GA, rank/crowding
     tournament for NSGA-II) and the pipeline runs the fixed breeding
     sequence once per child, drawing every choice from the search's one
-    generator. :meth:`breed` produces a whole generation in one call: it
-    times every operator per child and charges the sums into the caller's
-    ``timings`` accumulator (``{operator: [calls, seconds]}``) once per
-    call, so every run can report where breeding time went.
+    generator. A strategy is a binder, ``select(population, rng)``, that
+    returns a function drawing one parent per call; :meth:`breed` binds it
+    once per call, and binding draws nothing. :meth:`breed` produces a
+    whole generation in one call: it times every operator per child and
+    charges the sums into the caller's ``timings`` accumulator
+    (``{operator: [calls, seconds]}``) once per call, so every run can
+    report where breeding time went. Nothing is kept from one call to the
+    next.
 
     The draw order is pinned — per child: parent selection, crossover-rate
     draw, mate selection, up to 8 feasible-crossover attempts, then
@@ -331,8 +338,9 @@ class BreedingPipeline:
     ):
         self.space = space
         self.operators = operators
-        #: ``select(population, rng)`` draws a parent; its ``bind``, when it
-        #: has one, is bound once per :meth:`breed` call instead.
+        #: ``select(population, rng)`` binds parent selection: it returns a
+        #: function drawing one parent per call, bound once per
+        #: :meth:`breed` call.
         self.select = select
         self.crossover_rate = crossover_rate
         #: Injectable time source for the timed breeding path (engines
@@ -380,9 +388,7 @@ class BreedingPipeline:
         """
         score = self.score
         record = bred is not None
-        select = self.select
-        bind = getattr(select, "bind", None)
-        draw = bind(population, rng) if bind else partial(select, population, rng)
+        draw = self.select(population, rng)
         crossover_rate = self.crossover_rate
         attempts = range(self.CROSSOVER_ATTEMPTS)
         space = self.space
@@ -465,11 +471,6 @@ class GeneticOperators:
             raise ValueError(f"mutation_rate must be in [0, 1], got {mutation_rate}")
         self.space = space
         self.mutation_rate = mutation_rate
-        # Identity-keyed cache of the last resolved guidance state: providers
-        # emit one state object per generation, so one resolution serves the
-        # whole generation's breeding. Keyed on mutation_rate too, so callers
-        # that tweak the rate mid-run get a fresh resolution.
-        self._resolved: tuple | None = None
         # ``(hint set, gene tables)`` of the last hint set resolved. A
         # provider keeps one hint set for a whole search (an estimating
         # provider swaps it once), so the tables are built once per search.
@@ -490,26 +491,17 @@ class GeneticOperators:
         return dict(zip(names, _blended_gene_rates(names, guidance, self.mutation_rate)))
 
     def _resolve(self, guidance: GuidanceState | None) -> _ResolvedGuidance:
-        """The codec-resolved form of a guidance state, cached by identity."""
-        mutation_rate = self.mutation_rate
-        cached = self._resolved
-        if (
-            cached is not None
-            and cached[0] is guidance
-            and cached[1] == mutation_rate
-        ):
-            return cached[2]
+        """The codec-resolved form of a guidance state (the gene tables
+        come from the hint set's kept ones)."""
         hints = guidance.hints if guidance is not None else None
         guides = self._guides
         if guides is None or guides[0] is not hints:
             guides = self._guides = (hints, _gene_guides(self.space.codec, hints))
-        resolved = _ResolvedGuidance(
+        return _ResolvedGuidance(
             guidance.confidence if guidance is not None else 0.0,
-            _blended_gene_rates(self.space.codec.names, guidance, mutation_rate),
+            _blended_gene_rates(self.space.codec.names, guidance, self.mutation_rate),
             guides[1],
         )
-        self._resolved = (guidance, mutation_rate, resolved)
-        return resolved
 
     # -- value assignment ---------------------------------------------------------
 

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .engine import GAConfig
-from .errors import InfeasibleDesignError, NautilusError
+from .errors import NautilusError
 from .evaluator import Evaluator
 from .fitness import Objective
 from .genome import Genome
@@ -232,14 +232,6 @@ def _bind_tournament(population: Sequence[ParetoIndividual], rng) -> Callable:
     return tournament
 
 
-def _tournament(population: Sequence[ParetoIndividual], rng) -> ParetoIndividual:
-    """One binary tournament: a draw from :func:`_bind_tournament`."""
-    return _bind_tournament(population, rng)()
-
-
-_tournament.bind = _bind_tournament
-
-
 class ParetoResult(SearchResult):
     """Outcome of a multi-objective search: a :class:`SearchResult` of the
     first-objective projection (records, best design, curves) plus the
@@ -334,7 +326,7 @@ class ParetoSearch(GenerationalEngine):
             self.objectives[0],
             config or GAConfig(population_size=24, elitism=1),
             label=label,
-            selection=self._tournament,
+            selection=_bind_tournament,
             # No orienting objective: directional hints point at the region
             # of interest as authored (module docstring), so only validate.
             bind_objective=None,
@@ -353,23 +345,13 @@ class ParetoSearch(GenerationalEngine):
     #: objective.
     _scalar = staticmethod(lambda individual: individual.scores[0])
 
-    def _to_individuals(
-        self, genomes: Sequence[Genome], outcomes: Sequence
-    ) -> list[ParetoIndividual]:
-        individuals = []
-        for genome, outcome in zip(genomes, outcomes):
-            if isinstance(outcome, InfeasibleDesignError):
-                worst = tuple(float("-inf") for _ in self.objectives)
-                nan = tuple(float("nan") for _ in self.objectives)
-                individuals.append(ParetoIndividual(genome, nan, worst))
-            elif isinstance(outcome, Exception):
-                raise outcome
-            else:
-                raws, scores = zip(*[obj.assess(outcome) for obj in self.objectives])
-                individuals.append(ParetoIndividual(genome, raws, scores))
-        return individuals
-
-    _tournament = staticmethod(_tournament)
+    def _individual(self, genome: Genome, metrics) -> ParetoIndividual:
+        if metrics is None:
+            worst = tuple(float("-inf") for _ in self.objectives)
+            nan = tuple(float("nan") for _ in self.objectives)
+            return ParetoIndividual(genome, nan, worst)
+        raws, scores = zip(*[obj.assess(metrics) for obj in self.objectives])
+        return ParetoIndividual(genome, raws, scores)
 
     # -- kernel hooks --------------------------------------------------------------
 

@@ -7,11 +7,11 @@ by roulette wheel, so :func:`roulette_selection` is the GA's one strategy.
 It operates on *already-scored* individuals, so selection never touches
 the evaluator.
 
-A strategy is bound once per generation: ``roulette_selection.bind`` is
-:func:`roulette_wheel`, which turns a population and the generator into a
-function drawing one parent per call; ``roulette_selection`` is one draw
-from a fresh binding. A :class:`~repro.core.population.Population` keeps
-the wheel's running-sum table.
+A strategy is a binder: :func:`roulette_wheel` turns a population (a
+list of individuals) and the generator into a function drawing one parent
+per call, and the breeding pipeline binds it once per generation.
+Binding draws nothing. :func:`roulette_selection` is one draw from a
+fresh binding.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from itertools import accumulate
 from typing import Any, Callable, Sequence
 
 from .genome import Genome
-from .population import Population
 
 __all__ = ["Individual", "roulette_selection", "roulette_wheel", "uniform_rows"]
 
@@ -72,20 +71,14 @@ def roulette_wheel(
     added left to right as a scan adds them: the first row whose sum
     reaches the pick, else the last.
     """
-    table = population.wheel if isinstance(population, Population) else None
-    if table is None:
-        rows, neg_inf = list(population), float("-inf")
-        scores = [ind.score for ind in rows]
-        finite = [s for s in scores if s != neg_inf]
-        sums, total = None, 0.0
-        if finite:
-            floor = min(finite)
-            weights = [(s - floor) if s != neg_inf else 0.0 for s in scores]
-            sums, total = list(accumulate(weights)), sum(weights)
-        table = (rows, sums, total)
-        if isinstance(population, Population):
-            population.wheel = table
-    rows, sums, total = table
+    rows, neg_inf = list(population), float("-inf")
+    scores = [ind.score for ind in rows]
+    finite = [s for s in scores if s != neg_inf]
+    sums, total = None, 0.0
+    if finite:
+        floor = min(finite)
+        weights = [(s - floor) if s != neg_inf else 0.0 for s in scores]
+        sums, total = list(accumulate(weights)), sum(weights)
     if sums is None or total <= 0.0:
         return uniform_rows(rows, rng)
     n, draw = len(rows), rng.random
@@ -103,6 +96,3 @@ def roulette_selection(population: Sequence[Individual], rng: random.Random) -> 
     """Fitness-proportional selection with a shift to non-negative scores:
     one draw from :func:`roulette_wheel`."""
     return roulette_wheel(population, rng)()
-
-
-roulette_selection.bind = roulette_wheel

@@ -105,7 +105,9 @@ class CampaignSpec:
             the scheduler round-robin fairly.
         confidence: Optional hint-confidence override (nautilus engine);
             for the ``pareto`` engine, setting it opts the campaign into
-            the multi-query's hint guidance.
+            the multi-query's hint guidance. Must be in [0, 1] (NaN is
+            rejected), validated here so a bad value is a 400 at
+            submission.
         hints: Optional inline hint set in the schema-versioned JSON wire
             format (see :func:`repro.core.hintset_to_json`), replacing the
             query's bundled ``hint_kind``. Guided engines only (nautilus /
@@ -169,6 +171,11 @@ class CampaignSpec:
             raise NautilusError("budget must be >= 1")
         if self.workers is not None and self.workers < 1:
             raise NautilusError("workers must be >= 1")
+        if self.confidence is not None and not 0.0 <= self.confidence <= 1.0:
+            # NaN fails both comparisons.
+            raise NautilusError(
+                f"confidence must be in [0, 1], got {self.confidence!r}"
+            )
         if self.trace_max_events is not None and self.trace_max_events < 4:
             raise NautilusError("trace_max_events must be >= 4")
         if self.warm_start is not None:

@@ -26,8 +26,7 @@ from repro.core import (
     ParamHints,
 )
 from repro.core.operators import BreedingPipeline, single_point_crossover
-from repro.core.population import Population
-from repro.core.selection import Individual, roulette_selection
+from repro.core.selection import Individual, roulette_wheel
 
 
 class CountingClock:
@@ -56,7 +55,7 @@ def reference_breed(pipeline, population, guidance, rng, count, timings, bred):
     for _ in range(count):
         if timings is not None:
             t0 = clock()
-        parent = pipeline.select(population, rng)
+        parent = pipeline.select(population, rng)()
         genome = parent.genome
         if timings is not None:
             _charge(timings, "selection", clock() - t0)
@@ -64,7 +63,7 @@ def reference_breed(pipeline, population, guidance, rng, count, timings, bred):
         if rng.random() < pipeline.crossover_rate:
             if timings is not None:
                 t1 = clock()
-            other = pipeline.select(population, rng)
+            other = pipeline.select(population, rng)()
             if timings is not None:
                 t2 = clock()
                 _charge(timings, "selection", t2 - t1)
@@ -181,7 +180,7 @@ def _pipeline(case):
     return BreedingPipeline(
         case["space"],
         GeneticOperators(case["space"], case["mutation_rate"]),
-        roulette_selection,
+        roulette_wheel,
         case["crossover_rate"],
         clock=CountingClock(),
         score=attrgetter("score"),
@@ -193,12 +192,10 @@ def _population(case):
     genomes = space.random_population(
         case["population_size"], random.Random(case["seed"])
     )
-    return Population(
-        [
-            Individual(genome, score, score)
-            for genome, score in zip(genomes, case["scores"])
-        ]
-    )
+    return [
+        Individual(genome, score, score)
+        for genome, score in zip(genomes, case["scores"])
+    ]
 
 
 @settings(max_examples=150, deadline=None)
@@ -258,9 +255,9 @@ def test_zero_count_breeds_nothing_and_charges_nothing():
         "space": space, "crossover_rate": 0.9, "mutation_rate": 0.1,
     }
     pipeline = _pipeline(case)
-    population = Population(
-        [Individual(g, 1.0, 1.0) for g in space.random_population(4, random.Random(1))]
-    )
+    population = [
+        Individual(g, 1.0, 1.0) for g in space.random_population(4, random.Random(1))
+    ]
     rng = random.Random(5)
     before = rng.getstate()
     timings = {}

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import DesignSpace, Individual, IntParam, roulette_selection
-from repro.core.population import Population
 from repro.core.selection import roulette_wheel
 
 
@@ -118,18 +117,13 @@ class TestWheelMatchesScan:
     @given(_SCORES, st.integers(0, 2**16))
     def test_same_draws_and_state(self, scores, seed):
         rows = _rows(scores)
-        for population in (rows, Population(rows)):
-            ours, theirs = random.Random(seed), random.Random(seed)
-            wheel = roulette_wheel(population, ours)
-            drawn = [rows.index(wheel()) for _ in range(20)]
-            drawn += [
-                rows.index(roulette_selection(population, ours)) for _ in range(5)
-            ]
-            expected = [
-                rows.index(_scan_roulette(rows, theirs)) for _ in range(25)
-            ]
-            assert drawn == expected
-            assert ours.getstate() == theirs.getstate()
+        ours, theirs = random.Random(seed), random.Random(seed)
+        wheel = roulette_wheel(rows, ours)
+        drawn = [rows.index(wheel()) for _ in range(20)]
+        drawn += [rows.index(roulette_selection(rows, ours)) for _ in range(5)]
+        expected = [rows.index(_scan_roulette(rows, theirs)) for _ in range(25)]
+        assert drawn == expected
+        assert ours.getstate() == theirs.getstate()
 
     @settings(max_examples=300, deadline=None)
     @given(_SCORES, st.data())
@@ -149,7 +143,7 @@ class TestWheelMatchesScan:
         picks = [p for p in picks if 0.0 <= p < 1.0] + [0.0]
         picks += data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True)))
         rows = _rows(scores)
-        wheel = roulette_wheel(Population(rows), _Picks(picks))
+        wheel = roulette_wheel(rows, _Picks(picks))
         scan = _Picks(picks)
         for _ in picks:
             assert wheel() is _scan_roulette(rows, scan)
@@ -160,7 +154,7 @@ class TestWheelMatchesScan:
         # zero-weight row that repeats a sum; a pick of 0 takes the first.
         rows = make_population(space, [1.0, 3.0, 0.0, 4.0])
         picks = [0.125, 0.5, 0.0, 0.999]
-        wheel = roulette_wheel(Population(rows), _Picks(picks))
+        wheel = roulette_wheel(rows, _Picks(picks))
         assert [rows.index(wheel()) for _ in picks] == [0, 1, 0, 3]
         scan = _Picks(picks)
         assert [rows.index(_scan_roulette(rows, scan)) for _ in picks] == [0, 1, 0, 3]
@@ -169,15 +163,8 @@ class TestWheelMatchesScan:
         for scores in ([5.0], [float("-inf")] * 3, [2.0, 2.0, 2.0]):
             rows = make_population(space, scores)
             ours, theirs = random.Random(3), random.Random(3)
-            wheel = roulette_wheel(Population(rows), ours)
+            wheel = roulette_wheel(rows, ours)
             assert [wheel() for _ in range(30)] == [
                 _scan_roulette(rows, theirs) for _ in range(30)
             ]
             assert ours.getstate() == theirs.getstate()
-
-    def test_population_keeps_one_wheel(self, space):
-        population = Population(make_population(space, [1.0, 2.0, 3.0]))
-        roulette_wheel(population, random.Random(0))
-        table = population.wheel
-        roulette_selection(population, random.Random(1))
-        assert population.wheel is table

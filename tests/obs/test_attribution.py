@@ -18,7 +18,6 @@ from repro.core import (
     maximize,
 )
 from repro.core.operators import BreedingPipeline
-from repro.core.population import Population
 from repro.core.selection import Individual
 from repro.obs import HintEffectReport, hint_effect_report
 from repro.obs.attribution import summarize_generation
@@ -27,13 +26,13 @@ from repro.obs.attribution import summarize_generation
 def _bred(space, genomes, scores, *, crossover_rate, mutation_rate, count):
     """``breed``'s records for ``count`` children of a population whose
     parents are selected in turn (first, second, ... then round again)."""
-    population = Population(
-        [Individual(genome, score, score) for genome, score in zip(genomes, scores)]
-    )
-    turn = iter(range(10**6))
+    population = [
+        Individual(genome, score, score) for genome, score in zip(genomes, scores)
+    ]
 
     def in_turn(population, rng):
-        return population[next(turn) % len(population)]
+        turn = iter(range(10**6))
+        return lambda: population[next(turn) % len(population)]
 
     pipeline = BreedingPipeline(
         space,

@@ -222,7 +222,7 @@ class TestKernelHealthEvents:
         # The payload an eager call on the run's final state gives.
         size, infeasible = search._last_batch
         assert last == population_health(
-            search._population.codes,
+            tuple(ind.genome.codes for ind in search._population),
             cardinalities={p.name: p.cardinality for p in toy_space.params},
             best_history=list(search._best_window),
             stalled_generations=search._stalled_generations,

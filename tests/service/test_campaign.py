@@ -20,7 +20,8 @@ from repro.service import (
     build_search,
 )
 
-#: One mistyped field each; every one must be rejected at submission.
+#: One mistyped or out-of-range field each; every one must be rejected at
+#: submission.
 BAD_FIELDS = [
     {"generations": "200"},
     {"generations": 2.5},
@@ -35,6 +36,9 @@ BAD_FIELDS = [
     {"warm_start": False},
     {"confidence": "high"},
     {"confidence": True},
+    {"confidence": 1.5},
+    {"confidence": -0.2},
+    {"confidence": float("nan")},
     {"tracing": "yes"},
     {"tracing": 1},
     {"label": 5},

@@ -12,14 +12,30 @@ from repro.core import (
     InfeasibleDesignError,
     IntParam,
     NautilusError,
+    ParetoSearch,
     RandomSearch,
     maximize,
+    minimize,
 )
 
 
 @pytest.fixture
 def space():
     return DesignSpace("edge", [IntParam("a", 0, 9)])
+
+
+def _genetic(space, evaluator, config):
+    return GeneticSearch(space, evaluator, maximize("m"), config)
+
+
+def _pareto(space, evaluator, config):
+    return ParetoSearch(space, evaluator, [maximize("m"), minimize("n")], config)
+
+
+#: Both generational engines, which share one outcome loop.
+each_engine = pytest.mark.parametrize(
+    "engine", [_genetic, _pareto], ids=["GeneticSearch", "ParetoSearch"]
+)
 
 
 class TestFailureInjection:
@@ -32,21 +48,19 @@ class TestFailureInjection:
                 space, CallableEvaluator(fn), maximize("m"), budget=5, seed=1
             ).run()
 
-    def test_engine_propagates_unexpected_errors(self, space):
+    @each_engine
+    def test_engine_propagates_unexpected_errors(self, space, engine):
         def fn(genome):
             raise RuntimeError("license server down")
 
         with pytest.raises(RuntimeError, match="license server"):
-            GeneticSearch(
-                space, CallableEvaluator(fn), maximize("m"), GAConfig(seed=1)
-            ).run()
+            engine(space, CallableEvaluator(fn), GAConfig(seed=1)).run()
 
-    def test_missing_metric_surfaces_clearly(self, space):
+    @each_engine
+    def test_missing_metric_surfaces_clearly(self, space, engine):
         evaluator = CallableEvaluator(lambda g: {"other": 1.0})
         with pytest.raises(EvaluationError, match="available"):
-            GeneticSearch(
-                space, evaluator, maximize("m"), GAConfig(seed=1, generations=1)
-            ).run()
+            engine(space, evaluator, GAConfig(seed=1, generations=1)).run()
 
     def test_parallel_evaluator_propagates_unexpected_errors(self, space):
         def fn(genome):
