@@ -13,8 +13,11 @@ fault-tolerant re-dispatch never changes what the search sees. On top of
 that the span tree itself is checked: accounting closes (every span
 inside its parent's window, every dispatched task owned by exactly one
 task span even across SIGKILL retries and duplicate results), the phase
-partition covers >=95% of each generation's wall clock, and the Perfetto
-export is valid trace-event JSON with one complete event per span.
+partition covers >=95% of each generation's wall clock with the measured
+phases (``init``, ``evaluate``, ``observe`` for generation 0; ``breed``,
+``evaluate``, ``observe``, ``checkpoint`` after it), the run emits no
+``phase-budget`` event, and the Perfetto export is valid trace-event
+JSON with one complete event per span.
 
 Usage::
 
@@ -128,6 +131,17 @@ def _check_tree(spans, distinct_evaluations: int) -> None:
         f"phase partition covers only {budget['coverage']:.1%} "
         "of the generation wall clock"
     )
+    # Every phase is measured: generation 0 initializes, later ones breed.
+    for row in budget["generations"]:
+        expected = (
+            {"init", "evaluate", "observe"}
+            if row["generation"] == 0
+            else {"breed", "evaluate", "observe", "checkpoint"}
+        )
+        assert set(row["phases"]) == expected, (
+            f"generation {row['generation']} has phases "
+            f"{sorted(row['phases'])}, not {sorted(expected)}"
+        )
 
     doc = perfetto_export(spans)
     encoded = json.dumps(doc)  # must be valid trace-event JSON
@@ -195,6 +209,11 @@ def main() -> int:
         )
 
         _check_tree(search.spans(), fleet.distinct_evaluations)
+        kinds = {event.kind for event in fleet.events}
+        assert "phase-budget" not in kinds, (
+            "the span tree is the one record of phase time; the traced run "
+            "emitted phase-budget events"
+        )
         print(
             "  ok: SIGKILLed worker mid-run under tracing; curve "
             "bit-identical, span accounting closed, Perfetto export valid"

@@ -94,10 +94,11 @@ class GAConfig:
             provenance tuple ``breed`` records per child and the capture
             of each event's inputs.
         tracing: Record a span tree for the run (see
-            :mod:`repro.obs.tracing`): run → generation → phase →
-            eval-batch → task, plus a per-generation ``phase-budget``
-            event. Off by default. Same guarantee as observability: span
-            ids come from counters, not RNG, so seeded curves are
+            :mod:`repro.obs.tracing`): run → generation → phase (``init``
+            or ``breed``, then ``evaluate``, ``observe`` and
+            ``checkpoint``, each measured) → eval-batch → task. It emits
+            no event. Off by default. Same guarantee as observability:
+            span ids come from counters, not RNG, so seeded curves are
             bit-identical with tracing on or off.
         warm_start: Known-good configurations (``{param: value}``
             mappings, best first — typically
@@ -352,6 +353,10 @@ class RandomSearch(SearchKernel):
             except InfeasibleDesignError:
                 self._draws += 1
                 continue
+            finally:
+                # Dropped: a draw has no eval-batch span to hold its
+                # store-write timing.
+                self._counter.pop_cache_writes()
             self._draws += 1
             improved = self._best is None or individual.score > self._best.score
             if improved:

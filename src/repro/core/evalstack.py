@@ -416,8 +416,9 @@ class _StoreLayer:
         self.campaign = campaign
         self._counters = counters
         self._clock = clock
-        #: Timed writes since the last :meth:`pop_writes` — surfaced to
-        #: tracing kernels as ``cache-write`` spans.
+        #: Timed writes since the last :meth:`pop_writes`; the kernel
+        #: drains them after every batch (``cache-write`` spans when
+        #: tracing).
         self._writes: list[dict] = []
 
     def evaluate_many(self, genomes: Sequence[Genome]) -> list[Outcome]:
@@ -1161,7 +1162,8 @@ class EvaluationStack:
         return pop() if pop is not None else []
 
     def pop_cache_writes(self) -> list[dict[str, Any]]:
-        """Timed store writes since the last call."""
+        """Timed store writes since the last call (then reset): at most
+        one ``{"entries", "duration_s"}`` per paying batch."""
         layer = self._store_layer
         return layer.pop_writes() if layer is not None else []
 

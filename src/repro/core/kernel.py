@@ -43,7 +43,6 @@ import json
 import math
 import random
 import struct
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -90,7 +89,6 @@ RUN_EVENT_KINDS = (
     "best-improved",
     "hint-attribution",
     "health",
-    "phase-budget",
     "stop",
 )
 
@@ -1054,16 +1052,12 @@ class GenerationalEngine(SearchKernel):
         if tr is not None:
             # Phase spans tile the generation window edge to edge via
             # shared boundary timestamps, so the phase budget covers the
-            # wall-clock by construction (the "init" segment absorbs
-            # guidance start and event emission alongside sampling).
-            phases = [
-                tr.record("phase", gen_span.start_s, t1, parent=gen_span,
-                          phase="init")
-            ]
-            self._eval_phase = tr.begin(
-                "phase", parent=gen_span, at=t1, phase="evaluate"
-            )
-            phases.append(self._eval_phase)
+            # wall-clock by construction. The first phase is the measured
+            # window from the generation's start to its evaluation: "init"
+            # here (guidance start and event emission besides sampling),
+            # "breed" in later generations (guidance advance, event
+            # emission and the operators, which operator_timings() splits).
+            phases = self._begin_evaluate(gen_span, "init", t1)
         self._population = self._assess_population(genomes, 0)
         if tr is not None:
             b2 = self._clock()
@@ -1081,7 +1075,7 @@ class GenerationalEngine(SearchKernel):
                 tr.record("phase", b2, b3, parent=gen_span, phase="observe")
             )
             tr.end(gen_span, at=b3)
-            self._emit_phase_budget(0, gen_span, phases)
+            self._observe_phases(phases)
         return record
 
     def _do_step(self) -> GenerationRecord:
@@ -1107,14 +1101,7 @@ class GenerationalEngine(SearchKernel):
         for operator, (calls, time_s) in timings.items():
             self._charge_operator(operator, calls, time_s)
         if tr is not None:
-            b1 = self._clock()
-            phases = self._record_breed_phases(
-                gen_span, gen_span.start_s, b1, timings
-            )
-            self._eval_phase = tr.begin(
-                "phase", parent=gen_span, at=b1, phase="evaluate"
-            )
-            phases.append(self._eval_phase)
+            phases = self._begin_evaluate(gen_span, "breed", self._clock())
         offspring = self._assess_population(genomes, generation)
         if tr is not None:
             b2 = self._clock()
@@ -1151,7 +1138,7 @@ class GenerationalEngine(SearchKernel):
                 tr.record("phase", b3, b4, parent=gen_span, phase="checkpoint")
             )
             tr.end(gen_span, at=b4)
-            self._emit_phase_budget(generation, gen_span, phases)
+            self._observe_phases(phases)
         return record
 
     def _assess_population(self, genomes: Sequence[Genome], generation: int):
@@ -1172,13 +1159,16 @@ class GenerationalEngine(SearchKernel):
             )
             # Hand the span context to the evaluation stack so the fleet
             # backend can propagate it through the protocol frames (local
-            # backends have no hook and simply ignore it).
-            push = getattr(self._counter, "push_trace_context", None)
-            if push is not None:
-                push({"trace": tr.trace_id, "parent": batch_span.span_id})
+            # backends ignore it).
+            self._counter.push_trace_context(
+                {"trace": tr.trace_id, "parent": batch_span.span_id}
+            )
         before = self._counter.stats()
         outcomes = self._counter.evaluate_many(genomes)
         delta = self._counter.stats().minus(before)
+        # Drained after every batch, traced or not: the store would
+        # otherwise keep one timing per paid batch for the whole run.
+        writes = self._counter.pop_cache_writes()
         self._last_batch = (len(genomes), delta.infeasible)
         payload = {
             "size": len(genomes),
@@ -1189,11 +1179,9 @@ class GenerationalEngine(SearchKernel):
         }
         # Backend-specific annotations (e.g. which fleet workers served the
         # batch); local backends return None and the payload is unchanged.
-        annotate = getattr(self._counter, "pop_annotations", None)
-        if annotate is not None:
-            extra = annotate()
-            if extra:
-                payload.update(extra)
+        extra = self._counter.pop_annotations()
+        if extra:
+            payload.update(extra)
         self._trace.emit("eval-batch", generation, payload)
         if tr is not None:
             tr.end(
@@ -1202,7 +1190,7 @@ class GenerationalEngine(SearchKernel):
                 cache_hits=delta.cache_hits,
                 infeasible=delta.infeasible,
             )
-            self._materialize_eval_spans(batch_span)
+            self._materialize_eval_spans(batch_span, writes)
         return self._to_individuals(genomes, outcomes)
 
     def _finish(self, reason: str) -> None:
@@ -1337,81 +1325,38 @@ class GenerationalEngine(SearchKernel):
 
     # -- tracing (see repro.obs.tracing; zero RNG draws by construction) ---------
 
-    #: Trace phase label per operator-timing key.
-    _PHASE_LABELS = {
-        "selection": "select",
-        "crossover": "crossover",
-        "mutation": "mutate",
-    }
+    def _begin_evaluate(self, gen_span, label: str, at: float) -> list:
+        """Record the generation's first phase, ``label`` (``init`` or
+        ``breed``), from the generation's start to ``at``, and open its
+        ``evaluate`` phase there; returns both spans, in order."""
+        tr = self._tracer
+        first = tr.record(
+            "phase", gen_span.start_s, at, parent=gen_span, phase=label
+        )
+        self._eval_phase = tr.begin(
+            "phase", parent=gen_span, at=at, phase="evaluate"
+        )
+        return [first, self._eval_phase]
 
-    def _record_breed_phases(
-        self,
-        gen_span,
-        start_s: float,
-        end_s: float,
-        timings: dict[str, list[float]],
-    ) -> list:
-        """Tile the breeding window into select/crossover/mutate phases
-        (returned in order).
-
-        The window (generation start → evaluation start) also contains
-        guidance advance and event emission; the operator timings say how
-        breeding time split between operators, so the window is divided
-        *proportionally* to those measurements. This keeps the phase
-        partition gap-free (coverage stays ~1.0) while still reflecting
-        the measured operator balance.
-        """
-        weights = [
-            (self._PHASE_LABELS.get(op, op), max(float(t[1]), 0.0))
-            for op, t in sorted(timings.items())
-        ]
-        total = sum(w for _, w in weights)
-        window = end_s - start_s
-        if total <= 0 or window <= 0:
-            return [
-                self._tracer.record(
-                    "phase", start_s, end_s, parent=gen_span, phase="select"
-                )
-            ]
-        spans = []
-        edge = start_s
-        for i, (label, weight) in enumerate(weights):
-            nxt = end_s if i == len(weights) - 1 else edge + window * (weight / total)
-            spans.append(
-                self._tracer.record("phase", edge, nxt, parent=gen_span, phase=label)
-            )
-            edge = nxt
-        return spans
-
-    def _emit_phase_budget(self, generation: int, gen_span, spans: list) -> None:
-        """One ``phase-budget`` event (and Prometheus observation) per
-        generation: where its wall-clock went, by phase. ``spans`` are the
-        generation's phase spans in creation order, kept as they were
-        recorded: finding them in the tracer would walk every span of the
-        run at every generation."""
-        phases: dict[str, float] = {}
+    def _observe_phases(self, spans: list) -> None:
+        """Observe a generation's phase spans into the stack registry's
+        ``nautilus_phase_seconds`` histogram (when it has one). Each label
+        occurs once per generation, so every observation equals the
+        generation's row in :func:`~repro.obs.tracing.phase_budget`."""
+        registry = self._counter.registry
+        if registry is None:
+            return
+        histogram = registry.histogram(
+            "nautilus_phase_seconds",
+            "Wall-clock seconds per generation phase.",
+            labelnames=("phase",),
+        )
         for span in spans:
-            label = str(span.attrs.get("phase", "?"))
-            phases[label] = phases.get(label, 0.0) + (span.duration_s or 0.0)
-        wall = gen_span.duration_s or 0.0
-        payload = {
-            "phases": phases,
-            "wall_time_s": wall,
-            "coverage": (sum(phases.values()) / wall) if wall > 0 else 1.0,
-        }
-        self._trace.emit("phase-budget", generation, payload)
-        registry = getattr(self._counter, "registry", None)
-        if registry is not None:
-            histogram = registry.histogram(
-                "nautilus_phase_seconds",
-                "Wall-clock seconds per generation phase.",
-                labelnames=("phase",),
-            )
-            for label, seconds in phases.items():
-                histogram.observe(seconds, phase=label)
+            histogram.observe(span.duration_s, phase=span.attrs["phase"])
 
-    def _materialize_eval_spans(self, batch_span) -> None:
-        """Stitch fleet task timelines and cache writes into the batch span.
+    def _materialize_eval_spans(self, batch_span, writes: list) -> None:
+        """Stitch fleet task timelines and the batch's cache ``writes``
+        (:meth:`EvaluationStack.pop_cache_writes`) into the batch span.
 
         The coordinator reports each task's dispatch/retry/completion as
         *offsets relative to batch submission* (worker and coordinator
@@ -1426,8 +1371,7 @@ class GenerationalEngine(SearchKernel):
         def _at(offset) -> float:
             return min(max(lo + float(offset), lo), hi)
 
-        pop_traces = getattr(self._counter, "pop_task_traces", None)
-        for trace in pop_traces() if pop_traces is not None else ():
+        for trace in self._counter.pop_task_traces():
             events = trace.get("events") or []
             first = events[0]["offset_s"] if events else 0.0
             last = events[-1]["offset_s"] if events else 0.0
@@ -1471,8 +1415,7 @@ class GenerationalEngine(SearchKernel):
                         queue_s=float(event.get("queue_s", 0.0)),
                         exec_s=exec_s,
                     )
-        pop_writes = getattr(self._counter, "pop_cache_writes", None)
-        for write in pop_writes() if pop_writes is not None else ():
+        for write in writes:
             duration = max(float(write.get("duration_s", 0.0)), 0.0)
             tr.record(
                 "cache-write",

@@ -24,7 +24,7 @@ without import cycles. It provides four largely independent pieces:
 * :mod:`repro.obs.clock` / :mod:`repro.obs.tracing` — the injectable
   time source shared by every timed layer, and the span layer: one
   causal timing tree per run (run → generation → phase → eval-batch →
-  task → dispatch/worker-exec/retry), with phase-budget, straggler,
+  task → dispatch/worker-exec/retry), with phase budget, straggler,
   critical-path, and Perfetto trace-event analysis on top.
 
 Everything here is *read-only* with respect to the search: enabling

@@ -5,8 +5,7 @@ A :class:`SpanRecorder` collects one tree of timed spans per campaign::
 
     run
     └── generation
-        ├── phase (select | crossover | mutate | evaluate | observe |
-        │          checkpoint | init)
+        ├── phase (init | breed, then evaluate | observe | checkpoint)
         │   └── eval-batch            (under the evaluate phase)
         │       ├── task              (one per fleet-dispatched design)
         │       │   ├── dispatch      (one per attempt)
@@ -61,12 +60,6 @@ __all__ = [
     "critical_path",
     "perfetto_export",
 ]
-
-#: Span names of the per-generation phase partition (see phase_budget).
-PHASE_NAMES = (
-    "init", "select", "crossover", "mutate", "evaluate", "observe",
-    "checkpoint",
-)
 
 #: Containment slack, seconds: floating-point rounding when a child's
 #: boundary timestamp is arithmetically derived from its parent's.

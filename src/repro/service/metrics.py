@@ -142,12 +142,20 @@ class ServiceMetrics:
 
     def restore_totals(self, campaign_id: str, stored: dict[str, Any]) -> None:
         """Take back a finished campaign's operator timings and evaluation
-        time from its ``result.json`` (a restarted daemon's recovery)."""
+        time, and publish its generations and best score, from its
+        ``result.json`` (a restarted daemon's recovery)."""
         with self._lock:
             if "operator_timings" in stored:
                 self._campaign_operators[campaign_id] = stored["operator_timings"]
             if "eval_time_s" in stored:
                 self._campaign_eval_time[campaign_id] = stored["eval_time_s"]
+        if "distinct_evaluations" in stored:  # the campaign ran
+            self._prom_generations.set(
+                stored["generations_done"], campaign=campaign_id
+            )
+        score = stored.get("best_score")
+        if score is not None and score == score:
+            self._prom_best.set(score, campaign=campaign_id)
 
     def _trim(self, now: float) -> None:
         horizon = now - _WINDOW_S

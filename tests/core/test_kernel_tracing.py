@@ -3,11 +3,14 @@
 import pytest
 
 from repro.core import (
+    RUN_EVENT_KINDS,
     EvaluationStack,
     GAConfig,
     GeneticSearch,
     ParetoSearch,
+    PersistentCache,
     RandomSearch,
+    RecordingTraceSink,
     maximize,
     minimize,
 )
@@ -81,16 +84,22 @@ class TestPhaseCoverage:
         for gen in budget["generations"]:
             assert gen["coverage"] >= 0.95
 
-    def test_breed_window_splits_into_operator_phases(
+    def test_breed_window_is_one_measured_phase(
         self, toy_space, toy_evaluator
     ):
         search, __ = _run(toy_space, toy_evaluator, tracing=True)
-        budget = phase_budget(search.spans())
-        # Generation 0 initializes; later generations breed.
-        assert "init" in budget["generations"][0]["phases"]
-        later = budget["generations"][1]["phases"]
-        assert {"evaluate", "observe", "checkpoint"} <= set(later)
-        assert set(later) & {"select", "crossover", "mutate"}
+        generations = phase_budget(search.spans())["generations"]
+        # Generation 0 initializes; later generations breed, measured as
+        # one window from the generation's start to its evaluation.
+        assert set(generations[0]["phases"]) == {"init", "evaluate", "observe"}
+        for row in generations[1:]:
+            assert set(row["phases"]) == {
+                "breed", "evaluate", "observe", "checkpoint"
+            }
+        # Per-operator time stays where breeding measures it.
+        assert {"selection", "crossover", "mutation"} <= set(
+            search.operator_timings()
+        )
 
     def test_fake_clock_makes_durations_exact(self, toy_space, toy_evaluator):
         search, __ = _run(
@@ -129,12 +138,8 @@ class TestBitIdentity:
         assert traced.best_config == plain.best_config
         assert traced.curve() == plain.curve()
 
-    def test_phase_budget_event_emitted_only_when_tracing(
-        self, toy_space, toy_evaluator
-    ):
-        from repro.core import RecordingTraceSink
-
-        def events(tracing):
+    def test_no_run_emits_phase_budget_events(self, toy_space, toy_evaluator):
+        def run(tracing):
             sink = RecordingTraceSink(limit=None)
             search = GeneticSearch(
                 toy_space,
@@ -144,21 +149,24 @@ class TestBitIdentity:
             )
             search.attach_sink(sink)
             search.run()
-            return sink.events("phase-budget")
+            return search, [event.kind for event in sink.events()]
 
-        traced = events(True)
-        assert traced, "tracing runs must emit phase-budget events"
-        for event in traced:
-            assert event.payload["phases"]
-            assert event.payload["coverage"] >= 0.95
-            assert event.payload["wall_time_s"] >= 0
-        assert events(False) == []
+        traced, traced_kinds = run(True)
+        __, plain_kinds = run(False)
+        assert "phase-budget" not in RUN_EVENT_KINDS
+        assert traced_kinds == plain_kinds
+        # The span tree is the one record of where a generation's time went.
+        budget = phase_budget(traced.spans())
+        assert [row["generation"] for row in budget["generations"]] == [
+            0, 1, 2, 3, 4
+        ]
 
 
 class TestPhaseBudgetFold:
-    """Every ``phase-budget`` payload, and every ``nautilus_phase_seconds``
-    observation, equals a fold over the whole span list: the generation's
-    phase spans, by parent id, in creation order."""
+    """Every ``phase_budget`` generation row, and every
+    ``nautilus_phase_seconds`` observation, equals a fold over the whole
+    span list: the generation's phase spans, by parent id, in creation
+    order."""
 
     @pytest.mark.parametrize("engine", ["genetic", "pareto"])
     def test_payloads_equal_a_fold_over_every_span(
@@ -179,16 +187,16 @@ class TestPhaseBudgetFold:
                 toy_space, stack, (maximize("m"), minimize("inverse")),
                 config, clock=clock,
             )
-        result = search.run()
+        search.run()
         spans = search.tracer.spans()
         generations = {
             s.attrs["generation"]: s for s in spans if s.name == "generation"
         }
-        budgets = [e for e in result.events if e.kind == "phase-budget"]
-        assert [e.generation for e in budgets] == sorted(generations)
+        rows = phase_budget(search.spans())["generations"]
+        assert [row["generation"] for row in rows] == sorted(generations)
         observed: dict[str, list] = {}
-        for event in budgets:
-            gen_span = generations[event.generation]
+        for row in rows:
+            gen_span = generations[row["generation"]]
             phases: dict[str, float] = {}
             for span in spans:
                 if span.parent_id == gen_span.span_id and span.name == "phase":
@@ -197,9 +205,9 @@ class TestPhaseBudgetFold:
                         span.duration_s or 0.0
                     )
             wall = gen_span.duration_s or 0.0
-            assert list(event.payload["phases"].items()) == list(phases.items())
-            assert event.payload["wall_time_s"] == wall
-            assert event.payload["coverage"] == (
+            assert list(row["phases"].items()) == list(phases.items())
+            assert row["wall_time_s"] == wall
+            assert row["coverage"] == (
                 sum(phases.values()) / wall if wall > 0 else 1.0
             )
             for label, seconds in phases.items():
@@ -209,7 +217,61 @@ class TestPhaseBudgetFold:
         histogram = registry.histogram(
             "nautilus_phase_seconds", labelnames=("phase",)
         )
-        assert observed
+        assert set(observed) == {
+            "init", "breed", "evaluate", "observe", "checkpoint"
+        }
         for label, (seconds, count) in observed.items():
             snapshot = histogram.snapshot(phase=label)
             assert (snapshot["sum"], snapshot["count"]) == (seconds, count)
+
+
+class TestCacheWrites:
+    """Store-write timings are kept only for a tracer to read."""
+
+    def _run(self, toy_space, toy_evaluator, root, tracing, generations=8):
+        stack = EvaluationStack(toy_evaluator, persistent=PersistentCache(root))
+        search = GeneticSearch(
+            toy_space,
+            stack,
+            maximize("m"),
+            GAConfig(seed=7, generations=generations, tracing=tracing),
+        )
+        search.run()
+        stack.persistent.close()
+        return search
+
+    def test_traced_search_spans_each_paying_batch(
+        self, toy_space, toy_evaluator, tmp_path
+    ):
+        # A shorter run stores the first generations, so the traced run
+        # reads those back without paying and pays for the later ones.
+        self._run(toy_space, toy_evaluator, tmp_path, False, generations=3)
+        spans = self._run(toy_space, toy_evaluator, tmp_path, True).spans()
+        __, children = span_tree(spans)
+        paid = []
+        for batch in (s for s in spans if s["name"] == "eval-batch"):
+            writes = [
+                c for c in children.get(batch["id"], ())
+                if c["name"] == "cache-write"
+            ]
+            distinct = batch["attrs"]["distinct"]
+            assert [w["attrs"]["entries"] for w in writes] == (
+                [distinct] if distinct else []
+            )
+            paid.append(bool(distinct))
+        assert paid[:4] == [False] * 4 and any(paid[4:])
+        assert sum(s["name"] == "cache-write" for s in spans) == sum(paid)
+
+    def test_untraced_search_keeps_no_write_timings(
+        self, toy_space, toy_evaluator, tmp_path
+    ):
+        search = self._run(toy_space, toy_evaluator, tmp_path, False)
+        assert search.eval_stats().distinct > 0
+        assert search.stack.pop_cache_writes() == []
+        stack = EvaluationStack(
+            toy_evaluator, persistent=PersistentCache(tmp_path / "random")
+        )
+        RandomSearch(toy_space, stack, maximize("m"), budget=40, seed=2).run()
+        stack.persistent.close()
+        assert stack.distinct_evaluations == 40
+        assert stack.pop_cache_writes() == []

@@ -195,13 +195,14 @@ class TestJsonlTraceSink:
         assert not path.exists()  # pending until the generation ends
         sink.emit(RunEvent(2, "generation-end", 0))
         assert len(path.read_text().splitlines()) == 3
-        sink.emit(RunEvent(3, "phase-budget", 0))
-        sink.emit(RunEvent(4, "stop", 0, {"reason": "horizon"}))
+        sink.emit(RunEvent(3, "generation-start", 1))
+        assert len(path.read_text().splitlines()) == 3
+        sink.emit(RunEvent(4, "stop", 1, {"reason": "cancelled"}))
         sink.close()
         kinds = [json.loads(l)["kind"] for l in path.read_text().splitlines()]
         assert kinds == [
             "generation-start", "eval-batch", "generation-end",
-            "phase-budget", "stop",
+            "generation-start", "stop",
         ]
 
     def test_append_after_torn_line_starts_a_new_line(self, tmp_path):

@@ -82,7 +82,8 @@ class TestCampaignMapsAcrossRestart:
         ``GET /campaigns/<id>`` serves: a campaign finished before the
         restart is in them, and a resumed one counts the evaluations it
         paid before the restart. The finished campaign also keeps the
-        operator timings and evaluation time the first daemon served."""
+        operator timings and evaluation time the first daemon served, and
+        its Prometheus generations and best-score gauges."""
         root = tmp_path / "campaigns"
         spec = dict(query="noc-frequency", engine="baseline")
         first = SearchService(root, port=0, dataset_provider=tiny_provider)
@@ -107,6 +108,16 @@ class TestCampaignMapsAcrossRestart:
                 pass
             client = ServiceClient(port=second.port)
             metrics = client.metrics()
+            families = parse_prometheus(client.metrics_prometheus())
+            finished = client.status(done.id)
+            for family, key in (
+                ("nautilus_search_generations", "generations_done"),
+                ("nautilus_search_best_score", "best_score"),
+            ):
+                samples = families[family]["samples"]
+                assert samples[(family, (("campaign", done.id),))] == (
+                    finished[key]
+                )
             for cid in (done.id, cut.id):
                 status = client.status(cid)
                 assert status["state"] == "done"
