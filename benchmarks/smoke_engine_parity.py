@@ -62,6 +62,7 @@ from repro.core import (
     GAConfig,
     GeneticSearch,
     ParetoSearch,
+    RecordingTraceSink,
 )
 from repro.queries import (
     MULTI_QUERIES,
@@ -116,22 +117,22 @@ def _curve(result) -> list[list]:
     ]
 
 
-def _telemetry(result) -> dict | None:
+def _telemetry(events) -> dict | None:
     """Event count, telemetry counts and one digest of a run's telemetry
     lines; None when the run emits no telemetry."""
     lines = [
         json.dumps(event.as_dict())
-        for event in result.events
+        for event in events
         if event.kind in TELEMETRY_KINDS
     ]
     if not lines:
         return None
     counts = {
-        kind: sum(event.kind == kind for event in result.events)
+        kind: sum(event.kind == kind for event in events)
         for kind in TELEMETRY_KINDS
     }
     digest = hashlib.sha256("".join(f"{line}\n" for line in lines).encode())
-    return {"events": len(result.events), **counts, "sha256": digest.hexdigest()}
+    return {"events": len(events), **counts, "sha256": digest.hexdigest()}
 
 
 def run_workload(
@@ -144,24 +145,26 @@ def run_workload(
         dataset = load_dataset(QUERIES[query_name].space)
         for engine in ENGINES:
             for seed in SEEDS:
-                result = _build(
-                    query_name, engine, dataset, seed, tracing=tracing
-                ).run()
                 key = f"{query_name}/{engine}/{seed}"
+                result = _run(
+                    _build(query_name, engine, dataset, seed, tracing=tracing),
+                    key,
+                    payloads,
+                )
                 results[key] = {
                     "stop_reason": result.stop_reason,
                     "distinct_evaluations": result.distinct_evaluations,
                     "curve": _curve(result),
                 }
-                _pin_telemetry(payloads, key, result)
     for multi_name, multi in MULTI_QUERIES.items():
         dataset = load_dataset(multi.space)
         for seed in SEEDS:
-            result = _build(
-                multi_name, "pareto", dataset, seed, tracing=tracing
-            ).run()
             key = f"{multi_name}/pareto/{seed}"
-            _pin_telemetry(payloads, key, result)
+            result = _run(
+                _build(multi_name, "pareto", dataset, seed, tracing=tracing),
+                key,
+                payloads,
+            )
             results[key] = {
                 "stop_reason": result.stop_reason,
                 "distinct_evaluations": result.distinct_evaluations,
@@ -175,11 +178,18 @@ def run_workload(
     return results
 
 
-def _pin_telemetry(payloads: dict | None, key: str, result) -> None:
-    if payloads is not None:
-        pin = _telemetry(result)
-        if pin is not None:
-            payloads[key] = pin
+def _run(search, key: str, payloads: dict | None):
+    """Run ``search`` to its result; with ``payloads``, pin its telemetry
+    from a sink attached before the run."""
+    if payloads is None:
+        return search.run()
+    sink = RecordingTraceSink(limit=None)
+    search.attach_sink(sink)
+    result = search.run()
+    pin = _telemetry(sink.events())
+    if pin is not None:
+        payloads[key] = pin
+    return result
 
 
 def check_payloads(payloads: dict[str, dict]) -> list[str]:

@@ -35,7 +35,12 @@ import threading
 import time
 from pathlib import Path
 
-from repro.core import DatasetEvaluator, GAConfig, GeneticSearch
+from repro.core import (
+    DatasetEvaluator,
+    GAConfig,
+    GeneticSearch,
+    RecordingTraceSink,
+)
 from repro.core.evalstack import EvaluationStack
 from repro.distributed import FleetCoordinator, RetryPolicy
 from repro.obs import (
@@ -189,6 +194,8 @@ def main() -> int:
         )
         killer.start()
         search = _build_search(dataset, fleet_stack, tracing=True)
+        sink = RecordingTraceSink(limit=None)
+        search.attach_sink(sink)
         fleet = search.run()
         done.set()
         killer.join(10.0)
@@ -209,7 +216,7 @@ def main() -> int:
         )
 
         _check_tree(search.spans(), fleet.distinct_evaluations)
-        kinds = {event.kind for event in fleet.events}
+        kinds = {event.kind for event in sink.events()}
         assert "phase-budget" not in kinds, (
             "the span tree is the one record of phase time; the traced run "
             "emitted phase-budget events"

@@ -23,9 +23,10 @@ that every payload is built when read, once:
 * ``replay``: nothing reads the events, so the traced run reports 0 calls
   for both. An in-process pass then runs the 12 battery campaigns of
   ``perfbench/config.json`` once, with fixed seeds, through
-  ``build_search(...).run()``, counting calls through wrappers on
-  ``repro.core.kernel.population_health`` and ``summarize_generation``
-  (the names the kernel's builders look up). It requires no build after
+  ``build_search(...).run()`` with a ``RecordingTraceSink`` attached
+  (it keeps the events and reads no payload), counting calls through
+  wrappers on ``repro.core.kernel.population_health`` and
+  ``summarize_generation`` (the names the kernel's builders look up). It requires no build after
   the runs; then every event's payload is read twice, and the first read
   must build one health payload per ``eval-batch`` event and one
   attribution payload per bred generation (``BreedingPipeline.breed``
@@ -112,11 +113,14 @@ def forced_builds() -> list[str]:
     )
     BreedingPipeline.breed = counted("breed", BreedingPipeline.breed)
     datasets = {space: load_dataset(space) for space in replay["spaces"]}
-    events = []
+    sink = kernel.RecordingTraceSink(limit=None)
     for seed, (query, engine) in enumerate(replay["battery"], start=1):
         spec = CampaignSpec(query=query, engine=engine, seed=seed,
                             generations=replay["generations"])
-        events += build_search(spec, datasets[query_space(spec)]).run().events
+        search = build_search(spec, datasets[query_space(spec)])
+        search.attach_sink(sink)
+        search.run()
+    events = sink.events()
     failures = []
     built = (calls["health"], calls["attribution"])
     if built != (0, 0):

@@ -41,9 +41,10 @@ __all__ = [
 def trace_summary(events: Sequence) -> dict:
     """Aggregate a RunEvent stream into headline numbers.
 
-    Accepts either :class:`~repro.core.kernel.RunEvent` objects (a live
-    engine's ``trace_events``) or plain dicts (the service's persisted
-    ``events.jsonl`` / ``GET /campaigns/<id>/trace`` payload). Returns::
+    Accepts either :class:`~repro.core.kernel.RunEvent` objects (the
+    events a :class:`~repro.core.kernel.RecordingTraceSink` kept) or plain
+    dicts (the service's persisted ``events.jsonl`` /
+    ``GET /campaigns/<id>/trace`` payload). Returns::
 
         {
           "events": total count,

@@ -165,10 +165,6 @@ class SpaceCodec:
         """
         return tuple(map(getitem, self.frozen, codes))
 
-    def genome_key(self, codes: Sequence[int]) -> tuple:
-        """The genome cache key of a code vector: ``(space name, values key)``."""
-        return (self.space.name, self.values_key(codes))
-
     def genome(self, codes: Sequence[int]) -> Genome:
         """A genome view over a *trusted* code vector (no validation)."""
         return Genome.from_codes(self.space, codes)

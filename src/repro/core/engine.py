@@ -353,10 +353,6 @@ class RandomSearch(SearchKernel):
             except InfeasibleDesignError:
                 self._draws += 1
                 continue
-            finally:
-                # Dropped: a draw has no eval-batch span to hold its
-                # store-write timing.
-                self._counter.pop_cache_writes()
             self._draws += 1
             improved = self._best is None or individual.score > self._best.score
             if improved:

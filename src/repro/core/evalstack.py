@@ -416,14 +416,18 @@ class _StoreLayer:
         self.campaign = campaign
         self._counters = counters
         self._clock = clock
-        #: Timed writes since the last :meth:`pop_writes`; the kernel
-        #: drains them after every batch (``cache-write`` spans when
-        #: tracing).
+        #: Whether the next batch's write is timed: set by a pushed trace
+        #: context (:meth:`EvaluationStack.push_trace_context`), reset by
+        #: the batch that reaches this layer.
+        self.timed = False
+        #: Timed writes since the last :meth:`pop_writes`; a tracing
+        #: kernel drains them after every batch into ``cache-write`` spans.
         self._writes: list[dict] = []
 
     def evaluate_many(self, genomes: Sequence[Genome]) -> list[Outcome]:
+        timed, self.timed = self.timed, False
         if self.cache is None:
-            return self._pay(genomes)
+            return self._pay(genomes, timed)
         results: list[Outcome] = [None] * len(genomes)
         misses: list[Genome] = []
         positions: list[int] = []
@@ -442,18 +446,20 @@ class _StoreLayer:
                 misses.append(genome)
                 positions.append(i)
         if misses:
-            for position, outcome in zip(positions, self._pay(misses)):
+            for position, outcome in zip(positions, self._pay(misses, timed)):
                 results[position] = outcome
         return results
 
-    def _pay(self, genomes: Sequence[Genome]) -> list[Outcome]:
-        """The inner layers' outcomes for ``genomes``, recorded and timed."""
+    def _pay(self, genomes: Sequence[Genome], timed: bool) -> list[Outcome]:
+        """The inner layers' outcomes for ``genomes``, recorded (and the
+        write timed when ``timed``)."""
         outcomes = self.next.evaluate_many(genomes)
-        started = self._clock()
+        started = self._clock() if timed else 0.0
         self.record(zip(genomes, outcomes), self.fingerprint, campaign=self.campaign)
-        self._writes.append(
-            {"entries": len(genomes), "duration_s": self._clock() - started}
-        )
+        if timed:
+            self._writes.append(
+                {"entries": len(genomes), "duration_s": self._clock() - started}
+            )
         return outcomes
 
     def pop_writes(self) -> list[dict]:
@@ -1146,12 +1152,14 @@ class EvaluationStack:
     # -- span tracing pass-throughs (duck-typed; see repro.obs.tracing) ----------
 
     def push_trace_context(self, ctx: dict[str, Any]) -> None:
-        """Forward a span context to the tail backend for the next batch.
+        """Mark the next batch as traced, with the span context ``ctx``.
 
-        Only the fleet backend consumes it (the context travels in the
-        protocol's batch frames); other backends have no hook and the call
-        is a no-op, so tracing kernels can push unconditionally.
+        The store layer times that batch's write (see
+        :meth:`pop_cache_writes`), and the fleet backend carries ``ctx``
+        in the protocol's batch frames; other backends have no hook.
         """
+        if self._store_layer is not None:
+            self._store_layer.timed = True
         push = getattr(self._tail, "push_trace_context", None)
         if push is not None:
             push(ctx)
@@ -1162,8 +1170,9 @@ class EvaluationStack:
         return pop() if pop is not None else []
 
     def pop_cache_writes(self) -> list[dict[str, Any]]:
-        """Timed store writes since the last call (then reset): at most
-        one ``{"entries", "duration_s"}`` per paying batch."""
+        """Timed store writes since the last call (then reset): one
+        ``{"entries", "duration_s"}`` per paying batch that followed a
+        :meth:`push_trace_context`, none for any other batch."""
         layer = self._store_layer
         return layer.pop_writes() if layer is not None else []
 

@@ -136,10 +136,6 @@ class Genome(Mapping[str, Any]):
         """Return the genome as a plain ``{name: value}`` dict."""
         return dict(zip(self._space.codec.names, self._decoded()))
 
-    def index_vector(self) -> tuple[int, ...]:
-        """Return the genome as ordinal indices into each parameter domain."""
-        return self._codes
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         assigns = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
         return f"Genome({assigns})"

@@ -145,10 +145,6 @@ class HintSet:
         """Hints for one parameter, defaulting when the author gave none."""
         return self.params.get(name, ParamHints())
 
-    def hinted_params(self) -> tuple[str, ...]:
-        """Names of parameters with explicit hints."""
-        return tuple(sorted(self.params))
-
     # -- derivation ---------------------------------------------------------------
 
     def with_confidence(self, confidence: float) -> "HintSet":

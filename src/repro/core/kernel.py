@@ -19,12 +19,14 @@ three things the engines used to re-implement independently:
 
 * **Structured trace** — every run emits :class:`RunEvent` records
   (``generation-start`` / ``eval-batch`` / ``best-improved`` /
-  ``generation-end`` / ``stop``) through pluggable :class:`TraceSink`\\ s.
-  Every :class:`GenerationRecord` is emitted as a ``generation-end`` event
-  when the kernel appends it to its record list, and the service persists
-  the same events per campaign as a JSONL log. Per-operator call counts
-  and wall time are not events: the kernel charges them into one running
-  total (:meth:`SearchKernel.operator_timings`).
+  ``generation-end`` / ``stop``) to pluggable :class:`TraceSink`\\ s, and
+  an event lives only in the sinks attached to the run (a
+  :class:`RecordingTraceSink` keeps them in memory; the service persists
+  them per campaign as a JSONL log). Every :class:`GenerationRecord` is
+  emitted as a ``generation-end`` event when the kernel appends it to its
+  record list. Per-operator call counts and wall time are not events: the
+  kernel charges them into one running total
+  (:meth:`SearchKernel.operator_timings`).
 
 :class:`GenerationalEngine` specializes the kernel for population-based
 searches (propose → evaluate → select survivors → record) and owns what
@@ -369,14 +371,13 @@ def _copy_timings(
 
 
 class RunTrace:
-    """The in-memory event stream of one search run.
+    """The event stream of one search run.
 
-    Owns the monotonically increasing sequence numbers and fans events out
-    to attached sinks.
+    Owns the monotonically increasing sequence numbers and hands each
+    event to the attached sinks; it keeps no event itself.
     """
 
     def __init__(self, sinks: Sequence[TraceSink] = ()):
-        self.events: list[RunEvent] = []
         self._sinks: list[TraceSink] = list(sinks)
         self._seq = 0
 
@@ -388,11 +389,10 @@ class RunTrace:
         kind: str,
         generation: int,
         payload: dict[str, Any] | None = None,
-        notify: bool = True,
         *,
         build: Callable[[], dict[str, Any]] | None = None,
     ) -> RunEvent:
-        """Record one event; ``notify=False`` keeps replays out of sinks.
+        """Hand one event to every sink and return it.
 
         With ``build`` (instead of ``payload``) the event is
         :meth:`RunEvent.deferred`: the payload is ``build()``, made when
@@ -405,10 +405,8 @@ class RunTrace:
         else:
             event = RunEvent(self._seq, kind, generation, dict(payload or {}))
         self._seq += 1
-        self.events.append(event)
-        if notify:
-            for sink in self._sinks:
-                sink.emit(event)
+        for sink in self._sinks:
+            sink.emit(event)
         return event
 
 
@@ -506,7 +504,6 @@ class SearchResult:
         label: str = "",
         stop_reason: str = "horizon",
         eval_stats: EvalStats | None = None,
-        events: Sequence[RunEvent] | None = None,
         operator_timings: Mapping[str, Mapping[str, float]] | None = None,
     ):
         self.objective = objective
@@ -518,8 +515,6 @@ class SearchResult:
         #: Full evaluation-pipeline counters/timers at result time (cache
         #: hits by layer, batch sizes, backend wall time, infeasible rate).
         self.eval_stats = eval_stats or EvalStats()
-        #: The structured trace of the run (empty for hand-built results).
-        self.events = list(events or ())
         self._operator_timings = _copy_timings(operator_timings or {})
 
     @property
@@ -535,10 +530,6 @@ class SearchResult:
     def curve(self) -> list[tuple[int, float]]:
         """(distinct evals, best raw so far) after each generation."""
         return [(r.distinct_evaluations, r.best_raw) for r in self.records]
-
-    def generation_curve(self) -> list[tuple[int, float]]:
-        """(generation, best raw so far) pairs."""
-        return [(r.generation, r.best_raw) for r in self.records]
 
     def operator_timings(self) -> dict[str, dict[str, float]]:
         """{operator: {calls, time_s}} over the run, as the search's
@@ -732,11 +723,6 @@ class SearchKernel:
         """Per-generation records, oldest first (copy)."""
         return list(self._records)
 
-    @property
-    def trace_events(self) -> list[RunEvent]:
-        """Every event emitted so far (copy)."""
-        return list(self._trace.events)
-
     def attach_sink(self, sink: TraceSink) -> None:
         """Subscribe a sink to every event emitted from now on."""
         self._trace.attach(sink)
@@ -823,7 +809,6 @@ class SearchKernel:
             label=self.label,
             stop_reason=self._stop_reason or "cancelled",
             eval_stats=self._counter.stats(),
-            events=self.trace_events,
             operator_timings=self._operators,
             **self._result_fields(),
         )
@@ -876,11 +861,10 @@ class SearchKernel:
         return record
 
     def _replay_record(self, payload: dict[str, Any]) -> None:
-        """Re-seed the history with a checkpointed generation (sinks skipped)."""
-        row = {f: payload[f] for f in _RECORD_FIELDS}
-        self._records.append(GenerationRecord(**row))
-        self._trace.emit(
-            "generation-end", int(payload["generation"]), row, notify=False
+        """Re-seed the history with a checkpointed generation (its events
+        reached the sinks before the interruption; none is emitted)."""
+        self._records.append(
+            GenerationRecord(**{f: payload[f] for f in _RECORD_FIELDS})
         )
 
     # -- engine hooks ------------------------------------------------------------
@@ -1166,9 +1150,6 @@ class GenerationalEngine(SearchKernel):
         before = self._counter.stats()
         outcomes = self._counter.evaluate_many(genomes)
         delta = self._counter.stats().minus(before)
-        # Drained after every batch, traced or not: the store would
-        # otherwise keep one timing per paid batch for the whole run.
-        writes = self._counter.pop_cache_writes()
         self._last_batch = (len(genomes), delta.infeasible)
         payload = {
             "size": len(genomes),
@@ -1190,7 +1171,9 @@ class GenerationalEngine(SearchKernel):
                 cache_hits=delta.cache_hits,
                 infeasible=delta.infeasible,
             )
-            self._materialize_eval_spans(batch_span, writes)
+            self._materialize_eval_spans(
+                batch_span, self._counter.pop_cache_writes()
+            )
         return self._to_individuals(genomes, outcomes)
 
     def _finish(self, reason: str) -> None:
@@ -1296,14 +1279,14 @@ class GenerationalEngine(SearchKernel):
     def _restore(self) -> GenerationRecord:
         """Start from the journal :meth:`resume` loaded.
 
-        The population, generator, history (replayed into the trace
-        without notifying sinks — the events were delivered before the
-        interruption), best-so-far, the stall counter and the evaluation
-        counters are all reconstituted, so the continued step sequence is
-        exactly the run that would have happened without the interruption —
-        including ``stall_generations`` cutoffs and
-        :class:`~repro.core.evalstack.EvalStats`. Returns the record of the
-        last completed generation.
+        The population, generator, history, best-so-far, the stall
+        counter and the evaluation counters are all reconstituted, so the
+        continued step sequence is exactly the run that would have happened
+        without the interruption — including ``stall_generations`` cutoffs
+        and :class:`~repro.core.evalstack.EvalStats`. The restored history
+        emits no event (its events reached the sinks before the
+        interruption), so the continued run's events start again at
+        ``seq`` 0. Returns the record of the last completed generation.
         """
         checkpoint, self.rng = self._resume_from, self._resume_rng
         self._resume_from = self._resume_rng = None
@@ -1430,8 +1413,9 @@ class GenerationalEngine(SearchKernel):
     # Both events are deferred (RunEvent.deferred): each captures only
     # flat, immutable inputs — tuples, numbers and the run's own mappings,
     # never the population, an Individual or the offspring list, whose
-    # object graphs would stay alive in the trace and be walked by the
-    # cyclic GC — and builds its payload on first read.
+    # object graphs would stay alive with the event in a sink that keeps
+    # it and be walked by the cyclic GC — and builds its payload on first
+    # read.
 
     def _emit_attribution(
         self, generation: int, offspring: Sequence[Any], children: list | None

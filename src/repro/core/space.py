@@ -97,13 +97,6 @@ class DesignSpace:
         except KeyError:
             raise SpaceError(f"no parameter {name!r} in design space {self.name!r}") from None
 
-    def param_index(self, name: str) -> int:
-        """Return the declaration position of parameter ``name``."""
-        try:
-            return self._name_to_pos[name]
-        except KeyError:
-            raise KeyError(name) from None
-
     def __contains__(self, name: object) -> bool:
         return name in self._name_to_pos
 
@@ -115,12 +108,6 @@ class DesignSpace:
         for p in self.params:
             total *= p.cardinality
         return total
-
-    def feasible_size(self) -> int:
-        """Number of structurally feasible points (enumerates the space)."""
-        if not self.constraints:
-            return self.size()
-        return sum(1 for _ in self.iter_genomes())
 
     # -- construction of genomes -------------------------------------------------
 

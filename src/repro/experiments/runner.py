@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Protocol, Sequence
 
 from ..core.engine import SearchResult
-from ..core.evalstack import EvalStats
 
 __all__ = ["MultiRunResult", "ReachStats", "run_many"]
 
@@ -107,70 +105,6 @@ class MultiRunResult:
     def mean_distinct_evaluations(self) -> float:
         """Mean total distinct designs evaluated per run."""
         return sum(r.distinct_evaluations for r in self.results) / self.runs
-
-    def eval_stats(self) -> EvalStats:
-        """Summed evaluation-stack counters/timers across all runs.
-
-        Counters (requests, distinct, the hit breakdown, batch counts,
-        timings) add across runs; ``max_batch`` is the max over runs. The
-        derived rates on the returned snapshot then describe the whole
-        experiment — e.g. ``hit_rate`` is the fraction of all requests any
-        run served from its cache.
-        """
-
-        def add(a: EvalStats, b: EvalStats) -> EvalStats:
-            summed = EvalStats(
-                **{
-                    name: getattr(a, name) + getattr(b, name)
-                    for name in (
-                        "requests",
-                        "distinct",
-                        "memo_hits",
-                        "persistent_hits",
-                        "batch_dedup_hits",
-                        "batches",
-                        "infeasible",
-                        "errors",
-                        "backend_time_s",
-                        "wall_time_s",
-                    )
-                },
-                max_batch=max(a.max_batch, b.max_batch),
-            )
-            return summed
-
-        return reduce(add, (r.eval_stats for r in self.results), EvalStats())
-
-    def operator_timings(self) -> dict[str, dict[str, float]]:
-        """Per-operator call counts and wall time summed across all runs.
-
-        Each run's :meth:`SearchResult.operator_timings` is already
-        cumulative over that run; summing them describes where the whole
-        experiment spent its breeding time.
-        """
-        merged: dict[str, dict[str, float]] = {}
-        for result in self.results:
-            for operator, entry in result.operator_timings().items():
-                slot = merged.setdefault(operator, {"calls": 0, "time_s": 0.0})
-                slot["calls"] += entry.get("calls", 0)
-                slot["time_s"] += entry.get("time_s", 0.0)
-        return merged
-
-    def hint_effect_report(self):
-        """Merged hint-attribution report over every run's trace.
-
-        Folds each run's ``hint-attribution`` events into one
-        :class:`~repro.obs.HintEffectReport` — the multi-run answer to
-        "which hint channels actually improved children on their
-        parents". Empty (zero generations) when the engines ran with
-        observability disabled.
-        """
-        from ..obs.attribution import HintEffectReport
-
-        report = HintEffectReport()
-        for result in self.results:
-            report.merge(HintEffectReport.from_events(result.events))
-        return report
 
     def curve_cross(self, threshold: float) -> float | None:
         """Evals at which the *mean* convergence curve crosses a threshold.

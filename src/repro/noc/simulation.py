@@ -309,14 +309,6 @@ class NetworkSimulator:
             blocked_fraction=blocked / attempts if attempts else 0.0,
         )
 
-    def latency_throughput_curve(
-        self,
-        rates: tuple[float, ...] = (0.02, 0.05, 0.1, 0.2, 0.3, 0.5),
-        cycles: int = 1500,
-        seed: int = 1,
-    ) -> list[SimulationReport]:
-        """Sweep injection rates — the classic latency/throughput curve."""
-        return [self.run(rate, cycles=cycles, seed=seed) for rate in rates]
 
 
 def simulate_network(

@@ -77,10 +77,6 @@ class Topology:
     def num_routers(self) -> int:
         return self.graph.number_of_nodes()
 
-    def total_channel_length_mm(self) -> float:
-        """Sum of channel lengths, both directions counted once."""
-        return sum(ch.length_mm for ch in self.channels)
-
 
 #: Die edge assumed for the floorplan model (a 64-endpoint 65nm SoC region).
 _DIE_MM = 8.0

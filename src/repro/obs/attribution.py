@@ -193,7 +193,7 @@ def _rates(cell: Mapping[str, float]) -> dict[str, float]:
 
 
 class HintEffectReport:
-    """Per-param / per-channel hint effectiveness over one or many runs.
+    """Per-param / per-channel hint effectiveness over a run's trace.
 
     Aggregates ``hint-attribution`` trace events. For every param and
     every value channel it reports how many mutation proposals went
@@ -254,32 +254,7 @@ class HintEffectReport:
             report.add_event(payload)
         return report
 
-    def merge(self, other: "HintEffectReport") -> "HintEffectReport":
-        """Fold another report into this one (multi-run aggregation)."""
-        self.generations += other.generations
-        self.children += other.children
-        self.improved += other.improved
-        self.crossover += other.crossover
-        self.mutation_fallbacks += other.mutation_fallbacks
-        self.hinted = self.hinted or other.hinted
-        if other.last_confidence is not None:
-            self.last_confidence = other.last_confidence
-        for name, param in other.params.items():
-            into = self.params.setdefault(name, {**_cell(), "channels": {}})
-            _merge_cell(into, param)
-            for channel, cell in param["channels"].items():
-                _merge_cell(into["channels"].setdefault(channel, _cell()), cell)
-        for channel, cell in other.channels.items():
-            _merge_cell(self.channels.setdefault(channel, _cell()), cell)
-        if other.last_effective_importance:
-            self.last_effective_importance = dict(other.last_effective_importance)
-        return self
-
     # -- reading ----------------------------------------------------------------
-
-    def channel_rates(self, channel: str) -> dict[str, float]:
-        """Counts plus derived improvement_rate / mean_delta for a channel."""
-        return _rates(self.channels.get(channel, _cell()))
 
     def as_dict(self) -> dict[str, Any]:
         """JSON body of ``GET /campaigns/<id>/hints`` (rates included)."""

@@ -313,10 +313,12 @@ class Scheduler:
         if isinstance(search, GenerationalEngine) and checkpoint.exists():
             search.resume(checkpoint)
         # Every engine streams its structured trace into the campaign's
-        # append-mode event log, one write per generation. On resume the
-        # engine replays its recorded history without notifying sinks, so
-        # only a generation whose events were written before the daemon
-        # died, but not journaled, appears twice in the log.
+        # append-mode event log, one write per generation; the log is the
+        # only copy of the events. A resumed engine emits nothing for the
+        # history it restores, and its events start again at seq 0, so the
+        # log holds one seq run per daemon incarnation, and only a
+        # generation whose events were written before the daemon died, but
+        # not journaled, appears twice in it.
         events_path = self.store.events_path(campaign.id)
         cap = campaign.spec.trace_max_events or self.trace_max_events
         if cap is not None:

@@ -19,10 +19,9 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .area import Resources
 from .library import TechLibrary, VIRTEX6
 from .netlist import Module
-from .timing import TimingReport, analyze_timing
+from .timing import analyze_timing
 
 __all__ = ["SynthesisReport", "SynthesisFlow"]
 
@@ -134,7 +133,3 @@ class SynthesisFlow:
             levels=timing.levels,
             critical_path=timing.critical_path,
         )
-
-    def run_raw(self, module: Module) -> tuple[Resources, TimingReport]:
-        """Noise-free resources and timing (used by tests and calibration)."""
-        return module.resources(self.lib), analyze_timing(module, self.lib)

@@ -54,10 +54,6 @@ class Signal:
             return Signal(self.rtl, bits)
         return Signal(self.rtl, (self.bits[index],))
 
-    def concat(self, upper: "Signal") -> "Signal":
-        """Concatenate: self provides the low bits, ``upper`` the high."""
-        return Signal(self.rtl, self.bits + upper.bits)
-
     def resize(self, width: int) -> "Signal":
         """Zero-extend or truncate to ``width`` bits (explicitly)."""
         if width < 1:
@@ -149,11 +145,6 @@ class Signal:
         """1-bit unsigned greater-or-equal (borrow-free bit of subtraction)."""
         difference = self - other
         return Signal(self.rtl, (difference.bits[-1],))
-
-    def lt(self, other: "Signal") -> "Signal":
-        """1-bit unsigned less-than."""
-        g = self.rtl.network
-        return Signal(self.rtl, (g.NOT(self.ge(other).bits[0]),))
 
     # -- reductions ------------------------------------------------------------------
 

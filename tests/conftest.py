@@ -14,7 +14,16 @@ from repro.core import (
     IntParam,
     OrderedParam,
     PowOfTwoParam,
+    RecordingTraceSink,
 )
+
+
+def run_recorded(search):
+    """Run ``search`` with a sink that keeps every event it emits;
+    returns ``(result, events)``."""
+    sink = RecordingTraceSink(limit=None)
+    search.attach_sink(sink)
+    return search.run(), sink.events()
 
 
 @pytest.fixture

@@ -174,7 +174,7 @@ class TestSearchResultQueries:
             toy_space, toy_evaluator, maximize("m"), GAConfig(seed=10, generations=3)
         ).run()
         assert len(result.curve()) == 4
-        assert len(result.generation_curve()) == 4
+        assert [r.generation for r in result.records] == [0, 1, 2, 3]
 
 
 class TestRandomSearch:

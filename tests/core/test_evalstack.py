@@ -1029,6 +1029,7 @@ class TestSharedStore:
             fingerprint="fp",
             campaign="c3",
         )
+        stack.push_trace_context({"trace": "t", "parent": 1})  # time the write
         stack.evaluate_many([space.genome(a=1), space.genome(a=2)])
         assert registry.counter("nautilus_archive_rows_total", "").value() == 2
         assert archive.stats()["campaigns"] == {"c3": 2}

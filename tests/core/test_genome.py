@@ -83,7 +83,7 @@ class TestDerivation:
 
     def test_index_vector(self, space):
         g = space.genome(a=2, c="y")
-        assert g.index_vector() == (2, 1)
+        assert g.codes == (2, 1)
 
     def test_space_accessor(self, space):
         assert space.genome(a=0, c="x").space is space

@@ -32,6 +32,8 @@ from repro.core import (
 from repro.core.kernel import _rng_from_payload, _rng_payload
 from repro.obs import FakeClock
 
+from ..conftest import run_recorded
+
 ENGINES = ("baseline", "nautilus", "adaptive", "random", "pareto")
 
 _HINTS = HintSet({"a": ParamHints(importance=90, bias=1.0)}, confidence=0.7)
@@ -138,8 +140,9 @@ class TestLifecycleProtocol:
 
 class TestTraceInvariants:
     def test_event_stream_structure(self, engine_name, toy_space, toy_evaluator):
-        result = make_engine(engine_name, toy_space, toy_evaluator).run()
-        events = result.events
+        result, events = run_recorded(
+            make_engine(engine_name, toy_space, toy_evaluator)
+        )
         assert events, "every run must emit a trace"
         assert all(e.kind in RUN_EVENT_KINDS for e in events)
         assert [e.seq for e in events] == list(range(len(events)))
@@ -149,9 +152,10 @@ class TestTraceInvariants:
     def test_records_derive_from_generation_end(
         self, engine_name, toy_space, toy_evaluator
     ):
-        engine = make_engine(engine_name, toy_space, toy_evaluator)
-        result = engine.run()
-        ends = [e for e in result.events if e.kind == "generation-end"]
+        result, events = run_recorded(
+            make_engine(engine_name, toy_space, toy_evaluator)
+        )
+        ends = [e for e in events if e.kind == "generation-end"]
         assert len(ends) == len(result.records)
         for event, record in zip(ends, result.records):
             assert event.payload["generation"] == record.generation
@@ -200,7 +204,7 @@ class TestOperatorTotals:
             return children
 
         search.pipeline.breed = spy
-        result = search.run()
+        result, events = run_recorded(search)
         # The init charge spans one clock tick: no read happens in between.
         expected = {"init": {"calls": 8, "time_s": 0.125}}
         for timings in bred:
@@ -211,7 +215,7 @@ class TestOperatorTotals:
         assert len(bred) == 6
         assert result.operator_timings() == search.operator_timings() == expected
         assert list(result.operator_timings()) == list(expected)
-        assert not any(e.kind == "operator-applied" for e in result.events)
+        assert not any(e.kind == "operator-applied" for e in events)
 
     def test_a_result_keeps_the_totals_it_was_taken_with(
         self, toy_space, toy_evaluator

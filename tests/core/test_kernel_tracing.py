@@ -262,6 +262,27 @@ class TestCacheWrites:
         assert paid[:4] == [False] * 4 and any(paid[4:])
         assert sum(s["name"] == "cache-write" for s in spans) == sum(paid)
 
+    def test_only_a_batch_after_a_pushed_context_times_its_write(
+        self, toy_space, toy_evaluator, tmp_path
+    ):
+        stack = EvaluationStack(
+            toy_evaluator, persistent=PersistentCache(tmp_path)
+        )
+        genomes = list(toy_space.iter_genomes())
+        stack.evaluate_many(genomes[:4])
+        assert stack.distinct_evaluations == 4
+        assert stack.pop_cache_writes() == []
+        batches = (genomes[4:7], genomes[:4], genomes[7:9])  # the middle pays nothing
+        for batch in batches:
+            stack.push_trace_context({"trace": "t", "parent": 1})
+            stack.evaluate_many(batch)
+        assert [w["entries"] for w in stack.pop_cache_writes()] == [3, 2]
+        assert stack.pop_cache_writes() == []
+        stack.evaluate_many(genomes[9:12])
+        stack.persistent.close()
+        assert stack.distinct_evaluations == 12
+        assert stack.pop_cache_writes() == []
+
     def test_untraced_search_keeps_no_write_timings(
         self, toy_space, toy_evaluator, tmp_path
     ):

@@ -1,5 +1,6 @@
 """Unit tests for the structured run trace: events, sinks, aggregation."""
 
+import gc
 import json
 import pickle
 import sys
@@ -94,8 +95,9 @@ class TestRunEvent:
     def test_emit_with_build_defers_the_payload(self):
         trace = RunTrace()
         calls = []
-        trace.emit("health", 0, build=lambda: calls.append(1) or {"x": 1})
-        (event,) = trace.events
+        event = trace.emit(
+            "health", 0, build=lambda: calls.append(1) or {"x": 1}
+        )
         assert calls == []
         assert event.as_dict() == {
             "seq": 0, "kind": "health", "generation": 0, "x": 1,
@@ -105,30 +107,47 @@ class TestRunEvent:
 
 class TestRunTrace:
     def test_sequence_numbers_are_monotonic(self):
-        trace = RunTrace()
+        sink = RecordingTraceSink(limit=None)
+        trace = RunTrace([sink])
         for generation in range(5):
             trace.emit("generation-start", generation)
-        assert [e.seq for e in trace.events] == list(range(5))
+        assert [e.seq for e in sink.events()] == list(range(5))
 
     def test_unknown_kind_raises(self):
         with pytest.raises(NautilusError, match="unknown run-event kind"):
             RunTrace().emit("telemetry", 0)
 
-    def test_notify_false_skips_sinks_but_keeps_event(self):
-        trace = RunTrace()
-        sink = RecordingTraceSink()
-        trace.attach(sink)
-        trace.emit("generation-start", 0, notify=False)
-        trace.emit("generation-start", 1)
-        assert [e.generation for e in trace.events] == [0, 1]
-        assert [e.generation for e in sink.events()] == [1]
+    def test_no_event_outlives_its_sinks(self, noc_dataset, tmp_path):
+        from repro.service.campaign import CampaignSpec, build_search
+
+        gc.collect()
+        before = [o for o in gc.get_objects() if isinstance(o, RunEvent)]
+        search = build_search(
+            CampaignSpec("noc-frequency", generations=30, seed=5), noc_dataset
+        )
+        sink = JsonlTraceSink(tmp_path / "events.jsonl")
+        search.attach_sink(sink)
+        search.run()
+        sink.close()
+        gc.collect()
+        live = [
+            o for o in gc.get_objects()
+            if isinstance(o, RunEvent) and not any(o is b for b in before)
+        ]
+        # Only the latest health event, which latest_health reads, stays.
+        assert [(e.kind, e.generation) for e in live] == [("health", 30)]
+        assert live[0].payload == search.latest_health
+
 
 
 class TestOperatorTimings:
     """Operator timings are one running total per search, not events."""
 
     def test_operator_aggregation(self, toy_space, toy_evaluator):
-        kernel = SearchKernel(toy_space, toy_evaluator, maximize("m"))
+        sink = RecordingTraceSink(limit=None)
+        kernel = SearchKernel(
+            toy_space, toy_evaluator, maximize("m"), sinks=[sink]
+        )
         kernel._charge_operator("mutation", 8, 0.25)
         kernel._charge_operator("mutation", 8, 0.5)
         kernel._charge_operator("selection", 16, 0.125)
@@ -138,7 +157,7 @@ class TestOperatorTimings:
         assert list(timings) == ["mutation", "selection"]
         timings["mutation"]["calls"] = 0  # a copy
         assert kernel.operator_timings()["mutation"]["calls"] == 16
-        assert kernel.trace_events == []
+        assert sink.events() == []
 
 
 class TestRecordingTraceSink:
@@ -246,7 +265,8 @@ class TestJsonlTraceSink:
 
 class TestJsonlFilesHoldTheTrace:
     """A run's ``events.jsonl`` lines (the daemon's file) are the bytes of
-    its in-memory events, in order, deferred payloads included."""
+    the events a recording sink keeps, in order, deferred payloads
+    included."""
 
     @pytest.mark.parametrize("engine", ["genetic", "pareto"])
     def test_every_line_is_an_in_memory_event(
@@ -265,6 +285,8 @@ class TestJsonlFilesHoldTheTrace:
                 toy_space, toy_evaluator,
                 (maximize("m"), minimize("inverse")), config, hints=hints,
             )
+        recording = RecordingTraceSink(limit=None)
+        search.attach_sink(recording)
         sinks = {
             "plain": JsonlTraceSink(tmp_path / "plain.jsonl"),
             "capped": CappedJsonlTraceSink(
@@ -276,10 +298,10 @@ class TestJsonlFilesHoldTheTrace:
         }
         for sink in sinks.values():
             search.attach_sink(sink)
-        result = search.run()
+        search.run()
         for sink in sinks.values():
             sink.close()
-        expected = [dumps(event.as_dict()) for event in result.events]
+        expected = [dumps(event.as_dict()) for event in recording.events()]
         kinds = {json.loads(line)["kind"] for line in expected}
         assert {"health", "hint-attribution"} <= kinds
 

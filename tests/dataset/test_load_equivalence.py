@@ -46,7 +46,7 @@ def reference_rows(path, space) -> dict:
     rows: dict = {}
     for row in payload["rows"]:
         config, metrics = row["config"], row["metrics"]
-        key = codec.genome_key(codec.encode_mapping(config))
+        key = (space.name, codec.values_key(codec.encode_mapping(config)))
         rows[key] = dict(metrics) if metrics is not None else None
     return rows
 
@@ -347,7 +347,7 @@ def recorded_rows(space, rows) -> dict:
     codec = space.codec
     out: dict = {}
     for config, metrics in rows:
-        key = codec.genome_key(codec.encode_mapping(config))
+        key = (space.name, codec.values_key(codec.encode_mapping(config)))
         out[key] = dict(metrics) if metrics is not None else None
     return out
 
@@ -357,7 +357,7 @@ def reference_lookup(rows: dict, space, config):
     if isinstance(config, Genome):
         key = config.key
     else:
-        key = space.codec.genome_key(space.codec.encode_mapping(config))
+        key = (space.name, space.codec.values_key(space.codec.encode_mapping(config)))
     try:
         row = rows[key]
     except KeyError:

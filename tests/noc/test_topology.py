@@ -123,9 +123,3 @@ class TestFloorplan:
         t = torus(64)
         lengths = sorted(ch.length_mm for ch in t.channels)
         assert lengths[-1] > 3 * lengths[0]
-
-    def test_total_channel_length(self):
-        t = ring(64)
-        assert t.total_channel_length_mm() == pytest.approx(
-            sum(ch.length_mm for ch in t.channels)
-        )

@@ -22,6 +22,8 @@ from repro.core.selection import Individual
 from repro.obs import HintEffectReport, hint_effect_report
 from repro.obs.attribution import summarize_generation
 
+from ..conftest import run_recorded
+
 
 def _bred(space, genomes, scores, *, crossover_rate, mutation_rate, count):
     """``breed``'s records for ``count`` children of a population whose
@@ -140,7 +142,7 @@ class TestSummarize:
 
 
 class TestReport:
-    def test_from_events_and_merge(self):
+    def test_from_events(self):
         payload = summarize_generation(
             [(1.0, False, [("a", "bias")], False)], [(2.0, True)]
         )
@@ -150,9 +152,8 @@ class TestReport:
         ]
         one = HintEffectReport.from_events(events)
         assert one.generations == 1 and one.children == 1
-        merged = HintEffectReport().merge(one).merge(one)
-        assert merged.channels["bias"]["proposals"] == 2
-        rates = merged.channel_rates("bias")
+        rates = one.as_dict()["channels"]["bias"]
+        assert rates["proposals"] == 1
         assert rates["improvement_rate"] == 1.0
         assert rates["mean_delta"] == pytest.approx(1.0)
 
@@ -182,8 +183,8 @@ class TestEndToEnd:
             GAConfig(generations=12, seed=5),
             hints=hints,
         )
-        result = search.run()
-        return HintEffectReport.from_events(result.events)
+        __, events = run_recorded(search)
+        return HintEffectReport.from_events(events)
 
     def test_guided_run_attributes_bias_channel(
         self, toy_space, toy_evaluator
@@ -198,8 +199,8 @@ class TestEndToEnd:
     ):
         good = self._report(toy_space, toy_evaluator, bias=0.9)
         wrong = self._report(toy_space, toy_evaluator, bias=-0.9)
-        good_delta = good.channel_rates("bias")["mean_delta"]
-        wrong_delta = wrong.channel_rates("bias")["mean_delta"]
+        good_delta = good.as_dict()["channels"]["bias"]["mean_delta"]
+        wrong_delta = wrong.as_dict()["channels"]["bias"]["mean_delta"]
         # Wrong hints push children downhill: negative-or-neutral mean
         # delta, and strictly worse than the well-aimed hints.
         assert wrong_delta <= 0.0
@@ -212,7 +213,7 @@ class TestEndToEnd:
             toy_space, toy_evaluator, maximize("m"),
             GAConfig(generations=8, seed=3),
         )
-        report = HintEffectReport.from_events(search.run().events)
+        report = HintEffectReport.from_events(run_recorded(search)[1])
         assert not report.hinted
         assert "bias" not in report.channels
         assert "target" not in report.channels
@@ -225,5 +226,5 @@ class TestEndToEnd:
             toy_space, toy_evaluator, maximize("m"),
             GAConfig(generations=8, seed=3, observability=False),
         )
-        report = HintEffectReport.from_events(search.run().events)
+        report = HintEffectReport.from_events(run_recorded(search)[1])
         assert report.generations == 0

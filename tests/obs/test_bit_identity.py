@@ -16,6 +16,8 @@ from repro.core import (
     minimize,
 )
 
+from ..conftest import run_recorded
+
 
 def _hints():
     return HintSet(
@@ -100,8 +102,9 @@ class TestBitIdentity:
             toy_space, toy_evaluator, maximize("m"), config,
             guidance=AdaptiveConfidence(_hints(), patience=2),
         )
-        result = search.run()
-        events = [e for e in result.events if e.kind == "hint-attribution"]
+        events = [
+            e for e in run_recorded(search)[1] if e.kind == "hint-attribution"
+        ]
         # Confidence moves between generations; attribution must not stop.
         assert len(set(search.guidance.confidence_trace)) > 1
         assert [e.generation for e in events] == list(range(1, 11))

@@ -35,6 +35,8 @@ from repro.core import (
 )
 from repro.core.fileio import dumps
 
+from ..conftest import run_recorded
+
 ENGINES = ("baseline", "nautilus", "adaptive", "pareto")
 DEFERRED = ("health", "hint-attribution")
 
@@ -134,32 +136,31 @@ def test_deferred_payloads_equal_payloads_read_at_emit(engine, seed):
     eager_search = _search(engine, seed)
     sink = _EagerSink()
     eager_search.attach_sink(sink)
-    eager_search.run()
+    __, eager_events = run_recorded(eager_search)
 
-    result = _search(engine, seed).run()
-    later = [(event.kind, dumps(event.as_dict())) for event in result.events]
+    __, events = run_recorded(_search(engine, seed))
+    later = [(event.kind, dumps(event.as_dict())) for event in events]
 
     assert _deferred_lines(later) == _deferred_lines(sink.lines)
     assert _deferred_lines(later), "the run must emit deferred events"
     # Every other event keeps its kind, generation and place in the trace.
-    assert [(e.seq, e.kind, e.generation) for e in result.events] == [
-        (e.seq, e.kind, e.generation) for e in eager_search.trace_events
+    assert [(e.seq, e.kind, e.generation) for e in events] == [
+        (e.seq, e.kind, e.generation) for e in eager_events
     ]
 
 
 def test_run_builds_nothing_and_each_payload_once(monkeypatch):
     for engine in ENGINES:
         builds = _Builds(monkeypatch)
-        search = _search(engine, seed=7)
-        result = search.run()
+        result, events = run_recorded(_search(engine, seed=7))
         assert builds.counts == (0, 0), engine
 
-        kinds = [event.kind for event in result.events]
-        first = [event.payload for event in result.events]
+        kinds = [event.kind for event in events]
+        first = [event.payload for event in events]
         assert builds.counts == (
             kinds.count("health"), kinds.count("hint-attribution")
         ), engine
-        second = [event.payload for event in result.events]
+        second = [event.payload for event in events]
         assert builds.counts == (
             kinds.count("health"), kinds.count("hint-attribution")
         ), engine
@@ -174,10 +175,10 @@ def test_latest_health_is_the_last_health_payload(monkeypatch):
         builds = _Builds(monkeypatch)
         search = _search(engine, seed=3)
         assert search.latest_health is None
-        search.run()
+        __, events = run_recorded(search)
         health = search.latest_health
         assert builds.health == 1, engine
-        last = [e for e in search.trace_events if e.kind == "health"][-1]
+        last = [e for e in events if e.kind == "health"][-1]
         assert last.payload is health
         assert builds.health == 1, engine
 
@@ -188,9 +189,9 @@ def test_observability_off_captures_nothing(monkeypatch):
         SPACE, CallableEvaluator(_metrics), maximize("m"),
         GAConfig(generations=5, seed=1, observability=False), hints=_hints(),
     )
-    result = search.run()
+    __, events = run_recorded(search)
     assert search.latest_health is None
-    assert not [e for e in result.events if e.kind in DEFERRED]
+    assert not [e for e in events if e.kind in DEFERRED]
     assert builds.counts == (0, 0)
 
 
@@ -201,6 +202,12 @@ def test_a_sink_that_keeps_events_does_not_build_them(monkeypatch):
     search.attach_sink(sink)
     search.run()
     assert builds.counts == (0, 0)
-    assert [e.as_dict() for e in sink.events()] == [
-        e.as_dict() for e in search.trace_events
-    ]
+    # The sink holds the whole trace, and its deferred events read back
+    # the bytes a sink read at emit time in an identical run.
+    eager = _EagerSink()
+    twin = _search("nautilus", seed=5)
+    twin.attach_sink(eager)
+    twin.run()
+    kept = [(e.kind, dumps(e.as_dict())) for e in sink.events()]
+    assert [kind for kind, __ in kept] == [kind for kind, __ in eager.lines]
+    assert _deferred_lines(kept) == _deferred_lines(eager.lines)

@@ -10,6 +10,7 @@ from repro.core import GAConfig, GeneticSearch, maximize
 from repro.obs import population_health, stall_risk
 from repro.obs.health import DEFAULT_STALL_PATIENCE
 
+from ..conftest import run_recorded
 from ..core.test_codec import design_spaces
 
 
@@ -184,8 +185,8 @@ class TestKernelHealthEvents:
             toy_space, toy_evaluator, maximize("m"),
             GAConfig(generations=5, seed=2),
         )
-        result = search.run()
-        healths = [e for e in result.events if e.kind == "health"]
+        __, events = run_recorded(search)
+        healths = [e for e in events if e.kind == "health"]
         # one on start (generation 0) plus one per stepped generation
         assert len(healths) == 6
         for event in healths:
@@ -212,9 +213,9 @@ class TestKernelHealthEvents:
             toy_space, toy_evaluator, maximize("m"),
             GAConfig(generations=5, seed=2, stall_generations=4),
         )
-        result = search.run()
+        result, events = run_recorded(search)
         assert calls == []
-        healths = [e for e in result.events if e.kind == "health"]
+        healths = [e for e in events if e.kind == "health"]
         last = search.latest_health
         assert len(calls) == 1
         assert [e.payload for e in healths][-1] is last
@@ -249,6 +250,6 @@ class TestKernelHealthEvents:
             toy_space, toy_evaluator, maximize("m"),
             GAConfig(generations=3, seed=2, observability=False),
         )
-        result = search.run()
-        assert not [e for e in result.events if e.kind == "health"]
+        __, events = run_recorded(search)
+        assert not [e for e in events if e.kind == "health"]
         assert search.latest_health is None

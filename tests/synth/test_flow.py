@@ -132,8 +132,3 @@ class TestReport:
     def test_fmax_period_consistent(self):
         report = SynthesisFlow().run(module_of())
         assert report.fmax_mhz == pytest.approx(1000.0 / report.critical_path_ns)
-
-    def test_run_raw_noise_free(self):
-        flow = SynthesisFlow(noise=0.3)
-        resources, timing = flow.run_raw(module_of(1000))
-        assert resources.luts == 1000.0  # no packing overhead, no noise

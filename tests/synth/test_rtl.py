@@ -43,7 +43,6 @@ class TestCombinationalOps:
             a, b = m.input("a", 8), m.input("b", 8)
             m.output("d", (a - b)[0:8])
             m.output("ge", a.ge(b))
-            m.output("lt", a.lt(b))
 
         m = Rtl("c")
         build(m)
@@ -51,7 +50,6 @@ class TestCombinationalOps:
         out = sim.step({**drive_word("a", x, 8), **drive_word("b", y, 8)})
         assert read_word(out, "d", 8) == (x - y) % 256
         assert out["ge[0]"] == int(x >= y)
-        assert out["lt[0]"] == int(x < y)
 
     def test_bitwise(self):
         def build(m):
@@ -120,7 +118,7 @@ class TestCombinationalOps:
         m = Rtl("c")
         a = m.input("a", 4)
         m.output("wide", a.resize(8))
-        m.output("pair", a.concat(a))
+        m.output("pair", a.resize(8) | (a << 4))  # a, then a above it
         out = m.simulator().step(drive_word("a", 0b1001, 4))
         assert read_word(out, "wide", 8) == 0b1001
         assert read_word(out, "pair", 8) == 0b1001_1001

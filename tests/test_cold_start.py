@@ -113,7 +113,7 @@ def test_lazily_importing_functions_return_their_values():
             topology.concentration,
             topology.bisection_channels,
             topology.avg_hops,
-            topology.total_channel_length_mm(),
+            sum(ch.length_mm for ch in topology.channels),
         ] == expected, family
     for args, expected in SNR_DB:
         assert snr_db(*args) == expected, args
