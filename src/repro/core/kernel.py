@@ -18,15 +18,14 @@ three things the engines used to re-implement independently:
   the paper's PyEvolve lineage; checkpoints capture its state.
 
 * **Structured trace** — every run emits :class:`RunEvent` records
-  (``generation-start`` / ``eval-batch`` / ``best-improved`` /
-  ``generation-end`` / ``stop``) to pluggable :class:`TraceSink`\\ s, and
-  an event lives only in the sinks attached to the run (a
-  :class:`RecordingTraceSink` keeps them in memory; the service persists
-  them per campaign as a JSONL log). Every :class:`GenerationRecord` is
-  emitted as a ``generation-end`` event when the kernel appends it to its
-  record list. Per-operator call counts and wall time are not events: the
-  kernel charges them into one running total
-  (:meth:`SearchKernel.operator_timings`).
+  (``eval-batch`` / ``best-improved`` / ``generation-end`` / ``stop``)
+  to pluggable :class:`TraceSink`\\ s, and an event lives only in the
+  sinks attached to the run (a :class:`RecordingTraceSink` keeps them in
+  memory; the service persists them per campaign as a JSONL log). Every
+  :class:`GenerationRecord` is emitted as a ``generation-end`` event when
+  the kernel appends it to its record list. Per-operator call counts and
+  wall time are not events: the kernel charges them into one running
+  total (:meth:`SearchKernel.operator_timings`).
 
 :class:`GenerationalEngine` specializes the kernel for population-based
 searches (propose → evaluate → select survivors → record) and owns what
@@ -85,7 +84,6 @@ __all__ = [
 #: once per generation when observability is enabled, derived purely from
 #: already-computed state, and never consuming RNG draws.
 RUN_EVENT_KINDS = (
-    "generation-start",
     "generation-end",
     "eval-batch",
     "best-improved",
@@ -1023,7 +1021,6 @@ class GenerationalEngine(SearchKernel):
             if tr is not None
             else None
         )
-        self._trace.emit("generation-start", 0)
         self._guidance_state = (
             self._guidance.start()
             if self._guidance is not None
@@ -1038,9 +1035,9 @@ class GenerationalEngine(SearchKernel):
             # shared boundary timestamps, so the phase budget covers the
             # wall-clock by construction. The first phase is the measured
             # window from the generation's start to its evaluation: "init"
-            # here (guidance start and event emission besides sampling),
-            # "breed" in later generations (guidance advance, event
-            # emission and the operators, which operator_timings() splits).
+            # here (the guidance start besides sampling), "breed" in later
+            # generations (the guidance advance and the operators, which
+            # operator_timings() splits).
             phases = self._begin_evaluate(gen_span, "init", t1)
         self._population = self._assess_population(genomes, 0)
         if tr is not None:
@@ -1070,7 +1067,6 @@ class GenerationalEngine(SearchKernel):
             if tr is not None
             else None
         )
-        self._trace.emit("generation-start", generation)
         # The kernel — not the engines — advances guidance: exactly one
         # provider step per generation, fed the population's best score
         # before breeding (what the adaptive controller watches).

@@ -110,7 +110,7 @@ class TestRunTrace:
         sink = RecordingTraceSink(limit=None)
         trace = RunTrace([sink])
         for generation in range(5):
-            trace.emit("generation-start", generation)
+            trace.emit("eval-batch", generation)
         assert [e.seq for e in sink.events()] == list(range(5))
 
     def test_unknown_kind_raises(self):
@@ -166,14 +166,14 @@ class TestRecordingTraceSink:
         sink = RecordingTraceSink(limit=3)
         trace.attach(sink)
         for generation in range(10):
-            trace.emit("generation-start", generation)
+            trace.emit("eval-batch", generation)
         assert [e.generation for e in sink.events()] == [7, 8, 9]
 
     def test_kind_filter(self):
         trace = RunTrace()
         sink = RecordingTraceSink(limit=None)
         trace.attach(sink)
-        trace.emit("generation-start", 0)
+        trace.emit("eval-batch", 0)
         trace.emit("stop", 0, {"reason": "horizon"})
         assert [e.kind for e in sink.events("stop")] == ["stop"]
 
@@ -182,16 +182,16 @@ class TestJsonlTraceSink:
     def test_writes_one_json_line_per_event(self, tmp_path):
         path = tmp_path / "nested" / "events.jsonl"
         trace = RunTrace([JsonlTraceSink(path)])
-        trace.emit("generation-start", 0)
+        trace.emit("eval-batch", 0)
         trace.emit("stop", 0, {"reason": "horizon"})
         lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert [l["kind"] for l in lines] == ["generation-start", "stop"]
+        assert [l["kind"] for l in lines] == ["eval-batch", "stop"]
         assert lines[1]["reason"] == "horizon"
 
     def test_appends_across_sinks(self, tmp_path):
         path = tmp_path / "events.jsonl"
         first = JsonlTraceSink(path)
-        first.emit(RunEvent(0, "generation-start", 0))
+        first.emit(RunEvent(0, "eval-batch", 0))
         first.close()
         second = JsonlTraceSink(path)
         second.emit(RunEvent(1, "stop", 0, {"reason": "cancelled"}))
@@ -201,37 +201,36 @@ class TestJsonlTraceSink:
     def test_emit_after_close_is_noop(self, tmp_path):
         path = tmp_path / "events.jsonl"
         sink = JsonlTraceSink(path)
-        sink.emit(RunEvent(0, "generation-start", 0))
+        sink.emit(RunEvent(0, "eval-batch", 0))
         sink.close()
-        sink.emit(RunEvent(1, "generation-start", 1))
+        sink.emit(RunEvent(1, "eval-batch", 1))
         assert len(path.read_text().splitlines()) == 1
 
     def test_one_write_per_generation(self, tmp_path):
         path = tmp_path / "events.jsonl"
         sink = JsonlTraceSink(path)
-        sink.emit(RunEvent(0, "generation-start", 0))
-        sink.emit(RunEvent(1, "eval-batch", 0, {"size": 4}))
+        sink.emit(RunEvent(0, "eval-batch", 0, {"size": 4}))
+        sink.emit(RunEvent(1, "health", 0))
         assert not path.exists()  # pending until the generation ends
         sink.emit(RunEvent(2, "generation-end", 0))
         assert len(path.read_text().splitlines()) == 3
-        sink.emit(RunEvent(3, "generation-start", 1))
+        sink.emit(RunEvent(3, "eval-batch", 1))
         assert len(path.read_text().splitlines()) == 3
         sink.emit(RunEvent(4, "stop", 1, {"reason": "cancelled"}))
         sink.close()
         kinds = [json.loads(l)["kind"] for l in path.read_text().splitlines()]
         assert kinds == [
-            "generation-start", "eval-batch", "generation-end",
-            "generation-start", "stop",
+            "eval-batch", "health", "generation-end", "eval-batch", "stop",
         ]
 
     def test_append_after_torn_line_starts_a_new_line(self, tmp_path):
         path = tmp_path / "events.jsonl"
         path.write_text(
-            '{"seq": 0, "kind": "generation-start", "generation": 4}\n'
+            '{"seq": 0, "kind": "eval-batch", "generation": 4}\n'
             '{"seq": 1, "kind": "eval-ba'  # a daemon killed mid-write
         )
         sink = JsonlTraceSink(path)
-        sink.emit(RunEvent(2, "generation-start", 5))
+        sink.emit(RunEvent(2, "eval-batch", 5))
         sink.emit(RunEvent(3, "generation-end", 5))
         sink.close()
         events = []
@@ -241,8 +240,8 @@ class TestJsonlTraceSink:
             except ValueError:
                 continue
         assert [(e["kind"], e["generation"]) for e in events] == [
-            ("generation-start", 4),
-            ("generation-start", 5),
+            ("eval-batch", 4),
+            ("eval-batch", 5),
             ("generation-end", 5),
         ]
 
@@ -251,7 +250,7 @@ class TestJsonlTraceSink:
         sink = CappedJsonlTraceSink(path, max_events=4)  # slack 8
         seq = 0
         for generation in range(20):
-            for kind in ("generation-start", "eval-batch", "generation-end"):
+            for kind in ("eval-batch", "health", "generation-end"):
                 sink.emit(RunEvent(seq, kind, generation))
                 seq += 1
             lines = [json.loads(l) for l in path.read_text().splitlines()]
@@ -326,11 +325,11 @@ class TestJsonlFilesHoldTheTrace:
 
 class TestTraceSummary:
     EVENTS = [
-        RunEvent(0, "generation-start", 0),
+        RunEvent(0, "health", 0, {"diversity": 1.0}),
         RunEvent(1, "eval-batch", 0,
                  {"size": 10, "distinct": 8, "cache_hits": 2}),
         RunEvent(2, "generation-end", 0, {"best_score": 5.0}),
-        RunEvent(3, "generation-start", 1),
+        RunEvent(3, "health", 1, {"diversity": 0.5}),
         RunEvent(4, "eval-batch", 1,
                  {"size": 10, "distinct": 3, "cache_hits": 7}),
         RunEvent(5, "best-improved", 1, {"best_score": 7.0}),

@@ -147,7 +147,7 @@ class TestReport:
             [(1.0, False, [("a", "bias")], False)], [(2.0, True)]
         )
         events = [
-            {"kind": "generation-start", "generation": 1},
+            {"kind": "eval-batch", "generation": 1, "size": 1},
             {"kind": "hint-attribution", "generation": 1, **payload},
         ]
         one = HintEffectReport.from_events(events)
