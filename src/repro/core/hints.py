@@ -29,7 +29,7 @@ lets the GA recover from wrong hints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from .errors import HintError

@@ -17,7 +17,7 @@ grows by one bit, operands of bitwise operators must match widths, and
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..core.errors import SynthesisError
 from .gates import Gate, GateNetwork
