@@ -3,8 +3,11 @@
 Characterizing the full router (30,240 designs) and FFT (10,800) spaces
 takes about 10 s and 8 s with the miniature flow (one core of an Intel
 Xeon); benchmarks and examples share the results through a small on-disk
-cache (gzipped JSON under ``data/`` by default, overridable via
-``NAUTILUS_DATA_DIR``).
+cache: one gzipped JSON column file per space (see :meth:`Dataset.save`)
+under ``data/`` by default, overridable via ``NAUTILUS_DATA_DIR``. A file
+:meth:`Dataset.load` rejects is characterized again and overwritten; so
+a file in the row format the column file replaced, left under
+``NAUTILUS_DATA_DIR`` by an older checkout, is re-characterized once.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import os
 import zlib
 from pathlib import Path
 
-from ..core.errors import DatasetError, GenomeError
+from ..core.errors import DatasetError
 from ..core.space import DesignSpace
 from ..dsp.space import FirEvaluator, fir_space
 from ..fft.space import FftEvaluator, fft_space
@@ -32,10 +35,10 @@ __all__ = [
 DATASET_VERSION = "v1"
 
 #: What ``Dataset.load`` raises for a stale, foreign or corrupt file: a
-#: payload of the wrong shape or for another space, a config outside the
-#: space, bad JSON (``ValueError``) and a truncated or damaged gzip stream.
-#: Anything else is a fault in the loader and propagates.
-_STALE = (DatasetError, GenomeError, ValueError, EOFError, OSError, zlib.error)
+#: file that fails one of its checks (``DatasetError``), bad JSON
+#: (``ValueError``) and a truncated or damaged gzip stream. Anything else
+#: is a fault in the loader and propagates.
+_STALE = (DatasetError, ValueError, EOFError, OSError, zlib.error)
 
 
 def data_dir() -> Path:

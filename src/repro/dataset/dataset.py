@@ -22,12 +22,13 @@ import json
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from operator import itemgetter, mul
+from itertools import compress, repeat
+from operator import is_not, mul, not_
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
-from ..core.errors import DatasetError, GenomeError, InfeasibleDesignError
-from ..core.fileio import dumps_sorted
+from ..core.errors import DatasetError, InfeasibleDesignError
+from ..core.fileio import dumps, dumps_sorted
 from ..core.fitness import Objective
 from ..core.genome import Genome
 from ..core.space import DesignSpace
@@ -41,8 +42,8 @@ _FINGERPRINT_CHUNK = 4096
 #: Shape id of an infeasible row; ``Dataset._shapes[0]`` is None.
 _INFEASIBLE = 0
 
-#: What the load hook returns for a row it folded into the columns.
-_FOLDED = object()
+#: The ``format`` marker of a dataset file; a file without it is not one.
+FILE_FORMAT = "nautilus-dataset-columns-1"
 
 
 class Dataset:
@@ -368,64 +369,144 @@ class Dataset:
     # -- persistence ------------------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the dataset as gzipped JSON (config values + metrics)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        names = self.space.param_names
-        rows = [
-            {"config": dict(zip(names, values)), "metrics": metrics}
-            for (__, values), metrics in self.iter_rows()
-        ]
+        """Write the dataset as one gzipped JSON column file.
+
+        The file holds the space's parameters with their domains in code
+        order and, for the rows in slot order, one code array per
+        parameter, one shape id per row (0 for an infeasible row, else one
+        more than the index of the row's metric names in ``shapes``) and
+        one value array per metric, null where the row's shape lacks the
+        metric. The gzip header carries no time and no file name, so an
+        unchanged dataset saves to the same bytes.
+
+        Raises:
+            DatasetError: A metric name is not a string (a JSON object key).
+        """
+        if not all(type(name) is str for name in self._columns):
+            raise DatasetError(
+                f"dataset {self.name!r} has a metric name that is not a string"
+            )
+        codec = self.space.codec
+        positions = list(self._index)
+        columns = {name: [None] * len(positions) for name in self._columns}
+        for slot, shape_id in enumerate(self._shape_ids):
+            for name in self._shapes[shape_id] or ():
+                columns[name][slot] = self._columns[name][slot]
         payload = {
+            "format": FILE_FORMAT,
             "name": self.name,
             "space": self.space.name,
-            "params": list(names),
-            "rows": rows,
+            "params": list(codec.names),
+            "domains": list(map(list, codec.domains)),
+            "codes": [
+                [position // stride % cardinality for position in positions]
+                for stride, cardinality in zip(self._strides, codec.cardinalities)
+            ],
+            "shapes": list(map(list, self._shapes[1:])),
+            "shape_ids": self._shape_ids.tolist(),
+            "columns": columns,
         }
-        with gzip.open(path, "wt", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(gzip.compress(dumps(payload).encode("utf-8"), mtime=0))
 
     @classmethod
     def load(cls, path: str | Path, space: DesignSpace) -> "Dataset":
-        """Load a dataset saved by :meth:`save`, validated against a space.
+        """Load a dataset saved by :meth:`save`, checked against a space.
 
-        Each row object is folded into the columns as the parser completes
-        it (:func:`_row_fold`), so the parsed rows never all exist at once.
+        The whole file is checked before a row is used: its format, space,
+        parameter names and order, each domain value for value with its
+        type (``true`` is not ``1``), every code an ``int`` below its
+        parameter's cardinality, every shape id, every array's length, a
+        null wherever a row's shape lacks a metric, and no design point
+        twice. Keys are built from the space's own values.
 
         Raises:
-            DatasetError: The file was saved for another space or its
-                payload has the wrong shape.
-            GenomeError: A row's config is not a point of the space (the
-                first such row's error).
+            DatasetError: The file is not a column file of this space (a
+                row-format file included) or fails one of the checks.
         """
         path = Path(path)
-        dataset = cls(space.name, space)
-        hook, finish = _row_fold(dataset)
-        with gzip.open(path, "rt", encoding="utf-8") as fh:
-            payload = json.load(fh, object_hook=hook)
-        folded, error = finish()
-        if type(payload) is not dict:
-            raise DatasetError(f"dataset {path} does not hold a dataset object")
+        payload = json.loads(gzip.decompress(path.read_bytes()))
+        if type(payload) is not dict or payload.get("format") != FILE_FORMAT:
+            raise DatasetError(f"dataset {path} is not a {FILE_FORMAT} file")
         if payload.get("space") != space.name:
             raise DatasetError(
                 f"dataset {path} was characterized for space "
                 f"{payload.get('space')!r}, not {space.name!r}"
             )
-        if tuple(payload.get("params", ())) != space.param_names:
+        codec = space.codec
+        if payload.get("params") != list(codec.names):
             raise DatasetError(f"dataset {path} has mismatched parameter names")
-        rows = payload.get("rows")
-        if (
-            type(rows) is not list
-            or folded != len(rows)
-            or rows.count(_FOLDED) != len(rows)
+        # JSON text tells 1, 1.0 and true apart, as == does not.
+        if dumps(payload.get("domains")) != dumps(list(map(list, codec.domains))):
+            raise DatasetError(f"dataset {path} has mismatched parameter domains")
+        name, codes, shapes, shape_ids, columns = map(
+            payload.get, ("name", "codes", "shapes", "shape_ids", "columns")
+        )
+        if not (
+            type(name) is str and type(codes) is type(shapes) is list
+            and type(shape_ids) is list and type(columns) is dict
+            and len(codes) == codec.num_params
         ):
+            raise DatasetError(f"dataset {path} does not hold a column dataset")
+        rows = len(shape_ids)
+        kinds: list[tuple | None] = [None]
+        for shape in shapes:
+            if (
+                type(shape) is not list
+                or not all(type(metric) is str for metric in shape)
+                or len(set(shape)) != len(shape)
+            ):
+                raise DatasetError(f"dataset {path} has a malformed metric shape")
+            kinds.append(tuple(shape))
+        if len(set(kinds)) != len(kinds) or set(columns) != set().union(*kinds[1:]):
             raise DatasetError(
-                f"dataset {path} does not hold a list of "
-                '{"config": ..., "metrics": ...} rows'
+                f"dataset {path} has shapes that do not name its columns"
             )
-        if error is not None:
-            raise error
-        dataset.name = payload.get("name", space.name)
+        if not _all_ints(shape_ids, rows):
+            raise DatasetError(f"dataset {path} has a bad shape id array")
+        used = set(shape_ids)
+        if not used <= set(range(len(kinds))):
+            raise DatasetError(f"dataset {path} has a shape id without a shape")
+        dataset = cls(name, space)
+        # Per parameter, {code: code * stride}: a position is the sum of
+        # its codes' offsets, and a code outside the domain has none.
+        offsets = []
+        for param, column, stride, cardinality in zip(
+            codec.names, codes, dataset._strides, codec.cardinalities
+        ):
+            if not _all_ints(column, rows):
+                raise DatasetError(f"dataset {path} has a bad code array for {param!r}")
+            table = {code: code * stride for code in range(cardinality)}
+            offsets.append(map(table.__getitem__, column))
+        try:
+            positions = list(map(sum, zip(*offsets)))
+        except KeyError:
+            raise DatasetError(f"dataset {path} has a code beyond its domain") from None
+        index = dict(zip(positions, range(rows)))
+        if len(index) != rows:
+            raise DatasetError(f"dataset {path} holds a design point twice")
+        for metric, values in columns.items():
+            if type(values) is not list or len(values) != rows:
+                raise DatasetError(f"dataset {path} has a bad column for {metric!r}")
+            lacking = [shape is None or metric not in shape for shape in kinds]
+            if any(lacking[shape_id] for shape_id in used):
+                absent = list(map(lacking.__getitem__, shape_ids))
+                if any(map(is_not, compress(values, absent), repeat(None))):
+                    raise DatasetError(
+                        f"dataset {path} has a {metric!r} value in a row without it"
+                    )
+                if set(map(type, compress(values, map(not_, absent)))) <= {float}:
+                    columns[metric] = array(
+                        "d", [0.0 if value is None else value for value in values]
+                    )
+            elif set(map(type, values)) <= {float}:
+                columns[metric] = array("d", values)
+        dataset._index = index
+        dataset._shape_ids = array("I", shape_ids)
+        dataset._shapes = kinds
+        dataset._shape_of = dict(zip(kinds[1:], range(1, len(kinds))))
+        dataset._columns = columns
         return dataset
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -435,136 +516,10 @@ class Dataset:
         )
 
 
-#: Rows the load hook buffers before moving them into their columns.
-_PENDING_ROWS = 1024
-
-
-def _row_fold(dataset: Dataset) -> tuple[Callable[[dict], Any], Callable[[], tuple]]:
-    """The ``object_hook`` of one :meth:`Dataset.load`, and its ``finish``.
-
-    The parser completes a row's config and metrics objects, then the row
-    object itself, and hands each to the hook as it completes. A row (an
-    object of exactly the keys ``config`` and ``metrics``, whose config is
-    an object) is stored in the dataset and replaced by :data:`_FOLDED`;
-    every other object is returned as parsed.
-
-    Rows stream through a buffer. While the last row stored left the
-    columns exactly its shape's float columns, a new row of as many
-    metrics takes the next slot and its metric names and values go to the
-    pending lists; ``flush`` checks, a thousand rows at a time, that every
-    pending row has that shape and only floats, then moves the values into
-    the columns. A pending row that fails the check is stored as given,
-    like any other row (:meth:`Dataset._put`). ``finish`` flushes and
-    returns ``(rows folded, first error)``.
-
-    Errors keep the precedence of validating every config before reading
-    any metrics: the first config that fails to encode wins, and nothing
-    after it is stored. A metrics value that ``dict()`` rejects is held
-    until the configs after it are validated too.
-    """
-    codec = dataset.space.codec
-    num_params = codec.num_params
-    # One name more than the params: itemgetter of a single name returns
-    # the bare value, not a tuple. map() stops at the last param.
-    values_of = itemgetter(*codec.names, *codec.names[:1])
-    strides = dataset._strides
-    #: Per param, {frozen value: code * stride}: a position is their sum.
-    offsets = tuple(
-        {value: code * stride for value, code in index_map.items()}
-        for index_map, stride in zip(codec.index_maps, strides)
+def _all_ints(values: Any, length: int) -> bool:
+    """Whether ``values`` is a list of ``length`` ints (a bool is not one)."""
+    return (
+        type(values) is list
+        and len(values) == length
+        and set(map(type, values)) <= {int}
     )
-    getitem = dict.__getitem__
-    index = dataset._index
-    shape_ids = dataset._shape_ids
-    #: (shape, shape id, its columns) while the columns are exactly that
-    #: shape's float columns, as the last row stored left them.
-    lane: tuple[tuple, int, list] | None = None
-    width = -1
-    positions: list[int] = []
-    names: list[Any] = []
-    values: list[Any] = []
-    rows = 0
-    config_error: GenomeError | None = None
-    metrics_error: Exception | None = None
-
-    def flush() -> None:
-        nonlocal lane, width
-        if not positions:
-            return
-        shape, __, columns = lane
-        if names == list(shape) * len(positions) and set(map(type, values)) <= {float}:
-            for offset, column in enumerate(columns):
-                column.fromlist(values[offset::width])
-        else:
-            for column in dataset._columns.values():
-                column.fromlist([0.0] * len(positions))
-            for row, position in enumerate(positions):
-                span = slice(row * width, (row + 1) * width)
-                dataset._put(position, dict(zip(names[span], values[span])))
-            lane, width = None, -1
-        positions.clear()
-        names.clear()
-        values.clear()
-
-    def store(position: int, metrics: dict | None) -> None:
-        nonlocal lane, width
-        flush()
-        dataset._put(position, metrics)
-        if metrics is not None:
-            shape = tuple(metrics)
-            columns = dataset._columns
-            lane, width = None, -1
-            if tuple(columns) == shape and all(
-                type(column) is array for column in columns.values()
-            ):
-                lane = (shape, dataset._shape_of[shape], list(columns.values()))
-                width = len(shape)
-
-    def hook(obj: dict) -> Any:
-        nonlocal rows, config_error, metrics_error
-        if len(obj) != 2 or "config" not in obj or "metrics" not in obj:
-            return obj
-        config = obj["config"]
-        if type(config) is not dict:
-            return obj
-        rows += 1
-        if config_error is not None:
-            return _FOLDED
-        try:
-            if len(config) != num_params:
-                raise KeyError
-            position = sum(map(getitem, offsets, values_of(config)))
-        except (KeyError, TypeError):
-            # The codec's validating encoder raises the config's
-            # GenomeError, or freezes a list spelling of a tuple value.
-            try:
-                position = sum(map(mul, codec.encode_mapping(config), strides))
-            except GenomeError as exc:
-                config_error = exc
-                return _FOLDED
-        if metrics_error is not None:
-            return _FOLDED
-        metrics = obj["metrics"]
-        if type(metrics) is dict and len(metrics) == width and position not in index:
-            index[position] = len(shape_ids)
-            shape_ids.append(lane[1])
-            positions.append(position)
-            names.extend(metrics)
-            values.extend(metrics.values())
-            if len(positions) == _PENDING_ROWS:
-                flush()
-            return _FOLDED
-        if metrics is not None and type(metrics) is not dict:
-            try:
-                metrics = dict(metrics)
-            except (TypeError, ValueError) as exc:
-                metrics_error = exc
-                return _FOLDED
-        store(position, metrics)
-        return _FOLDED
-
-    def finish() -> tuple[int, Exception | None]:
-        flush()
-        return rows, config_error or metrics_error
-
-    return hook, finish

@@ -1,18 +1,21 @@
-"""The committed datasets load onto the same rows, fingerprints and store
-file names as the per-row loader did, save back to their own bytes, and
-load within a memory bound.
+"""The committed datasets load onto the same rows, in the same order, with
+the same fingerprints and store file names as the row files they were
+converted from, save back to their own payload, and load within a memory
+bound.
 
 Each file is opened with :meth:`Dataset.load` itself, not through
-``load_or_characterize``. The pins were read from the per-row loader;
-store file names, fleet task ids and every existing eval cache and
-archive depend on them. ROADMAP item 1's v2 regeneration
-(``DATASET_VERSION = "v2"``) re-pins them.
+``load_or_characterize``. The pins were read from the row-format files
+before they were re-saved as column files; store file names, fleet task
+ids and every existing eval cache and archive depend on them. ROADMAP
+item 1's v2 regeneration (``DATASET_VERSION = "v2"``) re-pins them.
 """
 
 from __future__ import annotations
 
 import gc
 import gzip
+import hashlib
+import json
 import tracemalloc
 
 import pytest
@@ -25,8 +28,6 @@ from repro.dsp.space import fir_space
 from repro.fft.space import fft_space
 from repro.noc.space import router_space
 
-from .test_load_equivalence import assert_same_rows, reference_rows
-
 PINS = {
     "noc_router": (router_space, 30240, "466e01c6ad06d64d",
                    "noc_router-7a4fe355acf2.jsonl"),
@@ -36,11 +37,20 @@ PINS = {
                     "fir63_lowpass-11c1fe5f2ba7.jsonl"),
 }
 
-#: Decompressed bytes of each committed file.
+#: sha1 over every row in ``iter_rows()`` order: ``repr(key)`` then
+#: ``json.dumps(metrics)`` (metric keys in row order). The fingerprint
+#: ignores row order and metric key order; this covers both.
+ROW_ORDER = {
+    "noc_router": "432bfc593fe40e62f660f4bf002c2f5827d887db",
+    "spiral_fft": "acc70f1a957686ca9865fda2eeed3bc542877cc3",
+    "fir_lowpass": "5aaa27fcd1bec28d04bf3c9a18c50dc949eedd0f",
+}
+
+#: Decompressed bytes of each committed column file.
 PAYLOAD_BYTES = {
-    "noc_router": 12_236_361,
-    "spiral_fft": 4_815_551,
-    "fir_lowpass": 1_131_742,
+    "noc_router": 3_457_355,
+    "spiral_fft": 1_858_048,
+    "fir_lowpass": 453_825,
 }
 
 MIB = 1 << 20
@@ -50,20 +60,25 @@ def committed(tag):
     return data_dir() / f"{tag}_{DATASET_VERSION}.json.gz"
 
 
+def row_order_digest(dataset: Dataset) -> str:
+    digest = hashlib.sha1()
+    for key, metrics in dataset.iter_rows():
+        digest.update((repr(key) + json.dumps(metrics)).encode("utf-8"))
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("tag", sorted(PINS))
 def test_committed_dataset_pins(tag, tmp_path):
     make_space, rows, fingerprint, store_file = PINS[tag]
     space = make_space()
-    path = committed(tag)
-    dataset = Dataset.load(path, space)
+    dataset = Dataset.load(committed(tag), space)
+    assert dataset.name == tag
     assert len(dataset) == rows
     assert dataset.content_fingerprint() == fingerprint
+    assert row_order_digest(dataset) == ROW_ORDER[tag]
     store = PersistentCache(tmp_path)
     name = store._path(space.name, DatasetEvaluator(dataset).fingerprint).name
     assert name == store_file
-    # Every key (value types included), in file order, and every metrics
-    # dict equal the per-row loader's.
-    assert_same_rows(dict(dataset.iter_rows()), reference_rows(path, space))
 
 
 @pytest.mark.parametrize("tag", sorted(PINS))
@@ -83,11 +98,12 @@ def test_save_writes_the_committed_payload(tag, tmp_path):
 def test_loading_the_router_dataset_holds_its_columns_not_its_rows():
     """Python memory traced over one load of the committed router file.
 
-    Held after ``gc.collect()`` (the loaded dataset alive): 4.7 MiB
+    Held after ``gc.collect()`` (the loaded dataset alive): 4.8 MiB
     measured, the columns and the position index; the per-row dicts held
-    18.8 MiB. Peak during the load: 23.4 MiB measured, mostly the
-    decompressed text (12.2 MB) the parser reads; holding every parsed row
-    peaked at 44.6 MiB. Each bound is about 1.5 times the measured value.
+    18.8 MiB. Peak during the load: 12.5 MiB measured, mostly the 3.5 MB
+    decompressed text and the parsed arrays before they become columns;
+    the row file peaked at 23.4 MiB, and holding every parsed row at 44.6
+    MiB. Each bound is about 1.5 times the measured value.
     """
     space = router_space()
     gc.collect()
@@ -102,4 +118,4 @@ def test_loading_the_router_dataset_holds_its_columns_not_its_rows():
         tracemalloc.stop()
     assert len(dataset) == PINS["noc_router"][1]
     assert held - before < 7 * MIB
-    assert peak - before < 35 * MIB
+    assert peak - before < 19 * MIB

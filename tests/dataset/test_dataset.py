@@ -1,5 +1,9 @@
 """Tests for the characterized-dataset container."""
 
+import gzip
+import json
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,9 +138,6 @@ class TestPersistence:
     def test_load_wrong_params_rejected(self, dataset, tmp_path, space):
         path = tmp_path / "toy.json.gz"
         dataset.save(path)
-        import gzip
-        import json
-
         with gzip.open(path, "rt") as fh:
             payload = json.load(fh)
         payload["params"] = ["x", "y"]
@@ -144,6 +145,27 @@ class TestPersistence:
             json.dump(payload, fh)
         with pytest.raises(DatasetError, match="parameter names"):
             Dataset.load(path, space)
+
+    def test_saving_twice_writes_the_same_bytes(self, dataset, space, tmp_path, monkeypatch):
+        """The gzip header holds no time and no file name, so an unchanged
+        dataset saves to the same bytes under any name at any time."""
+        first, second = tmp_path / "toy.json.gz", tmp_path / "other" / "copy.json.gz"
+        monkeypatch.setattr(time, "time", lambda: 1_000_000_000.0)
+        dataset.save(first)
+        monkeypatch.setattr(time, "time", lambda: 2_000_000_000.0)
+        dataset.save(second)
+        assert second.read_bytes() == first.read_bytes()
+        Dataset.load(second, space).save(second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_a_metric_name_that_is_not_a_string_is_not_saved(self, space, tmp_path):
+        """A JSON object key would turn 1 into "1", and the file would then
+        fail every load; save refuses it instead."""
+        dataset = Dataset("toy", space)
+        dataset.record({"a": 0, "b": 0}, {1: 2.0})
+        with pytest.raises(DatasetError, match="not a string"):
+            dataset.save(tmp_path / "toy.json.gz")
+        assert not (tmp_path / "toy.json.gz").exists()
 
     def test_infeasible_round_trip(self, space, tmp_path):
         dataset = Dataset("inf", space)
@@ -220,6 +242,24 @@ class TestCache:
         assert len(load()) == space.size()
         assert len(calls) == 2 * space.size()
         assert Dataset.load(path, space).lookup({"a": 3, "b": 1}) == {"m": 3.0}
+
+    def test_a_row_format_file_is_recharacterized(self, space, tmp_path, monkeypatch):
+        """A file in the row format the column file replaced, as an older
+        checkout left it under ``NAUTILUS_DATA_DIR``, is characterized
+        again once and rewritten as a column file."""
+        path, load, calls = self._characterized(space, tmp_path, monkeypatch)
+        rows = [
+            {"config": dict(zip(space.param_names, values)), "metrics": metrics}
+            for (__, values), metrics in Dataset.load(path, space).iter_rows()
+        ]
+        with gzip.open(path, "wt", encoding="utf-8") as fh:
+            json.dump({"name": "unit_toy", "space": space.name,
+                       "params": list(space.param_names), "rows": rows}, fh)
+        assert len(load()) == space.size()
+        assert len(calls) == 2 * space.size()
+        assert Dataset.load(path, space).lookup({"a": 3, "b": 1}) == {"m": 3.0}
+        assert len(load()) == space.size()
+        assert len(calls) == 2 * space.size()
 
     def test_a_file_of_another_space_is_recharacterized(
         self, space, tmp_path, monkeypatch

@@ -1,13 +1,17 @@
-"""A ``Dataset`` serves what the per-row originals served.
+"""A ``Dataset`` serves what the per-row originals served, and loads only
+a whole, well-formed column file.
 
-The loader folds each row into metric columns as the parser completes it,
-and the dataset builds row dicts on request; the fingerprint hashes the
-same bytes in a few large updates. Both are checked against verbatim
-copies of the per-row ``record()`` loop, the per-row fingerprint loop and
-the dict-of-rows statistics they replaced: the same keys, in the same
-order, with the same value types, the same metrics (key order and value
-types too), the same statistics, lookups, saved bytes and fingerprint, and
-the same exception for a bad row.
+The dataset holds metric columns and builds row dicts on request; the
+fingerprint hashes the same bytes in a few large updates. Both are checked
+against verbatim copies of the per-row ``record()`` loop, the per-row
+fingerprint loop and the dict-of-rows statistics they replaced: the same
+keys, in the same order, with the same value types, the same metrics (key
+order and value types too), the same statistics, lookups and fingerprint,
+and the same exception for a bad row. A saved column file loads back onto
+the rows it was saved from and saves to the same bytes again. Every fault
+:meth:`Dataset.load` checks for raises ``DatasetError``, so
+``load_or_characterize`` characterizes the space again and rewrites the
+file.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    CallableEvaluator,
     DatasetEvaluator,
     DesignSpace,
     Genome,
@@ -33,22 +38,11 @@ from repro.core import (
 )
 from repro.core.errors import DatasetError
 from repro.core.params import Param
-from repro.dataset import Dataset
+from repro.dataset import Dataset, load_or_characterize
+from repro.dataset.cache import DATASET_VERSION
+from repro.dataset.dataset import FILE_FORMAT
 
-# -- references: the loader and fingerprint before the column pass --------
-
-
-def reference_rows(path, space) -> dict:
-    """The ``_rows`` of the per-row loader: ``record()`` once per row."""
-    with gzip.open(path, "rt", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    codec = space.codec
-    rows: dict = {}
-    for row in payload["rows"]:
-        config, metrics = row["config"], row["metrics"]
-        key = (space.name, codec.values_key(codec.encode_mapping(config)))
-        rows[key] = dict(metrics) if metrics is not None else None
-    return rows
+# -- references: the per-row loop and fingerprint before the columns --------
 
 
 def reference_fingerprint(rows: dict) -> str:
@@ -68,22 +62,34 @@ def typed(value):
     return (type(value), value)
 
 
-def assert_same_rows(loaded: dict, reference: dict) -> None:
-    assert [typed(key) for key in loaded] == [typed(key) for key in reference]
-    assert list(loaded.values()) == list(reference.values())
+def recorded(space, rows, name="prop") -> Dataset:
+    """A dataset holding ``rows`` through one ``record()`` per row."""
+    dataset = Dataset(name, space)
+    for config, metrics in rows:
+        dataset.record(config, metrics)
+    return dataset
 
 
-def write(path, space, rows, name="prop") -> None:
-    """A dataset file in :meth:`Dataset.save`'s format, rows as given
-    (duplicates and hand-edited spellings included)."""
-    payload = {
-        "name": name,
-        "space": space.name,
-        "params": list(space.param_names),
-        "rows": [{"config": config, "metrics": metrics} for config, metrics in rows],
-    }
-    with gzip.open(path, "wt", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+def column_file_rows(path, space) -> dict:
+    """A column file read one row at a time: each row's key from its codes
+    through the space's frozen values, its metrics from its shape."""
+    with gzip.open(path, "rt", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    shapes = [None, *payload["shapes"]]
+    rows: dict = {}
+    for slot, shape_id in enumerate(payload["shape_ids"]):
+        codes = [column[slot] for column in payload["codes"]]
+        key = (space.name, space.codec.values_key(codes))
+        shape = shapes[shape_id]
+        rows[key] = None if shape is None else {
+            name: payload["columns"][name][slot] for name in shape
+        }
+    return rows
+
+
+def saved_and_loaded(dataset: Dataset, path) -> Dataset:
+    dataset.save(path)
+    return Dataset.load(path, dataset.space)
 
 
 # -- strategies ------------------------------------------------------------
@@ -133,9 +139,9 @@ def datasets(draw):
 
 
 def respelled(draw, value):
-    """Another spelling of a domain value that a hand-edited or foreign
-    JSON file could hold: a float or bool for an int, an int or float for
-    a bool, a list for a tuple."""
+    """Another spelling of a domain value that a caller could pass: a
+    float or bool for an int, an int or float for a bool, a list for a
+    tuple."""
     if isinstance(value, bool):
         return draw(st.sampled_from([value, int(value), float(value)]))
     if isinstance(value, int):
@@ -159,50 +165,53 @@ class TestLoadEqualsPerRowLoader:
     @_SETTINGS
     @given(datasets())
     def test_rows_and_fingerprint(self, tmp_path, case):
+        """A saved file loads onto the rows it holds, read one at a time,
+        which are the rows of the per-row record loop."""
         space, rows = case
         path = tmp_path / "d.json.gz"
-        write(path, space, rows)
-        loaded = Dataset.load(path, space)
-        reference = reference_rows(path, space)
-        assert_same_rows(dict(loaded.iter_rows()), reference)
+        loaded = saved_and_loaded(recorded(space, rows), path)
+        reference = recorded_rows(space, rows)
+        for expected in (column_file_rows(path, space), reference):
+            assert [(typed(key), typed_metrics(m)) for key, m in loaded.iter_rows()] == [
+                (typed(key), typed_metrics(m)) for key, m in expected.items()
+            ]
         assert loaded.content_fingerprint() == reference_fingerprint(reference)
 
     @_SETTINGS
     @given(datasets(), st.data())
     def test_hand_edited_spellings_land_on_the_same_keys(self, tmp_path, case, data):
+        """``record()`` takes a value in any spelling its parameter's
+        index map accepts (``1.0`` or ``True`` for ``1``, ``[2, 4]`` for
+        ``(2, 4)``); the file holds codes, so the saved dataset loads onto
+        the keys of the canonical spellings."""
         space, rows = case
         edited = [
             ({name: respelled(data.draw, value) for name, value in config.items()},
              metrics)
             for config, metrics in rows
         ]
-        path = tmp_path / "d.json.gz"
-        write(path, space, edited)
-        loaded = Dataset.load(path, space)
-        reference = reference_rows(path, space)
-        assert_same_rows(dict(loaded.iter_rows()), reference)
-        # ...and on the keys the canonical spellings load onto.
-        canonical = tmp_path / "c.json.gz"
-        write(canonical, space, rows)
-        assert_same_rows(dict(loaded.iter_rows()), reference_rows(canonical, space))
-        assert loaded.content_fingerprint() == reference_fingerprint(reference)
+        loaded = saved_and_loaded(recorded(space, edited), tmp_path / "d.json.gz")
+        canonical = recorded_rows(space, rows)
+        assert [(typed(key), typed_metrics(m)) for key, m in loaded.iter_rows()] == [
+            (typed(key), typed_metrics(m)) for key, m in canonical.items()
+        ]
+        assert loaded.content_fingerprint() == reference_fingerprint(canonical)
 
     @_SETTINGS
     @given(datasets())
     def test_saved_datasets_round_trip(self, tmp_path, case):
+        """A loaded file saves to its own bytes: one spelling per dataset."""
         space, rows = case
-        dataset = Dataset("prop", space)
-        for config, metrics in rows:
-            dataset.record(config, metrics)
-        path = tmp_path / "d.json.gz"
-        dataset.save(path)
-        loaded = Dataset.load(path, space)
-        assert_same_rows(dict(loaded.iter_rows()), dict(dataset.iter_rows()))
+        dataset = recorded(space, rows)
+        first, second = tmp_path / "d.json.gz", tmp_path / "e.json.gz"
+        loaded = saved_and_loaded(dataset, first)
+        loaded.save(second)
+        assert second.read_bytes() == first.read_bytes()
+        assert loaded.name == dataset.name
         assert loaded.content_fingerprint() == dataset.content_fingerprint()
-        assert loaded.content_fingerprint() == reference_fingerprint(dict(dataset.iter_rows()))
 
 
-# -- bad rows raise what the per-row loader raised --------------------------
+# -- bad rows raise what the per-row loop raised ------------------------------
 
 
 def _corrupt(kind, config, space):
@@ -233,9 +242,13 @@ def _raised(fn):
 
 
 class TestBadRowsRaiseTheSameError:
+    """Rows enter a dataset through ``record()`` (``characterize`` calls
+    it), which validates each config as the per-row loop did: the first
+    bad row raises the codec's ``GenomeError``."""
+
     @_SETTINGS
     @given(datasets(), st.data())
-    def test_first_bad_row_raises_the_reference_error(self, tmp_path, case, data):
+    def test_first_bad_row_raises_the_reference_error(self, case, data):
         space, rows = case
         bad = data.draw(st.lists(
             st.tuples(st.integers(0, len(rows) - 1), st.sampled_from(_KINDS)),
@@ -244,92 +257,227 @@ class TestBadRowsRaiseTheSameError:
         rows = list(rows)
         for index, kind in bad:
             rows[index] = (_corrupt(kind, rows[index][0], space), rows[index][1])
-        path = tmp_path / "d.json.gz"
-        write(path, space, rows)
-        expected = _raised(lambda: reference_rows(path, space))
+        expected = _raised(lambda: recorded_rows(space, rows))
         assert expected is not None and expected[0] is GenomeError
-        assert _raised(lambda: Dataset.load(path, space)) == expected
+        assert _raised(lambda: recorded(space, rows)) == expected
 
     @pytest.mark.parametrize("kind", _KINDS)
-    def test_each_kind(self, tmp_path, kind):
+    def test_each_kind(self, kind):
         space = DesignSpace("prop", [Param("p0", [1, 2]), Param("p1", ["x"])])
         good = {"p0": 1, "p1": "x"}
-        path = tmp_path / "d.json.gz"
-        write(path, space, [(good, None), (_corrupt(kind, good, space), None)])
-        expected = _raised(lambda: reference_rows(path, space))
+        rows = [(good, None), (_corrupt(kind, good, space), None)]
+        expected = _raised(lambda: recorded_rows(space, rows))
         assert expected[0] is GenomeError
-        assert _raised(lambda: Dataset.load(path, space)) == expected
+        assert _raised(lambda: recorded(space, rows)) == expected
 
     def test_a_non_dict_metrics_is_converted_or_raises_as_before(self, tmp_path):
         space = DesignSpace("prop", [Param("p0", [1, 2])])
-        path = tmp_path / "d.json.gz"
-        write(path, space, [({"p0": 1}, [["m", 1.5]]), ({"p0": 2}, {"m": 2.0})])
-        assert dict(Dataset.load(path, space).iter_rows()) == reference_rows(path, space)
-        write(path, space, [({"p0": 1}, 7)])
-        expected = _raised(lambda: reference_rows(path, space))
+        rows = [({"p0": 1}, [["m", 1.5]]), ({"p0": 2}, {"m": 2.0})]
+        loaded = saved_and_loaded(recorded(space, rows), tmp_path / "d.json.gz")
+        assert dict(loaded.iter_rows()) == recorded_rows(space, rows)
+        rows = [({"p0": 1}, 7)]
+        expected = _raised(lambda: recorded_rows(space, rows))
         assert expected[0] is TypeError
-        assert _raised(lambda: Dataset.load(path, space)) == expected
-
-
-class TestWrongShape:
-    """A payload that is not ``{..., "rows": [{"config": {...}, "metrics":
-    ...}, ...]}`` raises ``DatasetError``, whatever row it breaks at."""
-
-    @pytest.mark.parametrize("payload", [
-        [1, 2],
-        {"name": "prop", "space": "prop", "params": ["p0"]},
-        {"name": "prop", "space": "prop", "params": ["p0"], "rows": {}},
-        {"name": "prop", "space": "prop", "params": ["p0"],
-         "rows": [{"config": {"p0": 1}, "metrics": None}, None]},
-        {"name": "prop", "space": "prop", "params": ["p0"],
-         "rows": [{"config": {"p0": 1}}]},
-        {"name": "prop", "space": "prop", "params": ["p0"],
-         "rows": [{"config": {"p0": 1}, "metrics": None, "note": "x"}]},
-        {"name": "prop", "space": "prop", "params": ["p0"],
-         "rows": [{"config": [["p0", 1]], "metrics": None}]},
-        {"name": {"config": {"p0": 1}, "metrics": None}, "space": "prop",
-         "params": ["p0"], "rows": [{"config": {"p0": 2}, "metrics": None}]},
-    ])
-    def test_raises_dataset_error(self, tmp_path, payload):
-        space = DesignSpace("prop", [Param("p0", [1, 2])])
-        path = tmp_path / "d.json.gz"
-        with gzip.open(path, "wt", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        with pytest.raises(DatasetError):
-            Dataset.load(path, space)
-
-    def test_key_order_within_a_row_is_free(self, tmp_path):
-        space = DesignSpace("prop", [Param("p0", [1, 2])])
-        path = tmp_path / "d.json.gz"
-        with gzip.open(path, "wt", encoding="utf-8") as fh:
-            json.dump({"name": "prop", "space": "prop", "params": ["p0"], "rows": [
-                {"metrics": {"m": 2.0}, "config": {"p0": 2}},
-                {"config": {"p0": 1}, "metrics": {"m": 1.0}},
-            ]}, fh)
-        assert list(Dataset.load(path, space).iter_rows()) == [
-            (("prop", (2,)), {"m": 2.0}), (("prop", (1,)), {"m": 1.0}),
-        ]
+        assert _raised(lambda: recorded(space, rows)) == expected
 
 
 class TestDuplicates:
     def test_a_later_duplicate_wins_at_the_first_rows_position(self, tmp_path):
         space = DesignSpace("prop", [Param("p0", [1, 2, 3]), Param("p1", [(2, 4), (8, 8)])])
-        path = tmp_path / "d.json.gz"
-        write(path, space, [
+        dataset = recorded(space, [
             ({"p0": 2, "p1": [2, 4]}, {"m": 1.0}),
             ({"p0": 3, "p1": [8, 8]}, {"m": 3.0}),
             ({"p0": 2.0, "p1": [2, 4]}, None),
             ({"p0": True, "p1": [8, 8]}, {"m": 5.0}),
         ])
-        rows = dict(Dataset.load(path, space).iter_rows())
-        assert list(rows.items()) == [
+        expected = [
             (("prop", (2, (2, 4))), None),
             (("prop", (3, (8, 8))), {"m": 3.0}),
             (("prop", (1, (8, 8))), {"m": 5.0}),
         ]
-        assert [typed(key) for key in rows] == [
-            typed(key) for key in reference_rows(path, space)
-        ]
+        loaded = saved_and_loaded(dataset, tmp_path / "d.json.gz")
+        for rows in (list(dataset.iter_rows()), list(loaded.iter_rows())):
+            assert rows == expected
+            assert [typed(key) for key, __ in rows] == [typed(key) for key, __ in expected]
+
+
+# -- a file that fails a check is stale --------------------------------------
+
+#: A space with int, bool, tuple and str domains.
+FAULTS = DesignSpace("faults", [
+    Param("n", [1, 2, 4]),
+    Param("flag", [False, True]),
+    Param("pair", [(2, 4), (8, 8)]),
+    Param("kind", ["a", "b"]),
+])
+TAG = "faults"
+
+
+def _faults_metrics(genome):
+    """Infeasible rows, and two metric shapes, one with an int value."""
+    if genome["n"] == 4 and genome["flag"]:
+        raise InfeasibleDesignError("hole")
+    if genome["kind"] == "a":
+        return {"luts": float(genome["n"]), "stages": genome["n"] + 1}
+    return {"fmax_mhz": 100.0 / genome["n"]}
+
+
+@pytest.fixture
+def stale(tmp_path, monkeypatch):
+    """``check(edit)``: apply ``edit`` to the payload of a good file,
+    require ``Dataset.load`` to raise ``DatasetError`` and
+    ``load_or_characterize`` to characterize the space again and rewrite
+    the file."""
+    monkeypatch.setenv("NAUTILUS_DATA_DIR", str(tmp_path))
+    path = tmp_path / f"{TAG}_{DATASET_VERSION}.json.gz"
+    calls = []
+
+    def evaluate(genome):
+        calls.append(genome)
+        return _faults_metrics(genome)
+
+    def characterized() -> Dataset:
+        return load_or_characterize(FAULTS, CallableEvaluator(evaluate), TAG)
+
+    good = characterized()
+    good_bytes = path.read_bytes()
+    assert len(calls) == FAULTS.size() == len(good)
+
+    def check(edit=None, replace=None) -> None:
+        payload = json.loads(gzip.decompress(good_bytes))
+        if edit is not None:
+            edit(payload)
+        else:
+            payload = replace
+        path.write_bytes(gzip.compress(json.dumps(payload).encode("utf-8")))
+        with pytest.raises(DatasetError):
+            Dataset.load(path, FAULTS)
+        calls.clear()
+        assert list(characterized().iter_rows()) == list(good.iter_rows())
+        assert len(calls) == FAULTS.size()
+        assert path.read_bytes() == good_bytes
+
+    return check
+
+
+def _setter(key, value):
+    def edit(payload):
+        payload[key] = value
+    return edit
+
+
+class TestLoadFaults:
+    """One test per check :meth:`Dataset.load` makes."""
+
+    def test_the_format_marker(self, stale):
+        stale(lambda payload: payload.pop("format"))
+        stale(_setter("format", FILE_FORMAT[:-1] + "0"))
+
+        def row_format(payload):
+            """The row format this one replaced."""
+            payload.clear()
+            payload.update({"name": TAG, "space": "faults", "params": list(FAULTS.param_names),
+                            "rows": [{"config": {"n": 1, "flag": False, "pair": [2, 4],
+                                                 "kind": "b"}, "metrics": None}]})
+        stale(row_format)
+
+    def test_the_space_name(self, stale):
+        stale(_setter("space", "other"))
+        stale(lambda payload: payload.pop("space"))
+
+    def test_the_param_names_and_order(self, stale):
+        names = list(FAULTS.param_names)
+        stale(_setter("params", names[::-1]))
+        stale(_setter("params", names[:-1]))
+        stale(_setter("params", names + ["extra"]))
+        stale(_setter("params", [*names[:-1], "other"]))
+
+    def test_each_domain_value_for_value_with_its_type(self, stale):
+        for pos, domain in [
+            (0, [1, 2, 3]),            # another value
+            (0, [1.0, 2, 4]),          # 1.0 is not 1
+            (0, [2, 1, 4]),            # another order
+            (0, [1, 2]),               # a value short
+            (1, [0, 1]),               # 0 and 1 are not false and true
+            (2, [[2, 4], [8, 8.0]]),   # 8.0 is not 8
+            (3, ["a", "b", "c"]),      # a value more
+        ]:
+            def edit(payload, pos=pos, domain=domain):
+                payload["domains"][pos] = domain
+            stale(edit)
+
+    def test_every_code_an_int(self, stale):
+        for bad in (1.0, True, "1", None, [1]):
+            def edit(payload, bad=bad):
+                payload["codes"][0][-1] = bad
+            stale(edit)
+
+    def test_every_code_below_its_cardinality(self, stale):
+        for pos, bad in ((0, 3), (1, 2), (3, -1)):
+            def edit(payload, pos=pos, bad=bad):
+                payload["codes"][pos][0] = bad
+            stale(edit)
+
+    def test_every_arrays_length(self, stale):
+        def short(key, *path):
+            def edit(payload):
+                target = payload[key]
+                for step in path:
+                    target = target[step]
+                target.pop()
+            return edit
+
+        stale(short("codes", 2))
+        stale(short("codes"))                # a parameter's array missing
+        stale(short("shape_ids"))
+        stale(short("columns", "luts"))
+        stale(lambda payload: payload["codes"].append(list(payload["codes"][0])))
+
+    def test_every_shape_id(self, stale):
+        for bad in (3, -1, True, 1.0, None):  # the file has two shapes
+            def edit(payload, bad=bad):
+                payload["shape_ids"][0] = bad
+            stale(edit)
+
+    def test_every_shape_names_the_columns(self, stale):
+        stale(lambda payload: payload["shapes"][0].append("unknown"))
+        stale(lambda payload: payload["shapes"][0].append(payload["shapes"][0][0]))
+        stale(lambda payload: payload["shapes"].append(list(payload["shapes"][0])))
+        stale(lambda payload: payload["shapes"][0].append(7))
+        stale(lambda payload: payload["columns"].update(spare=[None] * len(payload["shape_ids"])))
+
+    def test_a_null_where_a_shape_lacks_a_metric(self, stale):
+        def edit(payload):
+            slot = payload["shape_ids"].index(0)  # an infeasible row
+            payload["columns"]["luts"][slot] = 1.0
+        stale(edit)
+
+    def test_no_design_point_twice(self, stale):
+        def edit(payload):
+            for column in payload["codes"]:
+                column[1] = column[0]
+        stale(edit)
+
+
+class TestWrongShape:
+    """A payload that is not a column dataset object raises
+    ``DatasetError``, whatever member it breaks at."""
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2],
+        {"format": FILE_FORMAT},
+        {"name": ["faults"]},
+        {"codes": {}},
+        {"codes": ["0", "1", "0", "1"]},
+        {"shapes": None},
+        {"shape_ids": "1"},
+        {"columns": []},
+    ])
+    def test_raises_dataset_error(self, stale, payload):
+        if type(payload) is dict and "format" not in payload:
+            stale(lambda good: good.update(payload))  # one member replaced
+        else:
+            stale(replace=payload)
 
 
 # -- the columns serve what the dict of rows served -------------------------
@@ -385,20 +533,6 @@ def reference_percentile(rows: dict, objective, top_percent) -> float:
     return values[max(0, math.ceil(len(values) * top_percent / 100.0) - 1)]
 
 
-def reference_payload(rows: dict, space, name="prop") -> str:
-    """What ``save`` wrote from the dict of rows, decompressed."""
-    names = space.param_names
-    return json.dumps({
-        "name": name,
-        "space": space.name,
-        "params": list(names),
-        "rows": [
-            {"config": dict(zip(names, values)), "metrics": metrics}
-            for (__, values), metrics in rows.items()
-        ],
-    })
-
-
 def outcome(fn):
     """A call's typed result, or the type of what it raised."""
     try:
@@ -419,7 +553,7 @@ _OBJECTIVES = [
 ]
 
 
-def assert_serves(dataset: Dataset, space, rows: dict, tmp_path) -> None:
+def assert_serves(dataset: Dataset, space, rows: dict) -> None:
     """Every read of ``dataset`` equals the same read of the dict of rows."""
     assert len(dataset) == len(rows)
     assert dataset.feasible_count == sum(row is not None for row in rows.values())
@@ -446,10 +580,6 @@ def assert_serves(dataset: Dataset, space, rows: dict, tmp_path) -> None:
         assert outcome(lambda: dataset.lookup(genome)) == expected
         assert outcome(lambda: dataset.lookup(genome.as_dict())) == expected
         assert outcome(lambda: dataset.lookup(twin.codec.genome(codes))) == expected
-    path = tmp_path / "saved.json.gz"
-    dataset.save(path)
-    with gzip.open(path, "rt", encoding="utf-8") as fh:
-        assert fh.read() == reference_payload(rows, space, dataset.name)
     assert dataset.content_fingerprint() == reference_fingerprint(rows)
 
 
@@ -458,19 +588,14 @@ class TestColumnsServeThePerRowRows:
     @given(datasets())
     def test_a_loaded_dataset(self, tmp_path, case):
         space, rows = case
-        path = tmp_path / "d.json.gz"
-        write(path, space, rows)
-        assert_serves(Dataset.load(path, space), space,
-                      reference_rows(path, space), tmp_path)
+        loaded = saved_and_loaded(recorded(space, rows), tmp_path / "d.json.gz")
+        assert_serves(loaded, space, recorded_rows(space, rows))
 
     @_SETTINGS
     @given(datasets())
-    def test_a_recorded_dataset(self, tmp_path, case):
+    def test_a_recorded_dataset(self, case):
         space, rows = case
-        dataset = Dataset("prop", space)
-        for config, metrics in rows:
-            dataset.record(config, metrics)
-        assert_serves(dataset, space, recorded_rows(space, rows), tmp_path)
+        assert_serves(recorded(space, rows), space, recorded_rows(space, rows))
 
     def test_the_fingerprint_writes_float_columns_as_json_does(self):
         """Float columns go through the fingerprint's repr template unless

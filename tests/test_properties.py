@@ -10,6 +10,7 @@ from repro.core import (
     DesignSpace,
     GAConfig,
     GeneticSearch,
+    InfeasibleDesignError,
     IntParam,
     NautilusError,
     PowOfTwoParam,
@@ -25,30 +26,54 @@ from repro.synth import Adder, LogicCloud, Module, Register, VIRTEX6, analyze_ti
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_dataset_round_trip_property(seed, tmp_path_factory):
-    """save(load(x)) == x for arbitrary characterized metric values."""
+    """load(save(x)) == x for arbitrary characterized metric values.
+
+    Rows come in a shuffled order with two metric shapes (the same names
+    in the other order), int-valued, NaN and infinite metrics and
+    infeasible rows; the loaded dataset keeps the row order, each row's
+    metric key order and value types, and the fingerprint."""
     rng = random.Random(seed)
     space = DesignSpace("rt", [IntParam("a", 0, 5), IntParam("b", 0, 3)])
     dataset = Dataset("rt", space)
-    expected = {}
-    for genome in space.iter_genomes():
-        if rng.random() < 0.1:
-            dataset.record(genome, None)
-            expected[genome.key] = None
+    genomes = list(space.iter_genomes())
+    rng.shuffle(genomes)
+    specials = [float("nan"), float("inf"), float("-inf")]
+    expected = []
+    for genome in genomes:
+        roll = rng.random()
+        if roll < 0.1:
+            metrics = None
+        elif roll < 0.55:
+            metrics = {"m": rng.uniform(-1e6, 1e6), "n": rng.randrange(100)}
         else:
-            metrics = {"m": rng.uniform(-1e6, 1e6), "n": float(rng.randrange(100))}
-            dataset.record(genome, metrics)
-            expected[genome.key] = metrics
+            metrics = {"n": float(rng.randrange(100)),
+                       "m": rng.choice(specials + [rng.uniform(-1, 1)])}
+        dataset.record(genome, metrics)
+        expected.append((genome, metrics))
     path = tmp_path_factory.mktemp("ds") / f"rt{seed}.json.gz"
     dataset.save(path)
     loaded = Dataset.load(path, space)
-    for genome in space.iter_genomes():
-        if expected[genome.key] is None:
-            from repro.core import InfeasibleDesignError
 
+    def spelled(rows):
+        """Each row with its key, metric names, value types and value
+        reprs spelled out (a NaN equals no value, its repr does)."""
+        return [
+            (repr(key), None if metrics is None else [
+                (name, type(value), repr(value)) for name, value in metrics.items()
+            ])
+            for key, metrics in rows
+        ]
+
+    assert spelled(loaded.iter_rows()) == spelled(
+        (genome.key, metrics) for genome, metrics in expected)
+    assert loaded.content_fingerprint() == dataset.content_fingerprint()
+    for genome, metrics in expected:
+        if metrics is None:
             with pytest.raises(InfeasibleDesignError):
                 loaded.lookup(genome)
         else:
-            assert loaded.lookup(genome) == expected[genome.key]
+            assert spelled([(genome.key, loaded.lookup(genome))]) == spelled(
+                [(genome.key, metrics)])
 
 
 # --- timing monotonicity -----------------------------------------------------------
