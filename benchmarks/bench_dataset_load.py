@@ -6,16 +6,16 @@ Writes ``results/BENCH_dataset_load.json``. For each committed file
 * ``compressed_bytes`` and ``decompressed_bytes``;
 * ``first_load_s``: one :meth:`Dataset.load` in a fresh interpreter that
   has imported the package and built the space but loaded nothing yet,
-  the median over ``--fresh`` processes (``first_load_runs_s`` lists
-  them);
-* ``warm_load_s``: the median of ``--repeats`` loads in this process
+  the median over ``FRESH_PROCESSES`` processes (``first_load_runs_s``
+  lists them);
+* ``warm_load_s``: the median of ``WARM_LOADS`` loads in this process
   after one untimed load;
 * ``held_mib`` and ``peak_mib``: Python memory traced (``tracemalloc``)
   over one load: held after ``gc.collect()`` with the dataset alive, and
   the peak during the load.
 
-It also records the Python version and ``os.cpu_count()``. Before it
-times a file it loads it and checks its pins from
+It also records the Python version, ``os.cpu_count()`` and both counts.
+Before it times a file it loads it and checks its pins from
 ``tests/dataset/test_committed_datasets.py`` (row count, content
 fingerprint and row-order digest), and exits if one moved. It checks no
 time. Timings move from machine to machine and run to run, so the record
@@ -23,12 +23,11 @@ is not byte-stable and the ``figures`` job does not run this script.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_dataset_load.py [--repeats 9] [--fresh 5]
+    PYTHONPATH=src python benchmarks/bench_dataset_load.py
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import gzip
 import json
@@ -55,6 +54,11 @@ from tests.dataset.test_committed_datasets import (  # noqa: E402
 RESULTS = ROOT / "results" / "BENCH_dataset_load.json"
 MIB = 1 << 20
 
+#: Timed loads per file in this process (median reported).
+WARM_LOADS = 9
+#: Fresh interpreters per file, one timed first load each (median reported).
+FRESH_PROCESSES = 5
+
 #: One timed load in a fresh interpreter; prints the seconds it took.
 FIRST_LOAD = """
 import sys, time
@@ -75,22 +79,22 @@ def check_pins(tag: str) -> None:
         raise SystemExit(f"{tag}: rows, fingerprint, row order {found} do not match the pins")
 
 
-def first_load_runs(tag: str, fresh: int) -> list[float]:
+def first_load_runs(tag: str) -> list[float]:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
     return [
         float(subprocess.run(
             [sys.executable, "-c", FIRST_LOAD, tag],
             check=True, capture_output=True, text=True, env=env, cwd=ROOT,
         ).stdout)
-        for __ in range(fresh)
+        for __ in range(FRESH_PROCESSES)
     ]
 
 
-def warm_load_s(tag: str, repeats: int) -> float:
+def warm_load_s(tag: str) -> float:
     space = PINS[tag][0]()
     Dataset.load(committed(tag), space)
     times = []
-    for __ in range(repeats):
+    for __ in range(WARM_LOADS):
         start = time.perf_counter()
         Dataset.load(committed(tag), space)
         times.append(time.perf_counter() - start)
@@ -114,27 +118,20 @@ def traced_mib(tag: str) -> tuple[float, float]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeats", type=int, default=9,
-                        help="warm loads per file (median reported)")
-    parser.add_argument("--fresh", type=int, default=5,
-                        help="fresh processes per file (median first load)")
-    args = parser.parse_args()
-
     files = {}
     for tag in sorted(PINS):
         check_pins(tag)
         path = committed(tag)
         with gzip.open(path, "rb") as fh:
             decompressed = len(fh.read())
-        runs = first_load_runs(tag, args.fresh)
+        runs = first_load_runs(tag)
         held, peak = traced_mib(tag)
         files[tag] = {
             "compressed_bytes": path.stat().st_size,
             "decompressed_bytes": decompressed,
             "first_load_s": statistics.median(runs),
             "first_load_runs_s": runs,
-            "warm_load_s": warm_load_s(tag, args.repeats),
+            "warm_load_s": warm_load_s(tag),
             "held_mib": held,
             "peak_mib": peak,
         }
@@ -145,8 +142,8 @@ def main() -> None:
     out = {
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "repeats": args.repeats,
-        "fresh": args.fresh,
+        "warm_loads": WARM_LOADS,
+        "fresh_processes": FRESH_PROCESSES,
         "files": files,
         "total": {
             key: sum(entry[key] for entry in files.values())

@@ -20,6 +20,7 @@ import gzip
 import hashlib
 import json
 import math
+import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress, repeat
@@ -376,8 +377,8 @@ class Dataset:
         parameter, one shape id per row (0 for an infeasible row, else one
         more than the index of the row's metric names in ``shapes``) and
         one value array per metric, null where the row's shape lacks the
-        metric. The gzip header carries no time and no file name, so an
-        unchanged dataset saves to the same bytes.
+        metric. The gzip header is fixed (no time, no file name), so an
+        unchanged dataset saves to the same bytes with the same zlib.
 
         Raises:
             DatasetError: A metric name is not a string (a JSON object key).
@@ -408,7 +409,11 @@ class Dataset:
         }
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(gzip.compress(dumps(payload).encode("utf-8"), mtime=0))
+        # zlib writes the gzip header with no time and no file name; its
+        # OS byte (like gzip.compress's, which is 255 from Python 3.13 on)
+        # depends on the build, so it is set to 3 (Unix) here.
+        stream = zlib.compress(dumps(payload).encode("utf-8"), 9, wbits=31)
+        path.write_bytes(stream[:9] + b"\x03" + stream[10:])
 
     @classmethod
     def load(cls, path: str | Path, space: DesignSpace) -> "Dataset":
